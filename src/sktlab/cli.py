@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .blowup import analyze, weighted_average
+from .blowup import _json_real, analyze, weighted_average
 from .config import RunConfig, build_initial_fields, load_config
 from .errors import (
     BracketConstructionError,
@@ -135,13 +135,6 @@ def _write_snapshots_csv(path, grid: Grid, snapshots) -> None:
                         )
 
 
-def _finite_or_none(value):
-    if value is None:
-        return None
-    value = float(value)
-    return value if np.isfinite(value) else None
-
-
 def _run_summary(result, run: _Run, bracket_mode: str) -> dict:
     worst = max((s.worst_violation for s in result.summaries), default=None)
     most_iters = max((s.iterations for s in result.summaries), default=None)
@@ -156,7 +149,7 @@ def _run_summary(result, run: _Run, bracket_mode: str) -> dict:
         "max_inner_iterations": most_iters,
         "halvings_used": result.halvings_used,
         "final_dt": result.final_dt,
-        "final_sup_norms": [_finite_or_none(m1), _finite_or_none(m2)],
+        "final_sup_norms": [_json_real(m1), _json_real(m2)],
         "bracket_mode": bracket_mode,
         "lambda0": run.eig.lambda0,
         "lambda0_mode": run.mode,
@@ -343,9 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to a run config file")
     common.add_argument("--out", default=None, help="output directory (overrides [output])")
-    common.add_argument(
-        "--seed", type=int, default=None, help="reserved; runs are deterministic"
-    )
     common.add_argument(
         "--lambda0-mode",
         choices=("principal", "first_positive"),

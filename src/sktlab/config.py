@@ -13,6 +13,7 @@ Sections: [model] (all ten coefficients), [grid], [solver], [initial],
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -368,9 +369,7 @@ def build_run_config(sections: dict) -> RunConfig:
                     output_view.line_of("snapshot_every"),
                 )
             try:
-                solver = SolverConfig(
-                    **{**_solver_as_kwargs(solver), "snapshot_every": every}
-                )
+                solver = dataclasses.replace(solver, snapshot_every=every)
             except ValueError as exc:
                 raise ConfigError(
                     str(exc), "output", "snapshot_every", output_view.line_of("snapshot_every")
@@ -389,20 +388,6 @@ def build_run_config(sections: dict) -> RunConfig:
         output_dir=output_dir,
         formats=formats,
     )
-
-
-def _solver_as_kwargs(cfg: SolverConfig) -> dict:
-    return {
-        "dt": cfg.dt,
-        "phi1": cfg.phi1,
-        "phi2": cfg.phi2,
-        "inner_tol": cfg.inner_tol,
-        "max_inner_iters": cfg.max_inner_iters,
-        "overflow_cap": cfg.overflow_cap,
-        "snapshot_every": cfg.snapshot_every,
-        "growth_trigger": cfg.growth_trigger,
-        "max_halvings": cfg.max_halvings,
-    }
 
 
 def load_config(path) -> RunConfig:

@@ -7,10 +7,13 @@ condition, so constants lie in its kernel and every row sums to zero. The
 trapezoidal quadrature pairs with it: the operator is self-adjoint in the
 weighted inner product and discretely flux-free, sum_w(lap f) = 0.
 
+The 1D stencil is built once, by _neumann_bands, in the banded layout that
+both the sparse matrix and the banded solver read.
+
 principal_eigenpair exposes the two smallest modes of -lap: the principal
 eigenvalue 0 with constant eigenfunction, and the first positive eigenvalue
-(analytic target (pi/L)^2 on an interval) via shifted inverse power iteration
-with the constant mode deflated in the quadrature inner product.
+(analytic target (pi/L)^2 on an interval) in closed form, since cosines
+diagonalise the folded stencil on each axis.
 
 Grids and fields are immutable after construction; all operations allocate
 fresh outputs.
@@ -18,17 +21,12 @@ fresh outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
-
-from .errors import NumericalError
-
-_EIG_RESIDUAL_TOL = 1e-8
-_EIG_MAX_ITERS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +140,24 @@ class Grid:
         )
 
 
-def _neg_lap_1d(n: int, h: float) -> sp.csr_matrix:
+def _neumann_bands(n: int, h: float) -> np.ndarray:
+    """1D zero-flux -d2/dx2 on n points as (upper, main, lower) bands.
+
+    Column j holds A[j-1, j], A[j, j], A[j+1, j]: the layout of LAPACK banded
+    solvers and of scipy's dia_matrix with offsets (1, 0, -1). The two corner
+    slots outside the matrix are zero.
+    """
     inv_h2 = 1.0 / (h * h)
-    main = np.full(n, 2.0 * inv_h2)
-    upper = np.full(n - 1, -inv_h2)
-    lower = np.full(n - 1, -inv_h2)
+    ab = np.full((3, n), -inv_h2)
+    ab[1] = 2.0 * inv_h2
+    ab[0, 0] = ab[2, -1] = 0.0
     # mirror ghosts fold the one-sided neighbor back with doubled coupling
-    upper[0] = -2.0 * inv_h2
-    lower[-1] = -2.0 * inv_h2
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    ab[0, 1] = ab[2, -2] = -2.0 * inv_h2
+    return ab
+
+
+def _neg_lap_1d(n: int, h: float) -> sp.dia_matrix:
+    return sp.dia_matrix((_neumann_bands(n, h), (1, 0, -1)), shape=(n, n))
 
 
 def _lap_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -251,55 +258,28 @@ def principal_eigenpair(grid: Grid, mode: str) -> EigenPair:
     """Lowest modes of the zero-flux -lap on the grid.
 
     mode "principal" is the exact kernel pair (0, constant 1). mode
-    "first_positive" computes the smallest positive eigenvalue by shifted
-    inverse power iteration with the constant mode deflated in the quadrature
-    inner product; the eigenfunction is normalized so its largest-magnitude
-    value equals 1.
-
-    Raises NumericalError (with the residual attached) if the iteration fails
-    to reach residual 1e-8 within the iteration cap.
+    "first_positive" is the smallest positive eigenvalue, in closed form:
+    along an axis with n points and spacing h, cos(pi*j/(n-1)) is an exact
+    eigenvector of the folded stencil with eigenvalue
+    (2 - 2cos(pi/(n-1)))/h^2, and -lap separates by axis. lambda0 is the
+    smaller axis value and phi0 that axis's cosine; when both axes give
+    exactly the same value the eigenspace is two-dimensional and phi0 is
+    (cos x + cos y)/2. phi0 peaks at +1 at the origin.
     """
     if mode == "principal":
         return EigenPair(0.0, ScalarField.constant(grid, 1.0), mode)
     if mode != "first_positive":
         raise ValueError(f"unknown eigen mode {mode!r}")
 
-    b = grid.neg_laplacian_matrix
-    w = grid.weights.ravel()
-    wsum = w.sum()
-    shift = 1e-10 * float(b.diagonal().max())
-    lu = splu((b + shift * sp.identity(b.shape[0], format="csc")).tocsc())
-
-    def deflate(vec):
-        return vec - (w @ vec) / wsum
-
-    # start with the continuum first modes so every candidate axis is excited
-    if grid.dimension == 1:
-        v = np.cos(np.pi * grid.xs / grid.lx)
-    else:
-        xx, yy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-        v = (np.cos(np.pi * xx / grid.lx) + np.cos(np.pi * yy / grid.ly)).ravel()
-    v = deflate(v)
-    v /= np.abs(v).max()
-
-    lam = 0.0
-    res = np.inf
-    for _ in range(_EIG_MAX_ITERS):
-        v = deflate(lu.solve(v))
-        v /= np.abs(v).max()
-        bv = b @ v
-        lam = float((w * v) @ bv) / float((w * v) @ v)
-        res = float(np.abs(bv - lam * v).max())
-        if res <= _EIG_RESIDUAL_TOL:
-            break
-    else:
-        raise NumericalError(
-            f"eigenpair iteration stalled at residual {res:.3e} "
-            f"(tolerance {_EIG_RESIDUAL_TOL:.0e})",
-            residual=res,
-        )
-
-    # fix the sign so the peak value is exactly +1
-    v = v / v[np.argmax(np.abs(v))]
-    phi = ScalarField(grid, v.reshape(grid.shape))
-    return EigenPair(lam, phi, mode)
+    axes = [(grid.nx, grid.hx)]
+    if grid.dimension == 2:
+        axes.append((grid.ny, grid.hy))
+    # 4 sin^2(t/2) is the cancellation-free form of 2 - 2cos(t)
+    lams = [4.0 * math.sin(0.5 * math.pi / (n - 1)) ** 2 / (h * h) for n, h in axes]
+    lam = min(lams)
+    modes = [np.cos(np.pi * np.arange(n) / (n - 1)) for n, _ in axes]
+    if grid.dimension == 2:
+        modes = [modes[0][:, None], modes[1][None, :]]
+    picked = [m for m, lam_axis in zip(modes, lams) if lam_axis == lam]
+    phi = np.broadcast_to(sum(picked) / len(picked), grid.shape)
+    return EigenPair(lam, ScalarField(grid, phi), mode)

@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import BracketConstructionError, ConvergenceError, OrderingViolationError
-from .grid import Grid, ScalarField, _lap_array
+from .grid import Grid, ScalarField, _lap_array, _neumann_bands
 from .model import ModelParams, _inverse_raw, _reaction_raw, _transform_raw
 from .regimes import RegimeReport
 
@@ -151,17 +151,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterateRecord:
-    """One inner iterate: both sequences, both variables, and the chain audit."""
+    """One inner iterate: both density sequences and the chain audit.
+
+    The arrays are the iterate's own, not copies; nothing writes to them
+    after the record is made. Record 0 holds the bracket's arrays.
+    """
 
     k: int
     v1: np.ndarray
     v2: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    hv1: np.ndarray
-    hv2: np.ndarray
-    hw1: np.ndarray
-    hw2: np.ndarray
     gap: float
     worst_violation: float  # signed; positive means the chain broke
 
@@ -326,18 +326,24 @@ def _phi_automatic(params, i, m_own, big_own, m_other, big_other, hdot):
     return 1.0 + mf * q_slope + lag
 
 
-def _hdot_scale(params, grid, state, i):
-    """Safety-factored sup bound on the transformed variable's time derivative."""
-    if i == 1:
-        d, alpha = params.d1, params.alpha1
-        u, h = state.u1.values, state.h1.values
-    else:
-        d, alpha = params.d2, params.alpha2
-        u, h = state.u2.values, state.h2.values
-    f1, f2 = _reaction_raw(params, state.u1.values, state.u2.values)
-    f = f1 if i == 1 else f2
-    p_slope = d + 2.0 * alpha * u
-    return 1.5 * float(np.abs(p_slope * (_lap_array(grid, h) + f)).max())
+def _hdot_scales(params, grid, state, wanted):
+    """Safety-factored sup bounds on the transformed variables' time derivatives.
+
+    Only the species flagged in `wanted` get a bound, the others 0.0; all
+    bounds share one reaction evaluation.
+    """
+    if not any(wanted):
+        return (0.0, 0.0)
+    us = (state.u1.values, state.u2.values)
+    hs = (state.h1.values, state.h2.values)
+    fs = _reaction_raw(params, *us)
+    return tuple(
+        1.5 * float(np.abs((d + 2.0 * alpha * u) * (_lap_array(grid, h) + f)).max())
+        if want else 0.0
+        for want, d, alpha, u, h, f in zip(
+            wanted, (params.d1, params.d2), (params.alpha1, params.alpha2), us, hs, fs
+        )
+    )
 
 
 class _HelmholtzSolver:
@@ -346,27 +352,18 @@ class _HelmholtzSolver:
     def __init__(self, grid: Grid):
         self.grid = grid
         if grid.dimension == 1:
-            inv_h2 = 1.0 / grid.hx**2
-            n = grid.nx
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -inv_h2
-            ab[0, 1] = -2.0 * inv_h2
-            ab[2, :-1] = -inv_h2
-            ab[2, n - 2] = -2.0 * inv_h2
-            self._ab = ab
-            self._diag_lap = 2.0 * inv_h2
+            self._ab = _neumann_bands(grid.nx, grid.hx)
         else:
             self._matrix = grid.neg_laplacian_matrix
-            self._eye = sp.identity(grid.npoints, format="csc")
 
     def solve(self, sig_over_dt, phi, rhs_cols):
-        """sig_over_dt: scalar or field array; rhs_cols: list of field arrays."""
+        """sig_over_dt: scalar or field array; rhs_cols: sequence of field arrays."""
         g = self.grid
         if g.dimension == 1:
             ab = self._ab.copy()
-            ab[1] = self._diag_lap + phi + sig_over_dt
-            b = np.stack([c for c in rhs_cols], axis=-1)
-            x = scipy.linalg.solve_banded((1, 1), ab, b)
+            ab[1] += phi
+            ab[1] += sig_over_dt
+            x = scipy.linalg.solve_banded((1, 1), ab, np.stack(rhs_cols, axis=-1))
             return [x[:, j] for j in range(x.shape[1])]
         diag = np.broadcast_to(np.asarray(sig_over_dt) + phi, g.shape).ravel()
         lu = splu((self._matrix + sp.diags(diag)).tocsc())
@@ -375,6 +372,17 @@ class _HelmholtzSolver:
 
 def _sigma(d, alpha, u):
     return 1.0 / (d + 2.0 * alpha * u)
+
+
+def _paired_reactions(params, v, w):
+    """Reactions driving the upper and lower iterates, as (f_hi, f_lo).
+
+    The reactions are quasimonotone decreasing, so each species' upper
+    iterate is paired with the other species' lower one, and vice versa.
+    """
+    f_wv = _reaction_raw(params, w[0], v[1])
+    f_vw = _reaction_raw(params, v[0], w[1])
+    return (f_wv[0], f_vw[1]), (f_vw[0], f_wv[1])
 
 
 def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, bracket):
@@ -390,40 +398,28 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
     if not (grid.compatible(lower.grid) and grid.compatible(upper.grid)):
         raise ValueError("bracket and state live on different grids")
     dt = cfg.dt
-
-    v1_0 = lower.u1.values
-    v2_0 = lower.u2.values
-    w1_0 = upper.u1.values
-    w2_0 = upper.u2.values
-    scale = max(w1_0.max(), w2_0.max())
+    ds = (params.d1, params.d2)
+    alphas = (params.alpha1, params.alpha2)
+    us = (state.u1.values, state.u2.values)
+    h_n = (state.h1.values, state.h2.values)
+    v0 = (lower.u1.values, lower.u2.values)
+    w0 = (upper.u1.values, upper.u2.values)
+    scale = max(w0[0].max(), w0[1].max())
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
-    for arr_lo, arr, arr_hi, name in (
-        (v1_0, state.u1.values, w1_0, "u1"),
-        (v2_0, state.u2.values, w2_0, "u2"),
-    ):
-        worst = max(float((arr_lo - arr).max()), float((arr - arr_hi).max()))
+    for i in (0, 1):
+        worst = max(float((v0[i] - us[i]).max()), float((us[i] - w0[i]).max()))
         if worst > chain_tol:
             raise OrderingViolationError(
-                f"state {name} leaves the bracket by {worst:.3e}",
+                f"state u{i + 1} leaves the bracket by {worst:.3e}",
                 worst_violation=worst,
                 iterate=0,
             )
 
     # exactly degenerate bracket: the common value is the step solution
-    if (
-        np.array_equal(v1_0, w1_0)
-        and np.array_equal(v2_0, w2_0)
-    ):
-        new_state = SystemState.from_u_arrays(
-            params, grid, state.t + dt, v1_0.copy(), v2_0.copy()
-        )
-        rec0 = IterateRecord(
-            0, v1_0.copy(), v2_0.copy(), w1_0.copy(), w2_0.copy(),
-            lower.h1.values.copy(), lower.h2.values.copy(),
-            upper.h1.values.copy(), upper.h2.values.copy(),
-            gap=0.0, worst_violation=0.0,
-        )
+    if np.array_equal(v0[0], w0[0]) and np.array_equal(v0[1], w0[1]):
+        new_state = SystemState.from_u_arrays(params, grid, state.t + dt, *v0)
+        rec0 = IterateRecord(0, *v0, *w0, gap=0.0, worst_violation=0.0)
         rec1 = dataclasses.replace(rec0, k=1)
         trace = IterationTrace(
             records=(rec0, rec1), state=new_state, gap=0.0,
@@ -431,64 +427,46 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
         )
         return new_state, trace
 
-    h1_n = state.h1.values
-    h2_n = state.h2.values
-
     # one-shot feasibility of the bracket endpoints as discrete bound solutions
-    for i, (d, alpha, lo_own, hi_own, f_hi, f_lo, h_n) in enumerate(
-        (
-            (params.d1, params.alpha1, v1_0, w1_0,
-             _reaction_raw(params, w1_0, v2_0)[0],
-             _reaction_raw(params, v1_0, w2_0)[0], h1_n),
-            (params.d2, params.alpha2, v2_0, w2_0,
-             _reaction_raw(params, v1_0, w2_0)[1],
-             _reaction_raw(params, w1_0, v2_0)[1], h2_n),
-        ),
-        start=1,
-    ):
-        h_hi = _transform_raw(d, alpha, hi_own)
-        up_lhs = _sigma(d, alpha, hi_own) * (h_hi - h_n) / dt - _lap_array(grid, h_hi)
-        worst_up = float((f_hi - up_lhs).max())
-        h_lo = _transform_raw(d, alpha, lo_own)
-        lo_lhs = _sigma(d, alpha, lo_own) * (h_lo - h_n) / dt - _lap_array(grid, h_lo)
-        worst_lo = float((lo_lhs - f_lo).max())
+    f_hi, f_lo = _paired_reactions(params, v0, w0)
+    for i in (0, 1):
+        d, alpha = ds[i], alphas[i]
+        h_hi = _transform_raw(d, alpha, w0[i])
+        up_lhs = _sigma(d, alpha, w0[i]) * (h_hi - h_n[i]) / dt - _lap_array(grid, h_hi)
+        worst_up = float((f_hi[i] - up_lhs).max())
+        h_lo = _transform_raw(d, alpha, v0[i])
+        lo_lhs = _sigma(d, alpha, v0[i]) * (h_lo - h_n[i]) / dt - _lap_array(grid, h_lo)
+        worst_lo = float((lo_lhs - f_lo[i]).max())
         worst = max(worst_up, worst_lo)
         if worst > chain_tol:
             raise OrderingViolationError(
-                f"bracket bound for species {i} is not a discrete bound solution "
+                f"bracket bound for species {i + 1} is not a discrete bound solution "
                 f"at dt={dt:.3e} (violation {worst:.3e})",
                 worst_violation=worst,
                 iterate=0,
             )
 
-    if cfg.phi1 is not None:
-        phi1_base = cfg.phi1
-    else:
-        hdot1 = 0.0 if params.alpha1 == 0.0 else _hdot_scale(params, grid, state, 1)
-        phi1_base = _phi_automatic(
-            params, 1, float(v1_0.min()), float(w1_0.max()),
-            float(v2_0.min()), float(w2_0.max()), hdot1,
-        )
-    if cfg.phi2 is not None:
-        phi2_base = cfg.phi2
-    else:
-        hdot2 = 0.0 if params.alpha2 == 0.0 else _hdot_scale(params, grid, state, 2)
-        phi2_base = _phi_automatic(
-            params, 2, float(v2_0.min()), float(w2_0.max()),
-            float(v1_0.min()), float(w1_0.max()), hdot2,
-        )
+    cfg_phis = (cfg.phi1, cfg.phi2)
+    hdot = _hdot_scales(
+        params, grid, state,
+        [phi is None and alpha != 0.0 for phi, alpha in zip(cfg_phis, alphas)],
+    )
+    box = [(float(v0[i].min()), float(w0[i].max())) for i in (0, 1)]
+    phi_base = [
+        phi if phi is not None
+        else _phi_automatic(params, i + 1, *box[i], *box[1 - i], hdot[i])
+        for i, phi in enumerate(cfg_phis)
+    ]
 
     solver = _HelmholtzSolver(grid)
     gap_tol = cfg.inner_tol * (1.0 + scale)
     last_exc = None
     for retry in range(_MAX_PHI_RETRIES + 1):
         boost = _PHI_RETRY_FACTOR**retry
+        phis = (phi_base[0] * boost, phi_base[1] * boost)
         try:
             records, converged_state, gap = _run_inner(
-                params, grid, solver, cfg, dt, h1_n, h2_n,
-                v1_0, v2_0, w1_0, w2_0,
-                phi1_base * boost, phi2_base * boost,
-                chain_tol, gap_tol, state.t,
+                params, solver, cfg, dt, h_n, v0, w0, phis, chain_tol, gap_tol, state.t
             )
         except _ChainViolation as exc:
             last_exc = exc
@@ -498,8 +476,8 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
             state=converged_state,
             gap=gap,
             worst_violation=max(r.worst_violation for r in records),
-            phi1=phi1_base * boost,
-            phi2=phi2_base * boost,
+            phi1=phis[0],
+            phi2=phis[1],
             retries=retry,
         )
         return converged_state, trace
@@ -511,94 +489,60 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
     )
 
 
-def _run_inner(
-    params, grid, solver, cfg, dt, h1_n, h2_n,
-    v1, v2, w1, w2, phi1, phi2, chain_tol, gap_tol, t_start,
-):
-    d1, al1 = params.d1, params.alpha1
-    d2, al2 = params.d2, params.alpha2
-    hv1 = _transform_raw(d1, al1, v1)
-    hv2 = _transform_raw(d2, al2, v2)
-    hw1 = _transform_raw(d1, al1, w1)
-    hw2 = _transform_raw(d2, al2, w2)
+def _run_inner(params, solver, cfg, dt, h_n, v, w, phis, chain_tol, gap_tol, t_start):
+    """Iterate both sequences of both species from the bracket (v, w).
 
-    gap = max(float((w1 - v1).max()), float((w2 - v2).max()))
-    records = [
-        IterateRecord(
-            0, v1.copy(), v2.copy(), w1.copy(), w2.copy(),
-            hv1.copy(), hv2.copy(), hw1.copy(), hw2.copy(),
-            gap=gap, worst_violation=float(max((v1 - w1).max(), (v2 - w2).max())),
-        )
-    ]
-    if records[0].worst_violation > chain_tol:
-        raise _ChainViolation(records[0].worst_violation, 0)
+    Returns (records, accepted state, gap) once the gap is within gap_tol;
+    raises _ChainViolation when the chain breaks beyond chain_tol.
+    """
+    ds = (params.d1, params.d2)
+    alphas = (params.alpha1, params.alpha2)
+    hv = [_transform_raw(d, alpha, x) for d, alpha, x in zip(ds, alphas, v)]
+    hw = [_transform_raw(d, alpha, x) for d, alpha, x in zip(ds, alphas, w)]
+
+    gap = max(float((w[0] - v[0]).max()), float((w[1] - v[1]).max()))
+    worst = float(max((v[0] - w[0]).max(), (v[1] - w[1]).max()))
+    records = [IterateRecord(0, *v, *w, gap=gap, worst_violation=worst)]
+    if worst > chain_tol:
+        raise _ChainViolation(worst, 0)
 
     for k in range(1, cfg.max_inner_iters + 1):
-        f1_hi, f2_lo = _reaction_raw(params, w1, v2)
-        f1_lo, f2_hi = _reaction_raw(params, v1, w2)
+        f_hi, f_lo = _paired_reactions(params, v, w)
+        new_hw, new_hv = [], []
+        for i in (0, 1):
+            d, alpha, phi = ds[i], alphas[i], phis[i]
+            if alpha == 0.0:
+                sig_w = sig_v = 1.0 / d
+            else:
+                sig_w, sig_v = _sigma(d, alpha, w[i]), _sigma(d, alpha, v[i])
+            rhs_w = sig_w * h_n[i] / dt + f_hi[i] + phi * hw[i]
+            rhs_v = sig_v * h_n[i] / dt + f_lo[i] + phi * hv[i]
+            if alpha == 0.0:
+                # constant sigma: both sequences share one matrix
+                hw_i, hv_i = solver.solve(sig_w / dt, phi, (rhs_w, rhs_v))
+            else:
+                (hw_i,) = solver.solve(sig_w / dt, phi, (rhs_w,))
+                (hv_i,) = solver.solve(sig_v / dt, phi, (rhs_v,))
+            new_hw.append(hw_i)
+            new_hv.append(hv_i)
 
-        if al1 == 0.0:
-            sig = 1.0 / d1
-            new_hw1, new_hv1 = solver.solve(
-                sig / dt, phi1,
-                (sig * h1_n / dt + f1_hi + phi1 * hw1,
-                 sig * h1_n / dt + f1_lo + phi1 * hv1),
-            )
-        else:
-            sig_w = _sigma(d1, al1, w1)
-            sig_v = _sigma(d1, al1, v1)
-            (new_hw1,) = solver.solve(
-                sig_w / dt, phi1, (sig_w * h1_n / dt + f1_hi + phi1 * hw1,)
-            )
-            (new_hv1,) = solver.solve(
-                sig_v / dt, phi1, (sig_v * h1_n / dt + f1_lo + phi1 * hv1,)
-            )
-        if al2 == 0.0:
-            sig = 1.0 / d2
-            new_hw2, new_hv2 = solver.solve(
-                sig / dt, phi2,
-                (sig * h2_n / dt + f2_hi + phi2 * hw2,
-                 sig * h2_n / dt + f2_lo + phi2 * hv2),
-            )
-        else:
-            sig_w = _sigma(d2, al2, w2)
-            sig_v = _sigma(d2, al2, v2)
-            (new_hw2,) = solver.solve(
-                sig_w / dt, phi2, (sig_w * h2_n / dt + f2_hi + phi2 * hw2,)
-            )
-            (new_hv2,) = solver.solve(
-                sig_v / dt, phi2, (sig_v * h2_n / dt + f2_lo + phi2 * hv2,)
-            )
-
-        new_v1 = _inverse_raw(d1, al1, new_hv1)
-        new_v2 = _inverse_raw(d2, al2, new_hv2)
-        new_w1 = _inverse_raw(d1, al1, new_hw1)
-        new_w2 = _inverse_raw(d2, al2, new_hw2)
-
+        new_v = [_inverse_raw(d, alpha, h) for d, alpha, h in zip(ds, alphas, new_hv)]
+        new_w = [_inverse_raw(d, alpha, h) for d, alpha, h in zip(ds, alphas, new_hw)]
         worst = float(
             max(
-                (v1 - new_v1).max(), (v2 - new_v2).max(),      # lower must not drop
-                (new_w1 - w1).max(), (new_w2 - w2).max(),      # upper must not rise
-                (new_v1 - new_w1).max(), (new_v2 - new_w2).max(),
+                *((v[i] - new_v[i]).max() for i in (0, 1)),  # lower must not drop
+                *((new_w[i] - w[i]).max() for i in (0, 1)),  # upper must not rise
+                *((new_v[i] - new_w[i]).max() for i in (0, 1)),
             )
         )
-        gap = max(float((new_w1 - new_v1).max()), float((new_w2 - new_v2).max()))
+        gap = max(float((new_w[i] - new_v[i]).max()) for i in (0, 1))
 
-        v1, v2, w1, w2 = new_v1, new_v2, new_w1, new_w2
-        hv1, hv2, hw1, hw2 = new_hv1, new_hv2, new_hw1, new_hw2
-        records.append(
-            IterateRecord(
-                k, v1.copy(), v2.copy(), w1.copy(), w2.copy(),
-                hv1.copy(), hv2.copy(), hw1.copy(), hw2.copy(),
-                gap=gap, worst_violation=worst,
-            )
-        )
+        v, w, hv, hw = new_v, new_w, new_hv, new_hw
+        records.append(IterateRecord(k, *v, *w, gap=gap, worst_violation=worst))
         if worst > chain_tol:
             raise _ChainViolation(worst, k)
         if gap <= gap_tol:
-            state = SystemState.from_h_arrays(
-                params, grid, t_start + dt, hv1.copy(), hv2.copy()
-            )
+            state = SystemState.from_h_arrays(params, solver.grid, t_start + dt, *hv)
             return records, state, gap
 
     raise ConvergenceError(

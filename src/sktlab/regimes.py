@@ -199,11 +199,15 @@ class BlowupCertificate:
 def classify_blowup(
     params: ModelParams, lambda0: float, mu1: float, mu2: float, p_hat0: float
 ) -> BlowupCertificate:
-    """Evaluate the blow-up sufficient conditions for one multiplier pair."""
+    """Evaluate the blow-up sufficient conditions for one multiplier pair.
+
+    p_hat0 may be any finite value: the average against a sign-changing
+    eigenfunction can be negative, and then fails the threshold test.
+    """
     if not (lambda0 >= 0.0 and np.isfinite(lambda0)):
         raise ValueError(f"lambda0 must be >= 0, got {lambda0}")
-    if not (p_hat0 >= 0.0 and np.isfinite(p_hat0)):
-        raise ValueError(f"p_hat0 must be >= 0, got {p_hat0}")
+    if not np.isfinite(p_hat0):
+        raise ValueError(f"p_hat0 must be finite, got {p_hat0}")
     p = params
     gc = growth_constants(params, mu1, mu2)
     mu_max = max(gc.mu1, gc.mu2)
@@ -270,8 +274,8 @@ def search_multipliers(
     """
     if int(grid_resolution) != grid_resolution or grid_resolution < 2:
         raise ValueError(f"grid_resolution must be an integer >= 2, got {grid_resolution}")
-    if not (p_hat10 >= 0.0 and p_hat20 >= 0.0):
-        raise ValueError("initial averages must be nonnegative")
+    if not (np.isfinite(p_hat10) and np.isfinite(p_hat20)):
+        raise ValueError("initial averages must be finite")
     r = int(grid_resolution)
     ratios = sorted({10.0 ** (-3.0 + 6.0 * k / r) for k in range(r + 1)} | {1.0})
 

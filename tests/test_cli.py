@@ -197,6 +197,20 @@ class TestClassify:
         # the positive eigenvalue empties the admissible window
         assert doc["regime"]["verdict"] == "not_certified"
 
+    def test_first_positive_negative_average_not_certified(self, capsys, tmp_path, conf):
+        # against phi0 = cos(x) this data averages to -0.05; it must be
+        # graded, not rejected
+        text = CERT_CONFIG.replace("nx = 33", "nx = 65").replace(
+            "kind = constant\nu1 = 0.2", "kind = expression\nu1 = 0.2 - 0.1*cos(x)"
+        ) + "\n[blowup]\nsearch_resolution = 8\n"
+        rc, out = run(conf(text), tmp_path, extra=("--lambda0-mode", "first_positive"))
+        assert rc == 0
+        doc = json.loads((out / "regime_report.json").read_text())
+        assert doc["p_hat0"] == pytest.approx(-0.05, rel=1e-3)
+        assert doc["blowup_certificate"]["verdict"] == "not_certified"
+        assert doc["searched_certificate"]["verdict"] == "not_certified"
+        assert "blowup: not_certified" in capsys.readouterr().out
+
     def test_multiplier_search_block(self, tmp_path, conf):
         rc, out = run(conf(CERT_CONFIG + "\n[blowup]\nsearch_resolution = 8\n"), tmp_path)
         assert rc == 0

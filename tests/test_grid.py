@@ -142,24 +142,32 @@ class TestEigenpair:
         assert np.all(eig.phi0.values == 1.0)
         assert eig.mode == "principal"
 
-    def test_first_positive_matches_discrete_formula(self, line):
-        eig = principal_eigenpair(line, "first_positive")
-        n = line.nx
-        lam_exact = 4.0 / line.hx**2 * np.sin(np.pi / (2 * (n - 1))) ** 2
-        assert eig.lambda0 == pytest.approx(lam_exact, rel=1e-8)
-        # eigenfunction is the k=1 cosine up to max-normalization
-        j = np.arange(n)
-        ref = np.cos(np.pi * j / (n - 1))
-        assert np.allclose(eig.phi0.values, ref, atol=1e-7)
-        assert eig.phi0.values.max() == pytest.approx(1.0, abs=1e-12)
+    def test_first_positive_matches_discrete_formula(self):
+        for n in (33, 65):
+            line = Grid.interval(np.pi, n)
+            eig = principal_eigenpair(line, "first_positive")
+            lam_exact = 4.0 / line.hx**2 * np.sin(np.pi / (2 * (n - 1))) ** 2
+            assert eig.lambda0 == pytest.approx(lam_exact, rel=1e-8)
+            # eigenfunction is the k=1 cosine, +1 at the origin
+            j = np.arange(n)
+            ref = np.cos(np.pi * j / (n - 1))
+            assert np.allclose(eig.phi0.values, ref, atol=1e-7)
+            assert eig.phi0.values.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_first_positive_2d_smaller_side_selected(self):
-        # on a rectangle the smallest positive eigenvalue comes from the
-        # longer side (pi here), so lambda0 is close to 1
-        g = Grid.rectangle(np.pi, 1.0, 33, 17)
-        eig = principal_eigenpair(g, "first_positive")
-        lam_exact = 4.0 / g.hx**2 * np.sin(np.pi / (2 * (g.nx - 1))) ** 2
-        assert eig.lambda0 == pytest.approx(lam_exact, rel=1e-7)
+        # the smallest positive eigenvalue comes from the axis with the
+        # smaller discrete k=1 value: the longer side (pi against 1), or on a
+        # square the coarser axis
+        for lx, ly, nx, ny in (
+            (np.pi, 1.0, 33, 17), (np.pi, np.pi, 65, 33), (np.pi, np.pi, 33, 31)
+        ):
+            g = Grid.rectangle(lx, ly, nx, ny)
+            eig = principal_eigenpair(g, "first_positive")
+            lam_exact = min(
+                4.0 / h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2
+                for n, h in ((g.nx, g.hx), (g.ny, g.hy))
+            )
+            assert eig.lambda0 == pytest.approx(lam_exact, rel=1e-7)
 
     def test_continuum_convergence_second_order(self):
         # discrete lambda -> (pi/L)^2 = 1 with O(h^2) error on L = pi

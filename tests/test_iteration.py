@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from sktlab.errors import (
     BracketConstructionError,
@@ -11,6 +15,7 @@ from sktlab.errors import (
 from sktlab.grid import Grid, ScalarField, principal_eigenpair
 from sktlab.iteration import (
     SolverConfig,
+    _HelmholtzSolver,
     SystemState,
     initial_bracket,
     simulate,
@@ -233,6 +238,38 @@ class TestStepMonotone:
         _, trace = step_monotone(state, cfg, params, bracket)
         assert trace.phi1 == 50.0
         assert trace.phi2 == 60.0
+
+
+class TestHelmholtzSolver:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        n=st.integers(3, 200),
+        length=st.floats(0.5, 10.0),
+        ratio=st.floats(1e-3, 1e3),
+        phi=st.floats(0.0, 100.0),
+        array_diag=st.booleans(),
+        columns=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_banded_solve_matches_sparse_lu(
+        self, n, length, ratio, phi, array_diag, columns, seed
+    ):
+        # the banded 1D solve reads the same stencil as neg_laplacian_matrix;
+        # the diagonal is drawn relative to the stencil's top eigenvalue
+        # 4/h^2, so the condition number stays below about 1e3 (the stepper
+        # runs far better conditioned: sig/dt dominates)
+        grid = Grid.interval(length, n)
+        shift = ratio * 4.0 / grid.hx**2
+        rng = np.random.default_rng(seed)
+        sig_over_dt = shift * rng.uniform(0.5, 2.0, n) if array_diag else shift
+        cols = [rng.standard_normal(n) for _ in range(columns)]
+        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols)
+        diag = np.broadcast_to(sig_over_dt + phi, (n,))
+        lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
+        assert len(got) == columns
+        for x, b in zip(got, cols):
+            ref = lu.solve(b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSimulate:

@@ -152,6 +152,20 @@ class TestClassifyBlowup:
         with pytest.raises(ValueError):
             t0_estimate(c, 4.0 / 3.0)
 
+    def test_any_finite_average_accepted(self):
+        # a sign-changing eigenfunction can give a negative average; it
+        # simply fails the threshold test, in both entry points
+        p = params(alpha1=0.0, alpha2=0.0)
+        c = classify_blowup(p, 0.0, 1.0, 1.0, -0.05)
+        assert c.verdict == "not_certified"
+        assert c.failing_condition == "p_hat0 > threshold"
+        assert not search_multipliers(p, 0.0, -0.05, -4.4e-18, 8).certified
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                classify_blowup(p, 0.0, 1.0, 1.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                search_multipliers(p, 0.0, bad, 0.8, 8)
+
     def test_branch_follows_multiplier_order(self):
         p = params()
         lo = classify_blowup(p, 0.0, 1.0, 2.0, 2.0)
