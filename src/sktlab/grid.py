@@ -10,10 +10,11 @@ weighted inner product and discretely flux-free, sum_w(lap f) = 0.
 The 1D stencil is built once, by _neumann_bands, in the banded layout that
 both the sparse matrix and the banded solver read.
 
-principal_eigenpair exposes the two smallest modes of -lap: the principal
-eigenvalue 0 with constant eigenfunction, and the first positive eigenvalue
-(analytic target (pi/L)^2 on an interval) in closed form, since cosines
-diagonalise the folded stencil on each axis.
+Cosines diagonalise the folded stencil on each axis, so its eigenvalues have
+a closed form, _neumann_eigenvalues. principal_eigenpair reads it for the
+two smallest modes of -lap: the principal eigenvalue 0 with constant
+eigenfunction, and the first positive eigenvalue (analytic target (pi/L)^2
+on an interval); the 2D linear solver reads it for its DCT-I preconditioner.
 
 Grids and fields are immutable after construction; all operations allocate
 fresh outputs.
@@ -156,6 +157,20 @@ def _neumann_bands(n: int, h: float) -> np.ndarray:
     return ab
 
 
+def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues of the 1D zero-flux -d2/dx2 on n points, for k = 0..n-1.
+
+    cos(pi*k*j/(n-1)) is an exact eigenvector of the folded stencil with
+    eigenvalue (2 - 2cos(pi*k/(n-1)))/h^2, computed as the cancellation-free
+    4 sin^2(pi*k/(2(n-1)))/h^2. The scalar math form keeps the k = 1 value
+    bit-identical to the closed-form first positive eigenvalue; numpy's
+    array square differs from float ** 2 in the last digit at some n.
+    """
+    return np.array(
+        [4.0 * math.sin(0.5 * math.pi * k / (n - 1)) ** 2 / (h * h) for k in range(n)]
+    )
+
+
 def _neg_lap_1d(n: int, h: float) -> sp.dia_matrix:
     return sp.dia_matrix((_neumann_bands(n, h), (1, 0, -1)), shape=(n, n))
 
@@ -274,8 +289,7 @@ def principal_eigenpair(grid: Grid, mode: str) -> EigenPair:
     axes = [(grid.nx, grid.hx)]
     if grid.dimension == 2:
         axes.append((grid.ny, grid.hy))
-    # 4 sin^2(t/2) is the cancellation-free form of 2 - 2cos(t)
-    lams = [4.0 * math.sin(0.5 * math.pi / (n - 1)) ** 2 / (h * h) for n, h in axes]
+    lams = [float(_neumann_eigenvalues(n, h)[1]) for n, h in axes]
     lam = min(lams)
     modes = [np.cos(np.pi * np.arange(n) / (n - 1)) for n, _ in axes]
     if grid.dimension == 2:

@@ -6,6 +6,7 @@ import pytest
 from sktlab.grid import (
     Grid,
     ScalarField,
+    _neumann_eigenvalues,
     neumann_laplacian,
     principal_eigenpair,
     weighted_integral,
@@ -88,14 +89,17 @@ class TestLaplacian:
 
     def test_cosine_is_discrete_eigenvector(self, line):
         # cos(k*pi*j/(n-1)) is an exact eigenvector of the folded stencil
-        # with eigenvalue (4/h^2) sin^2(k*pi / (2(n-1)))
+        # with eigenvalue (4/h^2) sin^2(k*pi / (2(n-1))), for every k
         n = line.nx
-        for k in (1, 2, 5):
-            j = np.arange(n)
+        lams = _neumann_eigenvalues(n, line.hx)
+        assert lams.shape == (n,) and lams[0] == 0.0
+        j = np.arange(n)
+        for k in range(n):
             v = np.cos(k * np.pi * j / (n - 1))
             lam = 4.0 / line.hx**2 * np.sin(k * np.pi / (2 * (n - 1))) ** 2
-            resid = line.neg_laplacian_matrix @ v - lam * v
-            assert np.abs(resid).max() < 1e-10 * max(1.0, lam)
+            assert lams[k] == pytest.approx(lam, rel=1e-14)
+            resid = line.neg_laplacian_matrix @ v - lams[k] * v
+            assert np.abs(resid).max() < 1e-10 * max(1.0, lams[k])
 
 
 class TestScalarField:
@@ -168,6 +172,9 @@ class TestEigenpair:
                 for n, h in ((g.nx, g.hx), (g.ny, g.hy))
             )
             assert eig.lambda0 == pytest.approx(lam_exact, rel=1e-7)
+        # the closed form, pinned to the last digit
+        g = Grid.rectangle(np.pi, np.pi, 65, 65)
+        assert principal_eigenpair(g, "first_positive").lambda0 == 0.9997992185115971
 
     def test_continuum_convergence_second_order(self):
         # discrete lambda -> (pi/L)^2 = 1 with O(h^2) error on L = pi

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
+import sktlab.iteration
 from sktlab.errors import (
     BracketConstructionError,
     ConvergenceError,
     OrderingViolationError,
 )
-from sktlab.grid import Grid, ScalarField, principal_eigenpair
+from sktlab.grid import Grid, ScalarField, _neumann_bands, principal_eigenpair
 from sktlab.iteration import (
     SolverConfig,
     _HelmholtzSolver,
@@ -266,10 +268,132 @@ class TestHelmholtzSolver:
         got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols)
         diag = np.broadcast_to(sig_over_dt + phi, (n,))
         lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
+        # the direct LAPACK call must reproduce solve_banded bit for bit
+        ab = _neumann_bands(n, grid.hx)
+        ab[1] += phi
+        ab[1] += sig_over_dt
+        banded = scipy.linalg.solve_banded((1, 1), ab, np.stack(cols, axis=-1))
         assert len(got) == columns
-        for x, b in zip(got, cols):
+        for j, (x, b) in enumerate(zip(got, cols)):
+            assert np.array_equal(x, banded[:, j])
             ref = lu.solve(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        nx=st.integers(3, 40),
+        ny=st.integers(3, 40),
+        lx=st.floats(0.5, 10.0),
+        ly=st.floats(0.5, 10.0),
+        ratio=st.floats(1e-2, 1e2),
+        contrast=st.floats(1.0, 50.0),
+        phi=st.floats(0.0, 100.0),
+        array_diag=st.booleans(),
+        columns=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cg_solve_matches_sparse_lu(
+        self, nx, ny, lx, ly, ratio, contrast, phi, array_diag, columns, seed
+    ):
+        # the diagonal sits relative to the stencil's top eigenvalue, as in
+        # the 1D property, and the right-hand sides are scaled by it, so the
+        # solutions are of order one
+        grid = Grid.rectangle(lx, ly, nx, ny)
+        shift = ratio * 4.0 / min(grid.hx, grid.hy) ** 2
+        rng = np.random.default_rng(seed)
+        if array_diag:
+            sig_over_dt = shift * rng.uniform(1.0, contrast, grid.shape)
+        else:
+            sig_over_dt = shift
+        diag = np.broadcast_to(sig_over_dt + phi, grid.shape)
+        cols = [diag * rng.standard_normal(grid.shape) for _ in range(columns)]
+        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols)
+        lu = splu((grid.neg_laplacian_matrix + sp.diags(diag.ravel())).tocsc())
+        assert len(got) == columns
+        for x, b in zip(got, cols):
+            ref = lu.solve(b.ravel()).reshape(grid.shape)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.interval(np.pi, 9), Grid.rectangle(np.pi, 2.0, 9, 5)],
+        ids=["1d", "2d"],
+    )
+    def test_nonfinite_rhs_raises(self, grid):
+        b = np.ones(grid.shape)
+        b.flat[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _HelmholtzSolver(grid).solve(10.0, 1.0, [np.ones(grid.shape), b])
+
+    def test_constant_diagonal_solved_by_one_preconditioner_step(self, monkeypatch):
+        # the DCT-I preconditioner is the exact inverse when the diagonal is
+        # constant, so one CG iteration meets the residual bound
+        monkeypatch.setattr(sktlab.iteration, "_CG_MAX_ITERS", 1)
+        grid = Grid.rectangle(np.pi, 2.0, 17, 9)
+        b = np.random.default_rng(3).standard_normal(grid.shape)
+        solver = _HelmholtzSolver(grid)
+        (x,) = solver.solve(40.0, 2.0, [b])
+        assert solver.fallbacks == 0
+        lu = splu((grid.neg_laplacian_matrix + 42.0 * sp.identity(grid.npoints)).tocsc())
+        ref = lu.solve(b.ravel()).reshape(grid.shape)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_cg_miss_falls_back_to_sparse_lu(self, monkeypatch):
+        monkeypatch.setattr(sktlab.iteration, "_CG_MAX_ITERS", 0)
+        grid = Grid.rectangle(np.pi, 2.0, 17, 9)
+        rng = np.random.default_rng(7)
+        sig_over_dt = rng.uniform(50.0, 100.0, grid.shape)
+        cols = [rng.standard_normal(grid.shape) for _ in range(2)]
+        solver = _HelmholtzSolver(grid)
+        # a zero column is accepted before any iteration, as exact zeros
+        got = solver.solve(sig_over_dt, 2.0, cols + [np.zeros(grid.shape)])
+        assert solver.fallbacks == 2
+        assert np.all(got[2] == 0.0)
+        diag = (sig_over_dt + 2.0).ravel()
+        lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
+        for x, b in zip(got, cols):
+            assert np.array_equal(x, lu.solve(b.ravel()).reshape(grid.shape))
+
+
+class TestRectangle:
+    """Quasilinear steps on a 2D grid, in the certified window bracket."""
+
+    @staticmethod
+    def run(u2):
+        params = certified_params()
+        grid = Grid.rectangle(np.pi, 2.0, 17, 9)
+        eig = principal_eigenpair(grid, "principal")
+        regime = classify_global(params, eig.lambda0, eig.mode)
+        u0 = (
+            ScalarField.from_function(
+                grid, lambda x, y: 0.2 + 0.1 * np.cos(x) * np.cos(np.pi * y / 2.0)
+            ),
+            ScalarField.from_function(grid, u2),
+        )
+        bracket = initial_bracket(params, eig, u0, regime)
+        scale = max(float(bracket[1].u1.values.max()), float(bracket[1].u2.values.max()))
+        cfg = SolverConfig(dt=1e-3)
+        return simulate(params, grid, eig, u0, cfg, 5e-3, bracket=bracket), cfg, scale
+
+    def test_chain_gap_and_nonnegativity(self):
+        result, cfg, scale = self.run(lambda x, y: 0.3 + 0.05 * np.cos(2.0 * x))
+        assert result.termination == "completed"
+        assert len(result.summaries) == 5
+        for s in result.summaries:
+            assert s.worst_violation <= 1e-10 * max(1.0, scale)
+            assert s.gap <= cfg.inner_tol * (1.0 + scale)
+            assert s.fallbacks == 0
+        for snap in result.snapshots:
+            assert snap.u1.values.min() >= 0.0
+            assert snap.u2.values.min() >= 0.0
+
+    def test_zero_species_stays_exactly_zero(self):
+        result, _, _ = self.run(lambda x, y: 0.0 * x)
+        assert result.termination == "completed"
+        assert result.final_state.u1.values.min() > 0.0
+        for snap in result.snapshots:
+            assert np.all(snap.u2.values == 0.0)
+            assert np.all(snap.h2.values == 0.0)
 
 
 class TestSimulate:
