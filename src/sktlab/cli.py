@@ -111,28 +111,28 @@ class _Run:
         return result, bracket_mode
 
 
+def _reprs(values) -> list:
+    """_r of every value of an array, in C order."""
+    # tolist() yields Python floats, whose repr is the shortest exact decimal
+    return list(map(repr, np.ravel(values).tolist()))
+
+
 def _write_snapshots_csv(path, grid: Grid, snapshots) -> None:
+    # the coordinate cells are the same in every snapshot: format them once
+    xs = _reprs(grid.xs)
+    if grid.dimension == 1:
+        header, points = "t,x,u1,u2,h1,h2\n", xs
+    else:
+        ys = _reprs(grid.ys)
+        header, points = "t,x,y,u1,u2,h1,h2\n", [f"{x},{y}" for x in xs for y in ys]
     with open(path, "w", newline="") as fh:
-        if grid.dimension == 1:
-            fh.write("t,x,u1,u2,h1,h2\n")
-            for s in snapshots:
-                t = _r(s.t)
-                for x, a, b, p, q in zip(
-                    grid.xs, s.u1.values, s.u2.values, s.h1.values, s.h2.values
-                ):
-                    fh.write(f"{t},{_r(x)},{_r(a)},{_r(b)},{_r(p)},{_r(q)}\n")
-        else:
-            fh.write("t,x,y,u1,u2,h1,h2\n")
-            for s in snapshots:
-                t = _r(s.t)
-                u1, u2, h1, h2 = s.u1.values, s.u2.values, s.h1.values, s.h2.values
-                for i, x in enumerate(grid.xs):
-                    xr = _r(x)
-                    for j, y in enumerate(grid.ys):
-                        fh.write(
-                            f"{t},{xr},{_r(y)},{_r(u1[i, j])},{_r(u2[i, j])},"
-                            f"{_r(h1[i, j])},{_r(h2[i, j])}\n"
-                        )
+        fh.write(header)
+        for s in snapshots:
+            t = _r(s.t)
+            cols = [_reprs(f.values) for f in (s.u1, s.u2, s.h1, s.h2)]
+            fh.writelines(
+                f"{t},{p},{a},{b},{c},{d}\n" for p, a, b, c, d in zip(points, *cols)
+            )
 
 
 def _run_summary(result, run: _Run, bracket_mode: str) -> dict:

@@ -175,21 +175,33 @@ def _neg_lap_1d(n: int, h: float) -> sp.dia_matrix:
     return sp.dia_matrix((_neumann_bands(n, h), (1, 0, -1)), shape=(n, n))
 
 
-def _lap_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    a = np.moveaxis(a, axis, 0)
+def _lap_axis(a: np.ndarray, h: float, trailing: int) -> np.ndarray:
+    """Second difference along the axis with `trailing` axes after it."""
+    tail = (slice(None),) * trailing
+
+    def at(index):
+        return (Ellipsis, index) + tail
+
     out = np.empty_like(a)
     inv_h2 = 1.0 / (h * h)
-    out[1:-1] = (a[:-2] - 2.0 * a[1:-1] + a[2:]) * inv_h2
-    out[0] = 2.0 * (a[1] - a[0]) * inv_h2
-    out[-1] = 2.0 * (a[-2] - a[-1]) * inv_h2
-    return np.moveaxis(out, 0, axis)
+    out[at(slice(1, -1))] = (
+        a[at(slice(None, -2))] - 2.0 * a[at(slice(1, -1))] + a[at(slice(2, None))]
+    ) * inv_h2
+    out[at(0)] = 2.0 * (a[at(1)] - a[at(0)]) * inv_h2
+    out[at(-1)] = 2.0 * (a[at(-2)] - a[at(-1)]) * inv_h2
+    return out
 
 
 def _lap_array(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Discrete zero-flux Laplacian of raw values; solver hot path."""
-    out = _lap_axis(a, grid.hx, 0)
-    if grid.dimension == 2:
-        out += _lap_axis(a, grid.hy, 1)
+    """Discrete zero-flux Laplacian of raw values; solver hot path.
+
+    The grid axes are the trailing ones, so a stack of fields of shape
+    (..., *grid.shape) is transformed in one call.
+    """
+    if grid.dimension == 1:
+        return _lap_axis(a, grid.hx, 0)
+    out = _lap_axis(a, grid.hx, 1)
+    out += _lap_axis(a, grid.hy, 0)
     return out
 
 
@@ -207,7 +219,7 @@ class ScalarField:
             raise ValueError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        if not self.overflowed and not np.all(np.isfinite(vals)):
+        if not self.overflowed and not np.isfinite(vals).all():
             raise ValueError("field values must be finite unless flagged overflowed")
         object.__setattr__(self, "values", vals)
 

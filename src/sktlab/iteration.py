@@ -27,10 +27,24 @@ sequences drops below inner_tol*(1 + bracket scale); the accepted state is
 the final lower iterate, which preserves exact nonnegativity (and exact
 zeros) of the data.
 
-The linear solves go through _HelmholtzSolver. In 1D it is one LAPACK
-tridiagonal solve (dgtsv) per call. In 2D it is conjugate gradients
-preconditioned by the exact DCT-I solve at the mean diagonal; a solution is
-accepted only when its recomputed residual bounds its sup-norm error by
+A step works on one (species, sequence, *grid) array instead of four
+separate ones: sequence 0 is the upper iterate w, sequence 1 the lower v.
+Reversing species 2's sequence axis turns (w2, v2) into (v2, w2), which is
+exactly the cross-pairing above, so one reaction call on (u[0], u[1, ::-1])
+drives all four iterates. The right-hand sides, the transform and its
+inverse, the feasibility check and the chain audit are each a few numpy
+calls on the whole stack, and every element sees the same floating-point
+operations in the same order as a per-species loop would apply, so the
+results are bit-identical to one. Each iterate's record views that
+iterate's own stack.
+
+The linear solves go through _HelmholtzSolver, built once per simulate run,
+and work in place on the right-hand-side stack. A species whose sigma is
+constant (alpha = 0) solves both sequences as two columns of one matrix,
+the others one column per sequence. In 1D each call is one LAPACK
+tridiagonal solve (dgtsv). In 2D it is conjugate gradients preconditioned
+by the exact DCT-I solve at the mean diagonal; a solution is accepted only
+when its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
 that misses falls back to sparse LU and is counted in the trace's
 `fallbacks`. Zero right-hand sides give exact zeros on both paths.
@@ -69,6 +83,9 @@ _LOWER_SCALE_CAP = 1e-3
 _CG_ACCEPT = 1e-12
 _CG_STOP = 1e-13
 _CG_MAX_ITERS = 100
+# 1D main diagonals the solver keeps for scalar shifts, which recur at every
+# inner iterate of a step
+_KEPT_DIAGONALS = 8
 
 
 @dataclass(frozen=True)
@@ -104,18 +121,6 @@ class SystemState:
             t,
             ScalarField(grid, u1, overflowed),
             ScalarField(grid, u2, overflowed),
-        )
-
-    @classmethod
-    def from_h_arrays(cls, params, grid, t, h1, h2, overflowed=False):
-        u1 = _inverse_raw(params.d1, params.alpha1, h1)
-        u2 = _inverse_raw(params.d2, params.alpha2, h2)
-        return cls(
-            float(t),
-            ScalarField(grid, u1, overflowed),
-            ScalarField(grid, u2, overflowed),
-            ScalarField(grid, h1, overflowed),
-            ScalarField(grid, h2, overflowed),
         )
 
     def sup_norms(self) -> tuple:
@@ -168,8 +173,9 @@ class SolverConfig:
 class IterateRecord:
     """One inner iterate: both density sequences and the chain audit.
 
-    The arrays are the iterate's own, not copies; nothing writes to them
-    after the record is made. Record 0 holds the bracket's arrays.
+    The arrays are views of the iterate's own (species, sequence) stack, not
+    copies; nothing writes to them after the record is made. Record 0 views
+    the step's stacked copy of the bracket.
     """
 
     k: int
@@ -344,22 +350,22 @@ def _phi_automatic(params, i, m_own, big_own, m_other, big_other, hdot):
     return 1.0 + mf * q_slope + lag
 
 
-def _hdot_scales(params, grid, state, wanted):
+def _hdot_scales(params, grid, u, h, wanted):
     """Safety-factored sup bounds on the transformed variables' time derivatives.
 
-    Only the species flagged in `wanted` get a bound, the others 0.0; all
-    bounds share one reaction evaluation.
+    u and h are (species, *grid) stacks. Only the species flagged in
+    `wanted` get a bound, the others 0.0; all bounds share one reaction
+    evaluation and one Laplacian.
     """
     if not any(wanted):
         return (0.0, 0.0)
-    us = (state.u1.values, state.u2.values)
-    hs = (state.h1.values, state.h2.values)
-    fs = _reaction_raw(params, *us)
+    fs = _reaction_raw(params, u[0], u[1])
+    laps = _lap_array(grid, h)
     return tuple(
-        1.5 * float(np.abs((d + 2.0 * alpha * u) * (_lap_array(grid, h) + f)).max())
+        1.5 * float(np.abs((d + 2.0 * alpha * u[i]) * (laps[i] + fs[i])).max())
         if want else 0.0
-        for want, d, alpha, u, h, f in zip(
-            wanted, (params.d1, params.d2), (params.alpha1, params.alpha2), us, hs, fs
+        for i, (want, d, alpha) in enumerate(
+            zip(wanted, (params.d1, params.d2), (params.alpha1, params.alpha2))
         )
     )
 
@@ -369,7 +375,8 @@ class _HelmholtzSolver:
 
     1D: one LAPACK dgtsv call on the tridiagonal stencil for all columns,
     the routine and operands scipy's solve_banded would reach, so results are
-    bit-identical to it.
+    bit-identical to it. The main diagonal for a scalar sig/dt is kept
+    between calls.
 
     2D: conjugate gradients per column in the trapezoid-weighted inner
     product, where W(D - lap) is symmetric positive definite, preconditioned
@@ -395,35 +402,51 @@ class _HelmholtzSolver:
         if grid.dimension == 1:
             ab = _neumann_bands(grid.nx, grid.hx)
             self._du, self._main, self._dl = ab[0, 1:], ab[1], ab[2, :-1]
+            self._diagonals = {}
         else:
             lam_x = _neumann_eigenvalues(grid.nx, grid.hx)
             lam_y = _neumann_eigenvalues(grid.ny, grid.hy)
             self._lam = lam_x[:, None] + lam_y[None, :]
 
     def solve(self, sig_over_dt, phi, rhs_cols):
-        """sig_over_dt: scalar or field array; rhs_cols: sequence of field arrays."""
+        """Solve for each column of rhs_cols and return the (k, *grid) solutions.
+
+        sig_over_dt is a scalar or a field array; rhs_cols is a (k, *grid)
+        stack or a sequence of k field arrays. A C-contiguous float stack is
+        overwritten with the solutions and returned.
+        """
+        rhs = np.ascontiguousarray(rhs_cols, dtype=float)
         if self.grid.dimension == 1:
-            d = (self._main + phi) + sig_over_dt
-            # (k, n) stacked in C order is (n, k) in Fortran order: no copy
-            _, _, _, x, info = dgtsv(
-                self._dl, d, self._du, np.array(rhs_cols).T, overwrite_d=1, overwrite_b=1
-            )
+            if isinstance(sig_over_dt, float):
+                d, fresh = self._scalar_diagonal(sig_over_dt, phi), 0
+            else:
+                d, fresh = (self._main + phi) + sig_over_dt, 1
+            # the C-ordered (k, n) stack is the Fortran-ordered (n, k) matrix
+            # dgtsv reads, so it is solved in place
+            info = dgtsv(self._dl, d, self._du, rhs.T, overwrite_d=fresh, overwrite_b=1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
-            cols = [x[:, j] for j in range(x.shape[1])]
         else:
-            cols = self._solve_2d(np.asarray(sig_over_dt) + phi, rhs_cols)
-        if not all(np.isfinite(x).all() for x in cols):
+            self._solve_2d(np.asarray(sig_over_dt) + phi, rhs)
+        if not np.isfinite(rhs).all():
             raise ValueError("linear solve produced non-finite values")
-        return cols
+        return rhs
 
-    def _solve_2d(self, diag, rhs_cols):
+    def _scalar_diagonal(self, sig_over_dt, phi):
+        key = (sig_over_dt, phi)
+        d = self._diagonals.get(key)
+        if d is None:
+            if len(self._diagonals) >= _KEPT_DIAGONALS:
+                self._diagonals.clear()
+            d = self._diagonals[key] = (self._main + phi) + sig_over_dt
+        return d
+
+    def _solve_2d(self, diag, rhs):
         g = self.grid
         d_min = float(diag.min())
         inv_eig = 1.0 / (float(diag.mean()) + self._lam)
         lu = None
-        cols = []
-        for b in rhs_cols:
+        for b in rhs:
             x = self._pcg(diag, d_min, inv_eig, b)
             if x is None:
                 if lu is None:
@@ -431,8 +454,7 @@ class _HelmholtzSolver:
                     lu = splu((g.neg_laplacian_matrix + sp.diags(full)).tocsc())
                 x = lu.solve(b.ravel()).reshape(g.shape)
                 self.fallbacks += 1
-            cols.append(x)
-        return cols
+            b[...] = x
 
     def _pcg(self, diag, d_min, inv_eig, b):
         """Preconditioned CG for (diag - lap) x = b; None if x misses the bound."""
@@ -467,41 +489,86 @@ def _sigma(d, alpha, u):
     return 1.0 / (d + 2.0 * alpha * u)
 
 
-def _paired_reactions(params, v, w):
-    """Reactions driving the upper and lower iterates, as (f_hi, f_lo).
+def _species_column(grid, first, second):
+    """Per-species values shaped to broadcast over a (species, sequence, *grid) stack."""
+    return np.array((first, second)).reshape((2, 1) + (1,) * grid.dimension)
+
+
+def _sequence_signs(grid):
+    """+1 on the upper sequence and -1 on the lower, broadcasting over a stack."""
+    return np.array((1.0, -1.0)).reshape((1, 2) + (1,) * grid.dimension)
+
+
+def _paired_reactions(params, u):
+    """Reactions driving the (species, sequence) stack u, as species 1's and 2's.
 
     The reactions are quasimonotone decreasing, so each species' upper
-    iterate is paired with the other species' lower one, and vice versa.
+    iterate is paired with the other species' lower one, and vice versa:
+    reversing species 2's sequence axis lines the pairs up, and reversing
+    its reaction back returns it in sequence order.
     """
-    f_wv = _reaction_raw(params, w[0], v[1])
-    f_vw = _reaction_raw(params, v[0], w[1])
-    return (f_wv[0], f_vw[1]), (f_vw[0], f_wv[1])
+    f1, f2 = _reaction_raw(params, u[0], u[1, ::-1])
+    return f1, f2[::-1]
 
 
-def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, bracket):
+def _inverse_stack(params, d, h):
+    """Densities of a (species, ...) stack of transformed values."""
+    if params.alpha1 == params.alpha2:
+        return _inverse_raw(d, params.alpha1, h)
+    return np.array((
+        _inverse_raw(params.d1, params.alpha1, h[0]),
+        _inverse_raw(params.d2, params.alpha2, h[1]),
+    ))
+
+
+def _bound_violations(grid, dt, d, alpha, h_n, u, h, f):
+    """Per-species worst violation of the bracket stack u as discrete bounds.
+
+    With lhs = sigma(u) (h - h^n)/dt - lap h, the upper sequence must satisfy
+    lhs <= f and the lower lhs >= f; h and f are u's transform and paired
+    reactions.
+    """
+    resid = np.array(f)
+    resid -= _sigma(d, alpha, u) * (h - h_n) / dt - _lap_array(grid, h)
+    resid *= _sequence_signs(grid)
+    return resid.reshape(2, -1).max(axis=1)
+
+
+def step_monotone(
+    state: SystemState, cfg: SolverConfig, params: ModelParams, bracket, solver=None
+):
     """Advance one dt from `state` inside `bracket`, returning (state, trace).
 
     The bracket is a (lower, upper) SystemState pair that must contain the
-    state pointwise. Raises OrderingViolationError when the iterate chain
-    breaks beyond tolerance even after shift escalation, and ConvergenceError
-    when the gap fails to close within max_inner_iters.
+    state pointwise. `solver` is a _HelmholtzSolver on the state's grid to
+    reuse across steps; a fresh one is built when it is None. Raises
+    OrderingViolationError when the iterate chain breaks beyond tolerance
+    even after shift escalation, and ConvergenceError when the gap fails to
+    close within max_inner_iters.
     """
     lower, upper = bracket
     grid = state.grid
     if not (grid.compatible(lower.grid) and grid.compatible(upper.grid)):
         raise ValueError("bracket and state live on different grids")
+    if solver is None:
+        solver = _HelmholtzSolver(grid)
+    elif not grid.compatible(solver.grid):
+        raise ValueError("solver and state live on different grids")
     dt = cfg.dt
-    ds = (params.d1, params.d2)
-    alphas = (params.alpha1, params.alpha2)
-    us = (state.u1.values, state.u2.values)
-    h_n = (state.h1.values, state.h2.values)
-    v0 = (lower.u1.values, lower.u2.values)
-    w0 = (upper.u1.values, upper.u2.values)
-    scale = max(w0[0].max(), w0[1].max())
+    h_n = np.array((state.h1.values, state.h2.values))[:, None]
+    u0 = np.array(
+        ((upper.u1.values, lower.u1.values), (upper.u2.values, lower.u2.values))
+    )
+    ceilings = u0[:, 0].reshape(2, -1).max(axis=1)
+    floors = u0[:, 1].reshape(2, -1).min(axis=1)
+    scale = float(ceilings.max())
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
+    # the state must lie under the upper and over the lower
+    u_n = np.array((state.u1.values, state.u2.values))[:, None]
+    outside = (_sequence_signs(grid) * (u_n - u0)).reshape(2, -1).max(axis=1)
     for i in (0, 1):
-        worst = max(float((v0[i] - us[i]).max()), float((us[i] - w0[i]).max()))
+        worst = float(outside[i])
         if worst > chain_tol:
             raise OrderingViolationError(
                 f"state u{i + 1} leaves the bracket by {worst:.3e}",
@@ -510,7 +577,9 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
             )
 
     # exactly degenerate bracket: the common value is the step solution
-    if np.array_equal(v0[0], w0[0]) and np.array_equal(v0[1], w0[1]):
+    if np.array_equal(u0[:, 0], u0[:, 1]):
+        v0 = (lower.u1.values, lower.u2.values)
+        w0 = (upper.u1.values, upper.u2.values)
         new_state = SystemState.from_u_arrays(params, grid, state.t + dt, *v0)
         rec0 = IterateRecord(0, *v0, *w0, gap=0.0, worst_violation=0.0)
         rec1 = dataclasses.replace(rec0, k=1)
@@ -520,17 +589,16 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
         )
         return new_state, trace
 
-    # one-shot feasibility of the bracket endpoints as discrete bound solutions
-    f_hi, f_lo = _paired_reactions(params, v0, w0)
+    # one-shot feasibility of the bracket endpoints as discrete bound
+    # solutions; the bracket's transform and reactions also start the inner
+    # iteration
+    d = _species_column(grid, params.d1, params.d2)
+    alpha = _species_column(grid, params.alpha1, params.alpha2)
+    h0 = _transform_raw(d, alpha, u0)
+    f0 = _paired_reactions(params, u0)
+    infeasible = _bound_violations(grid, dt, d, alpha, h_n, u0, h0, f0)
     for i in (0, 1):
-        d, alpha = ds[i], alphas[i]
-        h_hi = _transform_raw(d, alpha, w0[i])
-        up_lhs = _sigma(d, alpha, w0[i]) * (h_hi - h_n[i]) / dt - _lap_array(grid, h_hi)
-        worst_up = float((f_hi[i] - up_lhs).max())
-        h_lo = _transform_raw(d, alpha, v0[i])
-        lo_lhs = _sigma(d, alpha, v0[i]) * (h_lo - h_n[i]) / dt - _lap_array(grid, h_lo)
-        worst_lo = float((lo_lhs - f_lo[i]).max())
-        worst = max(worst_up, worst_lo)
+        worst = float(infeasible[i])
         if worst > chain_tol:
             raise OrderingViolationError(
                 f"bracket bound for species {i + 1} is not a discrete bound solution "
@@ -540,26 +608,28 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
             )
 
     cfg_phis = (cfg.phi1, cfg.phi2)
+    alphas = (params.alpha1, params.alpha2)
     hdot = _hdot_scales(
-        params, grid, state,
-        [phi is None and alpha != 0.0 for phi, alpha in zip(cfg_phis, alphas)],
+        params, grid, u_n[:, 0], h_n[:, 0],
+        [phi is None and a != 0.0 for phi, a in zip(cfg_phis, alphas)],
     )
-    box = [(float(v0[i].min()), float(w0[i].max())) for i in (0, 1)]
+    box = [(float(floors[i]), float(ceilings[i])) for i in (0, 1)]
     phi_base = [
         phi if phi is not None
         else _phi_automatic(params, i + 1, *box[i], *box[1 - i], hdot[i])
         for i, phi in enumerate(cfg_phis)
     ]
 
-    solver = _HelmholtzSolver(grid)
     gap_tol = cfg.inner_tol * (1.0 + scale)
+    fallbacks = solver.fallbacks
     last_exc = None
     for retry in range(_MAX_PHI_RETRIES + 1):
         boost = _PHI_RETRY_FACTOR**retry
         phis = (phi_base[0] * boost, phi_base[1] * boost)
         try:
             records, converged_state, gap = _run_inner(
-                params, solver, cfg, dt, h_n, v0, w0, phis, chain_tol, gap_tol, state.t
+                params, solver, cfg, dt, (d, alpha, h_n), (u0, h0, f0), phis,
+                chain_tol, gap_tol, state.t,
             )
         except _ChainViolation as exc:
             last_exc = exc
@@ -572,7 +642,7 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
             phi1=phis[0],
             phi2=phis[1],
             retries=retry,
-            fallbacks=solver.fallbacks,
+            fallbacks=solver.fallbacks - fallbacks,
         )
         return converged_state, trace
     raise OrderingViolationError(
@@ -583,60 +653,80 @@ def step_monotone(state: SystemState, cfg: SolverConfig, params: ModelParams, br
     )
 
 
-def _run_inner(params, solver, cfg, dt, h_n, v, w, phis, chain_tol, gap_tol, t_start):
-    """Iterate both sequences of both species from the bracket (v, w).
+def _record(k, u, gap, worst):
+    """The record of iterate k, viewing its (species, sequence) stack u."""
+    return IterateRecord(k, u[0, 1], u[1, 1], u[0, 0], u[1, 0], gap=gap, worst_violation=worst)
 
-    Returns (records, accepted state, gap) once the gap is within gap_tol;
-    raises _ChainViolation when the chain breaks beyond chain_tol.
+
+def _run_inner(params, solver, cfg, dt, step, start, phis, chain_tol, gap_tol, t_start):
+    """Iterate both sequences of both species from the bracket.
+
+    step is (d, alpha, h_n): the species columns and the (species, 1, *grid)
+    stack of the step's starting transform. start is (u, h, f): the
+    (species, sequence, *grid) bracket densities, their transform and their
+    paired reactions. Returns (records, accepted state, gap) once the gap is
+    within gap_tol; raises _ChainViolation when the chain breaks beyond
+    chain_tol.
     """
-    ds = (params.d1, params.d2)
-    alphas = (params.alpha1, params.alpha2)
-    hv = [_transform_raw(d, alpha, x) for d, alpha, x in zip(ds, alphas, v)]
-    hw = [_transform_raw(d, alpha, x) for d, alpha, x in zip(ds, alphas, w)]
+    grid = solver.grid
+    d, alpha, h_n = step
+    u, h, f = start
+    phi = _species_column(grid, *phis)
+    frozen = (params.alpha1 != 0.0, params.alpha2 != 0.0)
+    quasilinear = any(frozen)
+    if not quasilinear:
+        # constant sigma = 1/d: the h^n term is the same at every iterate
+        rhs_n = np.repeat((1.0 / d) * h_n / dt, 2, axis=1)
+    # a constant-sigma species solves both sequences with one matrix
+    shared = ((1.0 / params.d1) / dt, (1.0 / params.d2) / dt)
 
-    gap = max(float((w[0] - v[0]).max()), float((w[1] - v[1]).max()))
-    worst = float(max((v[0] - w[0]).max(), (v[1] - w[1]).max()))
-    records = [IterateRecord(0, *v, *w, gap=gap, worst_violation=worst)]
+    gap = float((u[:, 0] - u[:, 1]).max())
+    worst = float((u[:, 1] - u[:, 0]).max())
+    records = [_record(0, u, gap, worst)]
     if worst > chain_tol:
         raise _ChainViolation(worst, 0)
 
     for k in range(1, cfg.max_inner_iters + 1):
-        f_hi, f_lo = _paired_reactions(params, v, w)
-        new_hw, new_hv = [], []
+        if k > 1:
+            f = _paired_reactions(params, u)
+        if quasilinear:
+            sig = _sigma(d, alpha, u)
+            rhs = sig * h_n / dt
+        else:
+            rhs = rhs_n.copy()
+        rhs[0] += f[0]
+        rhs[1] += f[1]
+        rhs += phi * h
+        # each solve works in place: rhs becomes the new transformed stack
         for i in (0, 1):
-            d, alpha, phi = ds[i], alphas[i], phis[i]
-            if alpha == 0.0:
-                sig_w = sig_v = 1.0 / d
+            if frozen[i]:
+                solver.solve(sig[i, 0] / dt, phis[i], rhs[i, :1])
+                solver.solve(sig[i, 1] / dt, phis[i], rhs[i, 1:])
             else:
-                sig_w, sig_v = _sigma(d, alpha, w[i]), _sigma(d, alpha, v[i])
-            rhs_w = sig_w * h_n[i] / dt + f_hi[i] + phi * hw[i]
-            rhs_v = sig_v * h_n[i] / dt + f_lo[i] + phi * hv[i]
-            if alpha == 0.0:
-                # constant sigma: both sequences share one matrix
-                hw_i, hv_i = solver.solve(sig_w / dt, phi, (rhs_w, rhs_v))
-            else:
-                (hw_i,) = solver.solve(sig_w / dt, phi, (rhs_w,))
-                (hv_i,) = solver.solve(sig_v / dt, phi, (rhs_v,))
-            new_hw.append(hw_i)
-            new_hv.append(hv_i)
+                solver.solve(shared[i], phis[i], rhs[i])
+        new_u = _inverse_stack(params, d, rhs)
 
-        new_v = [_inverse_raw(d, alpha, h) for d, alpha, h in zip(ds, alphas, new_hv)]
-        new_w = [_inverse_raw(d, alpha, h) for d, alpha, h in zip(ds, alphas, new_hw)]
-        worst = float(
-            max(
-                *((v[i] - new_v[i]).max() for i in (0, 1)),  # lower must not drop
-                *((new_w[i] - w[i]).max() for i in (0, 1)),  # upper must not rise
-                *((new_v[i] - new_w[i]).max() for i in (0, 1)),
-            )
-        )
-        gap = max(float((new_w[i] - new_v[i]).max()) for i in (0, 1))
+        # chain audit, one (species, *grid) term per half of a stack-sized
+        # buffer: the lower must not drop nor the upper rise, then the lower
+        # must stay under the upper, whose excess is the gap
+        audit = np.empty_like(u)
+        np.subtract(u[:, 1], new_u[:, 1], out=audit[0])
+        np.subtract(new_u[:, 0], u[:, 0], out=audit[1])
+        moved = float(audit.max())
+        np.subtract(new_u[:, 1], new_u[:, 0], out=audit[0])
+        np.subtract(new_u[:, 0], new_u[:, 1], out=audit[1])
+        crossed, gap = audit.reshape(2, -1).max(axis=1).tolist()
+        worst = max(moved, crossed)
 
-        v, w, hv, hw = new_v, new_w, new_hv, new_hw
-        records.append(IterateRecord(k, *v, *w, gap=gap, worst_violation=worst))
+        u, h = new_u, rhs
+        records.append(_record(k, u, gap, worst))
         if worst > chain_tol:
             raise _ChainViolation(worst, k)
         if gap <= gap_tol:
-            state = SystemState.from_h_arrays(params, solver.grid, t_start + dt, *hv)
+            state = SystemState(
+                t_start + dt,
+                *(ScalarField(grid, a) for a in (u[0, 1], u[1, 1], h[0, 1], h[1, 1])),
+            )
             return records, state, gap
 
     raise ConvergenceError(
@@ -646,18 +736,15 @@ def _run_inner(params, solver, cfg, dt, h_n, v, w, phis, chain_tol, gap_tol, t_s
     )
 
 
-def _auto_bracket(params, grid, state):
-    """Floor zero, ceiling at twice the current per-species peak."""
+def _auto_bracket(params, grid, state, floor):
+    """The zero `floor` state under a ceiling at twice the current per-species peak."""
     n1 = 2.0 * float(state.u1.values.max())
     n2 = 2.0 * float(state.u2.values.max())
-    lower = SystemState.from_u_arrays(
-        params, grid, state.t, np.zeros(grid.shape), np.zeros(grid.shape)
-    )
     upper = SystemState.from_u_arrays(
         params, grid, state.t,
         np.full(grid.shape, n1), np.full(grid.shape, n2),
     )
-    return lower, upper
+    return floor, upper
 
 
 def _auto_bracket_feasible(params, state, upper, dt):
@@ -694,6 +781,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         raise ValueError("initial fields must be nonnegative")
 
     state = SystemState.from_u(params, 0.0, u0_1, u0_2)
+    norms = state.sup_norms()
     snapshots = [state]
     summaries = []
     dt = cfg.dt
@@ -703,6 +791,12 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     overflow_time = None
     error = None
     final_state = state
+    solver = _HelmholtzSolver(grid)
+    step_cfg = cfg
+    if bracket is None:
+        # immutable and shared by every step; step_monotone never reads its t
+        zeros = np.zeros(grid.shape)
+        floor = SystemState.from_u_arrays(params, grid, 0.0, zeros, zeros)
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
@@ -711,14 +805,14 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         if bracket is not None:
             step_bracket = bracket
         else:
-            step_bracket = _auto_bracket(params, grid, state)
+            step_bracket = _auto_bracket(params, grid, state, floor)
             while not _auto_bracket_feasible(params, state, step_bracket[1], dt_step):
                 if halvings >= cfg.max_halvings:
                     termination = "failed"
                     error = ConvergenceError(
                         "no feasible step ceiling at the minimum dt "
                         f"({dt_step:.3e}); state max "
-                        f"{max(state.sup_norms()):.3e}"
+                        f"{max(norms):.3e}"
                     )
                     break
                 dt = dt / 2.0
@@ -727,9 +821,10 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             if termination == "failed":
                 break
 
-        step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
+        if dt_step != step_cfg.dt:
+            step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
         try:
-            new_state, trace = step_monotone(state, step_cfg, params, step_bracket)
+            new_state, trace = step_monotone(state, step_cfg, params, step_bracket, solver)
         except (ConvergenceError, OrderingViolationError) as exc:
             if halvings < cfg.max_halvings:
                 dt = dt / 2.0
@@ -754,7 +849,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             break
 
         if halvings < cfg.max_halvings:
-            p1, p2 = state.sup_norms()
+            p1, p2 = norms
             grew = (p1 > 0.0 and m1 > (1.0 + cfg.growth_trigger) * p1) or (
                 p2 > 0.0 and m2 > (1.0 + cfg.growth_trigger) * p2
             )
@@ -763,7 +858,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 halvings += 1
                 continue
 
-        state = new_state
+        state, norms = new_state, (m1, m2)
         accepted += 1
         summaries.append(
             TraceSummary(
@@ -778,6 +873,8 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 fallbacks=trace.fallbacks,
             )
         )
+        # the iterate records hold whole stacks: free them before the next step
+        del trace
         if accepted % cfg.snapshot_every == 0:
             snapshots.append(state)
 

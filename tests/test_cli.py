@@ -8,10 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sktlab
-from sktlab.cli import main
+from sktlab.cli import _write_snapshots_csv, main
+from sktlab.grid import Grid
+from sktlab.iteration import SystemState
+from sktlab.model import ModelParams
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -239,6 +243,56 @@ class TestClassify:
         rc, out = run(conf(text), tmp_path)
         assert rc == 0
         assert not (out / "regime_report.json").exists()
+
+
+class TestSnapshotWriter:
+    """snapshots.csv against a cell-by-cell reference formatter."""
+
+    @staticmethod
+    def reference(grid, snapshots):
+        def row(*cells):
+            return ",".join(repr(float(c)) for c in cells) + "\n"
+
+        fields = ("u1", "u2", "h1", "h2")
+        if grid.dimension == 1:
+            text = "t,x,u1,u2,h1,h2\n"
+            for s in snapshots:
+                for j, x in enumerate(grid.xs):
+                    text += row(s.t, x, *(getattr(s, f).values[j] for f in fields))
+        else:
+            text = "t,x,y,u1,u2,h1,h2\n"
+            for s in snapshots:
+                for i, x in enumerate(grid.xs):
+                    for j, y in enumerate(grid.ys):
+                        text += row(s.t, x, y, *(getattr(s, f).values[i, j] for f in fields))
+        return text
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.interval(math.pi, 33), Grid.rectangle(math.pi, 2.0, 7, 5)],
+        ids=["1d", "2d"],
+    )
+    def test_matches_cell_by_cell_reference(self, grid, tmp_path):
+        params = ModelParams(
+            d1=1.0, d2=1.0, alpha1=0.5, alpha2=0.0,
+            a1=1.0, a2=1.0, b1=2.0, b2=0.5, c1=0.5, c2=2.0,
+        )
+        rng = np.random.default_rng(2)
+        snapshots = []
+        for k in range(3):
+            u1 = rng.random(grid.shape) * 10.0 ** rng.integers(-12, 9, grid.shape)
+            u2 = rng.random(grid.shape)
+            u2.flat[0] = 0.0
+            snapshots.append(SystemState.from_u_arrays(params, grid, k / 3, u1, u2))
+        # an overflowed final state writes inf and nan cells
+        bad = np.full(grid.shape, np.inf)
+        bad.flat[1] = np.nan
+        snapshots.append(
+            SystemState.from_u_arrays(params, grid, 1.0, bad, u2, overflowed=True)
+        )
+        path = tmp_path / "snapshots.csv"
+        _write_snapshots_csv(path, grid, snapshots)
+        assert path.read_text() == self.reference(grid, snapshots)
 
 
 class TestSimulate:

@@ -6,6 +6,7 @@ import pytest
 from sktlab.grid import (
     Grid,
     ScalarField,
+    _lap_array,
     _neumann_eigenvalues,
     neumann_laplacian,
     principal_eigenpair,
@@ -86,6 +87,30 @@ class TestLaplacian:
         via_matrix = -(rect.neg_laplacian_matrix @ f.values.ravel()).reshape(rect.shape)
         via_stencil = neumann_laplacian(rect, f).values
         assert np.allclose(via_matrix, via_stencil, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (33,), (513,), (3, 3), (17, 9), (65, 65)], ids=str
+    )
+    def test_stack_matches_per_field_and_is_flux_free(self, shape):
+        # the grid axes are the trailing ones: a (species, sequence, *grid)
+        # stack gets exactly the per-field values, field by field
+        if len(shape) == 1:
+            g = Grid.interval(np.pi, shape[0])
+            norm = 4.0 / g.hx**2
+        else:
+            g = Grid.rectangle(np.pi, 2.0, *shape)
+            norm = 4.0 / g.hx**2 + 4.0 / g.hy**2
+        stack = np.random.default_rng(5).standard_normal((2, 2) + shape)
+        got = _lap_array(g, stack)
+        assert got.shape == stack.shape
+        for i in range(2):
+            for j in range(2):
+                lap = _lap_array(g, stack[i, j])
+                assert np.array_equal(got[i, j], lap)
+                # sum_w(lap f) = 0, to the round-off of entries of size
+                # ||lap||_inf max|f|
+                bound = 1e-13 * g.weights.sum() * norm * np.abs(stack[i, j]).max()
+                assert abs(float(np.sum(g.weights * lap))) <= bound
 
     def test_cosine_is_discrete_eigenvector(self, line):
         # cos(k*pi*j/(n-1)) is an exact eigenvector of the folded stencil

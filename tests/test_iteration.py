@@ -19,11 +19,13 @@ from sktlab.iteration import (
     SolverConfig,
     _HelmholtzSolver,
     SystemState,
+    _auto_bracket,
+    _auto_bracket_feasible,
     initial_bracket,
     simulate,
     step_monotone,
 )
-from sktlab.model import ModelParams, reaction
+from sktlab.model import ModelParams, _inverse_raw, _reaction_raw, _transform_raw, reaction
 from sktlab.regimes import classify_global
 
 
@@ -242,6 +244,201 @@ class TestStepMonotone:
         assert trace.phi2 == 60.0
 
 
+def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters):
+    """The inner iteration as a per-species loop over separate arrays.
+
+    Each species and sequence has its own array, the reactions are paired
+    by hand, and the solver is called one species at a time, with the
+    columns in (upper, lower) order. Returns the records as
+    (v1, v2, w1, w2, gap, worst) tuples, and the accepted (u, h) pairs, or
+    None when the chain broke or the gap did not close.
+    """
+    lower, upper = bracket
+    solver = _HelmholtzSolver(grid)
+    ds = (params.d1, params.d2)
+    alphas = (params.alpha1, params.alpha2)
+    h_n = (state.h1.values, state.h2.values)
+    v = [lower.u1.values, lower.u2.values]
+    w = [upper.u1.values, upper.u2.values]
+    scale = max(w[0].max(), w[1].max())
+    chain_tol = 1e-10 * max(1.0, scale)
+    gap_tol = inner_tol * (1.0 + scale)
+    hv = [_transform_raw(d, a, x) for d, a, x in zip(ds, alphas, v)]
+    hw = [_transform_raw(d, a, x) for d, a, x in zip(ds, alphas, w)]
+    gap = max(float((w[0] - v[0]).max()), float((w[1] - v[1]).max()))
+    worst = float(max((v[0] - w[0]).max(), (v[1] - w[1]).max()))
+    records = [(*v, *w, gap, worst)]
+    if worst > chain_tol:
+        return records, None
+    for _ in range(max_iters):
+        f_wv = _reaction_raw(params, w[0], v[1])
+        f_vw = _reaction_raw(params, v[0], w[1])
+        f_hi, f_lo = (f_wv[0], f_vw[1]), (f_vw[0], f_wv[1])
+        new_hw, new_hv = [], []
+        for i in (0, 1):
+            d, a, phi = ds[i], alphas[i], phis[i]
+            if a == 0.0:
+                sig_w = sig_v = 1.0 / d
+            else:
+                sig_w, sig_v = 1.0 / (d + 2.0 * a * w[i]), 1.0 / (d + 2.0 * a * v[i])
+            rhs_w = sig_w * h_n[i] / dt + f_hi[i] + phi * hw[i]
+            rhs_v = sig_v * h_n[i] / dt + f_lo[i] + phi * hv[i]
+            if a == 0.0:
+                hw_i, hv_i = solver.solve(sig_w / dt, phi, [rhs_w, rhs_v])
+            else:
+                (hw_i,) = solver.solve(sig_w / dt, phi, [rhs_w])
+                (hv_i,) = solver.solve(sig_v / dt, phi, [rhs_v])
+            new_hw.append(hw_i)
+            new_hv.append(hv_i)
+        new_v = [_inverse_raw(d, a, h) for d, a, h in zip(ds, alphas, new_hv)]
+        new_w = [_inverse_raw(d, a, h) for d, a, h in zip(ds, alphas, new_hw)]
+        worst = float(max(
+            *((v[i] - new_v[i]).max() for i in (0, 1)),
+            *((new_w[i] - w[i]).max() for i in (0, 1)),
+            *((new_v[i] - new_w[i]).max() for i in (0, 1)),
+        ))
+        gap = max(float((new_w[i] - new_v[i]).max()) for i in (0, 1))
+        v, w, hv, hw = new_v, new_w, new_hv, new_hw
+        records.append((*v, *w, gap, worst))
+        if worst > chain_tol:
+            return records, None
+        if gap <= gap_tol:
+            return records, (v, hv)
+    return records, None
+
+
+def random_fields(grid, seed, kinds):
+    """Nonnegative data per species: 'zero', 'positive', or 'holes' (exact zeros)."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for kind in kinds:
+        vals = rng.uniform(0.0, 2.0, grid.shape)
+        if kind == "zero":
+            vals[...] = 0.0
+        elif kind == "holes":
+            vals[rng.random(grid.shape) < 0.3] = 0.0
+        fields.append(vals)
+    return fields
+
+
+class TestStackedStepMatchesReference:
+    """step_monotone against the per-species loop, bit for bit."""
+
+    @staticmethod
+    def check(params, grid, state, bracket, dt):
+        # a step that fails is redone at half the dt, as simulate does; the
+        # iterate cap keeps slowly contracting steps (a large shift phi)
+        # cheap
+        for _ in range(20):
+            cfg = SolverConfig(dt=dt, max_inner_iters=100)
+            try:
+                new_state, trace = step_monotone(state, cfg, params, bracket)
+                break
+            except (ConvergenceError, OrderingViolationError):
+                dt /= 2.0
+        else:
+            pytest.fail("no step succeeded in 20 halvings")
+        records, accepted = reference_inner(
+            params, grid, dt, state, bracket, (trace.phi1, trace.phi2),
+            cfg.inner_tol, cfg.max_inner_iters,
+        )
+        assert accepted is not None
+        assert len(trace.records) == len(records)
+        for k, (rec, ref) in enumerate(zip(trace.records, records)):
+            assert rec.k == k
+            for got, want in zip((rec.v1, rec.v2, rec.w1, rec.w2), ref[:4]):
+                assert np.array_equal(got, want)
+            # repr also tells +0.0 from -0.0
+            assert repr(rec.gap) == repr(ref[4])
+            assert repr(rec.worst_violation) == repr(ref[5])
+        (v1, v2), (h1, h2) = accepted
+        for got, want in zip(
+            (new_state.u1, new_state.u2, new_state.h1, new_state.h2), (v1, v2, h1, h2)
+        ):
+            assert np.array_equal(got.values, want)
+        assert new_state.t == state.t + dt
+        assert trace.gap == records[-1][4]
+        assert trace.worst_violation == max(r[5] for r in records)
+        return new_state, trace, dt
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(
+        alphas=st.sampled_from(["zero", "positive", "mixed"]),
+        alpha=st.floats(0.05, 1.0),
+        coeffs=st.lists(st.floats(0.2, 3.0), min_size=8, max_size=8),
+        dims=st.one_of(
+            st.tuples(st.integers(3, 40)),
+            st.tuples(st.integers(3, 12), st.integers(3, 12)),
+        ),
+        length=st.floats(0.5, 5.0),
+        # both species zero is the degenerate bracket, tested on its own
+        kinds=st.sampled_from([
+            ("positive", "positive"), ("holes", "positive"), ("positive", "holes"),
+            ("holes", "holes"), ("zero", "positive"), ("holes", "zero"),
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.floats(1e-4, 2e-3),
+    )
+    def test_auto_bracket_steps(self, alphas, alpha, coeffs, dims, length, kinds, seed, dt):
+        a1, a2 = {"zero": (0.0, 0.0), "positive": (alpha, 0.5 * alpha),
+                  "mixed": (0.0, alpha) if seed % 2 else (alpha, 0.0)}[alphas]
+        d1, d2, ca1, ca2, b1, b2, c1, c2 = coeffs
+        params = ModelParams(
+            d1=d1, d2=d2, alpha1=a1, alpha2=a2, a1=ca1, a2=ca2, b1=b1, b2=b2, c1=c1, c2=c2
+        )
+        if len(dims) == 1:
+            grid = Grid.interval(length, dims[0])
+        else:
+            grid = Grid.rectangle(length, 1.5 * length, *dims)
+        u1, u2 = random_fields(grid, seed, kinds)
+        state = SystemState.from_u_arrays(params, grid, 0.25, u1, u2)
+        zeros = np.zeros(grid.shape)
+        floor = SystemState.from_u_arrays(params, grid, 0.0, zeros, zeros)
+        bracket = _auto_bracket(params, grid, state, floor)
+        # halve dt until the ceiling is a bound solution, as simulate does
+        while not _auto_bracket_feasible(params, state, bracket[1], dt):
+            dt /= 2.0
+        new_state, trace, _ = self.check(params, grid, state, bracket, dt)
+
+        scale = max(2.0 * u1.max(), 2.0 * u2.max())
+        tol = 1e-10 * max(1.0, scale)
+        assert trace.worst_violation <= tol
+        for prev, cur in zip(trace.records, trace.records[1:]):
+            for lo, hi, lo_prev, hi_prev in (
+                (cur.v1, cur.w1, prev.v1, prev.w1), (cur.v2, cur.w2, prev.v2, prev.w2)
+            ):
+                assert np.all(lo_prev <= lo + tol)
+                assert np.all(lo <= hi + tol)
+                assert np.all(hi <= hi_prev + tol)
+        for field, h, data in (
+            (new_state.u1, new_state.h1, u1), (new_state.u2, new_state.h2, u2)
+        ):
+            assert field.values.min() >= 0.0
+            if not data.any():
+                assert np.all(field.values == 0.0) and np.all(h.values == 0.0)
+
+    def test_certified_window_step(self, setup):
+        params, grid, eig, regime, u0 = setup
+        bracket = initial_bracket(params, eig, u0, regime)
+        state = SystemState.from_u(params, 0.0, *u0)
+        self.check(params, grid, state, bracket, 1e-3)
+
+    def test_solver_reused_across_steps(self, setup):
+        # one solver for the run gives the same steps as a fresh one per step
+        params, grid, eig, regime, u0 = setup
+        bracket = initial_bracket(params, eig, u0, regime)
+        cfg = SolverConfig(dt=1e-3)
+        solver = _HelmholtzSolver(grid)
+        shared = fresh = SystemState.from_u(params, 0.0, *u0)
+        for _ in range(3):
+            shared, _ = step_monotone(shared, cfg, params, bracket, solver)
+            fresh, _ = step_monotone(fresh, cfg, params, bracket)
+            assert np.array_equal(shared.u1.values, fresh.u1.values)
+            assert np.array_equal(shared.u2.values, fresh.u2.values)
+        with pytest.raises(ValueError, match="different grids"):
+            step_monotone(shared, cfg, params, bracket, _HelmholtzSolver(Grid.interval(np.pi, 9)))
+
+
 class TestHelmholtzSolver:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(
@@ -325,6 +522,45 @@ class TestHelmholtzSolver:
         with pytest.raises(ValueError, match="non-finite"):
             _HelmholtzSolver(grid).solve(10.0, 1.0, [np.ones(grid.shape), b])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.interval(np.pi, 9), Grid.rectangle(np.pi, 2.0, 9, 5)],
+        ids=["1d", "2d"],
+    )
+    def test_stack_solved_in_place(self, grid):
+        # a C-contiguous stack, or a one-column slice of one, is overwritten
+        # with its solutions; a list of columns is left as it was
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((3,) + grid.shape)
+        cols = list(stack.copy())
+        kept = [c.copy() for c in cols]
+        sig = 30.0 + rng.uniform(0.0, 5.0, grid.shape)
+        want = _HelmholtzSolver(grid).solve(sig, 1.0, cols)
+        for got, b in zip(cols, kept):
+            assert np.array_equal(got, b)
+        solver = _HelmholtzSolver(grid)
+        assert solver.solve(sig, 1.0, stack[:2]).base is stack
+        assert solver.solve(sig, 1.0, stack[2:]).base is stack
+        assert np.array_equal(stack, want)
+        lu = splu((grid.neg_laplacian_matrix + sp.diags((sig + 1.0).ravel())).tocsc())
+        for x, b in zip(stack, kept):
+            ref = lu.solve(b.ravel()).reshape(grid.shape)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_scalar_shift_diagonal_kept_unchanged(self):
+        # the kept main diagonal for a scalar shift must survive the solves
+        grid = Grid.interval(np.pi, 17)
+        rng = np.random.default_rng(12)
+        cols = [rng.standard_normal(grid.shape) for _ in range(2)]
+        solver = _HelmholtzSolver(grid)
+        first = solver.solve(250.0, 3.0, cols)
+        again = solver.solve(250.0, 3.0, cols)
+        fresh = _HelmholtzSolver(grid).solve(250.0, 3.0, cols)
+        assert np.array_equal(first, again) and np.array_equal(first, fresh)
+        # the same shift passed as a field takes the uncached path
+        field = solver.solve(np.full(grid.shape, 250.0), 3.0, cols)
+        assert np.array_equal(field, first)
+
     def test_constant_diagonal_solved_by_one_preconditioner_step(self, monkeypatch):
         # the DCT-I preconditioner is the exact inverse when the diagonal is
         # constant, so one CG iteration meets the residual bound
@@ -353,6 +589,26 @@ class TestHelmholtzSolver:
         lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
         for x, b in zip(got, cols):
             assert np.array_equal(x, lu.solve(b.ravel()).reshape(grid.shape))
+
+
+    def test_fallbacks_counted_per_step(self, monkeypatch):
+        # with CG capped at zero iterations every nonzero column falls back;
+        # a solver reused across steps reports each step's own count
+        monkeypatch.setattr(sktlab.iteration, "_CG_MAX_ITERS", 0)
+        params = certified_params()
+        grid = Grid.rectangle(np.pi, 2.0, 9, 5)
+        eig = principal_eigenpair(grid, "principal")
+        regime = classify_global(params, eig.lambda0, eig.mode)
+        u0 = (ScalarField.constant(grid, 0.2), ScalarField.constant(grid, 0.3))
+        bracket = initial_bracket(params, eig, u0, regime)
+        cfg = SolverConfig(dt=1e-3)
+        state = SystemState.from_u(params, 0.0, *u0)
+        solver = _HelmholtzSolver(grid)
+        for _ in range(2):
+            _, fresh = step_monotone(state, cfg, params, bracket)
+            state, trace = step_monotone(state, cfg, params, bracket, solver)
+            # quasilinear: one column per species and sequence
+            assert trace.fallbacks == fresh.fallbacks == 4 * trace.iterations
 
 
 class TestRectangle:
