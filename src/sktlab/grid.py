@@ -25,9 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +122,11 @@ class Grid:
         """-lap as a sparse matrix acting on C-order raveled field values.
 
         Positive semidefinite in the quadrature inner product; the constant
-        vector spans its kernel.
+        vector spans its kernel. scipy.sparse is imported here, on first use:
+        only 2D runs and diagnostics build the matrix.
         """
+        import scipy.sparse as sp
+
         mx = _neg_lap_1d(self.nx, self.hx)
         if self.dimension == 1:
             return mx.tocsc()
@@ -172,6 +178,8 @@ def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
 
 
 def _neg_lap_1d(n: int, h: float) -> sp.dia_matrix:
+    import scipy.sparse as sp
+
     return sp.dia_matrix((_neumann_bands(n, h), (1, 0, -1)), shape=(n, n))
 
 

@@ -16,9 +16,13 @@ at the previous iterate,
 with the cross-pairing dictated by the reactions being quasimonotone
 decreasing: the upper iterate of one species is driven with the other
 species' lower iterate, and vice versa. The left-hand matrix is an M-matrix,
-so ordered right-hand sides produce ordered solutions; the shift phi is
-chosen large enough each step (own-derivative bound plus a lag compensation
-for the frozen sigma) that the recorded chains
+so ordered right-hand sides produce ordered solutions, and the map from
+h^(k-1) to the right-hand side is order-preserving once f_i + phi_i h_i is
+nondecreasing in h_i. So the shift has to cover only a falling
+own-derivative: phi_i is one plus the largest -df_i/du_i over the bracket
+box (zero when the reaction only rises there) times the inverse transform's
+slope, plus a lag compensation for the frozen sigma (Pao, Numer. Math. 79,
+1998). With it the recorded chains
 
     v^(k) <= v^(k+1) <= w^(k+1) <= w^(k)
 
@@ -36,7 +40,10 @@ inverse, the feasibility check and the chain audit are each a few numpy
 calls on the whole stack, and every element sees the same floating-point
 operations in the same order as a per-species loop would apply, so the
 results are bit-identical to one. Each iterate's record views that
-iterate's own stack.
+iterate's own stack. A bracket reaches the step in the same stacked form,
+with its transform, paired reactions and the transform's Laplacian: a
+caller's bracket is stacked once per run, and an automatic one is built
+from per-species constants, whose Laplacian is exactly zero.
 
 The linear solves go through _HelmholtzSolver, built once per simulate run,
 and work in place on the right-hand-side stack. A species whose sigma is
@@ -49,24 +56,33 @@ when its recomputed residual bounds its sup-norm error by
 that misses falls back to sparse LU and is counted in the trace's
 `fallbacks`. Zero right-hand sides give exact zeros on both paths.
 
-The driver `simulate` repeats steps to t_end with a shared dt-halving budget
-spent on three triggers: per-step ceiling feasibility in uncertified runs,
-inner-iteration failures, and per-step growth beyond growth_trigger (the step
-is redone at the halved dt). Overflow of either species past overflow_cap
-terminates the run with the offending state preserved separately from the
-sub-cap snapshots.
+The time-stepping loop `simulate` repeats steps to t_end. A caller's
+certified (lower, upper) bracket is stacked once and reused by every step,
+with its transform and reactions. Without one, each step first tries a tight
+constant bracket [(1-kappa) min u_i, (1+kappa) max u_i], with kappa =
+max(3*growth_trigger, 2*g) and g the last accepted step's relative change
+of the per-species sup norms. It is admitted only when it passes the same
+discrete-bound test the step applies to every bracket. Otherwise, or when
+kappa >= 1, the step uses the wide bracket [0, 2 max u_i]. Each trace
+records which of "window", "tight" and "wide" it ran in.
+
+A shared dt-halving budget is spent on three triggers: a wide ceiling that
+is not yet a bound solution at the current dt, inner-iteration failures, and
+per-step growth beyond growth_trigger (the step is redone at the halved dt).
+A tight bracket that fails its test costs no halving: the step falls back
+to the wide one. Overflow of either species past overflow_cap terminates
+the run with the offending state preserved separately from the sub-cap
+snapshots.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dctn, idctn
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import splu
 
 from .errors import BracketConstructionError, ConvergenceError, OrderingViolationError
 from .grid import Grid, ScalarField, _lap_array, _neumann_bands, _neumann_eigenvalues
@@ -199,6 +215,7 @@ class IterationTrace:
     phi2: float
     retries: int
     fallbacks: int  # 2D columns the linear solver handed to sparse LU, retries included
+    bracket: str  # "window" (the caller's), "tight" or "wide" (automatic)
 
     @property
     def iterations(self) -> int:
@@ -218,6 +235,7 @@ class TraceSummary:
     phi2: float
     retries: int
     fallbacks: int
+    bracket: str
 
     def as_dict(self) -> dict:
         return {
@@ -230,6 +248,7 @@ class TraceSummary:
             "phi2": self.phi2,
             "retries": self.retries,
             "fallbacks": self.fallbacks,
+            "bracket": self.bracket,
         }
 
 
@@ -329,21 +348,22 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
 def _phi_automatic(params, i, m_own, big_own, m_other, big_other, hdot):
     """Shift making the iterate map order-preserving on the bracket box.
 
-    1 + (own-derivative bound over the box corners) * (max slope of the
-    inverse transform) + a lag term compensating the frozen sigma; the lag
-    vanishes in the semilinear case.
+    1 + (bound on the falling own-derivative, max(0, -df_i/du_i), over the
+    box corners) * (max slope of the inverse transform) + a lag term
+    compensating the frozen sigma; the lag vanishes in the semilinear case.
+    df_i/du_i is linear in both densities, so its extremes lie at corners.
     """
     if i == 1:
-        a, own, other, sgn = params.a1, params.b1, params.c1, -1.0
+        a, own, other = params.a1, params.b1, params.c1
         d, alpha = params.d1, params.alpha1
     else:
-        a, own, other, sgn = params.a2, params.c2, params.b2, -1.0
+        a, own, other = params.a2, params.c2, params.b2
         d, alpha = params.d2, params.alpha2
-    corners = []
-    for u_own in (m_own, big_own):
-        for u_other in (m_other, big_other):
-            corners.append(abs(-a + 2.0 * own * u_own + sgn * other * u_other))
-    mf = max(corners)
+    mf = max(
+        0.0,
+        *(-(-a + 2.0 * own * u_own - other * u_other)
+          for u_own in (m_own, big_own) for u_other in (m_other, big_other)),
+    )
     denom = d + 2.0 * alpha * m_own
     q_slope = 1.0 / denom
     lag = 0.0 if alpha == 0.0 else 2.0 * alpha * q_slope * hdot / denom**2
@@ -404,6 +424,10 @@ class _HelmholtzSolver:
             self._du, self._main, self._dl = ab[0, 1:], ab[1], ab[2, :-1]
             self._diagonals = {}
         else:
+            # only 2D runs pay for the FFT module
+            from scipy.fft import dctn, idctn
+
+            self._dct_pair = (dctn, idctn)
             lam_x = _neumann_eigenvalues(grid.nx, grid.hx)
             lam_y = _neumann_eigenvalues(grid.ny, grid.hy)
             self._lam = lam_x[:, None] + lam_y[None, :]
@@ -450,6 +474,9 @@ class _HelmholtzSolver:
             x = self._pcg(diag, d_min, inv_eig, b)
             if x is None:
                 if lu is None:
+                    import scipy.sparse as sp
+                    from scipy.sparse.linalg import splu
+
                     full = np.broadcast_to(diag, g.shape).ravel()
                     lu = splu((g.neg_laplacian_matrix + sp.diags(full)).tocsc())
                 x = lu.solve(b.ravel()).reshape(g.shape)
@@ -460,6 +487,7 @@ class _HelmholtzSolver:
         """Preconditioned CG for (diag - lap) x = b; None if x misses the bound."""
         g, w = self.grid, self.grid.weights
         neg_lap = g.neg_laplacian_matrix
+        dctn, idctn = self._dct_pair
 
         def apply(v):
             return diag * v + (neg_lap @ v.ravel()).reshape(g.shape)
@@ -494,6 +522,14 @@ def _species_column(grid, first, second):
     return np.array((first, second)).reshape((2, 1) + (1,) * grid.dimension)
 
 
+def _param_columns(params, grid):
+    """The (d, alpha) species columns of params."""
+    return (
+        _species_column(grid, params.d1, params.d2),
+        _species_column(grid, params.alpha1, params.alpha2),
+    )
+
+
 def _sequence_signs(grid):
     """+1 on the upper sequence and -1 on the lower, broadcasting over a stack."""
     return np.array((1.0, -1.0)).reshape((1, 2) + (1,) * grid.dimension)
@@ -521,17 +557,66 @@ def _inverse_stack(params, d, h):
     ))
 
 
-def _bound_violations(grid, dt, d, alpha, h_n, u, h, f):
+def _bound_violations(grid, dt, d, alpha, h_n, u, h, f, lap_h):
     """Per-species worst violation of the bracket stack u as discrete bounds.
 
     With lhs = sigma(u) (h - h^n)/dt - lap h, the upper sequence must satisfy
-    lhs <= f and the lower lhs >= f; h and f are u's transform and paired
-    reactions.
+    lhs >= f and the lower lhs <= f; h, f and lap_h are u's transform, its
+    paired reactions and the Laplacian of h. The violation is f - lhs on the
+    upper sequence and lhs - f on the lower, so a positive value means the
+    bound fails.
     """
     resid = np.array(f)
-    resid -= _sigma(d, alpha, u) * (h - h_n) / dt - _lap_array(grid, h)
+    resid -= _sigma(d, alpha, u) * (h - h_n) / dt - lap_h
     resid *= _sequence_signs(grid)
     return resid.reshape(2, -1).max(axis=1)
+
+
+class _Bracket(NamedTuple):
+    """A step's bracket in the stacked form step_monotone works in.
+
+    u is the (species, sequence, *grid) stack of its densities, sequence 0
+    the ceiling and 1 the floor; h and f are u's transform and paired
+    reactions, which also start the inner iteration, and lap_h is the
+    Laplacian of h. kind is "window" for a caller's bracket and "tight" or
+    "wide" for an automatic one. violations, when set, are the per-species
+    discrete-bound violations simulate already measured for the one step it
+    hands the bracket to.
+    """
+
+    u: np.ndarray
+    h: np.ndarray
+    f: tuple
+    lap_h: np.ndarray | float
+    kind: str
+    violations: np.ndarray | None = None
+
+
+def _stacked_bracket(params, grid, u, kind, constant=False):
+    """The bracket with density stack u; a `constant` one has lap h = 0 exactly."""
+    d, alpha = _param_columns(params, grid)
+    h = _transform_raw(d, alpha, u)
+    lap_h = 0.0 if constant else _lap_array(grid, h)
+    return _Bracket(u, h, _paired_reactions(params, u), lap_h, kind)
+
+
+def _window_bracket(params, grid, bracket):
+    """A caller's (lower, upper) SystemState pair as a stacked bracket."""
+    lower, upper = bracket
+    if not (grid.compatible(lower.grid) and grid.compatible(upper.grid)):
+        raise ValueError("bracket and state live on different grids")
+    u = np.array(
+        ((upper.u1.values, lower.u1.values), (upper.u2.values, lower.u2.values))
+    )
+    return _stacked_bracket(params, grid, u, "window")
+
+
+def _violations(params, grid, dt, h_n, bracket):
+    """The bracket's per-species worst violation as discrete bounds at dt."""
+    d, alpha = _param_columns(params, grid)
+    return _bound_violations(
+        grid, dt, d, alpha, h_n, bracket.u, bracket.h, bracket.f, bracket.lap_h
+    )
 
 
 def step_monotone(
@@ -540,32 +625,30 @@ def step_monotone(
     """Advance one dt from `state` inside `bracket`, returning (state, trace).
 
     The bracket is a (lower, upper) SystemState pair that must contain the
-    state pointwise. `solver` is a _HelmholtzSolver on the state's grid to
-    reuse across steps; a fresh one is built when it is None. Raises
-    OrderingViolationError when the iterate chain breaks beyond tolerance
-    even after shift escalation, and ConvergenceError when the gap fails to
-    close within max_inner_iters.
+    state pointwise; simulate passes its own stacked form of one. `solver`
+    is a _HelmholtzSolver on the state's grid to reuse across steps; a
+    fresh one is built when it is None. Raises OrderingViolationError when
+    the bracket is not a discrete bound solution at cfg.dt, or when the
+    iterate chain breaks beyond tolerance even after shift escalation, and
+    ConvergenceError when the gap fails to close within max_inner_iters.
     """
-    lower, upper = bracket
     grid = state.grid
-    if not (grid.compatible(lower.grid) and grid.compatible(upper.grid)):
-        raise ValueError("bracket and state live on different grids")
+    if not isinstance(bracket, _Bracket):
+        bracket = _window_bracket(params, grid, bracket)
     if solver is None:
         solver = _HelmholtzSolver(grid)
     elif not grid.compatible(solver.grid):
         raise ValueError("solver and state live on different grids")
     dt = cfg.dt
+    u0 = bracket.u
+    u_n = np.array((state.u1.values, state.u2.values))[:, None]
     h_n = np.array((state.h1.values, state.h2.values))[:, None]
-    u0 = np.array(
-        ((upper.u1.values, lower.u1.values), (upper.u2.values, lower.u2.values))
-    )
     ceilings = u0[:, 0].reshape(2, -1).max(axis=1)
     floors = u0[:, 1].reshape(2, -1).min(axis=1)
     scale = float(ceilings.max())
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
     # the state must lie under the upper and over the lower
-    u_n = np.array((state.u1.values, state.u2.values))[:, None]
     outside = (_sequence_signs(grid) * (u_n - u0)).reshape(2, -1).max(axis=1)
     for i in (0, 1):
         worst = float(outside[i])
@@ -578,25 +661,20 @@ def step_monotone(
 
     # exactly degenerate bracket: the common value is the step solution
     if np.array_equal(u0[:, 0], u0[:, 1]):
-        v0 = (lower.u1.values, lower.u2.values)
-        w0 = (upper.u1.values, upper.u2.values)
-        new_state = SystemState.from_u_arrays(params, grid, state.t + dt, *v0)
-        rec0 = IterateRecord(0, *v0, *w0, gap=0.0, worst_violation=0.0)
+        new_state = SystemState.from_u_arrays(params, grid, state.t + dt, u0[0, 1], u0[1, 1])
+        rec0 = _record(0, u0, 0.0, 0.0)
         rec1 = dataclasses.replace(rec0, k=1)
         trace = IterationTrace(
-            records=(rec0, rec1), state=new_state, gap=0.0,
-            worst_violation=0.0, phi1=0.0, phi2=0.0, retries=0, fallbacks=0,
+            records=(rec0, rec1), state=new_state, gap=0.0, worst_violation=0.0,
+            phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
         )
         return new_state, trace
 
     # one-shot feasibility of the bracket endpoints as discrete bound
-    # solutions; the bracket's transform and reactions also start the inner
-    # iteration
-    d = _species_column(grid, params.d1, params.d2)
-    alpha = _species_column(grid, params.alpha1, params.alpha2)
-    h0 = _transform_raw(d, alpha, u0)
-    f0 = _paired_reactions(params, u0)
-    infeasible = _bound_violations(grid, dt, d, alpha, h_n, u0, h0, f0)
+    # solutions, unless simulate has just measured it for this step
+    infeasible = bracket.violations
+    if infeasible is None:
+        infeasible = _violations(params, grid, dt, h_n, bracket)
     for i in (0, 1):
         worst = float(infeasible[i])
         if worst > chain_tol:
@@ -620,6 +698,7 @@ def step_monotone(
         for i, phi in enumerate(cfg_phis)
     ]
 
+    d, alpha = _param_columns(params, grid)
     gap_tol = cfg.inner_tol * (1.0 + scale)
     fallbacks = solver.fallbacks
     last_exc = None
@@ -628,7 +707,7 @@ def step_monotone(
         phis = (phi_base[0] * boost, phi_base[1] * boost)
         try:
             records, converged_state, gap = _run_inner(
-                params, solver, cfg, dt, (d, alpha, h_n), (u0, h0, f0), phis,
+                params, solver, cfg, dt, (d, alpha, h_n), bracket, phis,
                 chain_tol, gap_tol, state.t,
             )
         except _ChainViolation as exc:
@@ -643,6 +722,7 @@ def step_monotone(
             phi2=phis[1],
             retries=retry,
             fallbacks=solver.fallbacks - fallbacks,
+            bracket=bracket.kind,
         )
         return converged_state, trace
     raise OrderingViolationError(
@@ -658,19 +738,18 @@ def _record(k, u, gap, worst):
     return IterateRecord(k, u[0, 1], u[1, 1], u[0, 0], u[1, 0], gap=gap, worst_violation=worst)
 
 
-def _run_inner(params, solver, cfg, dt, step, start, phis, chain_tol, gap_tol, t_start):
+def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol, t_start):
     """Iterate both sequences of both species from the bracket.
 
     step is (d, alpha, h_n): the species columns and the (species, 1, *grid)
-    stack of the step's starting transform. start is (u, h, f): the
-    (species, sequence, *grid) bracket densities, their transform and their
-    paired reactions. Returns (records, accepted state, gap) once the gap is
-    within gap_tol; raises _ChainViolation when the chain breaks beyond
-    chain_tol.
+    stack of the step's starting transform. The _Bracket's stacked
+    densities, transform and paired reactions are iterate 0. Returns
+    (records, accepted state, gap) once the gap is within gap_tol; raises
+    _ChainViolation when the chain breaks beyond chain_tol.
     """
     grid = solver.grid
     d, alpha, h_n = step
-    u, h, f = start
+    u, h, f = bracket.u, bracket.h, bracket.f
     phi = _species_column(grid, *phis)
     frozen = (params.alpha1 != 0.0, params.alpha2 != 0.0)
     quasilinear = any(frozen)
@@ -736,25 +815,22 @@ def _run_inner(params, solver, cfg, dt, step, start, phis, chain_tol, gap_tol, t
     )
 
 
-def _auto_bracket(params, grid, state, floor):
-    """The zero `floor` state under a ceiling at twice the current per-species peak."""
-    n1 = 2.0 * float(state.u1.values.max())
-    n2 = 2.0 * float(state.u2.values.max())
-    upper = SystemState.from_u_arrays(
-        params, grid, state.t,
-        np.full(grid.shape, n1), np.full(grid.shape, n2),
-    )
-    return floor, upper
+def _auto_bracket(params, grid, floors, ceilings, kind):
+    """The constant bracket with these per-species floors and ceilings."""
+    u = np.empty((2, 2) + grid.shape)
+    u[:, 0] = _species_column(grid, *ceilings)[:, 0]
+    u[:, 1] = _species_column(grid, *floors)[:, 0]
+    return _stacked_bracket(params, grid, u, kind, constant=True)
 
 
-def _auto_bracket_feasible(params, state, upper, dt):
-    """Ceiling N must satisfy sigma(N)(P(N) - h^n)/dt >= f_i(N) with the
+def _auto_bracket_feasible(params, state, ceilings, dt):
+    """Each ceiling N must satisfy sigma(N)(P(N) - h^n)/dt >= f_i(N) with the
     competing species dropped (its contribution is nonpositive)."""
     p = params
     for d, alpha, n, h_n, f_plus in (
-        (p.d1, p.alpha1, float(upper.u1.values.max()), state.h1.values,
+        (p.d1, p.alpha1, ceilings[0], state.h1.values,
          lambda n1: n1 * (-p.a1 + p.b1 * n1)),
-        (p.d2, p.alpha2, float(upper.u2.values.max()), state.h2.values,
+        (p.d2, p.alpha2, ceilings[1], state.h2.values,
          lambda n2: n2 * (-p.a2 + p.c2 * n2)),
     ):
         lhs = _sigma(d, alpha, n) * (_transform_raw(d, alpha, n) - float(h_n.max())) / dt
@@ -763,14 +839,35 @@ def _auto_bracket_feasible(params, state, upper, dt):
     return True
 
 
+def _tight_bracket(params, grid, state, dt, kappa):
+    """The constant bracket [(1-kappa) min u_i, (1+kappa) max u_i] for a step
+    of dt from state, with its bound violations measured; None when it is
+    not a discrete bound solution there."""
+    lows = (float(state.u1.values.min()), float(state.u2.values.min()))
+    highs = (float(state.u1.values.max()), float(state.u2.values.max()))
+    shrink = max(0.0, 1.0 - kappa)
+    ceilings = [(1.0 + kappa) * m for m in highs]
+    bracket = _auto_bracket(params, grid, [shrink * m for m in lows], ceilings, "tight")
+    h_n = np.array((state.h1.values, state.h2.values))[:, None]
+    worst = _violations(params, grid, dt, h_n, bracket)
+    if float(worst.max()) > _CHAIN_TOL * max(1.0, max(ceilings)):
+        return None
+    return bracket._replace(violations=worst)
+
+
 def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
     """March step_monotone from u0 to t_end, or to overflow, or to failure.
 
     With `bracket` given (a certified (lower, upper) pair) every step reuses
-    it; otherwise each step builds a fresh zero-floor bracket with ceiling
-    2*max(u_i), halving dt out of the shared budget until the ceiling is a
-    discrete bound solution. Unrecoverable step errors end the run with
-    termination "failed" rather than raising, so partial output survives.
+    it. Otherwise each step first tries the tight constant bracket
+    [(1-kappa) min u_i, (1+kappa) max u_i], kappa = max(3*growth_trigger,
+    2*g) with g the last accepted step's relative sup-norm change, and takes
+    it when it is a discrete bound solution at the current dt. When it is
+    not, or when kappa >= 1, the step falls back, at no cost to the halving
+    budget, to the wide zero-floor bracket with ceiling 2*max(u_i), halving
+    dt out of the shared budget until that ceiling is a discrete bound
+    solution. Unrecoverable step errors end the run with termination
+    "failed" rather than raising, so partial output survives.
     """
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -782,6 +879,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
 
     state = SystemState.from_u(params, 0.0, u0_1, u0_2)
     norms = state.sup_norms()
+    growth = 0.0
     snapshots = [state]
     summaries = []
     dt = cfg.dt
@@ -793,33 +891,40 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     final_state = state
     solver = _HelmholtzSolver(grid)
     step_cfg = cfg
-    if bracket is None:
-        # immutable and shared by every step; step_monotone never reads its t
-        zeros = np.zeros(grid.shape)
-        floor = SystemState.from_u_arrays(params, grid, 0.0, zeros, zeros)
+    if bracket is not None:
+        # stacked once, with its transform and reactions, for every step
+        window = _window_bracket(params, grid, bracket)
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
         dt_step = min(dt, t_end - state.t)
 
         if bracket is not None:
-            step_bracket = bracket
+            step_bracket = window
         else:
-            step_bracket = _auto_bracket(params, grid, state, floor)
-            while not _auto_bracket_feasible(params, state, step_bracket[1], dt_step):
-                if halvings >= cfg.max_halvings:
-                    termination = "failed"
-                    error = ConvergenceError(
-                        "no feasible step ceiling at the minimum dt "
-                        f"({dt_step:.3e}); state max "
-                        f"{max(norms):.3e}"
-                    )
+            kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
+            step_bracket = None
+            if kappa < 1.0:
+                step_bracket = _tight_bracket(params, grid, state, dt_step, kappa)
+            if step_bracket is None:
+                ceilings = (
+                    2.0 * float(state.u1.values.max()), 2.0 * float(state.u2.values.max())
+                )
+                while not _auto_bracket_feasible(params, state, ceilings, dt_step):
+                    if halvings >= cfg.max_halvings:
+                        termination = "failed"
+                        error = ConvergenceError(
+                            "no feasible step ceiling at the minimum dt "
+                            f"({dt_step:.3e}); state max "
+                            f"{max(norms):.3e}"
+                        )
+                        break
+                    dt = dt / 2.0
+                    halvings += 1
+                    dt_step = min(dt, t_end - state.t)
+                if termination == "failed":
                     break
-                dt = dt / 2.0
-                halvings += 1
-                dt_step = min(dt, t_end - state.t)
-            if termination == "failed":
-                break
+                step_bracket = _auto_bracket(params, grid, (0.0, 0.0), ceilings, "wide")
 
         if dt_step != step_cfg.dt:
             step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
@@ -858,6 +963,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 halvings += 1
                 continue
 
+        growth = max(
+            (abs(m - p) / p for m, p in zip((m1, m2), norms) if p > 0.0), default=0.0
+        )
         state, norms = new_state, (m1, m2)
         accepted += 1
         summaries.append(
@@ -871,6 +979,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 phi2=trace.phi2,
                 retries=trace.retries,
                 fallbacks=trace.fallbacks,
+                bracket=trace.bracket,
             )
         )
         # the iterate records hold whole stacks: free them before the next step

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError
 from .model import ModelParams, _reaction_raw
@@ -63,6 +62,8 @@ def ode_reduce(
         raise ValueError(f"ode_reduce: t_end must be positive, got {t_end}")
     if not 1e-12 <= rtol <= 1e-3:
         raise ValueError(f"ode_reduce: rtol must lie in [1e-12, 1e-3], got {rtol}")
+    # scipy.integrate costs about a second to import and no simulation needs it
+    from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
         f1, f2 = _reaction_raw(params, y[0], y[1])

@@ -21,6 +21,9 @@ from sktlab.iteration import (
     SystemState,
     _auto_bracket,
     _auto_bracket_feasible,
+    _Bracket,
+    _phi_automatic,
+    _tight_bracket,
     initial_bracket,
     simulate,
     step_monotone,
@@ -244,6 +247,41 @@ class TestStepMonotone:
         assert trace.phi2 == 60.0
 
 
+def bracket_arrays(bracket):
+    """The (lower, upper) density arrays of a SystemState pair or a stacked bracket."""
+    if isinstance(bracket, _Bracket):
+        u = bracket.u
+        return [u[0, 1], u[1, 1]], [u[0, 0], u[1, 0]]
+    lower, upper = bracket
+    return [lower.u1.values, lower.u2.values], [upper.u1.values, upper.u2.values]
+
+
+class TestPhiAutomatic:
+    """The shift covers only a falling own-derivative, -df_i/du_i > 0."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_rising_reaction_needs_only_the_lag(self, alpha):
+        # df1/du1 = -a1 + 2 b1 u1 - c1 u2 >= 2.95 on [1, 2] x [0, 0.1]
+        params = certified_params(alpha1=alpha)
+        hdot = 3.0
+        denom = params.d1 + 2.0 * alpha * 1.0
+        lag = 0.0 if alpha == 0.0 else 2.0 * alpha * (1.0 / denom) * hdot / denom**2
+        assert _phi_automatic(params, 1, 1.0, 2.0, 0.0, 0.1, hdot) == 1.0 + lag
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_falling_reaction_covered_at_its_steepest_corner(self, alpha):
+        # df2/du2 = -a2 + 2 c2 u2 - b2 u1 on u2 in [0, 0.5], u1 in [1, 2]: the
+        # corners give -1.5, -2.0, 0.5 and 0.0, so the steepest fall is 2.0
+        params = certified_params(alpha2=alpha)
+        hdot = 3.0
+        q_slope = 1.0 / params.d2
+        lag = 0.0 if alpha == 0.0 else 2.0 * alpha * q_slope * hdot / params.d2**2
+        assert _phi_automatic(params, 2, 0.0, 0.5, 1.0, 2.0, hdot) == 1.0 + 2.0 * q_slope + lag
+        # u2 in [0, 2], u1 in [1, 2]: corners -1.5, -2.0, 6.5 and 6.0; the
+        # rise of 6.5 is the largest |df2/du2| but needs no cover
+        assert _phi_automatic(params, 2, 0.0, 2.0, 1.0, 2.0, hdot) == 1.0 + 2.0 * q_slope + lag
+
+
 def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters):
     """The inner iteration as a per-species loop over separate arrays.
 
@@ -253,13 +291,11 @@ def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters
     (v1, v2, w1, w2, gap, worst) tuples, and the accepted (u, h) pairs, or
     None when the chain broke or the gap did not close.
     """
-    lower, upper = bracket
     solver = _HelmholtzSolver(grid)
     ds = (params.d1, params.d2)
     alphas = (params.alpha1, params.alpha2)
     h_n = (state.h1.values, state.h2.values)
-    v = [lower.u1.values, lower.u2.values]
-    w = [upper.u1.values, upper.u2.values]
+    v, w = bracket_arrays(bracket)
     scale = max(w[0].max(), w[1].max())
     chain_tol = 1e-10 * max(1.0, scale)
     gap_tol = inner_tol * (1.0 + scale)
@@ -321,25 +357,96 @@ def random_fields(grid, seed, kinds):
     return fields
 
 
+# the draws of the stacked-step properties: alpha both zero, both positive or
+# mixed; 1D and 2D grids; nonnegative data with holes and zero species
+STEP_DRAWS = dict(
+    alphas=st.sampled_from(["zero", "positive", "mixed"]),
+    alpha=st.floats(0.05, 1.0),
+    coeffs=st.lists(st.floats(0.2, 3.0), min_size=8, max_size=8),
+    dims=st.one_of(
+        st.tuples(st.integers(3, 40)),
+        st.tuples(st.integers(3, 12), st.integers(3, 12)),
+    ),
+    length=st.floats(0.5, 5.0),
+    # both species zero is the degenerate bracket, tested on its own
+    kinds=st.sampled_from([
+        ("positive", "positive"), ("holes", "positive"), ("positive", "holes"),
+        ("holes", "holes"), ("zero", "positive"), ("holes", "zero"),
+    ]),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-4, 2e-3),
+)
+
+
+def drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed):
+    """Parameters, grid, data arrays and state of one STEP_DRAWS example."""
+    a1, a2 = {"zero": (0.0, 0.0), "positive": (alpha, 0.5 * alpha),
+              "mixed": (0.0, alpha) if seed % 2 else (alpha, 0.0)}[alphas]
+    d1, d2, ca1, ca2, b1, b2, c1, c2 = coeffs
+    params = ModelParams(
+        d1=d1, d2=d2, alpha1=a1, alpha2=a2, a1=ca1, a2=ca2, b1=b1, b2=b2, c1=c1, c2=c2
+    )
+    if len(dims) == 1:
+        grid = Grid.interval(length, dims[0])
+    else:
+        grid = Grid.rectangle(length, 1.5 * length, *dims)
+    u1, u2 = random_fields(grid, seed, kinds)
+    state = SystemState.from_u_arrays(params, grid, 0.25, u1, u2)
+    return params, grid, (u1, u2), state
+
+
+def wide_bracket(params, grid, state, dt):
+    """The zero-floor bracket at twice the peaks, halving dt as simulate does
+    until the ceiling is a bound solution; returns (bracket, dt)."""
+    ceilings = (2.0 * float(state.u1.values.max()), 2.0 * float(state.u2.values.max()))
+    while not _auto_bracket_feasible(params, state, ceilings, dt):
+        dt /= 2.0
+    return _auto_bracket(params, grid, (0.0, 0.0), ceilings, "wide"), dt
+
+
+def check_chain_and_zeros(trace, new_state, data, scale):
+    """Ordered chains, nonnegativity, and all-zero species staying exactly zero."""
+    tol = 1e-10 * max(1.0, scale)
+    assert trace.worst_violation <= tol
+    for prev, cur in zip(trace.records, trace.records[1:]):
+        for lo, hi, lo_prev, hi_prev in (
+            (cur.v1, cur.w1, prev.v1, prev.w1), (cur.v2, cur.w2, prev.v2, prev.w2)
+        ):
+            assert np.all(lo_prev <= lo + tol)
+            assert np.all(lo <= hi + tol)
+            assert np.all(hi <= hi_prev + tol)
+    for field, h, u in zip((new_state.u1, new_state.u2), (new_state.h1, new_state.h2), data):
+        assert field.values.min() >= 0.0
+        if not u.any():
+            assert np.all(field.values == 0.0) and np.all(h.values == 0.0)
+
+
 class TestStackedStepMatchesReference:
     """step_monotone against the per-species loop, bit for bit."""
 
     @staticmethod
     def check(params, grid, state, bracket, dt):
-        # a step that fails is redone at half the dt, as simulate does; the
-        # iterate cap keeps slowly contracting steps (a large shift phi)
-        # cheap
+        """Step from state and compare with the reference loop.
+
+        bracket is a bracket, or a function of dt returning one (or None
+        when there is none at that dt). A step that fails is redone at half
+        the dt, as simulate does; the iterate cap keeps slowly contracting
+        steps (a large shift phi) cheap.
+        """
         for _ in range(20):
             cfg = SolverConfig(dt=dt, max_inner_iters=100)
-            try:
-                new_state, trace = step_monotone(state, cfg, params, bracket)
-                break
-            except (ConvergenceError, OrderingViolationError):
-                dt /= 2.0
+            step_bracket = bracket(dt) if callable(bracket) else bracket
+            if step_bracket is not None:
+                try:
+                    new_state, trace = step_monotone(state, cfg, params, step_bracket)
+                    break
+                except (ConvergenceError, OrderingViolationError):
+                    pass
+            dt /= 2.0
         else:
             pytest.fail("no step succeeded in 20 halvings")
         records, accepted = reference_inner(
-            params, grid, dt, state, bracket, (trace.phi1, trace.phi2),
+            params, grid, dt, state, step_bracket, (trace.phi1, trace.phi2),
             cfg.inner_tol, cfg.max_inner_iters,
         )
         assert accepted is not None
@@ -362,60 +469,41 @@ class TestStackedStepMatchesReference:
         return new_state, trace, dt
 
     @settings(max_examples=50, derandomize=True, deadline=None, database=None)
-    @given(
-        alphas=st.sampled_from(["zero", "positive", "mixed"]),
-        alpha=st.floats(0.05, 1.0),
-        coeffs=st.lists(st.floats(0.2, 3.0), min_size=8, max_size=8),
-        dims=st.one_of(
-            st.tuples(st.integers(3, 40)),
-            st.tuples(st.integers(3, 12), st.integers(3, 12)),
-        ),
-        length=st.floats(0.5, 5.0),
-        # both species zero is the degenerate bracket, tested on its own
-        kinds=st.sampled_from([
-            ("positive", "positive"), ("holes", "positive"), ("positive", "holes"),
-            ("holes", "holes"), ("zero", "positive"), ("holes", "zero"),
-        ]),
-        seed=st.integers(0, 2**32 - 1),
-        dt=st.floats(1e-4, 2e-3),
-    )
+    @given(**STEP_DRAWS)
     def test_auto_bracket_steps(self, alphas, alpha, coeffs, dims, length, kinds, seed, dt):
-        a1, a2 = {"zero": (0.0, 0.0), "positive": (alpha, 0.5 * alpha),
-                  "mixed": (0.0, alpha) if seed % 2 else (alpha, 0.0)}[alphas]
-        d1, d2, ca1, ca2, b1, b2, c1, c2 = coeffs
-        params = ModelParams(
-            d1=d1, d2=d2, alpha1=a1, alpha2=a2, a1=ca1, a2=ca2, b1=b1, b2=b2, c1=c1, c2=c2
-        )
-        if len(dims) == 1:
-            grid = Grid.interval(length, dims[0])
-        else:
-            grid = Grid.rectangle(length, 1.5 * length, *dims)
-        u1, u2 = random_fields(grid, seed, kinds)
-        state = SystemState.from_u_arrays(params, grid, 0.25, u1, u2)
-        zeros = np.zeros(grid.shape)
-        floor = SystemState.from_u_arrays(params, grid, 0.0, zeros, zeros)
-        bracket = _auto_bracket(params, grid, state, floor)
-        # halve dt until the ceiling is a bound solution, as simulate does
-        while not _auto_bracket_feasible(params, state, bracket[1], dt):
-            dt /= 2.0
+        params, grid, (u1, u2), state = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
+        bracket, dt = wide_bracket(params, grid, state, dt)
         new_state, trace, _ = self.check(params, grid, state, bracket, dt)
-
+        assert trace.bracket == "wide"
         scale = max(2.0 * u1.max(), 2.0 * u2.max())
-        tol = 1e-10 * max(1.0, scale)
-        assert trace.worst_violation <= tol
-        for prev, cur in zip(trace.records, trace.records[1:]):
-            for lo, hi, lo_prev, hi_prev in (
-                (cur.v1, cur.w1, prev.v1, prev.w1), (cur.v2, cur.w2, prev.v2, prev.w2)
-            ):
-                assert np.all(lo_prev <= lo + tol)
-                assert np.all(lo <= hi + tol)
-                assert np.all(hi <= hi_prev + tol)
-        for field, h, data in (
-            (new_state.u1, new_state.h1, u1), (new_state.u2, new_state.h2, u2)
-        ):
-            assert field.values.min() >= 0.0
-            if not data.any():
-                assert np.all(field.values == 0.0) and np.all(h.values == 0.0)
+        check_chain_and_zeros(trace, new_state, (u1, u2), scale)
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(**STEP_DRAWS)
+    def test_tight_bracket_steps(self, alphas, alpha, coeffs, dims, length, kinds, seed, dt):
+        # the tight constant bracket at simulate's smallest kappa, admitted by
+        # its discrete-bound test with dt halved until it passes (simulate
+        # would fall back to the wide bracket instead)
+        params, grid, (u1, u2), state = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
+        _, dt = wide_bracket(params, grid, state, dt)
+        kappa = 3.0 * SolverConfig(dt=dt).growth_trigger
+
+        def tight(dt):
+            return _tight_bracket(params, grid, state, dt, kappa)
+
+        new_state, trace, dt = self.check(params, grid, state, tight, dt)
+        assert trace.bracket == "tight"
+        scale = (1.0 + kappa) * max(u1.max(), u2.max())
+        check_chain_and_zeros(trace, new_state, (u1, u2), scale)
+
+        # the wide bracket at the same dt pinches the same step solution
+        wide, wide_dt = wide_bracket(params, grid, state, dt)
+        assert wide_dt == dt
+        cfg = SolverConfig(dt=dt)
+        wide_state, _ = step_monotone(state, cfg, params, wide)
+        gap_tol = cfg.inner_tol * (1.0 + max(2.0 * u1.max(), 2.0 * u2.max()))
+        for got, want in ((new_state.u1, wide_state.u1), (new_state.u2, wide_state.u2)):
+            assert np.abs(got.values - want.values).max() <= gap_tol
 
     def test_certified_window_step(self, setup):
         params, grid, eig, regime, u0 = setup
@@ -675,6 +763,7 @@ class TestSimulate:
         assert result.halvings_used == 0
         assert result.final_dt == 1e-3
         assert len(result.summaries) == 10
+        assert all(s.bracket == "window" for s in result.summaries)
         # accumulated t makes the final trimmed dt differ by at most an ulp
         assert all(s.dt == pytest.approx(1e-3, rel=1e-12) for s in result.summaries)
         assert result.final_state.t == pytest.approx(1e-2)
@@ -696,6 +785,38 @@ class TestSimulate:
         assert result.final_state.t == pytest.approx(1e-2, abs=1e-12)
         assert len(result.summaries) == 4
         assert result.summaries[-1].dt == pytest.approx(1e-3, rel=1e-9)
+
+    def test_failed_tight_check_falls_back_to_wide_without_halving(self):
+        # a fast-growing state and a large dt: the ceiling (1 + kappa) max u1
+        # is pierced at once, so the tight bracket fails its check; the wide
+        # ceiling 2 max u_i holds at this dt. With no halving budget at all,
+        # a fallback that spent one would end the run as failed.
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 9)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        cfg = SolverConfig(dt=0.1, max_halvings=0)
+        state = SystemState.from_u(params, 0.0, *u0)
+        assert _tight_bracket(params, grid, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
+        result = simulate(params, grid, eig, u0, cfg, 0.1)
+        assert result.termination == "completed"
+        assert result.halvings_used == 0
+        (summary,) = result.summaries
+        assert summary.bracket == "wide"
+        assert summary.as_dict()["bracket"] == "wide"
+        assert summary.dt == cfg.dt
+
+    def test_slow_steps_run_in_tight_brackets(self, setup):
+        # a decaying state under the default trigger: every step is admitted
+        # in the tight bracket, and a trigger of 1/3 or more makes kappa >= 1,
+        # which leaves only the wide one
+        params, grid, eig, _, u0 = setup
+        result = simulate(params, grid, eig, u0, SolverConfig(dt=1e-3), 5e-3)
+        assert [s.bracket for s in result.summaries] == ["tight"] * 5
+        assert result.halvings_used == 0
+        cfg = SolverConfig(dt=1e-3, growth_trigger=0.4)
+        result = simulate(params, grid, eig, u0, cfg, 5e-3)
+        assert [s.bracket for s in result.summaries] == ["wide"] * 5
 
     def test_growth_trigger_spends_halvings(self):
         params = certified_params(alpha1=0.0, alpha2=0.0)
