@@ -166,7 +166,7 @@ def analyze(
     rows = []
     violations = 0
     for s, wa in zip(states, averages):
-        max_sum = float((s.u1.values + s.u2.values).max())
+        max_sum = float((s.u[0] + s.u[1]).max())
         bound = None
         violation = False
         if t0 is not None and wa.t < t0 and math.isfinite(wa.p_hat):

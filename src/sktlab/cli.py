@@ -129,7 +129,7 @@ def _write_snapshots_csv(path, grid: Grid, snapshots) -> None:
         fh.write(header)
         for s in snapshots:
             t = _r(s.t)
-            cols = [_reprs(f.values) for f in (s.u1, s.u2, s.h1, s.h2)]
+            cols = [_reprs(a) for a in (*s.u, *s.h)]
             fh.writelines(
                 f"{t},{p},{a},{b},{c},{d}\n" for p, a, b, c, d in zip(points, *cols)
             )

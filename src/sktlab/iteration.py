@@ -42,8 +42,18 @@ operations in the same order as a per-species loop would apply, so the
 results are bit-identical to one. Each iterate's record views that
 iterate's own stack. A bracket reaches the step in the same stacked form,
 with its transform, paired reactions and the transform's Laplacian: a
-caller's bracket is stacked once per run, and an automatic one is built
-from per-species constants, whose Laplacian is exactly zero.
+caller's bracket is stacked once per run from its states' stacks, and an
+automatic one is built from per-species constants, whose Laplacian is
+exactly zero.
+
+A SystemState holds the same species axis without the sequence one: a
+(2, *grid) density stack u and its transform h, row 0 species 1. A state is
+checked (shape, finiteness unless flagged overflowed) where it enters from
+outside, in from_u_arrays; the states a step returns are compact copies of
+the last lower iterate's u and h rows, whose finiteness the linear solver
+has already checked. A step reads the state as state.u[:, None] and
+state.h[:, None], a sequence axis of one, and never takes it apart into
+species.
 
 The linear solves go through _HelmholtzSolver, built once per simulate run,
 and work in place on the right-hand-side stack. A species whose sigma is
@@ -104,46 +114,56 @@ _CG_MAX_ITERS = 100
 _KEPT_DIAGONALS = 8
 
 
-@dataclass(frozen=True)
+def _row_field(stack: str, row: int) -> property:
+    """A read-only property: one row of a state's stack as a ScalarField copy."""
+    return property(lambda s: ScalarField(s.grid, getattr(s, stack)[row], s.overflowed))
+
+
+@dataclass(frozen=True, eq=False)
 class SystemState:
-    """Both species at one time, in density and transformed variables."""
+    """Both species at one time, in density and transformed variables.
+
+    u and h are (2, *grid) stacks, species 1 in row 0 and species 2 in row
+    1, each its own compact array. Values are finite unless `overflowed`.
+    Build states from outside with from_u or from_u_arrays, which check
+    them. u1, u2, h1 and h2 are read-only ScalarField copies of the rows,
+    for callers that work with fields.
+    """
 
     t: float
-    u1: ScalarField
-    u2: ScalarField
-    h1: ScalarField
-    h2: ScalarField
+    grid: Grid
+    u: np.ndarray
+    h: np.ndarray
+    overflowed: bool = False
 
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
+    u1, u2 = _row_field("u", 0), _row_field("u", 1)
+    h1, h2 = _row_field("h", 0), _row_field("h", 1)
 
     @classmethod
     def from_u(cls, params: ModelParams, t: float, u1: ScalarField, u2: ScalarField):
         if not u1.grid.compatible(u2.grid):
             raise ValueError("u1 and u2 live on different grids")
-        g = u1.grid
-        flagged = u1.overflowed or u2.overflowed
-        # flagged states may hold inf, whose transform degrades to nan quietly
-        with np.errstate(invalid="ignore", over="ignore"):
-            h1 = ScalarField(g, _transform_raw(params.d1, params.alpha1, u1.values), flagged)
-            h2 = ScalarField(g, _transform_raw(params.d2, params.alpha2, u2.values), flagged)
-        return cls(float(t), u1, u2, h1, h2)
+        return cls.from_u_arrays(
+            params, u1.grid, t, u1.values, u2.values, u1.overflowed or u2.overflowed
+        )
 
     @classmethod
     def from_u_arrays(cls, params, grid, t, u1, u2, overflowed=False):
-        return cls.from_u(
-            params,
-            t,
-            ScalarField(grid, u1, overflowed),
-            ScalarField(grid, u2, overflowed),
-        )
+        u = np.array((u1, u2), dtype=float)
+        if u.shape != (2,) + grid.shape:
+            raise ValueError(
+                f"field shapes {u.shape[1:]} do not match grid shape {grid.shape}"
+            )
+        if not overflowed and not np.isfinite(u).all():
+            raise ValueError("field values must be finite unless flagged overflowed")
+        d, alpha = _param_columns(params, grid)
+        # flagged states may hold inf, whose transform degrades to nan quietly
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = _transform_raw(d[:, 0], alpha[:, 0], u)
+        return cls(float(t), grid, u, h, overflowed)
 
     def sup_norms(self) -> tuple:
-        return (
-            float(np.abs(self.u1.values).max()),
-            float(np.abs(self.u2.values).max()),
-        )
+        return tuple(np.abs(self.u).reshape(2, -1).max(axis=1).tolist())
 
 
 @dataclass(frozen=True)
@@ -208,7 +228,6 @@ class IterationTrace:
     """Full audit of one accepted step's inner iteration."""
 
     records: tuple
-    state: SystemState
     gap: float
     worst_violation: float
     phi1: float
@@ -557,21 +576,6 @@ def _inverse_stack(params, d, h):
     ))
 
 
-def _bound_violations(grid, dt, d, alpha, h_n, u, h, f, lap_h):
-    """Per-species worst violation of the bracket stack u as discrete bounds.
-
-    With lhs = sigma(u) (h - h^n)/dt - lap h, the upper sequence must satisfy
-    lhs >= f and the lower lhs <= f; h, f and lap_h are u's transform, its
-    paired reactions and the Laplacian of h. The violation is f - lhs on the
-    upper sequence and lhs - f on the lower, so a positive value means the
-    bound fails.
-    """
-    resid = np.array(f)
-    resid -= _sigma(d, alpha, u) * (h - h_n) / dt - lap_h
-    resid *= _sequence_signs(grid)
-    return resid.reshape(2, -1).max(axis=1)
-
-
 class _Bracket(NamedTuple):
     """A step's bracket in the stacked form step_monotone works in.
 
@@ -592,31 +596,29 @@ class _Bracket(NamedTuple):
     violations: np.ndarray | None = None
 
 
-def _stacked_bracket(params, grid, u, kind, constant=False):
-    """The bracket with density stack u; a `constant` one has lap h = 0 exactly."""
-    d, alpha = _param_columns(params, grid)
-    h = _transform_raw(d, alpha, u)
-    lap_h = 0.0 if constant else _lap_array(grid, h)
-    return _Bracket(u, h, _paired_reactions(params, u), lap_h, kind)
-
-
 def _window_bracket(params, grid, bracket):
     """A caller's (lower, upper) SystemState pair as a stacked bracket."""
     lower, upper = bracket
     if not (grid.compatible(lower.grid) and grid.compatible(upper.grid)):
         raise ValueError("bracket and state live on different grids")
-    u = np.array(
-        ((upper.u1.values, lower.u1.values), (upper.u2.values, lower.u2.values))
-    )
-    return _stacked_bracket(params, grid, u, "window")
+    u = np.stack((upper.u, lower.u), axis=1)
+    h = np.stack((upper.h, lower.h), axis=1)
+    return _Bracket(u, h, _paired_reactions(params, u), _lap_array(grid, h), "window")
 
 
 def _violations(params, grid, dt, h_n, bracket):
-    """The bracket's per-species worst violation as discrete bounds at dt."""
+    """Per-species worst violation of the bracket as discrete bounds at dt.
+
+    With lhs = sigma(u) (h - h^n)/dt - lap h on the bracket's stacks, the
+    upper sequence must satisfy lhs >= f and the lower lhs <= f, f its
+    paired reactions. The violation is f - lhs on the upper sequence and
+    lhs - f on the lower, so a positive value means the bound fails.
+    """
     d, alpha = _param_columns(params, grid)
-    return _bound_violations(
-        grid, dt, d, alpha, h_n, bracket.u, bracket.h, bracket.f, bracket.lap_h
-    )
+    resid = np.array(bracket.f)
+    resid -= _sigma(d, alpha, bracket.u) * (bracket.h - h_n) / dt - bracket.lap_h
+    resid *= _sequence_signs(grid)
+    return resid.reshape(2, -1).max(axis=1)
 
 
 def step_monotone(
@@ -641,8 +643,7 @@ def step_monotone(
         raise ValueError("solver and state live on different grids")
     dt = cfg.dt
     u0 = bracket.u
-    u_n = np.array((state.u1.values, state.u2.values))[:, None]
-    h_n = np.array((state.h1.values, state.h2.values))[:, None]
+    u_n, h_n = state.u[:, None], state.h[:, None]
     ceilings = u0[:, 0].reshape(2, -1).max(axis=1)
     floors = u0[:, 1].reshape(2, -1).min(axis=1)
     scale = float(ceilings.max())
@@ -661,11 +662,11 @@ def step_monotone(
 
     # exactly degenerate bracket: the common value is the step solution
     if np.array_equal(u0[:, 0], u0[:, 1]):
-        new_state = SystemState.from_u_arrays(params, grid, state.t + dt, u0[0, 1], u0[1, 1])
+        new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), bracket.h[:, 1].copy())
         rec0 = _record(0, u0, 0.0, 0.0)
         rec1 = dataclasses.replace(rec0, k=1)
         trace = IterationTrace(
-            records=(rec0, rec1), state=new_state, gap=0.0, worst_violation=0.0,
+            records=(rec0, rec1), gap=0.0, worst_violation=0.0,
             phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
         )
         return new_state, trace
@@ -688,7 +689,7 @@ def step_monotone(
     cfg_phis = (cfg.phi1, cfg.phi2)
     alphas = (params.alpha1, params.alpha2)
     hdot = _hdot_scales(
-        params, grid, u_n[:, 0], h_n[:, 0],
+        params, grid, state.u, state.h,
         [phi is None and a != 0.0 for phi, a in zip(cfg_phis, alphas)],
     )
     box = [(float(floors[i]), float(ceilings[i])) for i in (0, 1)]
@@ -706,7 +707,7 @@ def step_monotone(
         boost = _PHI_RETRY_FACTOR**retry
         phis = (phi_base[0] * boost, phi_base[1] * boost)
         try:
-            records, converged_state, gap = _run_inner(
+            records, new_state, gap = _run_inner(
                 params, solver, cfg, dt, (d, alpha, h_n), bracket, phis,
                 chain_tol, gap_tol, state.t,
             )
@@ -715,7 +716,6 @@ def step_monotone(
             continue
         trace = IterationTrace(
             records=tuple(records),
-            state=converged_state,
             gap=gap,
             worst_violation=max(r.worst_violation for r in records),
             phi1=phis[0],
@@ -724,7 +724,7 @@ def step_monotone(
             fallbacks=solver.fallbacks - fallbacks,
             bracket=bracket.kind,
         )
-        return converged_state, trace
+        return new_state, trace
     raise OrderingViolationError(
         f"iterate ordering kept failing after {_MAX_PHI_RETRIES} shift escalations "
         f"(worst violation {last_exc.worst:.3e})",
@@ -759,6 +759,11 @@ def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol,
     # a constant-sigma species solves both sequences with one matrix
     shared = ((1.0 / params.d1) / dt, (1.0 / params.d2) / dt)
 
+    # the accepted state's compact rows, allocated ahead of this call's
+    # temporaries: kept states then fill the holes earlier steps' temporaries
+    # left, where copies made at the end split the heap between them (on
+    # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
+    kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
     gap = float((u[:, 0] - u[:, 1]).max())
     worst = float((u[:, 1] - u[:, 0]).max())
     records = [_record(0, u, gap, worst)]
@@ -802,11 +807,9 @@ def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol,
         if worst > chain_tol:
             raise _ChainViolation(worst, k)
         if gap <= gap_tol:
-            state = SystemState(
-                t_start + dt,
-                *(ScalarField(grid, a) for a in (u[0, 1], u[1, 1], h[0, 1], h[1, 1])),
-            )
-            return records, state, gap
+            kept_u[...] = u[:, 1]
+            kept_h[...] = h[:, 1]
+            return records, SystemState(t_start + dt, grid, kept_u, kept_h), gap
 
     raise ConvergenceError(
         f"inner iteration gap {gap:.3e} above tolerance {gap_tol:.3e} "
@@ -820,36 +823,33 @@ def _auto_bracket(params, grid, floors, ceilings, kind):
     u = np.empty((2, 2) + grid.shape)
     u[:, 0] = _species_column(grid, *ceilings)[:, 0]
     u[:, 1] = _species_column(grid, *floors)[:, 0]
-    return _stacked_bracket(params, grid, u, kind, constant=True)
+    d, alpha = _param_columns(params, grid)
+    # a constant stack's Laplacian is exactly zero
+    return _Bracket(u, _transform_raw(d, alpha, u), _paired_reactions(params, u), 0.0, kind)
 
 
 def _auto_bracket_feasible(params, state, ceilings, dt):
     """Each ceiling N must satisfy sigma(N)(P(N) - h^n)/dt >= f_i(N) with the
     competing species dropped (its contribution is nonpositive)."""
     p = params
-    for d, alpha, n, h_n, f_plus in (
-        (p.d1, p.alpha1, ceilings[0], state.h1.values,
-         lambda n1: n1 * (-p.a1 + p.b1 * n1)),
-        (p.d2, p.alpha2, ceilings[1], state.h2.values,
-         lambda n2: n2 * (-p.a2 + p.c2 * n2)),
-    ):
-        lhs = _sigma(d, alpha, n) * (_transform_raw(d, alpha, n) - float(h_n.max())) / dt
-        if lhs < f_plus(n):
-            return False
-    return True
+    d, alpha = np.array((p.d1, p.d2)), np.array((p.alpha1, p.alpha2))
+    n = np.array(ceilings)
+    h_max = state.h.reshape(2, -1).max(axis=1)
+    lhs = _sigma(d, alpha, n) * (_transform_raw(d, alpha, n) - h_max) / dt
+    f_plus = n * (-np.array((p.a1, p.a2)) + np.array((p.b1, p.c2)) * n)
+    return not np.any(lhs < f_plus)
 
 
 def _tight_bracket(params, grid, state, dt, kappa):
     """The constant bracket [(1-kappa) min u_i, (1+kappa) max u_i] for a step
     of dt from state, with its bound violations measured; None when it is
     not a discrete bound solution there."""
-    lows = (float(state.u1.values.min()), float(state.u2.values.min()))
-    highs = (float(state.u1.values.max()), float(state.u2.values.max()))
+    per_species = state.u.reshape(2, -1)
+    lows, highs = per_species.min(axis=1).tolist(), per_species.max(axis=1).tolist()
     shrink = max(0.0, 1.0 - kappa)
     ceilings = [(1.0 + kappa) * m for m in highs]
     bracket = _auto_bracket(params, grid, [shrink * m for m in lows], ceilings, "tight")
-    h_n = np.array((state.h1.values, state.h2.values))[:, None]
-    worst = _violations(params, grid, dt, h_n, bracket)
+    worst = _violations(params, grid, dt, state.h[:, None], bracket)
     if float(worst.max()) > _CHAIN_TOL * max(1.0, max(ceilings)):
         return None
     return bracket._replace(violations=worst)
@@ -871,13 +871,11 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     """
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
-    u0_1, u0_2 = u0
-    if not (grid.compatible(u0_1.grid) and grid.compatible(u0_2.grid)):
+    state = SystemState.from_u(params, 0.0, *u0)
+    if not grid.compatible(state.grid):
         raise ValueError("initial fields live on a different grid")
-    if np.any(u0_1.values < 0.0) or np.any(u0_2.values < 0.0):
+    if np.any(state.u < 0.0):
         raise ValueError("initial fields must be nonnegative")
-
-    state = SystemState.from_u(params, 0.0, u0_1, u0_2)
     norms = state.sup_norms()
     growth = 0.0
     snapshots = [state]
@@ -907,9 +905,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             if kappa < 1.0:
                 step_bracket = _tight_bracket(params, grid, state, dt_step, kappa)
             if step_bracket is None:
-                ceilings = (
-                    2.0 * float(state.u1.values.max()), 2.0 * float(state.u2.values.max())
-                )
+                ceilings = (2.0 * state.u.reshape(2, -1).max(axis=1)).tolist()
                 while not _auto_bracket_feasible(params, state, ceilings, dt_step):
                     if halvings >= cfg.max_halvings:
                         termination = "failed"
@@ -944,13 +940,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
             termination = "overflowed"
             overflow_time = new_state.t
-            if finite:
-                final_state = new_state
-            else:
-                final_state = SystemState.from_u_arrays(
-                    params, grid, new_state.t,
-                    new_state.u1.values, new_state.u2.values, overflowed=True,
-                )
+            final_state = (
+                new_state if finite else dataclasses.replace(new_state, overflowed=True)
+            )
             break
 
         if halvings < cfg.max_halvings:

@@ -1,10 +1,13 @@
 """Bracket construction, the ordered inner iteration, and the time-stepping driver."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
@@ -140,6 +143,85 @@ class TestSolverConfig:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+def owned_size(a):
+    """The number of elements in the memory block behind array a."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.size
+
+
+class TestSystemState:
+    def test_stacks_accessors_and_entry_checks(self, setup):
+        params, grid, *_ = setup
+        u1, u2 = np.linspace(0.0, 1.0, grid.nx), np.full(grid.shape, 0.3)
+        state = SystemState.from_u_arrays(params, grid, 0.5, u1, u2)
+        assert state.t == 0.5 and not state.overflowed
+        assert state.u.shape == state.h.shape == (2,) + grid.shape
+        assert np.array_equal(state.u, [u1, u2])
+        h1 = _transform_raw(params.d1, params.alpha1, u1)
+        h2 = _transform_raw(params.d2, params.alpha2, u2)
+        assert np.array_equal(state.h, [h1, h2])
+        for field, want in zip((state.u1, state.u2, state.h1, state.h2), (u1, u2, h1, h2)):
+            assert isinstance(field, ScalarField) and field.grid is grid
+            assert np.array_equal(field.values, want)
+        # the accessors hand out copies: the state's stacks stay as built
+        state.u1.values[...] = 7.0
+        assert np.array_equal(state.u[0], u1)
+        assert state.sup_norms() == (1.0, 0.3)
+        with pytest.raises(ValueError, match="grid shape"):
+            SystemState.from_u_arrays(params, grid, 0.0, u1[:-1], u2[:-1])
+        bad = u1.copy()
+        bad[2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            SystemState.from_u_arrays(params, grid, 0.0, bad, u2)
+        flagged = SystemState.from_u_arrays(params, grid, 0.0, bad, u2, overflowed=True)
+        assert flagged.u1.overflowed and flagged.h2.overflowed
+        assert flagged.sup_norms()[0] == np.inf
+
+    def test_simulate_builds_no_fields(self, monkeypatch):
+        # a 1D auto-bracket run: the step path works on the stacks alone
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 9)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        built = []
+        post_init = ScalarField.__post_init__
+
+        def counting(field):
+            built.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(ScalarField, "__post_init__", counting)
+        for t_end in (2e-3, 6e-3):
+            result = simulate(params, grid, eig, u0, SolverConfig(dt=1e-4), t_end)
+            assert result.termination == "completed"
+            assert len(result.summaries) >= round(t_end / 1e-4)
+            assert {s.bracket for s in result.summaries} <= {"tight", "wide"}
+            assert built == []
+
+    @pytest.mark.parametrize("window", [True, False])
+    def test_snapshots_own_compact_stacks(self, setup, window):
+        # no kept state may view an iterate's (2, 2, *grid) stack
+        params, grid, eig, regime, u0 = setup
+        if window:
+            bracket = initial_bracket(params, eig, u0, regime)
+            result = simulate(params, grid, eig, u0, SolverConfig(dt=1e-3), 5e-3, bracket=bracket)
+            assert result.termination == "completed"
+        else:
+            params = certified_params(alpha1=0.0, alpha2=0.0)
+            u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+            cfg = SolverConfig(dt=0.01, max_halvings=0, overflow_cap=2.0)
+            result = simulate(params, grid, eig, u0, cfg, 10.0)
+            assert result.termination == "overflowed"
+            assert result.final_state is not result.snapshots[-1]
+        states = result.snapshots + [result.final_state]
+        assert len(states) >= 6
+        for s in states:
+            for a in (s.u, s.h):
+                assert a.shape == (2,) + grid.shape
+                assert owned_size(a) == 2 * grid.npoints
 
 
 class TestStepMonotone:
@@ -404,6 +486,33 @@ def wide_bracket(params, grid, state, dt):
     return _auto_bracket(params, grid, (0.0, 0.0), ceilings, "wide"), dt
 
 
+@pytest.mark.parametrize("alphas", [(0.0, 0.0), (0.5, 0.2)])
+def test_wide_ceiling_check_matches_per_species_loop(alphas):
+    # each ceiling N_i is a bound when sigma(N)(P(N) - max h_i)/dt >= f_i(N)
+    # with the other species dropped; the check runs on both species at once
+    params = certified_params(alpha1=alphas[0], alpha2=alphas[1])
+    grid = Grid.interval(np.pi, 9)
+    state = SystemState.from_u_arrays(
+        params, grid, 0.0, 1.2 + 0.1 * np.cos(grid.xs), np.full(grid.shape, 0.8)
+    )
+    p = params
+    cases = (
+        (p.d1, p.alpha1, state.h1.values.max(), lambda n: n * (-p.a1 + p.b1 * n)),
+        (p.d2, p.alpha2, state.h2.values.max(), lambda n: n * (-p.a2 + p.c2 * n)),
+    )
+    verdicts = set()
+    for factor in (1.0, 1.01, 1.1, 1.5, 2.0, 4.0):
+        ceilings = (factor * 1.3, factor * 0.8)
+        for dt in (1e-3, 1e-2, 0.1, 1.0):
+            want = all(
+                1.0 / (d + 2.0 * alpha * n) * ((d + alpha * n) * n - h_max) / dt >= f_plus(n)
+                for (d, alpha, h_max, f_plus), n in zip(cases, ceilings)
+            )
+            assert _auto_bracket_feasible(params, state, ceilings, dt) is want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def check_chain_and_zeros(trace, new_state, data, scale):
     """Ordered chains, nonnegativity, and all-zero species staying exactly zero."""
     tol = 1e-10 * max(1.0, scale)
@@ -525,6 +634,57 @@ class TestStackedStepMatchesReference:
             assert np.array_equal(shared.u2.values, fresh.u2.values)
         with pytest.raises(ValueError, match="different grids"):
             step_monotone(shared, cfg, params, bracket, _HelmholtzSolver(Grid.interval(np.pi, 9)))
+
+
+class TestWindowBracketRuns:
+    """simulate in a caller's bracket against step_monotone on the pair."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(**STEP_DRAWS, fill=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)))
+    def test_simulate_matches_steps_on_the_pair(
+        self, alphas, alpha, coeffs, dims, length, kinds, seed, dt, fill
+    ):
+        params, grid, data, _ = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
+        eig = principal_eigenpair(grid, "principal")
+        regime = classify_global(params, eig.lambda0, eig.mode)
+        assume(regime.certified)
+        # data in [0, 2] scaled to peak under the fraction `fill` of each ceiling
+        u0 = tuple(
+            ScalarField(grid, 0.5 * f * n * u)
+            for f, (n, _), u in zip(fill, regime.window, data)
+        )
+        bracket = initial_bracket(params, eig, u0, regime)
+        # no halvings: every step runs at dt, and the first failure ends the run
+        cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
+        t_end = 3.0 * dt
+        result = simulate(params, grid, eig, u0, cfg, t_end, bracket=bracket)
+        assert len(result.snapshots) == len(result.summaries) + 1
+
+        def step(state):
+            # simulate trims the last step to land on t_end
+            step_cfg = dataclasses.replace(cfg, dt=min(dt, t_end - state.t))
+            return step_monotone(state, step_cfg, params, bracket)
+
+        state = SystemState.from_u(params, 0.0, *u0)
+        for summary, snap in zip(result.summaries, result.snapshots[1:]):
+            state, trace = step(state)
+            assert state.t == snap.t
+            assert state.u.tobytes() == snap.u.tobytes()
+            assert state.h.tobytes() == snap.h.tobytes()
+            assert trace.bracket == summary.bracket == "window"
+            got = (trace.iterations, trace.gap, trace.worst_violation,
+                   trace.phi1, trace.phi2, trace.retries, trace.fallbacks)
+            want = (summary.iterations, summary.gap, summary.worst_violation,
+                    summary.phi1, summary.phi2, summary.retries, summary.fallbacks)
+            assert repr(got) == repr(want)
+        assert result.final_state is result.snapshots[-1]
+        if result.termination == "failed":
+            # the step that ended the run fails the same way on the pair
+            with pytest.raises(type(result.error), match=re.escape(str(result.error))):
+                step(state)
+        else:
+            assert result.termination == "completed"
+            assert len(result.summaries) == 3
 
 
 class TestHelmholtzSolver:
