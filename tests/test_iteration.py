@@ -369,9 +369,10 @@ def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters
 
     Each species and sequence has its own array, the reactions are paired
     by hand, and the solver is called one species at a time, with the
-    columns in (upper, lower) order. Returns the records as
-    (v1, v2, w1, w2, gap, worst) tuples, and the accepted (u, h) pairs, or
-    None when the chain broke or the gap did not close.
+    columns in (upper, lower) order and the previous iterate's transforms
+    as guesses. Returns the records as (v1, v2, w1, w2, gap, worst) tuples,
+    and the accepted (u, h) pairs, or None when the chain broke or the gap
+    did not close.
     """
     solver = _HelmholtzSolver(grid)
     ds = (params.d1, params.d2)
@@ -401,11 +402,13 @@ def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters
                 sig_w, sig_v = 1.0 / (d + 2.0 * a * w[i]), 1.0 / (d + 2.0 * a * v[i])
             rhs_w = sig_w * h_n[i] / dt + f_hi[i] + phi * hw[i]
             rhs_v = sig_v * h_n[i] / dt + f_lo[i] + phi * hv[i]
+            # each solve starts from the previous iterate's transform, as the
+            # step's do
             if a == 0.0:
-                hw_i, hv_i = solver.solve(sig_w / dt, phi, [rhs_w, rhs_v])
+                hw_i, hv_i = solver.solve(sig_w / dt, phi, [rhs_w, rhs_v], [hw[i], hv[i]])
             else:
-                (hw_i,) = solver.solve(sig_w / dt, phi, [rhs_w])
-                (hv_i,) = solver.solve(sig_v / dt, phi, [rhs_v])
+                (hw_i,) = solver.solve(sig_w / dt, phi, [rhs_w], [hw[i]])
+                (hv_i,) = solver.solve(sig_v / dt, phi, [rhs_v], [hv[i]])
             new_hw.append(hw_i)
             new_hv.append(hv_i)
         new_v = [_inverse_raw(d, a, h) for d, a, h in zip(ds, alphas, new_hv)]
@@ -710,7 +713,7 @@ class TestHelmholtzSolver:
         rng = np.random.default_rng(seed)
         sig_over_dt = shift * rng.uniform(0.5, 2.0, n) if array_diag else shift
         cols = [rng.standard_normal(n) for _ in range(columns)]
-        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols)
+        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols, np.zeros((columns, n)))
         diag = np.broadcast_to(sig_over_dt + phi, (n,))
         lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
         # the direct LAPACK call must reproduce solve_banded bit for bit
@@ -735,14 +738,16 @@ class TestHelmholtzSolver:
         phi=st.floats(0.0, 100.0),
         array_diag=st.booleans(),
         columns=st.integers(1, 2),
+        noise=st.one_of(st.none(), st.floats(1e-14, 10.0)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cg_solve_matches_sparse_lu(
-        self, nx, ny, lx, ly, ratio, contrast, phi, array_diag, columns, seed
+        self, nx, ny, lx, ly, ratio, contrast, phi, array_diag, columns, noise, seed
     ):
         # the diagonal sits relative to the stencil's top eigenvalue, as in
         # the 1D property, and the right-hand sides are scaled by it, so the
-        # solutions are of order one
+        # solutions are of order one; each column starts from zero or, with
+        # `noise` set, from its solution plus noise of that relative size
         grid = Grid.rectangle(lx, ly, nx, ny)
         shift = ratio * 4.0 / min(grid.hx, grid.hy) ** 2
         rng = np.random.default_rng(seed)
@@ -752,12 +757,70 @@ class TestHelmholtzSolver:
             sig_over_dt = shift
         diag = np.broadcast_to(sig_over_dt + phi, grid.shape)
         cols = [diag * rng.standard_normal(grid.shape) for _ in range(columns)]
-        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols)
         lu = splu((grid.neg_laplacian_matrix + sp.diags(diag.ravel())).tocsc())
+        refs = [lu.solve(b.ravel()).reshape(grid.shape) for b in cols]
+        guess = np.zeros((columns,) + grid.shape)
+        if noise is not None:
+            guess = [
+                ref + noise * np.abs(ref).max() * rng.standard_normal(grid.shape)
+                for ref in refs
+            ]
+        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols, guess)
         assert len(got) == columns
-        for x, b in zip(got, cols):
-            ref = lu.solve(b.ravel()).reshape(grid.shape)
+        for x, ref in zip(got, refs):
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @staticmethod
+    def warm_case(seed=5):
+        """A 2D solver, a variable diagonal, a right-hand side and its LU solution."""
+        grid = Grid.rectangle(np.pi, 2.0, 17, 9)
+        rng = np.random.default_rng(seed)
+        sig_over_dt = rng.uniform(50.0, 250.0, grid.shape)
+        b = rng.standard_normal(grid.shape)
+        diag = (sig_over_dt + 2.0).ravel()
+        lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
+        return _HelmholtzSolver(grid), sig_over_dt, b, lu.solve(b.ravel()).reshape(grid.shape)
+
+    def test_exact_guess_accepted_without_iterations(self, monkeypatch):
+        monkeypatch.setattr(sktlab.iteration, "_CG_MAX_ITERS", 0)
+        solver, sig_over_dt, b, ref = self.warm_case()
+        (x,) = solver.solve(sig_over_dt, 2.0, [b], [ref])
+        assert solver.fallbacks == 0
+        assert np.array_equal(x, ref)
+
+    def test_zero_column_ignores_guess(self):
+        solver, sig_over_dt, _, ref = self.warm_case()
+        (x,) = solver.solve(sig_over_dt, 2.0, [np.zeros(ref.shape)], [ref])
+        assert np.all(x == 0.0) and not np.signbit(x).any()
+
+    def test_useless_guess_is_a_cold_start(self):
+        # a NaN guess, or one whose residual exceeds the right-hand side's,
+        # gives the bytes of a solve from a zero guess
+        solver, sig_over_dt, b, ref = self.warm_case()
+        cold = solver.solve(sig_over_dt, 2.0, [b], [np.zeros(ref.shape)]).tobytes()
+        # -1e3 * ref leaves the residual 1001 b
+        for guess in (np.full(ref.shape, np.nan), -1e3 * ref):
+            assert solver.solve(sig_over_dt, 2.0, [b], [guess]).tobytes() == cold
+        assert solver.fallbacks == 0
+
+    def test_near_solution_guess_halves_preconditioner_work(self):
+        solver, sig_over_dt, b, ref = self.warm_case()
+        dctn, idctn = solver._dct_pair
+        calls = []
+
+        def counted(a, type):
+            calls.append(1)
+            return idctn(a, type=type)
+
+        solver._dct_pair = (dctn, counted)
+        solver.solve(sig_over_dt, 2.0, [b], [np.zeros(ref.shape)])
+        cold = len(calls)
+        calls.clear()
+        near = ref + 1e-9 * np.random.default_rng(6).standard_normal(ref.shape)
+        (x,) = solver.solve(sig_over_dt, 2.0, [b], [near])
+        assert cold >= 4 and 2 * len(calls) <= cold
+        assert solver.fallbacks == 0
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "grid",
@@ -768,7 +831,9 @@ class TestHelmholtzSolver:
         b = np.ones(grid.shape)
         b.flat[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            _HelmholtzSolver(grid).solve(10.0, 1.0, [np.ones(grid.shape), b])
+            _HelmholtzSolver(grid).solve(
+                10.0, 1.0, [np.ones(grid.shape), b], np.zeros((2,) + grid.shape)
+            )
 
     @pytest.mark.parametrize(
         "grid",
@@ -783,12 +848,13 @@ class TestHelmholtzSolver:
         cols = list(stack.copy())
         kept = [c.copy() for c in cols]
         sig = 30.0 + rng.uniform(0.0, 5.0, grid.shape)
-        want = _HelmholtzSolver(grid).solve(sig, 1.0, cols)
+        cold = np.zeros(stack.shape)
+        want = _HelmholtzSolver(grid).solve(sig, 1.0, cols, cold)
         for got, b in zip(cols, kept):
             assert np.array_equal(got, b)
         solver = _HelmholtzSolver(grid)
-        assert solver.solve(sig, 1.0, stack[:2]).base is stack
-        assert solver.solve(sig, 1.0, stack[2:]).base is stack
+        assert solver.solve(sig, 1.0, stack[:2], cold[:2]).base is stack
+        assert solver.solve(sig, 1.0, stack[2:], cold[2:]).base is stack
         assert np.array_equal(stack, want)
         lu = splu((grid.neg_laplacian_matrix + sp.diags((sig + 1.0).ravel())).tocsc())
         for x, b in zip(stack, kept):
@@ -800,13 +866,14 @@ class TestHelmholtzSolver:
         grid = Grid.interval(np.pi, 17)
         rng = np.random.default_rng(12)
         cols = [rng.standard_normal(grid.shape) for _ in range(2)]
+        cold = np.zeros((2,) + grid.shape)
         solver = _HelmholtzSolver(grid)
-        first = solver.solve(250.0, 3.0, cols)
-        again = solver.solve(250.0, 3.0, cols)
-        fresh = _HelmholtzSolver(grid).solve(250.0, 3.0, cols)
+        first = solver.solve(250.0, 3.0, cols, cold)
+        again = solver.solve(250.0, 3.0, cols, cold)
+        fresh = _HelmholtzSolver(grid).solve(250.0, 3.0, cols, cold)
         assert np.array_equal(first, again) and np.array_equal(first, fresh)
         # the same shift passed as a field takes the uncached path
-        field = solver.solve(np.full(grid.shape, 250.0), 3.0, cols)
+        field = solver.solve(np.full(grid.shape, 250.0), 3.0, cols, cold)
         assert np.array_equal(field, first)
 
     def test_constant_diagonal_solved_by_one_preconditioner_step(self, monkeypatch):
@@ -816,7 +883,7 @@ class TestHelmholtzSolver:
         grid = Grid.rectangle(np.pi, 2.0, 17, 9)
         b = np.random.default_rng(3).standard_normal(grid.shape)
         solver = _HelmholtzSolver(grid)
-        (x,) = solver.solve(40.0, 2.0, [b])
+        (x,) = solver.solve(40.0, 2.0, [b], [np.zeros(grid.shape)])
         assert solver.fallbacks == 0
         lu = splu((grid.neg_laplacian_matrix + 42.0 * sp.identity(grid.npoints)).tocsc())
         ref = lu.solve(b.ravel()).reshape(grid.shape)
@@ -830,7 +897,8 @@ class TestHelmholtzSolver:
         cols = [rng.standard_normal(grid.shape) for _ in range(2)]
         solver = _HelmholtzSolver(grid)
         # a zero column is accepted before any iteration, as exact zeros
-        got = solver.solve(sig_over_dt, 2.0, cols + [np.zeros(grid.shape)])
+        zeros = np.zeros(grid.shape)
+        got = solver.solve(sig_over_dt, 2.0, cols + [zeros], [zeros] * 3)
         assert solver.fallbacks == 2
         assert np.all(got[2] == 0.0)
         diag = (sig_over_dt + 2.0).ravel()
