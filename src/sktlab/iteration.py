@@ -39,12 +39,24 @@ drives all four iterates. The right-hand sides, the transform and its
 inverse, the feasibility check and the chain audit are each a few numpy
 calls on the whole stack, and every element sees the same floating-point
 operations in the same order as a per-species loop would apply, so the
-results are bit-identical to one. Each iterate's record views that
-iterate's own stack. A bracket reaches the step in the same stacked form,
-with its transform, paired reactions and the transform's Laplacian: a
-caller's bracket is stacked once per run from its states' stacks, and an
-automatic one is built from per-species constants, whose Laplacian is
-exactly zero.
+results are bit-identical to one. The trace keeps each iterate's stack
+with its gap and worst violation, and builds the records viewing those
+stacks only when they are read. A bracket reaches the step in the same
+stacked form, with its transform, paired reactions and the transform's
+Laplacian: a caller's bracket is stacked once per run from its states'
+stacks.
+
+An automatic bracket is constant per species, so it is worked out on
+Python floats first: the transform, paired reactions and sigma at its four
+corners, and its discrete-bound violations, with the Laplacian exactly
+zero. Each species' ceiling violation is evaluated only at that species'
+largest h^n and its floor violation only at the smallest. That is exact,
+not an estimate: every rounded operation in the violation
+f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
+grid is its value at the extreme h^n, the same float a stacked evaluation
+reduces to. A tight bracket that fails is never stacked; an admitted one,
+and every wide one, is filled into its stacks and reaches the step with
+its violations measured.
 
 A SystemState holds the same species axis without the sequence one: a
 (2, *grid) density stack u and its transform h, row 0 species 1. A state is
@@ -212,9 +224,10 @@ class SolverConfig:
 class IterateRecord:
     """One inner iterate: both density sequences and the chain audit.
 
-    The arrays are views of the iterate's own (species, sequence) stack, not
-    copies; nothing writes to them after the record is made. Record 0 views
-    the step's stacked copy of the bracket.
+    IterationTrace.records builds these when it is read. The arrays are
+    views of the iterate's own (species, sequence) stack, not copies;
+    nothing writes to the stacks once the iterate is made. Record 0 views
+    the bracket's stack.
     """
 
     k: int
@@ -228,9 +241,15 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Full audit of one accepted step's inner iteration."""
+    """Full audit of one accepted step's inner iteration.
 
-    records: tuple
+    The step keeps each iterate as its (species, sequence, *grid) density
+    stack with its gap and worst violation. `records` builds the
+    IterateRecords viewing those stacks each time it is read, so a caller
+    that reads only the digest, as simulate does, never makes them.
+    """
+
+    iterates: tuple  # (u stack, gap, worst violation) per iterate, from 0
     gap: float
     worst_violation: float
     phi1: float
@@ -240,8 +259,12 @@ class IterationTrace:
     bracket: str  # "window" (the caller's), "tight" or "wide" (automatic)
 
     @property
+    def records(self) -> tuple:
+        return tuple(_record(k, *iterate) for k, iterate in enumerate(self.iterates))
+
+    @property
     def iterations(self) -> int:
-        return len(self.records) - 1
+        return len(self.iterates) - 1
 
 
 @dataclass(frozen=True)
@@ -595,18 +618,23 @@ class _Bracket(NamedTuple):
     u is the (species, sequence, *grid) stack of its densities, sequence 0
     the ceiling and 1 the floor; h and f are u's transform and paired
     reactions, which also start the inner iteration, and lap_h is the
-    Laplacian of h. kind is "window" for a caller's bracket and "tight" or
-    "wide" for an automatic one. violations, when set, are the per-species
-    discrete-bound violations simulate already measured for the one step it
-    hands the bracket to.
+    Laplacian of h. box is (floors, ceilings), each species' smallest floor
+    and largest ceiling value as floats. kind is "window" for a caller's
+    bracket and "tight" or "wide" for an automatic one. violations, when
+    set, are the per-species discrete-bound violations, as floats, that
+    simulate already measured for the one step it hands the bracket to. An
+    automatic bracket's box and violations come from the floats it was
+    built from (see _auto_bracket), a window's box from one reduction per
+    run.
     """
 
     u: np.ndarray
     h: np.ndarray
-    f: tuple
+    f: tuple | np.ndarray
     lap_h: np.ndarray | float
+    box: tuple
     kind: str
-    violations: np.ndarray | None = None
+    violations: tuple | None = None
 
 
 def _window_bracket(params, grid, bracket):
@@ -616,7 +644,11 @@ def _window_bracket(params, grid, bracket):
         raise ValueError("bracket and state live on different grids")
     u = np.stack((upper.u, lower.u), axis=1)
     h = np.stack((upper.h, lower.h), axis=1)
-    return _Bracket(u, h, _paired_reactions(params, u), _lap_array(grid, h), "window")
+    box = (
+        lower.u.reshape(2, -1).min(axis=1).tolist(),
+        upper.u.reshape(2, -1).max(axis=1).tolist(),
+    )
+    return _Bracket(u, h, _paired_reactions(params, u), _lap_array(grid, h), box, "window")
 
 
 def _violations(params, grid, dt, h_n, bracket):
@@ -657,9 +689,8 @@ def step_monotone(
     dt = cfg.dt
     u0 = bracket.u
     u_n, h_n = state.u[:, None], state.h[:, None]
-    ceilings = u0[:, 0].reshape(2, -1).max(axis=1)
-    floors = u0[:, 1].reshape(2, -1).min(axis=1)
-    scale = float(ceilings.max())
+    floors, ceilings = bracket.box
+    scale = max(ceilings)
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
     # the state must lie under the upper and over the lower
@@ -673,13 +704,20 @@ def step_monotone(
                 iterate=0,
             )
 
-    # exactly degenerate bracket: the common value is the step solution
-    if np.array_equal(u0[:, 0], u0[:, 1]):
+    # iterate 0 is the bracket: its gap, and its worst violation, the
+    # floor's largest excess over the ceiling
+    iterate0 = (
+        u0,
+        float((u0[:, 0] - u0[:, 1]).max()),
+        float((u0[:, 1] - u0[:, 0]).max()),
+    )
+
+    # exactly degenerate bracket, every ceiling equal to its floor: the
+    # common value is the step solution
+    if iterate0[1] == 0.0 and iterate0[2] == 0.0:
         new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), bracket.h[:, 1].copy())
-        rec0 = _record(0, u0, 0.0, 0.0)
-        rec1 = dataclasses.replace(rec0, k=1)
         trace = IterationTrace(
-            records=(rec0, rec1), gap=0.0, worst_violation=0.0,
+            iterates=((u0, 0.0, 0.0),) * 2, gap=0.0, worst_violation=0.0,
             phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
         )
         return new_state, trace
@@ -705,7 +743,7 @@ def step_monotone(
         params, grid, state.u, state.h,
         [phi is None and a != 0.0 for phi, a in zip(cfg_phis, alphas)],
     )
-    box = [(float(floors[i]), float(ceilings[i])) for i in (0, 1)]
+    box = list(zip(floors, ceilings))
     phi_base = [
         phi if phi is not None
         else _phi_automatic(params, i + 1, *box[i], *box[1 - i], hdot[i])
@@ -720,17 +758,17 @@ def step_monotone(
         boost = _PHI_RETRY_FACTOR**retry
         phis = (phi_base[0] * boost, phi_base[1] * boost)
         try:
-            records, new_state, gap = _run_inner(
-                params, solver, cfg, dt, (d, alpha, h_n), bracket, phis,
+            iterates, new_state, gap = _run_inner(
+                params, solver, cfg, dt, (d, alpha, h_n), bracket, iterate0, phis,
                 chain_tol, gap_tol, state.t,
             )
         except _ChainViolation as exc:
             last_exc = exc
             continue
         trace = IterationTrace(
-            records=tuple(records),
+            iterates=tuple(iterates),
             gap=gap,
-            worst_violation=max(r.worst_violation for r in records),
+            worst_violation=max(worst for _, _, worst in iterates),
             phi1=phis[0],
             phi2=phis[1],
             retries=retry,
@@ -751,14 +789,18 @@ def _record(k, u, gap, worst):
     return IterateRecord(k, u[0, 1], u[1, 1], u[0, 0], u[1, 0], gap=gap, worst_violation=worst)
 
 
-def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol, t_start):
+def _run_inner(
+    params, solver, cfg, dt, step, bracket, iterate0, phis, chain_tol, gap_tol, t_start
+):
     """Iterate both sequences of both species from the bracket.
 
     step is (d, alpha, h_n): the species columns and the (species, 1, *grid)
     stack of the step's starting transform. The _Bracket's stacked
-    densities, transform and paired reactions are iterate 0. Returns
-    (records, accepted state, gap) once the gap is within gap_tol; raises
-    _ChainViolation when the chain breaks beyond chain_tol.
+    densities, transform and paired reactions are iterate 0, audited in
+    iterate0 = (bracket.u, gap, worst). Returns (iterates, accepted state,
+    gap), each iterate a (u stack, gap, worst) triple, once the gap is
+    within gap_tol; raises _ChainViolation when the chain breaks beyond
+    chain_tol.
     """
     grid = solver.grid
     d, alpha, h_n = step
@@ -777,11 +819,9 @@ def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol,
     # left, where copies made at the end split the heap between them (on
     # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
     kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
-    gap = float((u[:, 0] - u[:, 1]).max())
-    worst = float((u[:, 1] - u[:, 0]).max())
-    records = [_record(0, u, gap, worst)]
-    if worst > chain_tol:
-        raise _ChainViolation(worst, 0)
+    iterates = [iterate0]
+    if iterate0[2] > chain_tol:
+        raise _ChainViolation(iterate0[2], 0)
 
     for k in range(1, cfg.max_inner_iters + 1):
         if k > 1:
@@ -816,13 +856,13 @@ def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol,
         worst = max(moved, crossed)
 
         u, h = new_u, rhs
-        records.append(_record(k, u, gap, worst))
+        iterates.append((u, gap, worst))
         if worst > chain_tol:
             raise _ChainViolation(worst, k)
         if gap <= gap_tol:
             kept_u[...] = u[:, 1]
             kept_h[...] = h[:, 1]
-            return records, SystemState(t_start + dt, grid, kept_u, kept_h), gap
+            return iterates, SystemState(t_start + dt, grid, kept_u, kept_h), gap
 
     raise ConvergenceError(
         f"inner iteration gap {gap:.3e} above tolerance {gap_tol:.3e} "
@@ -831,14 +871,47 @@ def _run_inner(params, solver, cfg, dt, step, bracket, phis, chain_tol, gap_tol,
     )
 
 
-def _auto_bracket(params, grid, floors, ceilings, kind):
-    """The constant bracket with these per-species floors and ceilings."""
-    u = np.empty((2, 2) + grid.shape)
-    u[:, 0] = _species_column(grid, *ceilings)[:, 0]
-    u[:, 1] = _species_column(grid, *floors)[:, 0]
-    d, alpha = _param_columns(params, grid)
+def _auto_bracket(params, state, dt, floors, ceilings, kind):
+    """The constant bracket with these per-species floors and ceilings for a
+    step of dt from state, its discrete-bound violations measured.
+
+    Everything is first worked out on Python floats: the transform, the
+    paired reactions (each species' ceiling against the other's floor) and
+    each violation, the ceiling's at the species' largest h^n and the
+    floor's at its smallest, where the grid maximum falls. Only then are
+    the stacks filled. A "tight" bracket that is not a discrete bound
+    solution at dt is not built, and None is returned; a "wide" one is
+    always built, and a failing one is rejected by the step, which costs
+    simulate a halving.
+    """
+    p = params
+    (w1, w2), (v1, v2) = ceilings, floors
+    # each species' ceiling against the other's floor, as _paired_reactions pairs them
+    f1_up, f2_lo = _reaction_raw(p, w1, v2)
+    f1_lo, f2_up = _reaction_raw(p, v1, w2)
+    u = ((w1, v1), (w2, v2))
+    f = ((f1_up, f1_lo), (f2_up, f2_lo))
+    per_species = state.h.reshape(2, -1)
+    h_lows, h_highs = per_species.min(axis=1).tolist(), per_species.max(axis=1).tolist()
+    h, violations = [], []
+    for (d, alpha), (up, lo), (f_up, f_lo), h_low, h_high in zip(
+        ((p.d1, p.alpha1), (p.d2, p.alpha2)), u, f, h_lows, h_highs
+    ):
+        h_up, h_lo = _transform_raw(d, alpha, up), _transform_raw(d, alpha, lo)
+        h.append((h_up, h_lo))
+        # _violations' f - (sigma (h - h^n)/dt - lap h) and its signs, with lap h = 0
+        violations.append(max(
+            f_up - _sigma(d, alpha, up) * (h_up - h_high) / dt,
+            (f_lo - _sigma(d, alpha, lo) * (h_lo - h_low) / dt) * -1.0,
+        ))
+    if kind == "tight" and max(violations) > _CHAIN_TOL * max(1.0, *ceilings):
+        return None
+    grid = state.grid
+    stacks = np.empty((3, 2, 2) + grid.shape)
+    stacks[...] = np.array((u, h, f)).reshape((3, 2, 2) + (1,) * grid.dimension)
+    u_stack, h_stack, f_stack = stacks
     # a constant stack's Laplacian is exactly zero
-    return _Bracket(u, _transform_raw(d, alpha, u), _paired_reactions(params, u), 0.0, kind)
+    return _Bracket(u_stack, h_stack, f_stack, 0.0, (floors, ceilings), kind, tuple(violations))
 
 
 def _auto_bracket_feasible(params, state, ceilings, dt):
@@ -853,19 +926,17 @@ def _auto_bracket_feasible(params, state, ceilings, dt):
     return not np.any(lhs < f_plus)
 
 
-def _tight_bracket(params, grid, state, dt, kappa):
+def _tight_bracket(params, state, dt, kappa):
     """The constant bracket [(1-kappa) min u_i, (1+kappa) max u_i] for a step
     of dt from state, with its bound violations measured; None when it is
     not a discrete bound solution there."""
     per_species = state.u.reshape(2, -1)
     lows, highs = per_species.min(axis=1).tolist(), per_species.max(axis=1).tolist()
     shrink = max(0.0, 1.0 - kappa)
-    ceilings = [(1.0 + kappa) * m for m in highs]
-    bracket = _auto_bracket(params, grid, [shrink * m for m in lows], ceilings, "tight")
-    worst = _violations(params, grid, dt, state.h[:, None], bracket)
-    if float(worst.max()) > _CHAIN_TOL * max(1.0, max(ceilings)):
-        return None
-    return bracket._replace(violations=worst)
+    return _auto_bracket(
+        params, state, dt, [shrink * m for m in lows], [(1.0 + kappa) * m for m in highs],
+        "tight",
+    )
 
 
 def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
@@ -916,7 +987,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
             step_bracket = None
             if kappa < 1.0:
-                step_bracket = _tight_bracket(params, grid, state, dt_step, kappa)
+                step_bracket = _tight_bracket(params, state, dt_step, kappa)
             if step_bracket is None:
                 ceilings = (2.0 * state.u.reshape(2, -1).max(axis=1)).tolist()
                 while not _auto_bracket_feasible(params, state, ceilings, dt_step):
@@ -933,7 +1004,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                     dt_step = min(dt, t_end - state.t)
                 if termination == "failed":
                     break
-                step_bracket = _auto_bracket(params, grid, (0.0, 0.0), ceilings, "wide")
+                step_bracket = _auto_bracket(
+                    params, state, dt_step, (0.0, 0.0), ceilings, "wide"
+                )
 
         if dt_step != step_cfg.dt:
             step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)

@@ -19,14 +19,18 @@ from sktlab.errors import (
 )
 from sktlab.grid import Grid, ScalarField, _neumann_bands, principal_eigenpair
 from sktlab.iteration import (
+    _CHAIN_TOL,
     SolverConfig,
     _HelmholtzSolver,
     SystemState,
     _auto_bracket,
     _auto_bracket_feasible,
     _Bracket,
+    _paired_reactions,
+    _param_columns,
     _phi_automatic,
     _tight_bracket,
+    _violations,
     initial_bracket,
     simulate,
     step_monotone,
@@ -291,6 +295,16 @@ class TestStepMonotone:
         assert trace.worst_violation == 0.0
         assert np.all(new_state.u1.values == 0.5)
         assert new_state.t == pytest.approx(1e-3)
+        check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
+
+        # the automatic bracket of zero data is degenerate too
+        zero = SystemState.from_u_arrays(
+            params, grid, 0.0, np.zeros(grid.shape), np.zeros(grid.shape)
+        )
+        wide = _auto_bracket(params, zero, 1e-3, (0.0, 0.0), (0.0, 0.0), "wide")
+        new_state, trace = step_monotone(zero, SolverConfig(dt=1e-3), params, wide)
+        assert trace.bracket == "wide" and np.all(new_state.u == 0.0)
+        check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
 
     def test_state_outside_bracket_rejected(self, setup):
         params, grid, eig, regime, u0 = setup
@@ -327,6 +341,27 @@ class TestStepMonotone:
         _, trace = step_monotone(state, cfg, params, bracket)
         assert trace.phi1 == 50.0
         assert trace.phi2 == 60.0
+
+
+def check_records(trace, ks=None, gaps=None):
+    """Each record views its own iterate's stack, and a second read of
+    trace.records builds equal records."""
+    first, again = trace.records, trace.records
+    assert len(first) == len(again) == len(trace.iterates) == trace.iterations + 1
+    for (stack, gap, worst), rec, rec2 in zip(trace.iterates, first, again):
+        assert (rec.k, repr(rec.gap), repr(rec.worst_violation)) == (
+            rec2.k, repr(rec2.gap), repr(rec2.worst_violation)
+        )
+        assert (repr(rec.gap), repr(rec.worst_violation)) == (repr(gap), repr(worst))
+        for got, got2, want in zip(
+            (rec.v1, rec.v2, rec.w1, rec.w2), (rec2.v1, rec2.v2, rec2.w1, rec2.w2),
+            (stack[0, 1], stack[1, 1], stack[0, 0], stack[1, 0]),
+        ):
+            assert np.shares_memory(got, stack) and np.shares_memory(got2, stack)
+            assert np.array_equal(got, want) and np.array_equal(got2, want)
+    assert [r.k for r in first] == (ks if ks is not None else list(range(len(first))))
+    if gaps is not None:
+        assert [r.gap for r in first] == gaps
 
 
 def bracket_arrays(bracket):
@@ -480,13 +515,15 @@ def drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed):
     return params, grid, (u1, u2), state
 
 
-def wide_bracket(params, grid, state, dt):
+def wide_bracket(params, state, dt):
     """The zero-floor bracket at twice the peaks, halving dt as simulate does
-    until the ceiling is a bound solution; returns (bracket, dt)."""
+    until the ceiling is a bound solution; returns (bracket, dt). The ceiling
+    check only loosens as dt shrinks, so from a dt it passed at, the bracket
+    is built at that same dt."""
     ceilings = (2.0 * float(state.u1.values.max()), 2.0 * float(state.u2.values.max()))
     while not _auto_bracket_feasible(params, state, ceilings, dt):
         dt /= 2.0
-    return _auto_bracket(params, grid, (0.0, 0.0), ceilings, "wide"), dt
+    return _auto_bracket(params, state, dt, (0.0, 0.0), ceilings, "wide"), dt
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.0), (0.5, 0.2)])
@@ -514,6 +551,92 @@ def test_wide_ceiling_check_matches_per_species_loop(alphas):
             assert _auto_bracket_feasible(params, state, ceilings, dt) is want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def stacked_constant_bracket(params, grid, floors, ceilings, kind):
+    """A constant bracket evaluated as whole stacks, the reference for
+    _auto_bracket's float-built one."""
+    column = (2,) + (1,) * grid.dimension
+    u = np.empty((2, 2) + grid.shape)
+    u[:, 0] = np.reshape(ceilings, column)
+    u[:, 1] = np.reshape(floors, column)
+    d, alpha = _param_columns(params, grid)
+    return _Bracket(
+        u, _transform_raw(d, alpha, u), np.array(_paired_reactions(params, u)), 0.0,
+        (floors, ceilings), kind,
+    )
+
+
+def bracket_data(grid, seed, kind):
+    """Nonnegative data of one kind: 'constant', 'zero', 'holes' (exact
+    zeros), 'signed' (zeros of both signs) or 'positive'."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.0, 2.0, grid.shape)
+    if kind == "constant":
+        vals[...] = vals.flat[0]
+    elif kind == "zero":
+        vals[...] = 0.0
+    elif kind == "holes":
+        vals[rng.random(grid.shape) < 0.3] = 0.0
+    elif kind == "signed":
+        vals[rng.random(grid.shape) < 0.5] = -0.0
+        vals[rng.random(grid.shape) < 0.3] = 0.0
+    return vals
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    alphas=st.sampled_from(["zero", "positive", "mixed"]),
+    alpha=st.floats(0.05, 1.0),
+    coeffs=st.lists(st.floats(0.2, 3.0), min_size=8, max_size=8),
+    dims=st.one_of(
+        st.tuples(st.integers(3, 40)), st.tuples(st.integers(3, 12), st.integers(3, 12))
+    ),
+    kinds=st.tuples(*[st.sampled_from(["constant", "zero", "holes", "signed", "positive"])] * 2),
+    kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_built_bracket_matches_stacked(alphas, alpha, coeffs, dims, kinds, kappa, seed):
+    # _auto_bracket works out a constant bracket's corners and violations on
+    # floats; the same floors and ceilings evaluated as whole stacks must give
+    # the same stacks bit for bit, the same violations and the same verdict
+    a1, a2 = {"zero": (0.0, 0.0), "positive": (alpha, 0.5 * alpha),
+              "mixed": (0.0, alpha) if seed % 2 else (alpha, 0.0)}[alphas]
+    d1, d2, ca1, ca2, b1, b2, c1, c2 = coeffs
+    params = ModelParams(
+        d1=d1, d2=d2, alpha1=a1, alpha2=a2, a1=ca1, a2=ca2, b1=b1, b2=b2, c1=c1, c2=c2
+    )
+    grid = Grid.interval(2.0, dims[0]) if len(dims) == 1 else Grid.rectangle(2.0, 3.0, *dims)
+    state = SystemState.from_u_arrays(
+        params, grid, 0.0, bracket_data(grid, seed, kinds[0]),
+        bracket_data(grid, seed + 1, kinds[1]),
+    )
+    flat = state.u.reshape(2, -1)
+    lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
+    shrink = max(0.0, 1.0 - kappa)
+    cases = (
+        ("tight", [shrink * m for m in lows], [(1.0 + kappa) * m for m in highs]),
+        ("wide", [0.0, 0.0], [2.0 * m for m in highs]),
+    )
+    for dt in (1e-8, 1e-4, 1e-1, 10.0):
+        for kind, floors, ceilings in cases:
+            ref = stacked_constant_bracket(params, grid, floors, ceilings, kind)
+            want = _violations(params, grid, dt, state.h[:, None], ref)
+            admitted = not float(want.max()) > _CHAIN_TOL * max(1.0, max(ceilings))
+            got = _auto_bracket(params, state, dt, floors, ceilings, kind)
+            if kind == "tight":
+                assert (_tight_bracket(params, state, dt, kappa) is not None) is admitted
+                if got is None:
+                    assert not admitted
+                    continue
+            assert got.kind == kind and got.lap_h == 0.0
+            assert got.box == (floors, ceilings)
+            for built, stacked in ((got.u, ref.u), (got.h, ref.h), (got.f, ref.f)):
+                assert built.shape == stacked.shape
+                assert np.array_equal(built, stacked)
+                assert np.array_equal(np.signbit(built), np.signbit(stacked))
+            assert len(got.violations) == 2
+            assert all(a == b for a, b in zip(got.violations, want.tolist()))
 
 
 def check_chain_and_zeros(trace, new_state, data, scale):
@@ -570,6 +693,7 @@ class TestStackedStepMatchesReference:
             # repr also tells +0.0 from -0.0
             assert repr(rec.gap) == repr(ref[4])
             assert repr(rec.worst_violation) == repr(ref[5])
+        check_records(trace)
         (v1, v2), (h1, h2) = accepted
         for got, want in zip(
             (new_state.u1, new_state.u2, new_state.h1, new_state.h2), (v1, v2, h1, h2)
@@ -584,8 +708,13 @@ class TestStackedStepMatchesReference:
     @given(**STEP_DRAWS)
     def test_auto_bracket_steps(self, alphas, alpha, coeffs, dims, length, kinds, seed, dt):
         params, grid, (u1, u2), state = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
-        bracket, dt = wide_bracket(params, grid, state, dt)
-        new_state, trace, _ = self.check(params, grid, state, bracket, dt)
+        _, dt = wide_bracket(params, state, dt)
+
+        def wide(dt):
+            # the bracket's violations are measured at the dt it is built for
+            return wide_bracket(params, state, dt)[0]
+
+        new_state, trace, _ = self.check(params, grid, state, wide, dt)
         assert trace.bracket == "wide"
         scale = max(2.0 * u1.max(), 2.0 * u2.max())
         check_chain_and_zeros(trace, new_state, (u1, u2), scale)
@@ -597,11 +726,11 @@ class TestStackedStepMatchesReference:
         # its discrete-bound test with dt halved until it passes (simulate
         # would fall back to the wide bracket instead)
         params, grid, (u1, u2), state = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
-        _, dt = wide_bracket(params, grid, state, dt)
+        _, dt = wide_bracket(params, state, dt)
         kappa = 3.0 * SolverConfig(dt=dt).growth_trigger
 
         def tight(dt):
-            return _tight_bracket(params, grid, state, dt, kappa)
+            return _tight_bracket(params, state, dt, kappa)
 
         new_state, trace, dt = self.check(params, grid, state, tight, dt)
         assert trace.bracket == "tight"
@@ -609,7 +738,7 @@ class TestStackedStepMatchesReference:
         check_chain_and_zeros(trace, new_state, (u1, u2), scale)
 
         # the wide bracket at the same dt pinches the same step solution
-        wide, wide_dt = wide_bracket(params, grid, state, dt)
+        wide, wide_dt = wide_bracket(params, state, dt)
         assert wide_dt == dt
         cfg = SolverConfig(dt=dt)
         wide_state, _ = step_monotone(state, cfg, params, wide)
@@ -1025,7 +1154,7 @@ class TestSimulate:
         u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
         cfg = SolverConfig(dt=0.1, max_halvings=0)
         state = SystemState.from_u(params, 0.0, *u0)
-        assert _tight_bracket(params, grid, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
+        assert _tight_bracket(params, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
         result = simulate(params, grid, eig, u0, cfg, 0.1)
         assert result.termination == "completed"
         assert result.halvings_used == 0
