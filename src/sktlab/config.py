@@ -31,18 +31,7 @@ _FORMATS = ("csv", "json")
 _SECTION_KEYS = {
     "model": set(_PARAM_KEYS),
     "grid": {"dim", "lx", "ly", "nx", "ny"},
-    "solver": {
-        "dt",
-        "t_end",
-        "phi1",
-        "phi2",
-        "inner_tol",
-        "max_inner_iters",
-        "overflow_cap",
-        "snapshot_every",
-        "growth_trigger",
-        "max_halvings",
-    },
+    "solver": {"t_end", *(f.name for f in dataclasses.fields(SolverConfig))},
     "initial": {"kind", "u1", "u2", "scale1", "scale2"},
     "blowup": {"mu1", "mu2", "lambda0_mode", "search_resolution"},
     "output": {"directory", "snapshot_every", "formats"},
@@ -260,13 +249,14 @@ def _build_grid(view: _SectionView) -> Grid:
 
 
 def _build_solver(view: _SectionView):
-    kwargs = {"dt": view.float("dt", required=True)}
-    for key in ("phi1", "phi2", "inner_tol", "overflow_cap", "growth_trigger"):
-        if view.has(key):
-            kwargs[key] = view.float(key)
-    for key in ("max_inner_iters", "snapshot_every", "max_halvings"):
-        if view.has(key):
-            kwargs[key] = view.int(key)
+    # every SolverConfig field is a key, parsed by its annotation ("int" or
+    # "float"); a field without a default, dt, is required
+    kwargs = {}
+    for field in dataclasses.fields(SolverConfig):
+        required = field.default is dataclasses.MISSING
+        if required or view.has(field.name):
+            read = view.int if field.type in ("int", int) else view.float
+            kwargs[field.name] = read(field.name, required=required)
     t_end = view.float("t_end") if view.has("t_end") else None
     if t_end is not None and not t_end > 0.0:
         raise ConfigError(

@@ -54,9 +54,8 @@ largest h^n and its floor violation only at the smallest. That is exact,
 not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
-reduces to. A tight bracket that fails is never stacked; an admitted one,
-and every wide one, is filled into its stacks and reaches the step with
-its violations measured.
+reduces to. A bracket that fails is never stacked; an admitted one is
+filled into its stacks and reaches the step with its violations measured.
 
 A SystemState holds the same species axis without the sequence one: a
 (2, *grid) density stack u and its transform h, row 0 species 1. A state is
@@ -86,18 +85,20 @@ certified (lower, upper) bracket is stacked once and reused by every step,
 with its transform and reactions. Without one, each step first tries a tight
 constant bracket [(1-kappa) min u_i, (1+kappa) max u_i], with kappa =
 max(3*growth_trigger, 2*g) and g the last accepted step's relative change
-of the per-species sup norms. It is admitted only when it passes the same
-discrete-bound test the step applies to every bracket. Otherwise, or when
-kappa >= 1, the step uses the wide bracket [0, 2 max u_i]. Each trace
-records which of "window", "tight" and "wide" it ran in.
+of the per-species sup norms, then the wide bracket [0, 2 max u_i]; when
+kappa >= 1 only the wide one. Both are built by _constant_bracket and
+admitted only when they pass the discrete-bound test the step applies to
+every bracket. Each trace records which of "window", "tight" and "wide" it
+ran in.
 
-A shared dt-halving budget is spent on three triggers: a wide ceiling that
-is not yet a bound solution at the current dt, inner-iteration failures, and
-per-step growth beyond growth_trigger (the step is redone at the halved dt).
-A tight bracket that fails its test costs no halving: the step falls back
-to the wide one. Overflow of either species past overflow_cap terminates
-the run with the offending state preserved separately from the sub-cap
-snapshots.
+dt is halved in one place, out of a shared budget, for one of three
+causes: no bracket passes at the current dt, the step raises (the chain
+breaks after every shift escalation, or the gap does not close), or a sup
+norm grows past growth_trigger, checked only while the budget lasts. The
+attempt is then made again at the halved dt, tight bracket first. A tight
+bracket that fails its test costs no halving: the step falls back to the
+wide one. Overflow of either species past overflow_cap terminates the run
+with the offending state preserved separately from the sub-cap snapshots.
 """
 
 from __future__ import annotations
@@ -185,13 +186,12 @@ class SystemState:
 class SolverConfig:
     """Knobs of the inner iteration and the time-stepping driver.
 
-    phi1/phi2 override the per-step automatic shift when set; leaving them
-    None lets each step derive a shift from the bracket (recommended).
+    Each step derives its shift phi from its bracket (_phi_automatic), so
+    no shift is configured. The int and float fields here are also the
+    config file's [solver] keys.
     """
 
     dt: float
-    phi1: float | None = None
-    phi2: float | None = None
     inner_tol: float = 1e-10
     max_inner_iters: int = 500
     overflow_cap: float = 1e8
@@ -202,10 +202,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        for name in ("phi1", "phi2"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive when set, got {v}")
         if not (self.inner_tol > 0.0):
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
         if self.max_inner_iters < 1:
@@ -415,23 +411,22 @@ def _phi_automatic(params, i, m_own, big_own, m_other, big_other, hdot):
     return 1.0 + mf * q_slope + lag
 
 
-def _hdot_scales(params, grid, u, h, wanted):
+def _hdot_scales(params, grid, u, h):
     """Safety-factored sup bounds on the transformed variables' time derivatives.
 
-    u and h are (species, *grid) stacks. Only the species flagged in
-    `wanted` get a bound, the others 0.0; all bounds share one reaction
-    evaluation and one Laplacian.
+    u and h are (species, *grid) stacks. Only a species with alpha_i != 0,
+    whose shift needs the lag term, gets a bound, the others 0.0; all
+    bounds share one reaction evaluation and one Laplacian.
     """
-    if not any(wanted):
+    alphas = (params.alpha1, params.alpha2)
+    if not any(alphas):
         return (0.0, 0.0)
     fs = _reaction_raw(params, u[0], u[1])
     laps = _lap_array(grid, h)
     return tuple(
         1.5 * float(np.abs((d + 2.0 * alpha * u[i]) * (laps[i] + fs[i])).max())
-        if want else 0.0
-        for i, (want, d, alpha) in enumerate(
-            zip(wanted, (params.d1, params.d2), (params.alpha1, params.alpha2))
-        )
+        if alpha != 0.0 else 0.0
+        for i, (d, alpha) in enumerate(zip((params.d1, params.d2), alphas))
     )
 
 
@@ -712,16 +707,6 @@ def step_monotone(
         float((u0[:, 1] - u0[:, 0]).max()),
     )
 
-    # exactly degenerate bracket, every ceiling equal to its floor: the
-    # common value is the step solution
-    if iterate0[1] == 0.0 and iterate0[2] == 0.0:
-        new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), bracket.h[:, 1].copy())
-        trace = IterationTrace(
-            iterates=((u0, 0.0, 0.0),) * 2, gap=0.0, worst_violation=0.0,
-            phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
-        )
-        return new_state, trace
-
     # one-shot feasibility of the bracket endpoints as discrete bound
     # solutions, unless simulate has just measured it for this step
     infeasible = bracket.violations
@@ -737,17 +722,20 @@ def step_monotone(
                 iterate=0,
             )
 
-    cfg_phis = (cfg.phi1, cfg.phi2)
-    alphas = (params.alpha1, params.alpha2)
-    hdot = _hdot_scales(
-        params, grid, state.u, state.h,
-        [phi is None and a != 0.0 for phi, a in zip(cfg_phis, alphas)],
-    )
+    # exactly degenerate bound solution, every ceiling equal to its floor:
+    # the common value is the step solution
+    if iterate0[1] == 0.0 and iterate0[2] == 0.0:
+        new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), bracket.h[:, 1].copy())
+        trace = IterationTrace(
+            iterates=((u0, 0.0, 0.0),) * 2, gap=0.0, worst_violation=0.0,
+            phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
+        )
+        return new_state, trace
+
+    hdot = _hdot_scales(params, grid, state.u, state.h)
     box = list(zip(floors, ceilings))
     phi_base = [
-        phi if phi is not None
-        else _phi_automatic(params, i + 1, *box[i], *box[1 - i], hdot[i])
-        for i, phi in enumerate(cfg_phis)
+        _phi_automatic(params, i + 1, *box[i], *box[1 - i], hdot[i]) for i in (0, 1)
     ]
 
     d, alpha = _param_columns(params, grid)
@@ -873,16 +861,14 @@ def _run_inner(
 
 def _auto_bracket(params, state, dt, floors, ceilings, kind):
     """The constant bracket with these per-species floors and ceilings for a
-    step of dt from state, its discrete-bound violations measured.
+    step of dt from state, its discrete-bound violations measured; None
+    when _auto_bracket_feasible rejects them.
 
     Everything is first worked out on Python floats: the transform, the
     paired reactions (each species' ceiling against the other's floor) and
     each violation, the ceiling's at the species' largest h^n and the
-    floor's at its smallest, where the grid maximum falls. Only then are
-    the stacks filled. A "tight" bracket that is not a discrete bound
-    solution at dt is not built, and None is returned; a "wide" one is
-    always built, and a failing one is rejected by the step, which costs
-    simulate a halving.
+    floor's at its smallest, where the grid maximum falls. Only an admitted
+    bracket's stacks are filled.
     """
     p = params
     (w1, w2), (v1, v2) = ceilings, floors
@@ -904,7 +890,7 @@ def _auto_bracket(params, state, dt, floors, ceilings, kind):
             f_up - _sigma(d, alpha, up) * (h_up - h_high) / dt,
             (f_lo - _sigma(d, alpha, lo) * (h_lo - h_low) / dt) * -1.0,
         ))
-    if kind == "tight" and max(violations) > _CHAIN_TOL * max(1.0, *ceilings):
+    if not _auto_bracket_feasible(violations, ceilings):
         return None
     grid = state.grid
     stacks = np.empty((3, 2, 2) + grid.shape)
@@ -914,44 +900,48 @@ def _auto_bracket(params, state, dt, floors, ceilings, kind):
     return _Bracket(u_stack, h_stack, f_stack, 0.0, (floors, ceilings), kind, tuple(violations))
 
 
-def _auto_bracket_feasible(params, state, ceilings, dt):
-    """Each ceiling N must satisfy sigma(N)(P(N) - h^n)/dt >= f_i(N) with the
-    competing species dropped (its contribution is nonpositive)."""
-    p = params
-    d, alpha = np.array((p.d1, p.d2)), np.array((p.alpha1, p.alpha2))
-    n = np.array(ceilings)
-    h_max = state.h.reshape(2, -1).max(axis=1)
-    lhs = _sigma(d, alpha, n) * (_transform_raw(d, alpha, n) - h_max) / dt
-    f_plus = n * (-np.array((p.a1, p.a2)) + np.array((p.b1, p.c2)) * n)
-    return not np.any(lhs < f_plus)
+def _auto_bracket_feasible(violations, ceilings):
+    """The step's own admission test: every discrete-bound violation within
+    the chain tolerance at the bracket's scale."""
+    return max(violations) <= _CHAIN_TOL * max(1.0, *ceilings)
 
 
-def _tight_bracket(params, state, dt, kappa):
-    """The constant bracket [(1-kappa) min u_i, (1+kappa) max u_i] for a step
-    of dt from state, with its bound violations measured; None when it is
-    not a discrete bound solution there."""
+def _constant_bracket(params, state, dt, kappa):
+    """The automatic constant bracket for a step of dt from state, or None
+    when it is not a discrete bound solution there.
+
+    kappa < 1 gives the tight bracket [(1-kappa) min u_i, (1+kappa) max u_i],
+    kappa = 1 the wide one [0, 2 max u_i].
+    """
     per_species = state.u.reshape(2, -1)
-    lows, highs = per_species.min(axis=1).tolist(), per_species.max(axis=1).tolist()
-    shrink = max(0.0, 1.0 - kappa)
-    return _auto_bracket(
-        params, state, dt, [shrink * m for m in lows], [(1.0 + kappa) * m for m in highs],
-        "tight",
-    )
+    highs = per_species.max(axis=1).tolist()
+    ceilings = [(1.0 + kappa) * m for m in highs]
+    if kappa >= 1.0:
+        # the literal +0.0: (1 - kappa) * -0.0 would be -0.0
+        return _auto_bracket(params, state, dt, [0.0, 0.0], ceilings, "wide")
+    lows = per_species.min(axis=1).tolist()
+    floors = [(1.0 - kappa) * m for m in lows]
+    return _auto_bracket(params, state, dt, floors, ceilings, "tight")
 
 
 def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
     """March step_monotone from u0 to t_end, or to overflow, or to failure.
 
     With `bracket` given (a certified (lower, upper) pair) every step reuses
-    it. Otherwise each step first tries the tight constant bracket
+    it. Otherwise each attempt first tries the tight constant bracket
     [(1-kappa) min u_i, (1+kappa) max u_i], kappa = max(3*growth_trigger,
     2*g) with g the last accepted step's relative sup-norm change, and takes
     it when it is a discrete bound solution at the current dt. When it is
-    not, or when kappa >= 1, the step falls back, at no cost to the halving
-    budget, to the wide zero-floor bracket with ceiling 2*max(u_i), halving
-    dt out of the shared budget until that ceiling is a discrete bound
-    solution. Unrecoverable step errors end the run with termination
-    "failed" rather than raising, so partial output survives.
+    not, or when kappa >= 1, the attempt falls back, at no cost to the
+    halving budget, to the wide zero-floor bracket with ceiling 2*max(u_i),
+    under the same test.
+
+    An attempt is rejected when no bracket passes, when the step raises, or
+    when, while halvings remain, a sup norm grows past growth_trigger. Each
+    rejection halves dt, spends one halving and starts the attempt again,
+    tight bracket first. A rejection with the budget spent ends the run with
+    termination "failed" and the error kept, rather than raising, so partial
+    output survives.
     """
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -980,66 +970,55 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
         dt_step = min(dt, t_end - state.t)
+        if step_cfg.dt != dt_step:
+            step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
 
+        # one attempt: the step, or the reason to redo it at half the dt
+        rejection = None
         if bracket is not None:
             step_bracket = window
         else:
             kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
-            step_bracket = None
-            if kappa < 1.0:
-                step_bracket = _tight_bracket(params, state, dt_step, kappa)
+            step_bracket = _constant_bracket(params, state, dt_step, min(kappa, 1.0))
+            if step_bracket is None and kappa < 1.0:
+                step_bracket = _constant_bracket(params, state, dt_step, 1.0)
             if step_bracket is None:
-                ceilings = (2.0 * state.u.reshape(2, -1).max(axis=1)).tolist()
-                while not _auto_bracket_feasible(params, state, ceilings, dt_step):
-                    if halvings >= cfg.max_halvings:
-                        termination = "failed"
-                        error = ConvergenceError(
-                            "no feasible step ceiling at the minimum dt "
-                            f"({dt_step:.3e}); state max "
-                            f"{max(norms):.3e}"
-                        )
-                        break
-                    dt = dt / 2.0
-                    halvings += 1
-                    dt_step = min(dt, t_end - state.t)
-                if termination == "failed":
-                    break
-                step_bracket = _auto_bracket(
-                    params, state, dt_step, (0.0, 0.0), ceilings, "wide"
+                rejection = ConvergenceError(
+                    f"no feasible step ceiling at the minimum dt ({dt_step:.3e}); "
+                    f"state max {max(norms):.3e}"
                 )
-
-        if dt_step != step_cfg.dt:
-            step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
-        try:
-            new_state, trace = step_monotone(state, step_cfg, params, step_bracket, solver)
-        except (ConvergenceError, OrderingViolationError) as exc:
-            if halvings < cfg.max_halvings:
-                dt = dt / 2.0
-                halvings += 1
-                continue
-            termination = "failed"
-            error = exc
-            break
-
-        m1, m2 = new_state.sup_norms()
-        finite = np.isfinite(m1) and np.isfinite(m2)
-        if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
-            termination = "overflowed"
-            overflow_time = new_state.t
-            final_state = (
-                new_state if finite else dataclasses.replace(new_state, overflowed=True)
-            )
-            break
-
-        if halvings < cfg.max_halvings:
+        if rejection is None:
+            try:
+                new_state, trace = step_monotone(state, step_cfg, params, step_bracket, solver)
+            except (ConvergenceError, OrderingViolationError) as exc:
+                rejection = exc
+        if rejection is None:
+            m1, m2 = new_state.sup_norms()
+            finite = np.isfinite(m1) and np.isfinite(m2)
+            if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
+                termination = "overflowed"
+                overflow_time = new_state.t
+                final_state = (
+                    new_state if finite else dataclasses.replace(new_state, overflowed=True)
+                )
+                break
+            # growth is checked only while the halving budget lasts, so this
+            # cause never ends the run
             p1, p2 = norms
-            grew = (p1 > 0.0 and m1 > (1.0 + cfg.growth_trigger) * p1) or (
-                p2 > 0.0 and m2 > (1.0 + cfg.growth_trigger) * p2
-            )
-            if grew:
-                dt = dt / 2.0
-                halvings += 1
-                continue
+            if halvings < cfg.max_halvings and (
+                (p1 > 0.0 and m1 > (1.0 + cfg.growth_trigger) * p1)
+                or (p2 > 0.0 and m2 > (1.0 + cfg.growth_trigger) * p2)
+            ):
+                rejection = "growth"
+
+        if rejection is not None:
+            if halvings >= cfg.max_halvings:
+                termination = "failed"
+                error = rejection
+                break
+            dt = dt / 2.0
+            halvings += 1
+            continue
 
         growth = max(
             (abs(m - p) / p for m, p in zip((m1, m2), norms) if p > 0.0), default=0.0

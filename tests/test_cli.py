@@ -116,6 +116,9 @@ class TestConfigErrors:
     def test_unknown_key_named(self, capsys, tmp_path, conf):
         text = CERT_CONFIG + "\n[blowup]\nbogus_knob = 1\n"
         self.check(capsys, text, tmp_path, conf, "[blowup] bogus_knob: unknown key")
+        # the shift is derived per step, not configured
+        text = CERT_CONFIG.replace("[solver]\n", "[solver]\nphi1 = 5.0\n")
+        self.check(capsys, text, tmp_path, conf, "[solver] phi1: unknown key")
 
     def test_unknown_section_named(self, capsys, tmp_path, conf):
         self.check(capsys, CERT_CONFIG + "\n[plotting]\n", tmp_path, conf, "[plotting]")

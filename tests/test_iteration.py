@@ -26,10 +26,10 @@ from sktlab.iteration import (
     _auto_bracket,
     _auto_bracket_feasible,
     _Bracket,
+    _constant_bracket,
     _paired_reactions,
     _param_columns,
     _phi_automatic,
-    _tight_bracket,
     _violations,
     initial_bracket,
     simulate,
@@ -126,7 +126,6 @@ class TestSolverConfig:
         cfg = SolverConfig(dt=1e-3)
         assert cfg.inner_tol == 1e-10
         assert cfg.max_inner_iters == 500
-        assert cfg.phi1 is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -134,8 +133,8 @@ class TestSolverConfig:
             {"dt": 0.0},
             {"dt": -1.0},
             {"dt": float("nan")},
-            {"dt": 1e-3, "phi1": 0.0},
-            {"dt": 1e-3, "phi2": -2.0},
+            {"dt": 1e-3, "inner_tol": float("nan")},
+            {"dt": 1e-3, "overflow_cap": -1.0},
             {"dt": 1e-3, "inner_tol": 0.0},
             {"dt": 1e-3, "max_inner_iters": 0},
             {"dt": 1e-3, "overflow_cap": 0.0},
@@ -281,19 +280,26 @@ class TestStepMonotone:
 
     def test_degenerate_bracket_short_circuits(self, setup):
         params, grid, eig, regime, _ = setup
+        # a degenerate bracket is the step solution only when it is a bound
+        # solution: the constant (0.5, 0.4) is not one (violations 0.1, 0.18)
         same = SystemState.from_u_arrays(
             params, grid, 0.0, np.full(grid.shape, 0.5), np.full(grid.shape, 0.4)
         )
-        state = SystemState.from_u_arrays(
-            params, grid, 0.0, np.full(grid.shape, 0.5), np.full(grid.shape, 0.4)
+        with pytest.raises(OrderingViolationError, match="not a discrete bound"):
+            step_monotone(same, SolverConfig(dt=1e-3), params, (same, same))
+
+        # the stationary pair (2/3, 2/3) is, to round-off (3.7e-17 and -0.0)
+        third2 = 2.0 / 3.0
+        same = SystemState.from_u_arrays(
+            params, grid, 0.0, np.full(grid.shape, third2), np.full(grid.shape, third2)
         )
         new_state, trace = step_monotone(
-            state, SolverConfig(dt=1e-3), params, (same, same)
+            same, SolverConfig(dt=1e-3), params, (same, same)
         )
         assert trace.iterations == 1
         assert trace.gap == 0.0
         assert trace.worst_violation == 0.0
-        assert np.all(new_state.u1.values == 0.5)
+        assert np.all(new_state.u == third2)
         assert new_state.t == pytest.approx(1e-3)
         check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
 
@@ -301,7 +307,7 @@ class TestStepMonotone:
         zero = SystemState.from_u_arrays(
             params, grid, 0.0, np.zeros(grid.shape), np.zeros(grid.shape)
         )
-        wide = _auto_bracket(params, zero, 1e-3, (0.0, 0.0), (0.0, 0.0), "wide")
+        wide = _constant_bracket(params, zero, 1e-3, 1.0)
         new_state, trace = step_monotone(zero, SolverConfig(dt=1e-3), params, wide)
         assert trace.bracket == "wide" and np.all(new_state.u == 0.0)
         check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
@@ -333,14 +339,25 @@ class TestStepMonotone:
         with pytest.raises(OrderingViolationError, match="not a discrete bound"):
             step_monotone(state, SolverConfig(dt=1e-3), params, bad)
 
-    def test_phi_override_respected(self, setup):
-        params, grid, eig, regime, u0 = setup
-        bracket = initial_bracket(params, eig, u0, regime)
-        state = SystemState.from_u(params, 0.0, *u0)
-        cfg = SolverConfig(dt=1e-3, phi1=50.0, phi2=60.0)
-        _, trace = step_monotone(state, cfg, params, bracket)
-        assert trace.phi1 == 50.0
-        assert trace.phi2 == 60.0
+    def test_shift_retries_escalate(self, setup, monkeypatch):
+        # a shift too small to keep the chain ordered is multiplied by 8 per
+        # retry: 0.1 holds at the second retry, 1e-6 never does
+        params, _, _, _, _ = setup
+        grid = Grid.interval(np.pi, 17)
+        state = SystemState.from_u_arrays(
+            params, grid, 0.0, 0.2 + 0.1 * np.cos(grid.xs), 0.3 + 0.05 * np.cos(2 * grid.xs)
+        )
+        cfg = SolverConfig(dt=1e-3)
+        wide = _constant_bracket(params, state, cfg.dt, 1.0)
+        monkeypatch.setattr(sktlab.iteration, "_phi_automatic", lambda *args: 0.1)
+        new_state, trace = step_monotone(state, cfg, params, wide)
+        assert trace.retries == 2
+        assert trace.phi1 == trace.phi2 == 0.1 * 8.0**2
+        check_chain_and_zeros(trace, new_state, state.u, max(wide.box[1]))
+
+        monkeypatch.setattr(sktlab.iteration, "_phi_automatic", lambda *args: 1e-6)
+        with pytest.raises(OrderingViolationError, match="after 3 shift escalations"):
+            step_monotone(state, cfg, params, wide)
 
 
 def check_records(trace, ks=None, gaps=None):
@@ -517,40 +534,47 @@ def drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed):
 
 def wide_bracket(params, state, dt):
     """The zero-floor bracket at twice the peaks, halving dt as simulate does
-    until the ceiling is a bound solution; returns (bracket, dt). The ceiling
-    check only loosens as dt shrinks, so from a dt it passed at, the bracket
-    is built at that same dt."""
-    ceilings = (2.0 * float(state.u1.values.max()), 2.0 * float(state.u2.values.max()))
-    while not _auto_bracket_feasible(params, state, ceilings, dt):
+    until it is a bound solution; returns (bracket, dt). Its test only
+    loosens as dt shrinks, so from a dt it passed at, the bracket is built at
+    that same dt."""
+    while (bracket := _constant_bracket(params, state, dt, 1.0)) is None:
         dt /= 2.0
-    return _auto_bracket(params, state, dt, (0.0, 0.0), ceilings, "wide"), dt
+    return bracket, dt
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.0), (0.5, 0.2)])
 def test_wide_ceiling_check_matches_per_species_loop(alphas):
-    # each ceiling N_i is a bound when sigma(N)(P(N) - max h_i)/dt >= f_i(N)
-    # with the other species dropped; the check runs on both species at once
+    # the wide bracket's floors hold at any dt, so it is admitted exactly when
+    # each ceiling N_i = 2 max u_i satisfies sigma(N)(P(N) - max h_i)/dt >=
+    # f_i(N) with the other species at its zero floor
     params = certified_params(alpha1=alphas[0], alpha2=alphas[1])
     grid = Grid.interval(np.pi, 9)
-    state = SystemState.from_u_arrays(
-        params, grid, 0.0, 1.2 + 0.1 * np.cos(grid.xs), np.full(grid.shape, 0.8)
-    )
     p = params
-    cases = (
-        (p.d1, p.alpha1, state.h1.values.max(), lambda n: n * (-p.a1 + p.b1 * n)),
-        (p.d2, p.alpha2, state.h2.values.max(), lambda n: n * (-p.a2 + p.c2 * n)),
-    )
+    f_plus = (lambda n: n * (-p.a1 + p.b1 * n), lambda n: n * (-p.a2 + p.c2 * n))
     verdicts = set()
-    for factor in (1.0, 1.01, 1.1, 1.5, 2.0, 4.0):
-        ceilings = (factor * 1.3, factor * 0.8)
+    for factor in (0.5, 0.505, 0.55, 0.75, 1.0, 2.0):
+        state = SystemState.from_u_arrays(
+            params, grid, 0.0, factor * (1.2 + 0.1 * np.cos(grid.xs)),
+            np.full(grid.shape, factor * 0.8),
+        )
+        ceilings = [2.0 * m for m in state.u.max(axis=1).tolist()]
         for dt in (1e-3, 1e-2, 0.1, 1.0):
             want = all(
-                1.0 / (d + 2.0 * alpha * n) * ((d + alpha * n) * n - h_max) / dt >= f_plus(n)
-                for (d, alpha, h_max, f_plus), n in zip(cases, ceilings)
+                1.0 / (d + 2.0 * alpha * n) * ((d + alpha * n) * n - h_max) / dt >= f(n)
+                for d, alpha, h_max, f, n in zip(
+                    (p.d1, p.d2), (p.alpha1, p.alpha2), state.h.max(axis=1), f_plus, ceilings
+                )
             )
-            assert _auto_bracket_feasible(params, state, ceilings, dt) is want
+            bracket = _constant_bracket(params, state, dt, 1.0)
+            assert (bracket is not None) is want
+            if want:
+                assert bracket.kind == "wide" and bracket.box == ([0.0, 0.0], ceilings)
             verdicts.add(want)
     assert verdicts == {True, False}
+    # the admission test is the step's own: violations up to the chain
+    # tolerance at the bracket's scale, here 2.4
+    assert _auto_bracket_feasible([2.4 * _CHAIN_TOL, -1.0], [2.4, 1.6])
+    assert not _auto_bracket_feasible([2.5 * _CHAIN_TOL, -1.0], [2.4, 1.6])
 
 
 def stacked_constant_bracket(params, grid, floors, ceilings, kind):
@@ -613,24 +637,23 @@ def test_float_built_bracket_matches_stacked(alphas, alpha, coeffs, dims, kinds,
     )
     flat = state.u.reshape(2, -1)
     lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
-    shrink = max(0.0, 1.0 - kappa)
     cases = (
-        ("tight", [shrink * m for m in lows], [(1.0 + kappa) * m for m in highs]),
-        ("wide", [0.0, 0.0], [2.0 * m for m in highs]),
+        ("tight", kappa, [(1.0 - kappa) * m for m in lows], [(1.0 + kappa) * m for m in highs]),
+        ("wide", 1.0, [0.0, 0.0], [2.0 * m for m in highs]),
     )
     for dt in (1e-8, 1e-4, 1e-1, 10.0):
-        for kind, floors, ceilings in cases:
+        for kind, k, floors, ceilings in cases:
             ref = stacked_constant_bracket(params, grid, floors, ceilings, kind)
             want = _violations(params, grid, dt, state.h[:, None], ref)
-            admitted = not float(want.max()) > _CHAIN_TOL * max(1.0, max(ceilings))
+            admitted = float(want.max()) <= _CHAIN_TOL * max(1.0, max(ceilings))
             got = _auto_bracket(params, state, dt, floors, ceilings, kind)
-            if kind == "tight":
-                assert (_tight_bracket(params, state, dt, kappa) is not None) is admitted
-                if got is None:
-                    assert not admitted
-                    continue
-            assert got.kind == kind and got.lap_h == 0.0
-            assert got.box == (floors, ceilings)
+            constant = _constant_bracket(params, state, dt, k)
+            assert (got is not None) is (constant is not None) is admitted
+            if got is None:
+                continue
+            assert got.kind == constant.kind == kind and got.lap_h == 0.0
+            # repr also tells a +0.0 floor from -0.0
+            assert repr(got.box) == repr(constant.box) == repr((floors, ceilings))
             for built, stacked in ((got.u, ref.u), (got.h, ref.h), (got.f, ref.f)):
                 assert built.shape == stacked.shape
                 assert np.array_equal(built, stacked)
@@ -730,7 +753,7 @@ class TestStackedStepMatchesReference:
         kappa = 3.0 * SolverConfig(dt=dt).growth_trigger
 
         def tight(dt):
-            return _tight_bracket(params, state, dt, kappa)
+            return _constant_bracket(params, state, dt, kappa)
 
         new_state, trace, dt = self.check(params, grid, state, tight, dt)
         assert trace.bracket == "tight"
@@ -1154,7 +1177,7 @@ class TestSimulate:
         u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
         cfg = SolverConfig(dt=0.1, max_halvings=0)
         state = SystemState.from_u(params, 0.0, *u0)
-        assert _tight_bracket(params, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
+        assert _constant_bracket(params, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
         result = simulate(params, grid, eig, u0, cfg, 0.1)
         assert result.termination == "completed"
         assert result.halvings_used == 0
@@ -1162,6 +1185,43 @@ class TestSimulate:
         assert summary.bracket == "wide"
         assert summary.as_dict()["bracket"] == "wide"
         assert summary.dt == cfg.dt
+
+    def test_infeasible_brackets_spend_the_one_halving_branch(self, monkeypatch):
+        # from (1.2, 0.8) at dt 0.5 the tight bracket fails at every dt tried
+        # and the wide ceiling at 0.5 and 0.25: those attempts halve dt without
+        # a step. At 0.125 the wide step grows too fast and is redone at 0.0625.
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 9)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        state = SystemState.from_u(params, 0.0, *u0)
+        kappa = 3.0 * SolverConfig(dt=0.5).growth_trigger
+        for dt in (0.5, 0.25, 0.125, 0.0625):
+            assert _constant_bracket(params, state, dt, kappa) is None
+            assert (_constant_bracket(params, state, dt, 1.0) is None) is (dt > 0.2)
+        step_dts = []
+        step = sktlab.iteration.step_monotone
+
+        def recording(state, cfg, *args):
+            step_dts.append(cfg.dt)
+            return step(state, cfg, *args)
+
+        monkeypatch.setattr(sktlab.iteration, "step_monotone", recording)
+        for max_halvings, first_steps, first_dts in (
+            (3, [("wide", 0.0625), ("tight", 0.0625)], [0.125, 0.0625]), (0, [], []),
+        ):
+            step_dts.clear()
+            cfg = SolverConfig(dt=0.5, max_halvings=max_halvings)
+            result = simulate(params, grid, eig, u0, cfg, 0.5)
+            assert result.halvings_used == max_halvings
+            assert [(s.bracket, s.dt) for s in result.summaries[:2]] == first_steps
+            assert step_dts[:2] == first_dts
+            # the growing state outruns even the wide ceiling once the budget
+            # is spent
+            assert result.termination == "failed"
+            assert isinstance(result.error, ConvergenceError)
+            assert "no feasible step ceiling at the minimum dt" in str(result.error)
+        assert "(5.000e-01)" in str(result.error)
 
     def test_slow_steps_run_in_tight_brackets(self, setup):
         # a decaying state under the default trigger: every step is admitted
