@@ -47,15 +47,21 @@ Laplacian: a caller's bracket is stacked once per run from its states'
 stacks.
 
 An automatic bracket is constant per species, so it is worked out on
-Python floats first: the transform, paired reactions and sigma at its four
+Python floats: the transform, paired reactions and sigma at its four
 corners, and its discrete-bound violations, with the Laplacian exactly
 zero. Each species' ceiling violation is evaluated only at that species'
 largest h^n and its floor violation only at the smallest. That is exact,
 not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
-reduces to. A bracket that fails is never stacked; an admitted one is
-filled into its stacks and reaches the step with its violations measured.
+reduces to. The extremes of u and h^n are taken once per accepted state
+(_Extremes) and serve both brackets of the next attempt and the growth and
+overflow test. An admitted bracket's stacks are (2, 2, 1...) arrays that
+broadcast over the grid, and it reaches the step with its violations
+measured. Its floors are at most, and its ceilings at least, the
+nonnegative state's extremes, so it contains the state by construction:
+the step checks containment only for a caller's bracket, and takes
+iterate 0's gap and worst violation from the bracket's floats.
 
 A SystemState holds the same species axis without the sequence one: a
 (2, *grid) density stack u and its transform h, row 0 species 1. A state is
@@ -66,16 +72,23 @@ has already checked. A step reads the state as state.u[:, None] and
 state.h[:, None], a sequence axis of one, and never takes it apart into
 species.
 
-The linear solves go through _HelmholtzSolver, built once per simulate run,
-and work in place on the right-hand-side stack. A species whose sigma is
-constant (alpha = 0) solves both sequences as two columns of one matrix,
-the others one column per sequence. In 1D each call is one LAPACK
-tridiagonal solve (dgtsv). In 2D it is conjugate gradients preconditioned
-by the exact DCT-I solve at the mean diagonal, started from the previous
-iterate's transform of the same column: consecutive iterates close in on
-each other, so fewer CG iterations remain. A guess whose residual is not
-below the right-hand side's is dropped for the zero start. A solution is
-accepted only when its recomputed residual bounds its sup-norm error by
+Each inner iterate makes one linear solve, through _HelmholtzSolver,
+built once per simulate run: the four (species, sequence) rows of the
+right-hand-side stack are its columns, each with its own diagonal, and
+they are solved in place. A constant-sigma (alpha = 0) species' columns
+take a scalar sig/dt, the others a field. The right-hand sides and the
+chain audit are assembled in the solver's per-run work arrays, and only
+each iterate's density stack is a fresh array. In 1D the call is one
+LAPACK tridiagonal solve (dgtsv) of the block system of all 4n unknowns,
+whose blocks the elimination never couples, so each column is the one a
+solve of that column alone gives; a semilinear step's block diagonal is
+built once and kept for its iterates. In 2D it is conjugate gradients
+per column, preconditioned by the exact DCT-I solve at the mean of the
+column's diagonal and started from the previous iterate's transform of
+the same column: consecutive iterates close in on each other, so fewer CG
+iterations remain. A guess whose residual is not below the right-hand
+side's is dropped for the zero start. A solution is accepted only when
+its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
 that misses falls back to sparse LU and is counted in the trace's
 `fallbacks`. Zero right-hand sides give exact zeros on both paths.
@@ -104,6 +117,7 @@ with the offending state preserved separately from the sub-cap snapshots.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,9 +139,6 @@ _LOWER_SCALE_CAP = 1e-3
 _CG_ACCEPT = 1e-12
 _CG_STOP = 1e-13
 _CG_MAX_ITERS = 100
-# 1D main diagonals the solver keeps for scalar shifts, which recur at every
-# inner iterate of a step
-_KEPT_DIAGONALS = 8
 
 
 def _row_field(stack: str, row: int) -> property:
@@ -223,7 +234,8 @@ class IterateRecord:
     IterationTrace.records builds these when it is read. The arrays are
     views of the iterate's own (species, sequence) stack, not copies;
     nothing writes to the stacks once the iterate is made. Record 0 views
-    the bracket's stack.
+    the bracket's stack: for an automatic bracket, read-only views that
+    broadcast its constant (2, 2, 1...) stack over the grid.
     """
 
     k: int
@@ -256,7 +268,12 @@ class IterationTrace:
 
     @property
     def records(self) -> tuple:
-        return tuple(_record(k, *iterate) for k, iterate in enumerate(self.iterates))
+        # a constant bracket's (2, 2, 1...) stack is read at the iterates' shape
+        shape = self.iterates[-1][0].shape
+        return tuple(
+            _record(k, np.broadcast_to(u, shape), gap, worst)
+            for k, (u, gap, worst) in enumerate(self.iterates)
+        )
 
     @property
     def iterations(self) -> int:
@@ -402,8 +419,10 @@ def _phi_automatic(params, i, m_own, big_own, m_other, big_other, hdot):
         d, alpha = params.d2, params.alpha2
     mf = max(
         0.0,
-        *(-(-a + 2.0 * own * u_own - other * u_other)
-          for u_own in (m_own, big_own) for u_other in (m_other, big_other)),
+        -(-a + 2.0 * own * m_own - other * m_other),
+        -(-a + 2.0 * own * m_own - other * big_other),
+        -(-a + 2.0 * own * big_own - other * m_other),
+        -(-a + 2.0 * own * big_own - other * big_other),
     )
     denom = d + 2.0 * alpha * m_own
     q_slope = 1.0 / denom
@@ -431,22 +450,32 @@ def _hdot_scales(params, grid, u, h):
 
 
 class _HelmholtzSolver:
-    """Solves (D - lap) h = rhs, D = sig/dt + phi, on one grid, batched over columns.
+    """Solves (D_j - lap) h_j = rhs_j, D_j = sig_j/dt + phi_j, for columns j on one grid.
 
-    1D: one LAPACK dgtsv call on the tridiagonal stencil for all columns,
-    the routine and operands scipy's solve_banded would reach, so results are
-    bit-identical to it. The main diagonal for a scalar sig/dt is kept
-    between calls.
+    Each column has its own diagonal. sig_over_dt and phi each give one
+    value per column: a tuple with one scalar or field per column, or an
+    array broadcasting against the (k, *grid) stack of right-hand sides
+    (a (k, 1...) array gives each column a scalar, a (k, *grid) one a field
+    per column, and a scalar or a single field serves every column).
+
+    1D: one LAPACK dgtsv call on the block-tridiagonal system of all k*n
+    unknowns, whose off-diagonals are zero between blocks. Block j's main
+    diagonal is (main + phi_j) + sig_j, the operands and the order scipy's
+    solve_banded would use on that column alone; elimination never couples
+    the blocks, so each column is bit-identical to that solve. A block
+    diagonal built from scalars is kept for the next call with the same
+    scalars, as a semilinear step repeats them at every inner iterate.
 
     2D: conjugate gradients per column in the trapezoid-weighted inner
     product, where W(D - lap) is symmetric positive definite, preconditioned
-    by the exact DCT-I solve of (c - lap) at c = mean(D); with a constant D
-    the first preconditioner application is the exact solve. A column
-    starts from its guess when the guess's residual is smaller in sup norm
-    than the column itself, and from zero otherwise, as it would with a zero
-    guess. D - lap is a diagonally dominant M-matrix whose Laplacian rows
-    sum to zero, so ||(D - lap)^-1||_inf <= 1/min D. A column is accepted
-    only when its recomputed residual satisfies
+    by the exact DCT-I solve of (c - lap) at c = mean(D) of the column's
+    diagonal, a scalar or a field as given; with a constant D the first
+    preconditioner application is the exact solve. A column starts from its
+    guess when the guess's residual is smaller in sup norm than the column
+    itself, and from zero otherwise, as it would with a zero guess. D - lap
+    is a diagonally dominant M-matrix whose Laplacian rows sum to zero, so
+    ||(D - lap)^-1||_inf <= 1/min D. A column is accepted only when its
+    recomputed residual satisfies
 
         ||b - (D - lap) x||_inf <= 1e-12 min D max(1, ||x||_inf),
 
@@ -455,16 +484,24 @@ class _HelmholtzSolver:
     is solved by sparse LU instead and counted in `fallbacks`. A zero column
     returns exact zeros, whatever its guess.
 
-    Raises ValueError when a solve fails or its solution is not finite.
+    The solver also keeps the inner iteration's work arrays for its grid
+    (work_arrays), so a solver reused across a run's steps allocates them
+    once. Raises ValueError when a solve fails or its solution is not
+    finite.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.fallbacks = 0
+        self._work = None
         if grid.dimension == 1:
             ab = _neumann_bands(grid.nx, grid.hx)
-            self._du, self._main, self._dl = ab[0, 1:], ab[1], ab[2, :-1]
-            self._diagonals = {}
+            self._main = ab[1]
+            # one block's off-diagonals, each ending in the zero that
+            # separates it from the next block
+            self._block = (np.append(ab[2, :-1], 0.0), np.append(ab[0, 1:], 0.0))
+            self._bands = {}
+            self._kept = {}
         else:
             # only 2D runs pay for the FFT module
             from scipy.fft import dctn, idctn
@@ -477,53 +514,86 @@ class _HelmholtzSolver:
     def solve(self, sig_over_dt, phi, rhs_cols, guess):
         """Solve for each column of rhs_cols and return the (k, *grid) solutions.
 
-        sig_over_dt is a scalar or a field array; rhs_cols is a (k, *grid)
-        stack or a sequence of k field arrays. A C-contiguous float stack is
-        overwritten with the solutions and returned. guess holds a starting
-        point for each column in the same form; 2D CG starts from it when its
-        residual beats the zero start's, and 1D ignores it.
+        rhs_cols is a (k, *grid) stack or a sequence of k field arrays. A
+        C-contiguous float stack is overwritten with the solutions and
+        returned. guess holds a starting point for each column, broadcasting
+        against the stack; 2D CG starts from it when its residual beats the
+        zero start's, and 1D ignores it.
         """
         rhs = np.ascontiguousarray(rhs_cols, dtype=float)
+        k = len(rhs)
         if self.grid.dimension == 1:
-            if isinstance(sig_over_dt, float):
-                d, fresh = self._scalar_diagonal(sig_over_dt, phi), 0
-            else:
-                d, fresh = (self._main + phi) + sig_over_dt, 1
-            # the C-ordered (k, n) stack is the Fortran-ordered (n, k) matrix
-            # dgtsv reads, so it is solved in place
-            info = dgtsv(self._dl, d, self._du, rhs.T, overwrite_d=fresh, overwrite_b=1)[4]
+            key = (sig_over_dt, phi, k)
+            try:
+                d, fresh = self._kept[key], 0
+            except KeyError:
+                d, fresh = self._block_diagonal(sig_over_dt, phi, k), 0
+                self._kept = {key: d}
+            except TypeError:
+                # fields are unhashable: their diagonal serves this call alone
+                d, fresh = self._block_diagonal(sig_over_dt, phi, k), 1
+            dl, du = self._block_bands(k)
+            # the C-ordered (k, n) stack is the vector of all k*n unknowns, so
+            # it is solved in place; a kept diagonal is solved on a copy
+            info = dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=fresh, overwrite_b=1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
-            self._solve_2d(np.asarray(sig_over_dt) + phi, rhs, guess)
+            columns = zip(self._per_column(sig_over_dt, k), self._per_column(phi, k))
+            self._solve_2d([np.asarray(s) + p for s, p in columns], rhs, guess)
         if not np.isfinite(rhs).all():
             raise ValueError("linear solve produced non-finite values")
         return rhs
 
-    def _scalar_diagonal(self, sig_over_dt, phi):
-        key = (sig_over_dt, phi)
-        d = self._diagonals.get(key)
-        if d is None:
-            if len(self._diagonals) >= _KEPT_DIAGONALS:
-                self._diagonals.clear()
-            d = self._diagonals[key] = (self._main + phi) + sig_over_dt
-        return d
+    def work_arrays(self):
+        """The inner iteration's work arrays on this grid: a (4, 2, 2, *grid)
+        block of stacks and (7, npoints) chain audit rows, made on first
+        use."""
+        if self._work is None:
+            shape = self.grid.shape
+            self._work = (np.empty((4, 2, 2) + shape), np.empty((7, self.grid.npoints)))
+        return self._work
 
-    def _solve_2d(self, diag, rhs, guess):
+    def _per_column(self, values, k):
+        """Per-column values as a sequence of k scalars or fields."""
+        if type(values) is tuple:
+            return values
+        values = np.asarray(values)
+        return values if values.ndim > self.grid.dimension else (values,) * k
+
+    def _block_diagonal(self, sig_over_dt, phi, k):
+        """The k blocks' main diagonal as one vector, (main + phi_j) + sig_j in block j."""
+        d = (self._main + self._stacked(phi, k)) + self._stacked(sig_over_dt, k)
+        shape = (k, self.grid.nx)
+        return (d if d.shape == shape else np.broadcast_to(d, shape)).ravel()
+
+    def _stacked(self, values, k):
+        """1D per-column values as an array broadcasting against the (k, n) stack."""
+        if type(values) is not tuple:
+            return values
+        if all(type(v) is float for v in values):
+            return np.array(values).reshape(k, 1)
+        return np.stack(np.broadcast_arrays(*values))
+
+    def _block_bands(self, k):
+        """The (sub, super) off-diagonals of k blocks, built once per k."""
+        bands = self._bands.get(k)
+        if bands is None:
+            bands = self._bands[k] = tuple(np.tile(band, k)[:-1] for band in self._block)
+        return bands
+
+    def _solve_2d(self, diags, rhs, guess):
         g = self.grid
-        d_min = float(diag.min())
-        inv_eig = 1.0 / (float(diag.mean()) + self._lam)
-        lu = None
-        for b, x0 in zip(rhs, guess):
-            x = self._pcg(diag, d_min, inv_eig, b, x0)
+        for d, b, x0 in zip(diags, rhs, np.broadcast_to(guess, rhs.shape)):
+            inv_eig = 1.0 / (float(d.mean()) + self._lam)
+            x = self._pcg(d, float(d.min()), inv_eig, b, x0)
             if x is None:
-                if lu is None:
-                    import scipy.sparse as sp
-                    from scipy.sparse.linalg import splu
+                import scipy.sparse as sp
+                from scipy.sparse.linalg import splu
 
-                    full = np.broadcast_to(diag, g.shape).ravel()
-                    lu = splu((g.neg_laplacian_matrix + sp.diags(full)).tocsc())
-                x = lu.solve(b.ravel()).reshape(g.shape)
+                full = np.broadcast_to(d, g.shape).ravel()
+                x = splu((g.neg_laplacian_matrix + sp.diags(full)).tocsc()).solve(b.ravel())
+                x = x.reshape(g.shape)
                 self.fallbacks += 1
             b[...] = x
 
@@ -591,15 +661,21 @@ def _paired_reactions(params, u):
     The reactions are quasimonotone decreasing, so each species' upper
     iterate is paired with the other species' lower one, and vice versa:
     reversing species 2's sequence axis lines the pairs up, and reversing
-    its reaction back returns it in sequence order.
+    its reaction back returns it in sequence order. The reversed rows are
+    copied first, since elementwise work on small arrays runs several
+    times faster on contiguous operands.
     """
-    f1, f2 = _reaction_raw(params, u[0], u[1, ::-1])
+    f1, f2 = _reaction_raw(params, u[0], u[1, ::-1].copy())
     return f1, f2[::-1]
 
 
 def _inverse_stack(params, d, h):
-    """Densities of a (species, ...) stack of transformed values."""
+    """Densities of a (species, ...) stack of transformed values. d is the
+    species column of d, needed only when the species share alpha but not
+    d; shared parameters are passed as scalars."""
     if params.alpha1 == params.alpha2:
+        if params.d1 == params.d2:
+            d = params.d1
         return _inverse_raw(d, params.alpha1, h)
     return np.array((
         _inverse_raw(params.d1, params.alpha1, h[0]),
@@ -615,12 +691,19 @@ class _Bracket(NamedTuple):
     reactions, which also start the inner iteration, and lap_h is the
     Laplacian of h. box is (floors, ceilings), each species' smallest floor
     and largest ceiling value as floats. kind is "window" for a caller's
-    bracket and "tight" or "wide" for an automatic one. violations, when
-    set, are the per-species discrete-bound violations, as floats, that
-    simulate already measured for the one step it hands the bracket to. An
-    automatic bracket's box and violations come from the floats it was
-    built from (see _auto_bracket), a window's box from one reduction per
-    run.
+    bracket and "tight" or "wide" for an automatic one. columns are the
+    (d, alpha) species columns of the run's params (_param_columns), which
+    simulate builds once per run and hands every step with its bracket.
+    violations, when set, are the per-species discrete-bound violations, as
+    floats, that simulate already measured for the one step it hands the
+    bracket to.
+
+    A window bracket's stacks are whole arrays, stacked once per run with
+    its box from one reduction, and the step checks that it contains the
+    state. An automatic bracket is constant per species: its stacks are
+    (2, 2, 1...) arrays that broadcast over the grid, its box and
+    violations come from the floats it was built from (see _auto_bracket),
+    and it contains the state by construction.
     """
 
     u: np.ndarray
@@ -629,6 +712,7 @@ class _Bracket(NamedTuple):
     lap_h: np.ndarray | float
     box: tuple
     kind: str
+    columns: tuple
     violations: tuple | None = None
 
 
@@ -643,7 +727,10 @@ def _window_bracket(params, grid, bracket):
         lower.u.reshape(2, -1).min(axis=1).tolist(),
         upper.u.reshape(2, -1).max(axis=1).tolist(),
     )
-    return _Bracket(u, h, _paired_reactions(params, u), _lap_array(grid, h), box, "window")
+    return _Bracket(
+        u, h, _paired_reactions(params, u), _lap_array(grid, h), box, "window",
+        _param_columns(params, grid),
+    )
 
 
 def _violations(params, grid, dt, h_n, bracket):
@@ -654,7 +741,7 @@ def _violations(params, grid, dt, h_n, bracket):
     paired reactions. The violation is f - lhs on the upper sequence and
     lhs - f on the lower, so a positive value means the bound fails.
     """
-    d, alpha = _param_columns(params, grid)
+    d, alpha = bracket.columns
     resid = np.array(bracket.f)
     resid -= _sigma(d, alpha, bracket.u) * (bracket.h - h_n) / dt - bracket.lap_h
     resid *= _sequence_signs(grid)
@@ -683,29 +770,35 @@ def step_monotone(
         raise ValueError("solver and state live on different grids")
     dt = cfg.dt
     u0 = bracket.u
-    u_n, h_n = state.u[:, None], state.h[:, None]
+    h_n = state.h[:, None]
     floors, ceilings = bracket.box
+    (v1, v2), (w1, w2) = floors, ceilings
     scale = max(ceilings)
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
-    # the state must lie under the upper and over the lower
-    outside = (_sequence_signs(grid) * (u_n - u0)).reshape(2, -1).max(axis=1)
-    for i in (0, 1):
-        worst = float(outside[i])
-        if worst > chain_tol:
-            raise OrderingViolationError(
-                f"state u{i + 1} leaves the bracket by {worst:.3e}",
-                worst_violation=worst,
-                iterate=0,
-            )
-
     # iterate 0 is the bracket: its gap, and its worst violation, the
     # floor's largest excess over the ceiling
-    iterate0 = (
-        u0,
-        float((u0[:, 0] - u0[:, 1]).max()),
-        float((u0[:, 1] - u0[:, 0]).max()),
-    )
+    if bracket.kind == "window":
+        # the state must lie under the upper and over the lower
+        outside = (_sequence_signs(grid) * (state.u[:, None] - u0)).reshape(2, -1).max(axis=1)
+        for i in (0, 1):
+            worst = float(outside[i])
+            if worst > chain_tol:
+                raise OrderingViolationError(
+                    f"state u{i + 1} leaves the bracket by {worst:.3e}",
+                    worst_violation=worst,
+                    iterate=0,
+                )
+        iterate0 = (
+            u0,
+            float((u0[:, 0] - u0[:, 1]).max()),
+            float((u0[:, 1] - u0[:, 0]).max()),
+        )
+    else:
+        # an automatic bracket is constant per species and contains the state
+        # by construction: its floors are at most, and its ceilings at
+        # least, the state's extremes
+        iterate0 = (u0, max(w1 - v1, w2 - v2), max(v1 - w1, v2 - w2))
 
     # one-shot feasibility of the bracket endpoints as discrete bound
     # solutions, unless simulate has just measured it for this step
@@ -725,7 +818,9 @@ def step_monotone(
     # exactly degenerate bound solution, every ceiling equal to its floor:
     # the common value is the step solution
     if iterate0[1] == 0.0 and iterate0[2] == 0.0:
-        new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), bracket.h[:, 1].copy())
+        stack = (2, 2) + grid.shape
+        u0, h0 = np.broadcast_to(u0, stack), np.broadcast_to(bracket.h, stack)
+        new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), h0[:, 1].copy())
         trace = IterationTrace(
             iterates=((u0, 0.0, 0.0),) * 2, gap=0.0, worst_violation=0.0,
             phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
@@ -733,12 +828,12 @@ def step_monotone(
         return new_state, trace
 
     hdot = _hdot_scales(params, grid, state.u, state.h)
-    box = list(zip(floors, ceilings))
-    phi_base = [
-        _phi_automatic(params, i + 1, *box[i], *box[1 - i], hdot[i]) for i in (0, 1)
-    ]
+    phi_base = (
+        _phi_automatic(params, 1, v1, w1, v2, w2, hdot[0]),
+        _phi_automatic(params, 2, v2, w2, v1, w1, hdot[1]),
+    )
 
-    d, alpha = _param_columns(params, grid)
+    d, alpha = bracket.columns
     gap_tol = cfg.inner_tol * (1.0 + scale)
     fallbacks = solver.fallbacks
     last_exc = None
@@ -785,28 +880,46 @@ def _run_inner(
     step is (d, alpha, h_n): the species columns and the (species, 1, *grid)
     stack of the step's starting transform. The _Bracket's stacked
     densities, transform and paired reactions are iterate 0, audited in
-    iterate0 = (bracket.u, gap, worst). Returns (iterates, accepted state,
+    iterate0 = (bracket.u, gap, worst). Each iterate is one linear solve of
+    all four (species, sequence) columns. Returns (iterates, accepted state,
     gap), each iterate a (u stack, gap, worst) triple, once the gap is
     within gap_tol; raises _ChainViolation when the chain breaks beyond
     chain_tol.
     """
     grid = solver.grid
+    shape, npoints = grid.shape, grid.npoints
     d, alpha, h_n = step
     u, h, f = bracket.u, bracket.h, bracket.f
-    phi = _species_column(grid, *phis)
+    stack, cols = (2, 2) + shape, (4,) + shape
+    # the solve's columns are the stack's (species, sequence) rows in C order
+    phi_cols = (phis[0], phis[0], phis[1], phis[1])
+    # sig/dt of a constant-sigma (alpha = 0) species, a scalar for its columns
     frozen = (params.alpha1 != 0.0, params.alpha2 != 0.0)
-    quasilinear = any(frozen)
-    if not quasilinear:
-        # constant sigma = 1/d: the h^n term is the same at every iterate
-        rhs_n = np.repeat((1.0 / d) * h_n / dt, 2, axis=1)
-    # a constant-sigma species solves both sequences with one matrix
     shared = ((1.0 / params.d1) / dt, (1.0 / params.d2) / dt)
+    quasilinear = any(frozen)
 
     # the accepted state's compact rows, allocated ahead of this call's
     # temporaries: kept states then fill the holes earlier steps' temporaries
     # left, where copies made at the end split the heap between them (on
     # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
-    kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
+    kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
+    # the solves alternate between two transform stacks, so the previous
+    # iterate's stays readable while the next right-hand side is assembled
+    work, audit = solver.work_arrays()
+    solved, term = work[:2], work[2]
+    solved_cols = solved.reshape((2,) + cols)
+    h_cols = h.reshape((4,) + h.shape[2:])
+    phi = _species_column(grid, *phis)
+    if not quasilinear:
+        # constant sigma = 1/d: the h^n term and the diagonal are the same at
+        # every iterate
+        base = np.multiply(1.0 / d, h_n, out=work[3])
+        base /= dt
+        sig_over_dt = (shared[0], shared[0], shared[1], shared[1])
+    # chain audit rows, one grid each: new - old on the rows (w1, v1, w2,
+    # v2), then v - w on the same flat stack shifted by one row, whose rows 0
+    # and 2 are species 1's and 2's (row 1, w2 - v1, is not read)
+    new_minus_old, v_minus_w = audit[:4].reshape(stack), audit[4:].reshape(-1)
     iterates = [iterate0]
     if iterate0[2] > chain_tol:
         raise _ChainViolation(iterate0[2], 0)
@@ -814,36 +927,41 @@ def _run_inner(
     for k in range(1, cfg.max_inner_iters + 1):
         if k > 1:
             f = _paired_reactions(params, u)
+        rhs = solved[k % 2]
         if quasilinear:
             sig = _sigma(d, alpha, u)
-            rhs = sig * h_n / dt
-        else:
-            rhs = rhs_n.copy()
-        rhs[0] += f[0]
-        rhs[1] += f[1]
-        rhs += phi * h
-        # each solve works in place: rhs becomes the new transformed stack
-        for i in (0, 1):
-            if frozen[i]:
-                solver.solve(sig[i, 0] / dt, phis[i], rhs[i, :1], h[i, :1])
-                solver.solve(sig[i, 1] / dt, phis[i], rhs[i, 1:], h[i, 1:])
-            else:
-                solver.solve(shared[i], phis[i], rhs[i], h[i])
+            # a field on the grid, also from a constant bracket's (2, 2, 1...)
+            # stack, while a constant-sigma species keeps its scalar: the 2D
+            # preconditioner's shift is a field's mean, or the scalar itself
+            sig_over_dt = sig / dt
+            if sig_over_dt.shape != stack:
+                sig_over_dt = np.broadcast_to(sig_over_dt, stack)
+            sig_over_dt = sig_over_dt.reshape(cols)
+            if not all(frozen):
+                sig_over_dt = tuple(
+                    sig_over_dt[j] if frozen[j // 2] else shared[j // 2] for j in range(4)
+                )
+            base = np.multiply(sig, h_n, out=rhs)
+            base /= dt
+        np.add(base[0], f[0], out=rhs[0])
+        np.add(base[1], f[1], out=rhs[1])
+        rhs += np.multiply(phi, h, out=term)
+        # in place: rhs becomes the new transformed stack
+        solver.solve(sig_over_dt, phi_cols, solved_cols[k % 2], h_cols)
         new_u = _inverse_stack(params, d, rhs)
 
-        # chain audit, one (species, *grid) term per half of a stack-sized
-        # buffer: the lower must not drop nor the upper rise, then the lower
-        # must stay under the upper, whose excess is the gap
-        audit = np.empty_like(u)
-        np.subtract(u[:, 1], new_u[:, 1], out=audit[0])
-        np.subtract(new_u[:, 0], u[:, 0], out=audit[1])
-        moved = float(audit.max())
-        np.subtract(new_u[:, 1], new_u[:, 0], out=audit[0])
-        np.subtract(new_u[:, 0], new_u[:, 1], out=audit[1])
-        crossed, gap = audit.reshape(2, -1).max(axis=1).tolist()
-        worst = max(moved, crossed)
+        # the lower must not drop nor the upper rise, then the lower must
+        # stay under the upper, whose excess is the gap; 0.0 - x negates x
+        # and keeps a zero +0.0
+        flat = new_u.reshape(-1)
+        np.subtract(new_u, u, out=new_minus_old)
+        np.subtract(flat[npoints:], flat[:-npoints], out=v_minus_w)
+        top = np.maximum.reduce(audit, axis=1).tolist()
+        low = np.minimum.reduce(audit, axis=1).tolist()
+        gap = 0.0 - min(low[4], low[6])
+        worst = max(top[0], top[2], 0.0 - min(low[1], low[3]), top[4], top[6])
 
-        u, h = new_u, rhs
+        u, h, h_cols = new_u, rhs, solved_cols[k % 2]
         iterates.append((u, gap, worst))
         if worst > chain_tol:
             raise _ChainViolation(worst, k)
@@ -859,45 +977,53 @@ def _run_inner(
     )
 
 
-def _auto_bracket(params, state, dt, floors, ceilings, kind):
+def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     """The constant bracket with these per-species floors and ceilings for a
-    step of dt from state, its discrete-bound violations measured; None
-    when _auto_bracket_feasible rejects them.
+    step of dt from the state whose _Extremes are given, its discrete-bound
+    violations measured; None when _auto_bracket_feasible rejects them.
+    columns are the run's _param_columns, whose shape the stacks take.
 
-    Everything is first worked out on Python floats: the transform, the
-    paired reactions (each species' ceiling against the other's floor) and
-    each violation, the ceiling's at the species' largest h^n and the
-    floor's at its smallest, where the grid maximum falls. Only an admitted
-    bracket's stacks are filled.
+    Everything is worked out on Python floats: the transform, the paired
+    reactions (each species' ceiling against the other's floor) and each
+    violation, the ceiling's at the species' largest h^n and the floor's at
+    its smallest, where the grid maximum falls. An admitted bracket's stacks
+    are (2, 2, 1...) arrays that broadcast over the grid.
     """
     p = params
     (w1, w2), (v1, v2) = ceilings, floors
     # each species' ceiling against the other's floor, as _paired_reactions pairs them
     f1_up, f2_lo = _reaction_raw(p, w1, v2)
     f1_lo, f2_up = _reaction_raw(p, v1, w2)
-    u = ((w1, v1), (w2, v2))
-    f = ((f1_up, f1_lo), (f2_up, f2_lo))
-    per_species = state.h.reshape(2, -1)
-    h_lows, h_highs = per_species.min(axis=1).tolist(), per_species.max(axis=1).tolist()
-    h, violations = [], []
-    for (d, alpha), (up, lo), (f_up, f_lo), h_low, h_high in zip(
-        ((p.d1, p.alpha1), (p.d2, p.alpha2)), u, f, h_lows, h_highs
-    ):
-        h_up, h_lo = _transform_raw(d, alpha, up), _transform_raw(d, alpha, lo)
-        h.append((h_up, h_lo))
-        # _violations' f - (sigma (h - h^n)/dt - lap h) and its signs, with lap h = 0
-        violations.append(max(
-            f_up - _sigma(d, alpha, up) * (h_up - h_high) / dt,
-            (f_lo - _sigma(d, alpha, lo) * (h_lo - h_low) / dt) * -1.0,
-        ))
+    h = [
+        _transform_raw(p.d1, p.alpha1, w1), _transform_raw(p.d1, p.alpha1, v1),
+        _transform_raw(p.d2, p.alpha2, w2), _transform_raw(p.d2, p.alpha2, v2),
+    ]
+    (h1_low, h2_low), (h1_high, h2_high) = extremes.h_lo, extremes.h_hi
+    violations = (
+        _corner_violation(p.d1, p.alpha1, (w1, v1), h[:2], (f1_up, f1_lo), h1_low, h1_high, dt),
+        _corner_violation(p.d2, p.alpha2, (w2, v2), h[2:], (f2_up, f2_lo), h2_low, h2_high, dt),
+    )
     if not _auto_bracket_feasible(violations, ceilings):
         return None
-    grid = state.grid
-    stacks = np.empty((3, 2, 2) + grid.shape)
-    stacks[...] = np.array((u, h, f)).reshape((3, 2, 2) + (1,) * grid.dimension)
-    u_stack, h_stack, f_stack = stacks
+    # the u, h and f stacks, each in (species, sequence) C order
+    stacks = np.array([w1, v1, w2, v2] + h + [f1_up, f1_lo, f2_up, f2_lo])
+    stacks = stacks.reshape((3, 2, 2) + columns[0].shape[2:])
     # a constant stack's Laplacian is exactly zero
-    return _Bracket(u_stack, h_stack, f_stack, 0.0, (floors, ceilings), kind, tuple(violations))
+    return _Bracket(
+        stacks[0], stacks[1], stacks[2], 0.0, (floors, ceilings), kind, columns, violations
+    )
+
+
+def _corner_violation(d, alpha, u, h, f, h_low, h_high, dt):
+    """One species' worst discrete-bound violation of a constant bracket,
+    from its (ceiling, floor) values of u, h and f: _violations'
+    f - (sigma (h - h^n)/dt - lap h) and its signs with lap h = 0, the
+    ceiling's at the species' largest h^n and the floor's at its smallest."""
+    (up, lo), (h_up, h_lo), (f_up, f_lo) = u, h, f
+    return max(
+        f_up - _sigma(d, alpha, up) * (h_up - h_high) / dt,
+        (f_lo - _sigma(d, alpha, lo) * (h_lo - h_low) / dt) * -1.0,
+    )
 
 
 def _auto_bracket_feasible(violations, ceilings):
@@ -906,22 +1032,44 @@ def _auto_bracket_feasible(violations, ceilings):
     return max(violations) <= _CHAIN_TOL * max(1.0, *ceilings)
 
 
-def _constant_bracket(params, state, dt, kappa):
-    """The automatic constant bracket for a step of dt from state, or None
-    when it is not a discrete bound solution there.
+def _constant_bracket(params, columns, extremes, dt, kappa):
+    """The automatic constant bracket for a step of dt from the state whose
+    _Extremes are given, or None when it is not a discrete bound solution
+    there.
 
     kappa < 1 gives the tight bracket [(1-kappa) min u_i, (1+kappa) max u_i],
-    kappa = 1 the wide one [0, 2 max u_i].
+    kappa = 1 the wide one [0, 2 max u_i]. On a nonnegative state both
+    contain the state exactly.
     """
-    per_species = state.u.reshape(2, -1)
-    highs = per_species.max(axis=1).tolist()
-    ceilings = [(1.0 + kappa) * m for m in highs]
+    ceilings = [(1.0 + kappa) * m for m in extremes.u_hi]
     if kappa >= 1.0:
         # the literal +0.0: (1 - kappa) * -0.0 would be -0.0
-        return _auto_bracket(params, state, dt, [0.0, 0.0], ceilings, "wide")
-    lows = per_species.min(axis=1).tolist()
-    floors = [(1.0 - kappa) * m for m in lows]
-    return _auto_bracket(params, state, dt, floors, ceilings, "tight")
+        return _auto_bracket(params, columns, extremes, dt, [0.0, 0.0], ceilings, "wide")
+    floors = [(1.0 - kappa) * m for m in extremes.u_lo]
+    return _auto_bracket(params, columns, extremes, dt, floors, ceilings, "tight")
+
+
+class _Extremes(NamedTuple):
+    """Each species' smallest and largest density and transform in a state,
+    as lists of floats, from four reductions per state."""
+
+    u_lo: list
+    u_hi: list
+    h_lo: list
+    h_hi: list
+
+    @classmethod
+    def of(cls, state):
+        rows = np.concatenate((state.u, state.h)).reshape(4, -1)
+        lo = np.minimum.reduce(rows, axis=1).tolist()
+        hi = np.maximum.reduce(rows, axis=1).tolist()
+        return cls(lo[:2], hi[:2], lo[2:], hi[2:])
+
+    def sup_norms(self) -> tuple:
+        """SystemState.sup_norms: max |u_i| is max(max u_i, -min u_i) exactly,
+        and abs() makes a zero norm +0.0."""
+        (lo1, lo2), (hi1, hi2) = self.u_lo, self.u_hi
+        return abs(max(hi1, -lo1)), abs(max(hi2, -lo2))
 
 
 def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
@@ -950,7 +1098,8 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         raise ValueError("initial fields live on a different grid")
     if np.any(state.u < 0.0):
         raise ValueError("initial fields must be nonnegative")
-    norms = state.sup_norms()
+    extremes = _Extremes.of(state)
+    norms = extremes.sup_norms()
     growth = 0.0
     snapshots = [state]
     summaries = []
@@ -962,6 +1111,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     error = None
     final_state = state
     solver = _HelmholtzSolver(grid)
+    columns = _param_columns(params, grid)
     step_cfg = cfg
     if bracket is not None:
         # stacked once, with its transform and reactions, for every step
@@ -979,9 +1129,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             step_bracket = window
         else:
             kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
-            step_bracket = _constant_bracket(params, state, dt_step, min(kappa, 1.0))
+            step_bracket = _constant_bracket(params, columns, extremes, dt_step, min(kappa, 1.0))
             if step_bracket is None and kappa < 1.0:
-                step_bracket = _constant_bracket(params, state, dt_step, 1.0)
+                step_bracket = _constant_bracket(params, columns, extremes, dt_step, 1.0)
             if step_bracket is None:
                 rejection = ConvergenceError(
                     f"no feasible step ceiling at the minimum dt ({dt_step:.3e}); "
@@ -993,8 +1143,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             except (ConvergenceError, OrderingViolationError) as exc:
                 rejection = exc
         if rejection is None:
-            m1, m2 = new_state.sup_norms()
-            finite = np.isfinite(m1) and np.isfinite(m2)
+            new_extremes = _Extremes.of(new_state)
+            m1, m2 = new_extremes.sup_norms()
+            finite = math.isfinite(m1) and math.isfinite(m2)
             if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
                 termination = "overflowed"
                 overflow_time = new_state.t
@@ -1021,9 +1172,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             continue
 
         growth = max(
-            (abs(m - p) / p for m, p in zip((m1, m2), norms) if p > 0.0), default=0.0
+            abs(m1 - p1) / p1 if p1 > 0.0 else 0.0, abs(m2 - p2) / p2 if p2 > 0.0 else 0.0
         )
-        state, norms = new_state, (m1, m2)
+        state, extremes, norms = new_state, new_extremes, (m1, m2)
         accepted += 1
         summaries.append(
             TraceSummary(

@@ -8,6 +8,7 @@ metrics into gaps without any error. This test only reads bench/.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import sktlab.iteration
@@ -55,4 +56,12 @@ def test_missing_target_is_reported(monkeypatch):
     monkeypatch.delattr(sktlab.iteration._HelmholtzSolver, "solve")
     assert unresolved(wrap_targets()) == [
         "sktlab.iteration._HelmholtzSolver.solve", "sktlab.iteration._auto_bracket",
+    ]
+
+
+def test_solve_parameters_match_the_column_counter():
+    # bench/layers.py counts a solve's columns from args[3], its rhs_cols
+    solve = sktlab.iteration._HelmholtzSolver.solve
+    assert list(inspect.signature(solve).parameters) == [
+        "self", "sig_over_dt", "phi", "rhs_cols", "guess",
     ]

@@ -27,6 +27,7 @@ from sktlab.iteration import (
     _auto_bracket_feasible,
     _Bracket,
     _constant_bracket,
+    _Extremes,
     _paired_reactions,
     _param_columns,
     _phi_automatic,
@@ -307,7 +308,7 @@ class TestStepMonotone:
         zero = SystemState.from_u_arrays(
             params, grid, 0.0, np.zeros(grid.shape), np.zeros(grid.shape)
         )
-        wide = _constant_bracket(params, zero, 1e-3, 1.0)
+        wide = constant_bracket(params, zero, 1e-3, 1.0)
         new_state, trace = step_monotone(zero, SolverConfig(dt=1e-3), params, wide)
         assert trace.bracket == "wide" and np.all(new_state.u == 0.0)
         check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
@@ -348,7 +349,7 @@ class TestStepMonotone:
             params, grid, 0.0, 0.2 + 0.1 * np.cos(grid.xs), 0.3 + 0.05 * np.cos(2 * grid.xs)
         )
         cfg = SolverConfig(dt=1e-3)
-        wide = _constant_bracket(params, state, cfg.dt, 1.0)
+        wide = constant_bracket(params, state, cfg.dt, 1.0)
         monkeypatch.setattr(sktlab.iteration, "_phi_automatic", lambda *args: 0.1)
         new_state, trace = step_monotone(state, cfg, params, wide)
         assert trace.retries == 2
@@ -362,29 +363,43 @@ class TestStepMonotone:
 
 def check_records(trace, ks=None, gaps=None):
     """Each record views its own iterate's stack, and a second read of
-    trace.records builds equal records."""
+    trace.records builds equal records. A constant bracket's (2, 2, 1...)
+    stack is viewed read-only at the iterates' shape."""
     first, again = trace.records, trace.records
     assert len(first) == len(again) == len(trace.iterates) == trace.iterations + 1
+    shape = trace.iterates[-1][0].shape
     for (stack, gap, worst), rec, rec2 in zip(trace.iterates, first, again):
         assert (rec.k, repr(rec.gap), repr(rec.worst_violation)) == (
             rec2.k, repr(rec2.gap), repr(rec2.worst_violation)
         )
         assert (repr(rec.gap), repr(rec.worst_violation)) == (repr(gap), repr(worst))
+        full = np.broadcast_to(stack, shape)
         for got, got2, want in zip(
             (rec.v1, rec.v2, rec.w1, rec.w2), (rec2.v1, rec2.v2, rec2.w1, rec2.w2),
-            (stack[0, 1], stack[1, 1], stack[0, 0], stack[1, 0]),
+            (full[0, 1], full[1, 1], full[0, 0], full[1, 0]),
         ):
             assert np.shares_memory(got, stack) and np.shares_memory(got2, stack)
+            assert got.shape == got2.shape == shape[2:]
             assert np.array_equal(got, want) and np.array_equal(got2, want)
+            if stack.shape != shape:
+                assert not got.flags.writeable
     assert [r.k for r in first] == (ks if ks is not None else list(range(len(first))))
     if gaps is not None:
         assert [r.gap for r in first] == gaps
 
 
-def bracket_arrays(bracket):
-    """The (lower, upper) density arrays of a SystemState pair or a stacked bracket."""
+def constant_bracket(params, state, dt, kappa):
+    """simulate's automatic constant bracket for a step of dt from state."""
+    return _constant_bracket(
+        params, _param_columns(params, state.grid), _Extremes.of(state), dt, kappa
+    )
+
+
+def bracket_arrays(bracket, grid):
+    """The (lower, upper) density arrays of a SystemState pair or a stacked
+    bracket, at the grid's shape."""
     if isinstance(bracket, _Bracket):
-        u = bracket.u
+        u = np.broadcast_to(bracket.u, (2, 2) + grid.shape)
         return [u[0, 1], u[1, 1]], [u[0, 0], u[1, 0]]
     lower, upper = bracket
     return [lower.u1.values, lower.u2.values], [upper.u1.values, upper.u2.values]
@@ -419,18 +434,30 @@ class TestPhiAutomatic:
 def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters):
     """The inner iteration as a per-species loop over separate arrays.
 
-    Each species and sequence has its own array, the reactions are paired
-    by hand, and the solver is called one species at a time, with the
-    columns in (upper, lower) order and the previous iterate's transforms
-    as guesses. Returns the records as (v1, v2, w1, w2, gap, worst) tuples,
-    and the accepted (u, h) pairs, or None when the chain broke or the gap
-    did not close.
+    Each species and sequence has its own array and its own linear solve,
+    and the reactions are paired by hand. In 1D each solve is
+    scipy.linalg.solve_banded on that column alone, a direct solve that
+    shares no code with _HelmholtzSolver; in 2D it is a one-column
+    _HelmholtzSolver call started from the previous iterate's transform. A
+    constant-sigma species' sig/dt is a scalar. Returns the records as (v1,
+    v2, w1, w2, gap, worst) tuples, and the accepted (u, h) pairs, or None
+    when the chain broke or the gap did not close.
     """
     solver = _HelmholtzSolver(grid)
+
+    def solve(sig_over_dt, phi, rhs, guess):
+        if grid.dimension == 1:
+            ab = _neumann_bands(grid.nx, grid.hx)
+            ab[1] += phi
+            ab[1] += sig_over_dt
+            return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        (x,) = solver.solve(sig_over_dt, phi, [rhs], [guess])
+        return x
+
     ds = (params.d1, params.d2)
     alphas = (params.alpha1, params.alpha2)
     h_n = (state.h1.values, state.h2.values)
-    v, w = bracket_arrays(bracket)
+    v, w = bracket_arrays(bracket, grid)
     scale = max(w[0].max(), w[1].max())
     chain_tol = 1e-10 * max(1.0, scale)
     gap_tol = inner_tol * (1.0 + scale)
@@ -454,15 +481,8 @@ def reference_inner(params, grid, dt, state, bracket, phis, inner_tol, max_iters
                 sig_w, sig_v = 1.0 / (d + 2.0 * a * w[i]), 1.0 / (d + 2.0 * a * v[i])
             rhs_w = sig_w * h_n[i] / dt + f_hi[i] + phi * hw[i]
             rhs_v = sig_v * h_n[i] / dt + f_lo[i] + phi * hv[i]
-            # each solve starts from the previous iterate's transform, as the
-            # step's do
-            if a == 0.0:
-                hw_i, hv_i = solver.solve(sig_w / dt, phi, [rhs_w, rhs_v], [hw[i], hv[i]])
-            else:
-                (hw_i,) = solver.solve(sig_w / dt, phi, [rhs_w], [hw[i]])
-                (hv_i,) = solver.solve(sig_v / dt, phi, [rhs_v], [hv[i]])
-            new_hw.append(hw_i)
-            new_hv.append(hv_i)
+            new_hw.append(solve(sig_w / dt, phi, rhs_w, hw[i]))
+            new_hv.append(solve(sig_v / dt, phi, rhs_v, hv[i]))
         new_v = [_inverse_raw(d, a, h) for d, a, h in zip(ds, alphas, new_hv)]
         new_w = [_inverse_raw(d, a, h) for d, a, h in zip(ds, alphas, new_hw)]
         worst = float(max(
@@ -537,7 +557,7 @@ def wide_bracket(params, state, dt):
     until it is a bound solution; returns (bracket, dt). Its test only
     loosens as dt shrinks, so from a dt it passed at, the bracket is built at
     that same dt."""
-    while (bracket := _constant_bracket(params, state, dt, 1.0)) is None:
+    while (bracket := constant_bracket(params, state, dt, 1.0)) is None:
         dt /= 2.0
     return bracket, dt
 
@@ -565,7 +585,7 @@ def test_wide_ceiling_check_matches_per_species_loop(alphas):
                     (p.d1, p.d2), (p.alpha1, p.alpha2), state.h.max(axis=1), f_plus, ceilings
                 )
             )
-            bracket = _constant_bracket(params, state, dt, 1.0)
+            bracket = constant_bracket(params, state, dt, 1.0)
             assert (bracket is not None) is want
             if want:
                 assert bracket.kind == "wide" and bracket.box == ([0.0, 0.0], ceilings)
@@ -587,7 +607,7 @@ def stacked_constant_bracket(params, grid, floors, ceilings, kind):
     d, alpha = _param_columns(params, grid)
     return _Bracket(
         u, _transform_raw(d, alpha, u), np.array(_paired_reactions(params, u)), 0.0,
-        (floors, ceilings), kind,
+        (floors, ceilings), kind, (d, alpha),
     )
 
 
@@ -646,8 +666,11 @@ def test_float_built_bracket_matches_stacked(alphas, alpha, coeffs, dims, kinds,
             ref = stacked_constant_bracket(params, grid, floors, ceilings, kind)
             want = _violations(params, grid, dt, state.h[:, None], ref)
             admitted = float(want.max()) <= _CHAIN_TOL * max(1.0, max(ceilings))
-            got = _auto_bracket(params, state, dt, floors, ceilings, kind)
-            constant = _constant_bracket(params, state, dt, k)
+            got = _auto_bracket(
+                params, _param_columns(params, grid), _Extremes.of(state), dt, floors,
+                ceilings, kind,
+            )
+            constant = constant_bracket(params, state, dt, k)
             assert (got is not None) is (constant is not None) is admitted
             if got is None:
                 continue
@@ -655,11 +678,49 @@ def test_float_built_bracket_matches_stacked(alphas, alpha, coeffs, dims, kinds,
             # repr also tells a +0.0 floor from -0.0
             assert repr(got.box) == repr(constant.box) == repr((floors, ceilings))
             for built, stacked in ((got.u, ref.u), (got.h, ref.h), (got.f, ref.f)):
-                assert built.shape == stacked.shape
+                # (2, 2, 1...) stacks that broadcast over the grid
+                assert built.shape == (2, 2) + (1,) * grid.dimension
+                built = np.broadcast_to(built, stacked.shape)
                 assert np.array_equal(built, stacked)
                 assert np.array_equal(np.signbit(built), np.signbit(stacked))
             assert len(got.violations) == 2
             assert all(a == b for a, b in zip(got.violations, want.tolist()))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(3, 40)), st.tuples(st.integers(3, 12), st.integers(3, 12))
+    ),
+    kinds=st.tuples(*[st.sampled_from(["constant", "zero", "holes", "signed", "positive"])] * 2),
+    kappa=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_automatic_brackets_contain_their_state(dims, kinds, kappa, seed):
+    # step_monotone checks containment only for a caller's bracket: an
+    # automatic one contains its nonnegative state exactly, no tolerance,
+    # its floors at most min u_i and its ceilings at least max u_i
+    params = certified_params(alpha2=0.0)
+    grid = Grid.interval(2.0, dims[0]) if len(dims) == 1 else Grid.rectangle(2.0, 3.0, *dims)
+    state = SystemState.from_u_arrays(
+        params, grid, 0.0, bracket_data(grid, seed, kinds[0]),
+        bracket_data(grid, seed + 1, kinds[1]),
+    )
+    lows, highs = state.u.reshape(2, -1).min(axis=1), state.u.reshape(2, -1).max(axis=1)
+    checked = set()
+    for dt in (1e-12, 1e-4, 1e-1):
+        for k in (0.0, 3e-3, kappa, 0.5, 1.0):
+            bracket = constant_bracket(params, state, dt, k)
+            if bracket is None:
+                continue
+            checked.add(bracket.kind)
+            floors, ceilings = bracket.box
+            assert all(f <= m for f, m in zip(floors, lows))
+            assert all(c >= m for c, m in zip(ceilings, highs))
+            u = np.broadcast_to(bracket.u, (2, 2) + grid.shape)
+            assert np.all(u[:, 1] <= state.u) and np.all(state.u <= u[:, 0])
+    # at a tiny dt every ceiling above the data is a bound solution
+    assert "wide" in checked
 
 
 def check_chain_and_zeros(trace, new_state, data, scale):
@@ -753,7 +814,7 @@ class TestStackedStepMatchesReference:
         kappa = 3.0 * SolverConfig(dt=dt).growth_trigger
 
         def tight(dt):
-            return _constant_bracket(params, state, dt, kappa)
+            return constant_bracket(params, state, dt, kappa)
 
         new_state, trace, dt = self.check(params, grid, state, tight, dt)
         assert trace.bracket == "tight"
@@ -847,36 +908,47 @@ class TestHelmholtzSolver:
     @given(
         n=st.integers(3, 200),
         length=st.floats(0.5, 10.0),
-        ratio=st.floats(1e-3, 1e3),
-        phi=st.floats(0.0, 100.0),
-        array_diag=st.booleans(),
-        columns=st.integers(1, 2),
+        ratios=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+        phis=st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4),
+        fields=st.lists(st.booleans(), min_size=4, max_size=4),
+        columns=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_banded_solve_matches_sparse_lu(
-        self, n, length, ratio, phi, array_diag, columns, seed
+        self, n, length, ratios, phis, fields, columns, seed
     ):
-        # the banded 1D solve reads the same stencil as neg_laplacian_matrix;
-        # the diagonal is drawn relative to the stencil's top eigenvalue
-        # 4/h^2, so the condition number stays below about 1e3 (the stepper
-        # runs far better conditioned: sig/dt dominates)
+        # one block-tridiagonal solve for all columns, each with its own
+        # sig/dt, a scalar or a field, and its own phi. The banded solve reads
+        # the same stencil as neg_laplacian_matrix; each diagonal is drawn
+        # relative to the stencil's top eigenvalue 4/h^2, so the condition
+        # number stays below about 1e3 (the stepper runs far better
+        # conditioned: sig/dt dominates)
         grid = Grid.interval(length, n)
-        shift = ratio * 4.0 / grid.hx**2
         rng = np.random.default_rng(seed)
-        sig_over_dt = shift * rng.uniform(0.5, 2.0, n) if array_diag else shift
-        cols = [rng.standard_normal(n) for _ in range(columns)]
-        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols, np.zeros((columns, n)))
-        diag = np.broadcast_to(sig_over_dt + phi, (n,))
-        lu = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc())
-        # the direct LAPACK call must reproduce solve_banded bit for bit
-        ab = _neumann_bands(n, grid.hx)
-        ab[1] += phi
-        ab[1] += sig_over_dt
-        banded = scipy.linalg.solve_banded((1, 1), ab, np.stack(cols, axis=-1))
-        assert len(got) == columns
-        for j, (x, b) in enumerate(zip(got, cols)):
-            assert np.array_equal(x, banded[:, j])
-            ref = lu.solve(b)
+        phis, fields = phis[:columns], fields[:columns]
+        sigs = []
+        for ratio, field in zip(ratios, fields):
+            shift = ratio * 4.0 / grid.hx**2
+            sigs.append(shift * rng.uniform(0.5, 2.0, n) if field else shift)
+        cols = rng.standard_normal((columns, n))
+        cold = np.zeros((columns, n))
+        got = _HelmholtzSolver(grid).solve(tuple(sigs), tuple(phis), cols.copy(), cold)
+        assert got.shape == (columns, n)
+        if len(set(fields)) == 1:
+            # the same columns as one array broadcasting against the stack
+            stacked = np.reshape(sigs, (columns, -1))
+            again = _HelmholtzSolver(grid).solve(
+                stacked, np.reshape(phis, (columns, 1)), cols.copy(), cold
+            )
+            assert np.array_equal(again, got)
+        for x, b, sig, phi in zip(got, cols, sigs, phis):
+            # each column is solve_banded on that column alone, bit for bit
+            ab = _neumann_bands(n, grid.hx)
+            ab[1] += phi
+            ab[1] += sig
+            assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+            diag = np.broadcast_to(sig + phi, (n,))
+            ref = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc()).solve(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -885,42 +957,56 @@ class TestHelmholtzSolver:
         ny=st.integers(3, 40),
         lx=st.floats(0.5, 10.0),
         ly=st.floats(0.5, 10.0),
-        ratio=st.floats(1e-2, 1e2),
+        ratios=st.lists(st.floats(1e-2, 1e2), min_size=4, max_size=4),
         contrast=st.floats(1.0, 50.0),
-        phi=st.floats(0.0, 100.0),
-        array_diag=st.booleans(),
-        columns=st.integers(1, 2),
+        phis=st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4),
+        fields=st.lists(st.booleans(), min_size=4, max_size=4),
+        columns=st.integers(1, 4),
         noise=st.one_of(st.none(), st.floats(1e-14, 10.0)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cg_solve_matches_sparse_lu(
-        self, nx, ny, lx, ly, ratio, contrast, phi, array_diag, columns, noise, seed
+        self, nx, ny, lx, ly, ratios, contrast, phis, fields, columns, noise, seed
     ):
-        # the diagonal sits relative to the stencil's top eigenvalue, as in
-        # the 1D property, and the right-hand sides are scaled by it, so the
-        # solutions are of order one; each column starts from zero or, with
-        # `noise` set, from its solution plus noise of that relative size
+        # each column has its own sig/dt, a scalar or a field, and its own
+        # phi; every column of one call must equal a one-column call on a
+        # fresh solver, guesses and fallbacks included. The diagonal sits
+        # relative to the stencil's top eigenvalue, as in the 1D property, and
+        # the right-hand sides are scaled by it, so the solutions are of order
+        # one; each column starts from zero or, with `noise` set, from its
+        # solution plus noise of that relative size
         grid = Grid.rectangle(lx, ly, nx, ny)
-        shift = ratio * 4.0 / min(grid.hx, grid.hy) ** 2
+        unit = 4.0 / min(grid.hx, grid.hy) ** 2
         rng = np.random.default_rng(seed)
-        if array_diag:
-            sig_over_dt = shift * rng.uniform(1.0, contrast, grid.shape)
-        else:
-            sig_over_dt = shift
-        diag = np.broadcast_to(sig_over_dt + phi, grid.shape)
-        cols = [diag * rng.standard_normal(grid.shape) for _ in range(columns)]
-        lu = splu((grid.neg_laplacian_matrix + sp.diags(diag.ravel())).tocsc())
-        refs = [lu.solve(b.ravel()).reshape(grid.shape) for b in cols]
-        guess = np.zeros((columns,) + grid.shape)
+        phis, fields = phis[:columns], fields[:columns]
+        sigs = [
+            ratio * unit * rng.uniform(1.0, contrast, grid.shape) if field else ratio * unit
+            for ratio, field in zip(ratios, fields)
+        ]
+        diags = [np.broadcast_to(sig + phi, grid.shape) for sig, phi in zip(sigs, phis)]
+        cols = np.array([diag * rng.standard_normal(grid.shape) for diag in diags])
+        refs = [
+            splu((grid.neg_laplacian_matrix + sp.diags(diag.ravel())).tocsc())
+            .solve(b.ravel()).reshape(grid.shape)
+            for diag, b in zip(diags, cols)
+        ]
+        guess = np.zeros(cols.shape)
         if noise is not None:
-            guess = [
+            guess = np.array([
                 ref + noise * np.abs(ref).max() * rng.standard_normal(grid.shape)
                 for ref in refs
-            ]
-        got = _HelmholtzSolver(grid).solve(sig_over_dt, phi, cols, guess)
-        assert len(got) == columns
-        for x, ref in zip(got, refs):
+            ])
+        solver = _HelmholtzSolver(grid)
+        got = solver.solve(tuple(sigs), tuple(phis), cols.copy(), guess)
+        assert got.shape == cols.shape
+        fallbacks = 0
+        for x, sig, phi, b, x0, ref in zip(got, sigs, phis, cols, guess, refs):
+            single = _HelmholtzSolver(grid)
+            (one,) = single.solve(sig, phi, [b], [x0])
+            fallbacks += single.fallbacks
+            assert np.array_equal(x, one)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert solver.fallbacks == fallbacks
 
     @staticmethod
     def warm_case(seed=5):
@@ -1177,7 +1263,7 @@ class TestSimulate:
         u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
         cfg = SolverConfig(dt=0.1, max_halvings=0)
         state = SystemState.from_u(params, 0.0, *u0)
-        assert _constant_bracket(params, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
+        assert constant_bracket(params, state, cfg.dt, 3.0 * cfg.growth_trigger) is None
         result = simulate(params, grid, eig, u0, cfg, 0.1)
         assert result.termination == "completed"
         assert result.halvings_used == 0
@@ -1197,8 +1283,8 @@ class TestSimulate:
         state = SystemState.from_u(params, 0.0, *u0)
         kappa = 3.0 * SolverConfig(dt=0.5).growth_trigger
         for dt in (0.5, 0.25, 0.125, 0.0625):
-            assert _constant_bracket(params, state, dt, kappa) is None
-            assert (_constant_bracket(params, state, dt, 1.0) is None) is (dt > 0.2)
+            assert constant_bracket(params, state, dt, kappa) is None
+            assert (constant_bracket(params, state, dt, 1.0) is None) is (dt > 0.2)
         step_dts = []
         step = sktlab.iteration.step_monotone
 
