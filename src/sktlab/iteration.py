@@ -74,19 +74,21 @@ species.
 
 Each inner iterate makes one linear solve, through _HelmholtzSolver,
 built once per simulate run: the four (species, sequence) rows of the
-right-hand-side stack are its columns, each with its own diagonal, and
-they are solved in place. A constant-sigma (alpha = 0) species' columns
-take a scalar sig/dt, the others a field. The right-hand sides and the
-chain audit are assembled in the solver's per-run work arrays, and only
-each iterate's density stack is a fresh array. In 1D the call is one
-LAPACK tridiagonal solve (dgtsv) of the block system of all 4n unknowns,
-whose blocks the elimination never couples, so each column is the one a
-solve of that column alone gives; a semilinear step's block diagonal is
-built once and kept for its iterates. In 2D it is conjugate gradients
-per column, preconditioned by the exact DCT-I solve at the mean of the
-column's diagonal and started from the previous iterate's transform of
-the same column: consecutive iterates close in on each other, so fewer CG
-iterations remain. A guess whose residual is not below the right-hand
+right-hand-side stack are its columns, solved in place, and sig/dt is
+passed as the step computes it, a (4, ...) array of sigma at the previous
+iterate over dt. A semilinear (alpha = 0) run's sigma is 1/d at every
+iterate, so its sig/dt and h^n term are computed at the first iterate
+only. The right-hand sides and the chain audit are assembled in the
+solver's per-run work arrays, and only each iterate's density stack is a
+fresh array. In 1D the call is one LAPACK tridiagonal solve (dgtsv) of the
+block system of all 4n unknowns, whose blocks the elimination never
+couples, so each column is the one a solve of that column alone gives;
+the block diagonal is kept for the next call with the same values, so a
+semilinear run builds it once per dt and shift. In 2D it is conjugate
+gradients per column, preconditioned by the exact DCT-I solve at the grid
+mean of the column's diagonal and started from the previous iterate's
+transform of the same column: consecutive iterates close in on each
+other, so fewer CG iterations remain. A guess whose residual is not below the right-hand
 side's is dropped for the zero start. A solution is accepted only when
 its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
@@ -296,18 +298,7 @@ class TraceSummary:
     bracket: str
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "dt": self.dt,
-            "iterations": self.iterations,
-            "gap": self.gap,
-            "worst_violation": self.worst_violation,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
-            "bracket": self.bracket,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -452,28 +443,29 @@ def _hdot_scales(params, grid, u, h):
 class _HelmholtzSolver:
     """Solves (D_j - lap) h_j = rhs_j, D_j = sig_j/dt + phi_j, for columns j on one grid.
 
-    Each column has its own diagonal. sig_over_dt and phi each give one
-    value per column: a tuple with one scalar or field per column, or an
-    array broadcasting against the (k, *grid) stack of right-hand sides
-    (a (k, 1...) array gives each column a scalar, a (k, *grid) one a field
-    per column, and a scalar or a single field serves every column).
+    sig_over_dt and phi are arrays, or plain scalars, that broadcast
+    against the (k, *grid) stack of right-hand sides: a (k, 1...) array
+    gives each column a constant, a (k, *grid) one a field per column, and
+    a scalar or a single field serves every column. Column j's diagonal is
+    the values sig_j + phi_j take over the grid, and the result depends on
+    those values only, not on the form they are passed in.
 
     1D: one LAPACK dgtsv call on the block-tridiagonal system of all k*n
     unknowns, whose off-diagonals are zero between blocks. Block j's main
     diagonal is (main + phi_j) + sig_j, the operands and the order scipy's
     solve_banded would use on that column alone; elimination never couples
-    the blocks, so each column is bit-identical to that solve. A block
-    diagonal built from scalars is kept for the next call with the same
-    scalars, as a semilinear step repeats them at every inner iterate.
+    the blocks, so each column is bit-identical to that solve. The block
+    diagonal is kept for the next call with the same values, as a
+    semilinear step repeats them at every inner iterate.
 
     2D: conjugate gradients per column in the trapezoid-weighted inner
     product, where W(D - lap) is symmetric positive definite, preconditioned
-    by the exact DCT-I solve of (c - lap) at c = mean(D) of the column's
-    diagonal, a scalar or a field as given; with a constant D the first
-    preconditioner application is the exact solve. A column starts from its
-    guess when the guess's residual is smaller in sup norm than the column
-    itself, and from zero otherwise, as it would with a zero guess. D - lap
-    is a diagonally dominant M-matrix whose Laplacian rows sum to zero, so
+    by the exact DCT-I solve of (c - lap) at c = the mean of the column's
+    diagonal over the grid; with a constant D the first preconditioner
+    application is the exact solve. A column starts from its guess when the
+    guess's residual is smaller in sup norm than the column itself, and
+    from zero otherwise, as it would with a zero guess. D - lap is a
+    diagonally dominant M-matrix whose Laplacian rows sum to zero, so
     ||(D - lap)^-1||_inf <= 1/min D. A column is accepted only when its
     recomputed residual satisfies
 
@@ -500,8 +492,8 @@ class _HelmholtzSolver:
             # one block's off-diagonals, each ending in the zero that
             # separates it from the next block
             self._block = (np.append(ab[2, :-1], 0.0), np.append(ab[0, 1:], 0.0))
-            self._bands = {}
-            self._kept = {}
+            self._blocks = {}
+            self._kept = None
         else:
             # only 2D runs pay for the FFT module
             from scipy.fft import dctn, idctn
@@ -521,26 +513,24 @@ class _HelmholtzSolver:
         zero start's, and 1D ignores it.
         """
         rhs = np.ascontiguousarray(rhs_cols, dtype=float)
-        k = len(rhs)
+        sig = np.asarray(sig_over_dt, dtype=float)
+        phi = np.asarray(phi, dtype=float)
         if self.grid.dimension == 1:
-            key = (sig_over_dt, phi, k)
-            try:
-                d, fresh = self._kept[key], 0
-            except KeyError:
-                d, fresh = self._block_diagonal(sig_over_dt, phi, k), 0
-                self._kept = {key: d}
-            except TypeError:
-                # fields are unhashable: their diagonal serves this call alone
-                d, fresh = self._block_diagonal(sig_over_dt, phi, k), 1
-            dl, du = self._block_bands(k)
+            k = len(rhs)
+            dl, du, d = self._block_arrays(k)
+            # the block diagonal, (main + phi_j) + sig_j in block j, is kept
+            # for the next call with the same values
+            key = (k, sig.shape, phi.shape, sig.tobytes(), phi.tobytes())
+            if key != self._kept:
+                np.add(self._main + phi, sig, out=d.reshape(k, -1))
+                self._kept = key
             # the C-ordered (k, n) stack is the vector of all k*n unknowns, so
-            # it is solved in place; a kept diagonal is solved on a copy
-            info = dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=fresh, overwrite_b=1)[4]
+            # it is solved in place; the kept diagonal is solved on a copy
+            info = dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=0, overwrite_b=1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
-            columns = zip(self._per_column(sig_over_dt, k), self._per_column(phi, k))
-            self._solve_2d([np.asarray(s) + p for s, p in columns], rhs, guess)
+            self._solve_2d(sig, phi, rhs, guess)
         if not np.isfinite(rhs).all():
             raise ValueError("linear solve produced non-finite values")
         return rhs
@@ -554,46 +544,30 @@ class _HelmholtzSolver:
             self._work = (np.empty((4, 2, 2) + shape), np.empty((7, self.grid.npoints)))
         return self._work
 
-    def _per_column(self, values, k):
-        """Per-column values as a sequence of k scalars or fields."""
-        if type(values) is tuple:
-            return values
-        values = np.asarray(values)
-        return values if values.ndim > self.grid.dimension else (values,) * k
+    def _block_arrays(self, k):
+        """The (sub, super) off-diagonals of k blocks, built once per k, and
+        a vector their main diagonal is written into."""
+        arrays = self._blocks.get(k)
+        if arrays is None:
+            bands = tuple(np.tile(band, k)[:-1] for band in self._block)
+            arrays = self._blocks[k] = bands + (np.empty(k * self.grid.nx),)
+        return arrays
 
-    def _block_diagonal(self, sig_over_dt, phi, k):
-        """The k blocks' main diagonal as one vector, (main + phi_j) + sig_j in block j."""
-        d = (self._main + self._stacked(phi, k)) + self._stacked(sig_over_dt, k)
-        shape = (k, self.grid.nx)
-        return (d if d.shape == shape else np.broadcast_to(d, shape)).ravel()
-
-    def _stacked(self, values, k):
-        """1D per-column values as an array broadcasting against the (k, n) stack."""
-        if type(values) is not tuple:
-            return values
-        if all(type(v) is float for v in values):
-            return np.array(values).reshape(k, 1)
-        return np.stack(np.broadcast_arrays(*values))
-
-    def _block_bands(self, k):
-        """The (sub, super) off-diagonals of k blocks, built once per k."""
-        bands = self._bands.get(k)
-        if bands is None:
-            bands = self._bands[k] = tuple(np.tile(band, k)[:-1] for band in self._block)
-        return bands
-
-    def _solve_2d(self, diags, rhs, guess):
+    def _solve_2d(self, sig, phi, rhs, guess):
         g = self.grid
-        for d, b, x0 in zip(diags, rhs, np.broadcast_to(guess, rhs.shape)):
+        sigs, phis, guesses = (np.broadcast_to(a, rhs.shape) for a in (sig, phi, guess))
+        for s, p, b, x0 in zip(sigs, phis, rhs, guesses):
+            # the column's diagonal filled over the grid, whatever form it was
+            # passed in, so the shift is always the mean of its values
+            d = s + p
             inv_eig = 1.0 / (float(d.mean()) + self._lam)
             x = self._pcg(d, float(d.min()), inv_eig, b, x0)
             if x is None:
                 import scipy.sparse as sp
                 from scipy.sparse.linalg import splu
 
-                full = np.broadcast_to(d, g.shape).ravel()
-                x = splu((g.neg_laplacian_matrix + sp.diags(full)).tocsc()).solve(b.ravel())
-                x = x.reshape(g.shape)
+                lhs = g.neg_laplacian_matrix + sp.diags(d.ravel())
+                x = splu(lhs.tocsc()).solve(b.ravel()).reshape(g.shape)
                 self.fallbacks += 1
             b[...] = x
 
@@ -889,14 +863,10 @@ def _run_inner(
     grid = solver.grid
     shape, npoints = grid.shape, grid.npoints
     d, alpha, h_n = step
-    u, h, f = bracket.u, bracket.h, bracket.f
+    u, f = bracket.u, bracket.f
     stack, cols = (2, 2) + shape, (4,) + shape
-    # the solve's columns are the stack's (species, sequence) rows in C order
-    phi_cols = (phis[0], phis[0], phis[1], phis[1])
-    # sig/dt of a constant-sigma (alpha = 0) species, a scalar for its columns
-    frozen = (params.alpha1 != 0.0, params.alpha2 != 0.0)
-    shared = ((1.0 / params.d1) / dt, (1.0 / params.d2) / dt)
-    quasilinear = any(frozen)
+    # sigma = 1/d at every iterate when both species have alpha = 0
+    quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
 
     # the accepted state's compact rows, allocated ahead of this call's
     # temporaries: kept states then fill the holes earlier steps' temporaries
@@ -906,16 +876,13 @@ def _run_inner(
     # the solves alternate between two transform stacks, so the previous
     # iterate's stays readable while the next right-hand side is assembled
     work, audit = solver.work_arrays()
-    solved, term = work[:2], work[2]
-    solved_cols = solved.reshape((2,) + cols)
-    h_cols = h.reshape((4,) + h.shape[2:])
-    phi = _species_column(grid, *phis)
-    if not quasilinear:
-        # constant sigma = 1/d: the h^n term and the diagonal are the same at
-        # every iterate
-        base = np.multiply(1.0 / d, h_n, out=work[3])
-        base /= dt
-        sig_over_dt = (shared[0], shared[0], shared[1], shared[1])
+    solved, base = work[:2], work[3]
+    # the solve's columns are the stack's (species, sequence) rows in C
+    # order; phi, one value per column, and the previous iterate's
+    # transform h are taken on them
+    solved_cols, term = solved.reshape((2,) + cols), work[2].reshape(cols)
+    phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * grid.dimension)
+    h = bracket.h.reshape((4,) + bracket.h.shape[2:])
     # chain audit rows, one grid each: new - old on the rows (w1, v1, w2,
     # v2), then v - w on the same flat stack shifted by one row, whose rows 0
     # and 2 are species 1's and 2's (row 1, w2 - v1, is not read)
@@ -927,27 +894,18 @@ def _run_inner(
     for k in range(1, cfg.max_inner_iters + 1):
         if k > 1:
             f = _paired_reactions(params, u)
-        rhs = solved[k % 2]
-        if quasilinear:
+        if k == 1 or quasilinear:
+            # sigma frozen at the previous iterate: the h^n term and sig/dt
             sig = _sigma(d, alpha, u)
-            # a field on the grid, also from a constant bracket's (2, 2, 1...)
-            # stack, while a constant-sigma species keeps its scalar: the 2D
-            # preconditioner's shift is a field's mean, or the scalar itself
-            sig_over_dt = sig / dt
-            if sig_over_dt.shape != stack:
-                sig_over_dt = np.broadcast_to(sig_over_dt, stack)
-            sig_over_dt = sig_over_dt.reshape(cols)
-            if not all(frozen):
-                sig_over_dt = tuple(
-                    sig_over_dt[j] if frozen[j // 2] else shared[j // 2] for j in range(4)
-                )
-            base = np.multiply(sig, h_n, out=rhs)
+            np.multiply(sig, h_n, out=base)
             base /= dt
+            sig_over_dt = (sig / dt).reshape((4,) + sig.shape[2:])
+        rhs, rhs_cols = solved[k % 2], solved_cols[k % 2]
         np.add(base[0], f[0], out=rhs[0])
         np.add(base[1], f[1], out=rhs[1])
-        rhs += np.multiply(phi, h, out=term)
+        rhs_cols += np.multiply(phi, h, out=term)
         # in place: rhs becomes the new transformed stack
-        solver.solve(sig_over_dt, phi_cols, solved_cols[k % 2], h_cols)
+        solver.solve(sig_over_dt, phi, rhs_cols, h)
         new_u = _inverse_stack(params, d, rhs)
 
         # the lower must not drop nor the upper rise, then the lower must
@@ -961,13 +919,13 @@ def _run_inner(
         gap = 0.0 - min(low[4], low[6])
         worst = max(top[0], top[2], 0.0 - min(low[1], low[3]), top[4], top[6])
 
-        u, h, h_cols = new_u, rhs, solved_cols[k % 2]
+        u, h = new_u, rhs_cols
         iterates.append((u, gap, worst))
         if worst > chain_tol:
             raise _ChainViolation(worst, k)
         if gap <= gap_tol:
             kept_u[...] = u[:, 1]
-            kept_h[...] = h[:, 1]
+            kept_h[...] = rhs[:, 1]
             return iterates, SystemState(t_start + dt, grid, kept_u, kept_h), gap
 
     raise ConvergenceError(
@@ -1096,6 +1054,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     state = SystemState.from_u(params, 0.0, *u0)
     if not grid.compatible(state.grid):
         raise ValueError("initial fields live on a different grid")
+    # fields flagged overflowed pass from_u with non-finite values
+    if not np.isfinite(state.u).all():
+        raise ValueError("initial fields must be finite")
     if np.any(state.u < 0.0):
         raise ValueError("initial fields must be nonnegative")
     extremes = _Extremes.of(state)

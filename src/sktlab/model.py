@@ -40,6 +40,7 @@ safe to share across threads. All operations accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -185,15 +186,7 @@ class GrowthConstants:
     valid: bool
 
     def as_dict(self) -> dict:
-        return {
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "psi1": self.psi1,
-            "psi2": self.psi2,
-            "c": self.c,
-            "psi": self.psi,
-            "valid": self.valid,
-        }
+        return dataclasses.asdict(self)
 
 
 def growth_constants(params: ModelParams, mu1: float, mu2: float) -> GrowthConstants:

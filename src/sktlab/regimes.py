@@ -31,6 +31,7 @@ than
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -52,13 +53,7 @@ class InequalityRecord:
     strict: bool
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "strict": self.strict,
-        }
+        return dataclasses.asdict(self)
 
 
 def _record(name: str, lhs: float, rhs: float, strict: bool) -> InequalityRecord:

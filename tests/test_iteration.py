@@ -918,28 +918,24 @@ class TestHelmholtzSolver:
         self, n, length, ratios, phis, fields, columns, seed
     ):
         # one block-tridiagonal solve for all columns, each with its own
-        # sig/dt, a scalar or a field, and its own phi. The banded solve reads
-        # the same stencil as neg_laplacian_matrix; each diagonal is drawn
-        # relative to the stencil's top eigenvalue 4/h^2, so the condition
-        # number stays below about 1e3 (the stepper runs far better
-        # conditioned: sig/dt dominates)
+        # sig/dt, a constant or a field, and its own phi, drawn as (k, n) and
+        # (k, 1) arrays. The banded solve reads the same stencil as
+        # neg_laplacian_matrix; each diagonal is drawn relative to the
+        # stencil's top eigenvalue 4/h^2, so the condition number stays below
+        # about 1e3 (the stepper runs far better conditioned: sig/dt dominates)
         grid = Grid.interval(length, n)
         rng = np.random.default_rng(seed)
-        phis, fields = phis[:columns], fields[:columns]
-        sigs = []
-        for ratio, field in zip(ratios, fields):
-            shift = ratio * 4.0 / grid.hx**2
-            sigs.append(shift * rng.uniform(0.5, 2.0, n) if field else shift)
+        phis = np.reshape(phis[:columns], (columns, 1))
+        sigs = np.empty((columns, n))
+        for sig, ratio, field in zip(sigs, ratios, fields):
+            sig[...] = ratio * 4.0 / grid.hx**2 * (rng.uniform(0.5, 2.0, n) if field else 1.0)
         cols = rng.standard_normal((columns, n))
         cold = np.zeros((columns, n))
-        got = _HelmholtzSolver(grid).solve(tuple(sigs), tuple(phis), cols.copy(), cold)
+        got = _HelmholtzSolver(grid).solve(sigs, phis, cols.copy(), cold)
         assert got.shape == (columns, n)
-        if len(set(fields)) == 1:
-            # the same columns as one array broadcasting against the stack
-            stacked = np.reshape(sigs, (columns, -1))
-            again = _HelmholtzSolver(grid).solve(
-                stacked, np.reshape(phis, (columns, 1)), cols.copy(), cold
-            )
+        if not any(fields[:columns]):
+            # constant columns passed as a (k, 1) array
+            again = _HelmholtzSolver(grid).solve(sigs[:, :1], phis, cols.copy(), cold)
             assert np.array_equal(again, got)
         for x, b, sig, phi in zip(got, cols, sigs, phis):
             # each column is solve_banded on that column alone, bit for bit
@@ -947,8 +943,7 @@ class TestHelmholtzSolver:
             ab[1] += phi
             ab[1] += sig
             assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
-            diag = np.broadcast_to(sig + phi, (n,))
-            ref = splu((grid.neg_laplacian_matrix + sp.diags(diag)).tocsc()).solve(b)
+            ref = splu((grid.neg_laplacian_matrix + sp.diags(sig + phi)).tocsc()).solve(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -968,22 +963,22 @@ class TestHelmholtzSolver:
     def test_cg_solve_matches_sparse_lu(
         self, nx, ny, lx, ly, ratios, contrast, phis, fields, columns, noise, seed
     ):
-        # each column has its own sig/dt, a scalar or a field, and its own
-        # phi; every column of one call must equal a one-column call on a
-        # fresh solver, guesses and fallbacks included. The diagonal sits
-        # relative to the stencil's top eigenvalue, as in the 1D property, and
-        # the right-hand sides are scaled by it, so the solutions are of order
-        # one; each column starts from zero or, with `noise` set, from its
-        # solution plus noise of that relative size
+        # each column has its own sig/dt, a constant or a field, and its own
+        # phi, drawn as (k, *grid) and (k, 1, 1) arrays; every column of one
+        # call must equal a one-column call on a fresh solver, a constant
+        # column passed as a scalar, guesses and fallbacks included. The
+        # diagonal sits relative to the stencil's top eigenvalue, as in the 1D
+        # property, and the right-hand sides are scaled by it, so the
+        # solutions are of order one; each column starts from zero or, with
+        # `noise` set, from its solution plus noise of that relative size
         grid = Grid.rectangle(lx, ly, nx, ny)
         unit = 4.0 / min(grid.hx, grid.hy) ** 2
         rng = np.random.default_rng(seed)
-        phis, fields = phis[:columns], fields[:columns]
-        sigs = [
-            ratio * unit * rng.uniform(1.0, contrast, grid.shape) if field else ratio * unit
-            for ratio, field in zip(ratios, fields)
-        ]
-        diags = [np.broadcast_to(sig + phi, grid.shape) for sig, phi in zip(sigs, phis)]
+        phis, fields = np.reshape(phis[:columns], (columns, 1, 1)), fields[:columns]
+        sigs = np.empty((columns,) + grid.shape)
+        for sig, ratio, field in zip(sigs, ratios, fields):
+            sig[...] = ratio * unit * (rng.uniform(1.0, contrast, grid.shape) if field else 1.0)
+        diags = sigs + phis
         cols = np.array([diag * rng.standard_normal(grid.shape) for diag in diags])
         refs = [
             splu((grid.neg_laplacian_matrix + sp.diags(diag.ravel())).tocsc())
@@ -997,12 +992,12 @@ class TestHelmholtzSolver:
                 for ref in refs
             ])
         solver = _HelmholtzSolver(grid)
-        got = solver.solve(tuple(sigs), tuple(phis), cols.copy(), guess)
+        got = solver.solve(sigs, phis, cols.copy(), guess)
         assert got.shape == cols.shape
         fallbacks = 0
-        for x, sig, phi, b, x0, ref in zip(got, sigs, phis, cols, guess, refs):
+        for x, sig, phi, field, b, x0, ref in zip(got, sigs, phis, fields, cols, guess, refs):
             single = _HelmholtzSolver(grid)
-            (one,) = single.solve(sig, phi, [b], [x0])
+            (one,) = single.solve(sig if field else sig[0, 0].item(), phi.item(), [b], [x0])
             fallbacks += single.fallbacks
             assert np.array_equal(x, one)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -1110,9 +1105,63 @@ class TestHelmholtzSolver:
         again = solver.solve(250.0, 3.0, cols, cold)
         fresh = _HelmholtzSolver(grid).solve(250.0, 3.0, cols, cold)
         assert np.array_equal(first, again) and np.array_equal(first, fresh)
-        # the same shift passed as a field takes the uncached path
+        # the same shift passed as a field gives the same bytes
         field = solver.solve(np.full(grid.shape, 250.0), 3.0, cols, cold)
         assert np.array_equal(field, first)
+
+    def test_kept_diagonal_follows_the_values(self):
+        # a 1D solver keeps its last block diagonal for a call with the same
+        # values: after a kept call, a changed phi, another column count and
+        # the same values as a field must each give a fresh solver's bytes,
+        # and the kept diagonal must come out of the solve unchanged
+        grid = Grid.interval(np.pi, 17)
+        rng = np.random.default_rng(14)
+        cols = rng.standard_normal((4,) + grid.shape)
+        cold = np.zeros(cols.shape)
+        sig = rng.uniform(200.0, 300.0, (4, 1))
+        phi = np.array([[3.0], [3.0], [5.0], [5.0]])
+        moved = phi.copy()
+        moved[2] = 40.0
+
+        def solve(solver, sig, phi, b):
+            return solver.solve(sig, phi, b.copy(), cold[: len(b)]).tobytes()
+
+        kept = _HelmholtzSolver(grid)
+        first = solve(kept, sig, phi, cols)
+        _, _, diagonal = kept._block_arrays(4)
+        before = diagonal.copy()
+        assert solve(kept, sig, phi, cols) == first
+        assert np.array_equal(diagonal, before)
+        cases = (
+            (sig, moved, cols),
+            (sig[:3], phi[:3], cols[:3]),
+            (np.broadcast_to(sig, cols.shape).copy(), phi, cols),
+        )
+        for case in cases:
+            want = solve(_HelmholtzSolver(grid), *case)
+            assert solve(kept, *case) == want
+            assert solve(kept, sig, phi, cols) == first
+        # the changed phi does change the solution
+        assert solve(_HelmholtzSolver(grid), *cases[0]) != first
+
+    def test_2d_diagonal_form_does_not_matter(self):
+        # the preconditioner's shift is the grid mean of a column's diagonal,
+        # so a constant gives the same bytes as a scalar, as a (k, 1, 1) array
+        # and filled over the grid; this value's 65x65 mean rounds up an ulp
+        grid = Grid.rectangle(np.pi, np.pi, 65, 65)
+        value = 1.0 / 1.3 / 1e-3
+        assert np.full(grid.shape, value).mean() != value
+        rng = np.random.default_rng(15)
+        cols = rng.standard_normal((2,) + grid.shape)
+        cold = np.zeros(cols.shape)
+        forms = (
+            (value, 2.0),
+            (np.full((2, 1, 1), value), np.full((2, 1, 1), 2.0)),
+            (np.full(grid.shape, value), 2.0),
+            (np.full(cols.shape, value), np.full(cols.shape, 2.0)),
+        )
+        got = [_HelmholtzSolver(grid).solve(s, p, cols.copy(), cold).tobytes() for s, p in forms]
+        assert got == [got[0]] * len(forms)
 
     def test_constant_diagonal_solved_by_one_preconditioner_step(self, monkeypatch):
         # the DCT-I preconditioner is the exact inverse when the diagonal is
@@ -1376,3 +1425,16 @@ class TestSimulate:
         bad = (ScalarField(grid, vals), ScalarField.constant(grid, 0.2))
         with pytest.raises(ValueError, match="nonnegative"):
             simulate(params, grid, eig, bad, cfg, 1.0)
+
+    @pytest.mark.parametrize("window", [False, True], ids=["auto", "window"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_initial_fields_rejected(self, setup, value, window):
+        # fields flagged overflowed may hold non-finite values; simulate
+        # refuses them up front rather than halving dt to a failed run
+        params, grid, eig, regime, u0 = setup
+        bracket = initial_bracket(params, eig, u0, regime) if window else None
+        vals = u0[1].values.copy()
+        vals[4] = value
+        bad = (u0[0], ScalarField(grid, vals, overflowed=True))
+        with pytest.raises(ValueError, match="initial fields must be finite"):
+            simulate(params, grid, eig, bad, SolverConfig(dt=1e-3), 1e-2, bracket=bracket)
