@@ -55,13 +55,18 @@ not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
 reduces to. The extremes of u and h^n are taken once per accepted state
-(_Extremes) and serve both brackets of the next attempt and the growth and
-overflow test. An admitted bracket's stacks are (2, 2, 1...) arrays that
-broadcast over the grid, and it reaches the step with its violations
-measured. Its floors are at most, and its ceilings at least, the
-nonnegative state's extremes, so it contains the state by construction:
-the step checks containment only for a caller's bracket, and takes
-iterate 0's gap and worst violation from the bracket's floats.
+(_Extremes) and serve the constant brackets of the next attempt and the
+growth and overflow test. An admitted bracket's stacks are (2, 2, 1...)
+arrays that broadcast over the grid, and it reaches the step with its
+violations measured; the step takes iterate 0's gap and worst violation
+from the bracket's floats.
+
+Only tight and wide brackets contain the state by construction: their
+floors are at most, and their ceilings at least, the nonnegative state's
+extremes. The step checks containment for a caller's bracket, and for no
+other. A predicted bracket needs none: an admitted pair of discrete lower
+and upper bound solutions brackets the step solution whether or not it
+contains u^n.
 
 A SystemState holds the same species axis without the sequence one: a
 (2, *grid) density stack u and its transform h, row 0 species 1. A state is
@@ -95,31 +100,53 @@ its recomputed residual bounds its sup-norm error by
 that misses falls back to sparse LU and is counted in the trace's
 `fallbacks`. Zero right-hand sides give exact zeros on both paths.
 
-The time-stepping loop `simulate` repeats steps to t_end. A caller's
-certified (lower, upper) bracket is stacked once and reused by every step,
-with its transform and reactions. Without one, each step first tries a tight
-constant bracket [(1-kappa) min u_i, (1+kappa) max u_i], with kappa =
-max(3*growth_trigger, 2*g) and g the last accepted step's relative change
-of the per-species sup norms, then the wide bracket [0, 2 max u_i]; when
-kappa >= 1 only the wide one. Both are built by _constant_bracket and
-admitted only when they pass the discrete-bound test the step applies to
-every bracket. Each trace records which of "window", "tight" and "wide" it
-ran in.
+The time-stepping loop `simulate` repeats steps to t_end. From the third
+step on, each attempt first tries a predicted bracket, the predictor half of
+a predictor-corrector (Hairer & Wanner, Solving ODEs II, IV.8): the next
+state is extrapolated by the quadratic in t through the last three accepted
+states, or the line through two before there are three, with Lagrange
+weights, so a halved dt needs nothing special. Each species gets the
+half-width e_i = 2 * max|u_i^n - p_i^n|, twice the miss of the prediction
+of the last accepted state, plus a round-off floor of 1e-12 * max(1,
+largest sup norm of the state); no floor goes below zero. The bracket
+takes the form of the run's other brackets:
+
+- without a caller's bracket, a constant bracket on floats from the
+  extrapolated per-species extremes of u, [max(min p_i - e_i, 0),
+  max p_i + e_i], built by _auto_bracket;
+- with one, a field stack inside the caller's window: with p clipped into
+  the window, [max(p - e, floor), min(p + e, N)], floor the window's floor
+  (at least zero) and N its ceiling, whose reactions, Laplacian and
+  discrete-bound violations are computed once.
+
+When the predicted bracket fails the discrete-bound test, the attempt falls
+back, at no cost to the halving budget, to the run's other brackets, which
+are also all the first two steps see. A caller's certified (lower, upper)
+bracket is stacked once and reused by every such step, with its transform
+and reactions. Without one, the attempt tries a tight constant bracket
+[(1-kappa) min u_i, (1+kappa) max u_i], with kappa = max(3*growth_trigger,
+2*g) and g the last accepted step's relative change of the per-species sup
+norms, then the wide bracket [0, 2 max u_i]; when kappa >= 1 only the wide
+one. Both are built by _constant_bracket and admitted only when they pass
+the discrete-bound test the step applies to every bracket. Each trace
+records which of "predicted", "window", "tight" and "wide" it ran in.
 
 dt is halved in one place, out of a shared budget, for one of three
 causes: no bracket passes at the current dt, the step raises (the chain
 breaks after every shift escalation, or the gap does not close), or a sup
 norm grows past growth_trigger, checked only while the budget lasts. The
-attempt is then made again at the halved dt, tight bracket first. A tight
-bracket that fails its test costs no halving: the step falls back to the
-wide one. Overflow of either species past overflow_cap terminates the run
-with the offending state preserved separately from the sub-cap snapshots.
+attempt is then made again at the halved dt, predicted bracket first. A
+predicted or tight bracket that fails its test costs no halving: the step
+falls back to the next one. Overflow of either species past overflow_cap
+terminates the run with the offending state preserved separately from the
+sub-cap snapshots.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -141,6 +168,11 @@ _LOWER_SCALE_CAP = 1e-3
 _CG_ACCEPT = 1e-12
 _CG_STOP = 1e-13
 _CG_MAX_ITERS = 100
+# a predicted bracket's half-width per species: _PREDICT_FACTOR times the
+# miss of the prediction of the last accepted state, plus _PREDICT_FLOOR *
+# max(1, largest sup norm) for the round-off of the extrapolation
+_PREDICT_FACTOR = 2.0
+_PREDICT_FLOOR = 1e-12
 
 
 def _row_field(stack: str, row: int) -> property:
@@ -266,7 +298,7 @@ class IterationTrace:
     phi2: float
     retries: int
     fallbacks: int  # 2D columns the linear solver handed to sparse LU, retries included
-    bracket: str  # "window" (the caller's), "tight" or "wide" (automatic)
+    bracket: str  # "window" (the caller's), "predicted", "tight" or "wide"
 
     @property
     def records(self) -> tuple:
@@ -335,7 +367,9 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
     max(u0_i) when the data demands it and the window still permits; the
     floor is rho_i * phi0 with rho_i = min(1e-3, half the pointwise minimum
     of u0_i/phi0), dropped to zero whenever u0_i touches zero or phi0 is not
-    strictly positive. Returns (lower, upper) SystemStates at t = 0.
+    strictly positive. Returns (lower, upper) SystemStates at t = 0. Raises
+    ValueError on data that are not finite (fields flagged overflowed may
+    hold NaN or inf) or not nonnegative.
     """
     if not regime.certified:
         failed = next((r.name for r in regime.inequalities if not r.holds), None)
@@ -351,6 +385,10 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
     phi = eig.phi0
     if not grid.compatible(phi.grid):
         raise ValueError("eigenfunction lives on a different grid")
+    # fields flagged overflowed may hold NaN or inf, which every comparison
+    # below would let through
+    if not all(np.isfinite(field.values).all() for field in u0):
+        raise ValueError("initial fields must be finite")
 
     uppers = []
     for i, (field, lo, hi) in enumerate(
@@ -536,12 +574,21 @@ class _HelmholtzSolver:
         return rhs
 
     def work_arrays(self):
-        """The inner iteration's work arrays on this grid: a (4, 2, 2, *grid)
-        block of stacks and (7, npoints) chain audit rows, made on first
-        use."""
+        """The inner iteration's work arrays on this grid, made on first use,
+        and the views it reads them through, as (solved, solved_cols, base,
+        term, audit, new_minus_old, v_minus_w): solved is two (2, 2, *grid)
+        stacks and solved_cols the same two as (4, *grid) columns, base a
+        (2, 2, *grid) stack, term (4, *grid) columns, and audit (7, npoints)
+        chain audit rows, whose first four are new_minus_old as a
+        (2, 2, *grid) stack and whose last three are v_minus_w, flat."""
         if self._work is None:
             shape = self.grid.shape
-            self._work = (np.empty((4, 2, 2) + shape), np.empty((7, self.grid.npoints)))
+            work, audit = np.empty((4, 2, 2) + shape), np.empty((7, self.grid.npoints))
+            solved = work[:2]
+            self._work = (
+                solved, solved.reshape((2, 4) + shape), work[3], work[2].reshape((4,) + shape),
+                audit, audit[:4].reshape((2, 2) + shape), audit[4:].reshape(-1),
+            )
         return self._work
 
     def _block_arrays(self, k):
@@ -665,7 +712,8 @@ class _Bracket(NamedTuple):
     reactions, which also start the inner iteration, and lap_h is the
     Laplacian of h. box is (floors, ceilings), each species' smallest floor
     and largest ceiling value as floats. kind is "window" for a caller's
-    bracket and "tight" or "wide" for an automatic one. columns are the
+    bracket, "predicted" for one around the extrapolated next state, and
+    "tight" or "wide" for the others of an automatic run. columns are the
     (d, alpha) species columns of the run's params (_param_columns), which
     simulate builds once per run and hands every step with its bracket.
     violations, when set, are the per-species discrete-bound violations, as
@@ -674,10 +722,13 @@ class _Bracket(NamedTuple):
 
     A window bracket's stacks are whole arrays, stacked once per run with
     its box from one reduction, and the step checks that it contains the
-    state. An automatic bracket is constant per species: its stacks are
-    (2, 2, 1...) arrays that broadcast over the grid, its box and
-    violations come from the floats it was built from (see _auto_bracket),
-    and it contains the state by construction.
+    state. A window run's predicted bracket is whole arrays too, inside the
+    window, built with its violations for one step; the step does not check
+    that it contains the state. An automatic run's brackets, predicted ones
+    included, are constant per species: their stacks are (2, 2, 1...)
+    arrays that broadcast over the grid, and their box and violations come
+    from the floats they were built from (see _auto_bracket). Of all kinds,
+    only tight and wide brackets contain the state by construction.
     """
 
     u: np.ndarray
@@ -728,7 +779,10 @@ def step_monotone(
     """Advance one dt from `state` inside `bracket`, returning (state, trace).
 
     The bracket is a (lower, upper) SystemState pair that must contain the
-    state pointwise; simulate passes its own stacked form of one. `solver`
+    state pointwise; simulate passes its own stacked form of one (_Bracket).
+    Only a "window" bracket is checked for containment: a tight or wide one
+    contains the state by construction, and an admitted "predicted" one
+    bounds the step solution whether or not it contains the state. `solver`
     is a _HelmholtzSolver on the state's grid to reuse across steps; a
     fresh one is built when it is None. Raises OrderingViolationError when
     the bracket is not a discrete bound solution at cfg.dt, or when the
@@ -750,10 +804,10 @@ def step_monotone(
     scale = max(ceilings)
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
-    # iterate 0 is the bracket: its gap, and its worst violation, the
-    # floor's largest excess over the ceiling
     if bracket.kind == "window":
-        # the state must lie under the upper and over the lower
+        # the state must lie under the upper and over the lower; a tight or
+        # wide bracket contains it by construction, and an admitted
+        # predicted one needs no check: its pair bounds the step solution
         outside = (_sequence_signs(grid) * (state.u[:, None] - u0)).reshape(2, -1).max(axis=1)
         for i in (0, 1):
             worst = float(outside[i])
@@ -763,15 +817,16 @@ def step_monotone(
                     worst_violation=worst,
                     iterate=0,
                 )
+    # iterate 0 is the bracket: its gap, and its worst violation, the
+    # floor's largest excess over the ceiling, from the floats of a
+    # bracket constant per species
+    if u0.shape[2:] == grid.shape:
         iterate0 = (
             u0,
             float((u0[:, 0] - u0[:, 1]).max()),
             float((u0[:, 1] - u0[:, 0]).max()),
         )
     else:
-        # an automatic bracket is constant per species and contains the state
-        # by construction: its floors are at most, and its ceilings at
-        # least, the state's extremes
         iterate0 = (u0, max(w1 - v1, w2 - v2), max(v1 - w1, v2 - w2))
 
     # one-shot feasibility of the bracket endpoints as discrete bound
@@ -864,7 +919,6 @@ def _run_inner(
     shape, npoints = grid.shape, grid.npoints
     d, alpha, h_n = step
     u, f = bracket.u, bracket.f
-    stack, cols = (2, 2) + shape, (4,) + shape
     # sigma = 1/d at every iterate when both species have alpha = 0
     quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
 
@@ -874,19 +928,16 @@ def _run_inner(
     # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
     kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
     # the solves alternate between two transform stacks, so the previous
-    # iterate's stays readable while the next right-hand side is assembled
-    work, audit = solver.work_arrays()
-    solved, base = work[:2], work[3]
-    # the solve's columns are the stack's (species, sequence) rows in C
+    # iterate's stays readable while the next right-hand side is assembled.
+    # The solve's columns are the stack's (species, sequence) rows in C
     # order; phi, one value per column, and the previous iterate's
-    # transform h are taken on them
-    solved_cols, term = solved.reshape((2,) + cols), work[2].reshape(cols)
+    # transform h are taken on them. The chain audit rows are one grid
+    # each: new - old on the rows (w1, v1, w2, v2), then v - w on the same
+    # flat stack shifted by one row, whose rows 0 and 2 are species 1's and
+    # 2's (row 1, w2 - v1, is not read)
+    solved, solved_cols, base, term, audit, new_minus_old, v_minus_w = solver.work_arrays()
     phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * grid.dimension)
     h = bracket.h.reshape((4,) + bracket.h.shape[2:])
-    # chain audit rows, one grid each: new - old on the rows (w1, v1, w2,
-    # v2), then v - w on the same flat stack shifted by one row, whose rows 0
-    # and 2 are species 1's and 2's (row 1, w2 - v1, is not read)
-    new_minus_old, v_minus_w = audit[:4].reshape(stack), audit[4:].reshape(-1)
     iterates = [iterate0]
     if iterate0[2] > chain_tol:
         raise _ChainViolation(iterate0[2], 0)
@@ -1007,6 +1058,92 @@ def _constant_bracket(params, columns, extremes, dt, kappa):
     return _auto_bracket(params, columns, extremes, dt, floors, ceilings, "tight")
 
 
+def _extrapolate(times, values, t):
+    """The polynomial in t through the (times, values) nodes, evaluated at t.
+
+    Lagrange weights, so unevenly spaced nodes, as a halved dt leaves them,
+    need nothing special: two nodes give the line, three the quadratic.
+    values are lists of floats, evaluated on Python floats, or arrays.
+    """
+    if len(times) == 2:
+        t0, t1 = times
+        weights = ((t - t1) / (t0 - t1), (t - t0) / (t1 - t0))
+    else:
+        t0, t1, t2 = times
+        weights = (
+            (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2)),
+            (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
+            (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)),
+        )
+    if isinstance(values[0], list):
+        return [sum(map(operator.mul, weights, xs)) for xs in zip(*values)]
+    out = weights[0] * values[0]
+    for w, x in zip(weights[1:], values[1:]):
+        out += w * x
+    return out
+
+
+def _misses(node, prediction):
+    """Each species' largest |value - prediction|: over the grid for a u
+    stack, over its minimum and maximum for a list of extremes."""
+    if isinstance(node, list):
+        miss = [abs(x - p) for x, p in zip(node, prediction)]
+        return [max(miss[0], miss[2]), max(miss[1], miss[3])]
+    # in place: the prediction is this attempt's own array
+    np.abs(np.subtract(node, prediction, out=prediction), out=prediction)
+    return prediction.reshape(2, -1).max(axis=1).tolist()
+
+
+def _predicted_window_bracket(params, grid, window, floor, prediction, widths, h_n, dt):
+    """A window run's predicted bracket for a step of dt, its violations
+    measured; None when they fail the admission test.
+
+    The (2, *grid) prediction is clipped into the window, between floor (the
+    window's floor, at least zero) and its ceiling N, and the bracket is
+    min(p + e, N) over max(p - e, floor), e the species' half-width: a
+    field stack that is ordered and stays inside the window.
+    """
+    top = window.u[:, 0]
+    p = np.minimum(np.maximum(prediction, floor), top)
+    e = np.reshape(widths, (2,) + (1,) * grid.dimension)
+    u = np.empty((2, 2) + grid.shape)
+    np.minimum(p + e, top, out=u[:, 0])
+    np.maximum(p - e, floor, out=u[:, 1])
+    d, alpha = window.columns
+    h = _transform_raw(d, alpha, u)
+    box = (
+        u[:, 1].reshape(2, -1).min(axis=1).tolist(),
+        u[:, 0].reshape(2, -1).max(axis=1).tolist(),
+    )
+    bracket = _Bracket(
+        u, h, _paired_reactions(params, u), _lap_array(grid, h), box, "predicted",
+        window.columns,
+    )
+    violations = _violations(params, grid, dt, h_n, bracket).tolist()
+    if not _auto_bracket_feasible(violations, box[1]):
+        return None
+    return bracket._replace(violations=violations)
+
+
+def _predicted_constant_bracket(params, columns, extremes, dt, prediction, widths):
+    """An automatic run's predicted bracket for a step of dt from the state
+    whose _Extremes are given, or None when it is not a discrete bound
+    solution there.
+
+    prediction is the extrapolated [min u1, min u2, max u1, max u2]; the
+    bracket is constant per species, the predicted minimum less the
+    half-width, at least zero, under the predicted maximum plus it. Built on
+    floats by _auto_bracket, like the tight and wide brackets.
+    """
+    floors = [max(p - e, 0.0) for p, e in zip(prediction[:2], widths)]
+    ceilings = [p + e for p, e in zip(prediction[2:], widths)]
+    # an extrapolated maximum below zero, or far below the extrapolated
+    # minimum, leaves no ordered bracket
+    if floors[0] > ceilings[0] or floors[1] > ceilings[1]:
+        return None
+    return _auto_bracket(params, columns, extremes, dt, floors, ceilings, "predicted")
+
+
 class _Extremes(NamedTuple):
     """Each species' smallest and largest density and transform in a state,
     as lists of floats, from four reductions per state."""
@@ -1033,21 +1170,26 @@ class _Extremes(NamedTuple):
 def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
     """March step_monotone from u0 to t_end, or to overflow, or to failure.
 
-    With `bracket` given (a certified (lower, upper) pair) every step reuses
-    it. Otherwise each attempt first tries the tight constant bracket
-    [(1-kappa) min u_i, (1+kappa) max u_i], kappa = max(3*growth_trigger,
-    2*g) with g the last accepted step's relative sup-norm change, and takes
-    it when it is a discrete bound solution at the current dt. When it is
-    not, or when kappa >= 1, the attempt falls back, at no cost to the
-    halving budget, to the wide zero-floor bracket with ceiling 2*max(u_i),
-    under the same test.
+    From the third step on, each attempt first tries a predicted bracket
+    around the next state extrapolated from the last three accepted ones
+    (the module docstring gives its form), and takes it when it is a
+    discrete bound solution at the current dt; its trace says "predicted".
+    The first two steps, and an attempt whose predicted bracket fails, go
+    on at no cost to the halving budget to the run's other brackets. With
+    `bracket` given (a certified (lower, upper) pair) that is the pair,
+    stacked once and reused, and the predicted brackets are clipped to it.
+    Otherwise it is the tight constant bracket [(1-kappa) min u_i,
+    (1+kappa) max u_i], kappa = max(3*growth_trigger, 2*g) with g the last
+    accepted step's relative sup-norm change, when it passes the same test;
+    when it does not, or when kappa >= 1, the wide zero-floor bracket with
+    ceiling 2*max(u_i), under the same test.
 
     An attempt is rejected when no bracket passes, when the step raises, or
     when, while halvings remain, a sup norm grows past growth_trigger. Each
     rejection halves dt, spends one halving and starts the attempt again,
-    tight bracket first. A rejection with the budget spent ends the run with
-    termination "failed" and the error kept, rather than raising, so partial
-    output survives.
+    predicted bracket first. A rejection with the budget spent ends the run
+    with termination "failed" and the error kept, rather than raising, so
+    partial output survives.
     """
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -1077,6 +1219,12 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     if bracket is not None:
         # stacked once, with its transform and reactions, for every step
         window = _window_bracket(params, grid, bracket)
+        floor = np.maximum(window.u[:, 1], 0.0)
+    # the predictor's nodes, the last three accepted states: their times and
+    # values, the u stack in a window run and [min u1, min u2, max u1, max u2]
+    # otherwise; and each species' miss of the last accepted prediction
+    node = state.u if bracket is not None else extremes.u_lo + extremes.u_hi
+    times, values, misses = [state.t], [node], None
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
@@ -1084,11 +1232,28 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         if step_cfg.dt != dt_step:
             step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
 
-        # one attempt: the step, or the reason to redo it at half the dt
+        # one attempt: the step, or the reason to redo it at half the dt.
+        # The predicted bracket goes first once a miss is known, from the
+        # third step on; the others follow at no cost to the halving budget
         rejection = None
-        if bracket is not None:
+        prediction = None
+        step_bracket = None
+        if len(times) > 1:
+            prediction = _extrapolate(times, values, state.t + dt_step)
+        if misses is not None:
+            round_off = _PREDICT_FLOOR * max(1.0, *norms)
+            widths = [_PREDICT_FACTOR * miss + round_off for miss in misses]
+            if bracket is not None:
+                step_bracket = _predicted_window_bracket(
+                    params, grid, window, floor, prediction, widths, state.h[:, None], dt_step
+                )
+            else:
+                step_bracket = _predicted_constant_bracket(
+                    params, columns, extremes, dt_step, prediction, widths
+                )
+        if step_bracket is None and bracket is not None:
             step_bracket = window
-        else:
+        elif step_bracket is None:
             kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
             step_bracket = _constant_bracket(params, columns, extremes, dt_step, min(kappa, 1.0))
             if step_bracket is None and kappa < 1.0:
@@ -1136,6 +1301,13 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             abs(m1 - p1) / p1 if p1 > 0.0 else 0.0, abs(m2 - p2) / p2 if p2 > 0.0 else 0.0
         )
         state, extremes, norms = new_state, new_extremes, (m1, m2)
+        node = state.u if bracket is not None else extremes.u_lo + extremes.u_hi
+        if prediction is not None:
+            misses = _misses(node, prediction)
+        if len(times) == 3:
+            del times[0], values[0]
+        times.append(state.t)
+        values.append(node)
         accepted += 1
         summaries.append(
             TraceSummary(

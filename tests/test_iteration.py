@@ -121,6 +121,19 @@ class TestInitialBracket:
         with pytest.raises(ValueError, match="nonnegative"):
             initial_bracket(params, eig, u0, regime)
 
+    @pytest.mark.parametrize("species", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_data_rejected(self, setup, value, species):
+        # fields flagged overflowed may hold non-finite values, which no
+        # ceiling or floor comparison would catch
+        params, grid, eig, regime, u0 = setup
+        vals = u0[species].values.copy()
+        vals[4] = value
+        bad = list(u0)
+        bad[species] = ScalarField(grid, vals, overflowed=True)
+        with pytest.raises(ValueError, match="initial fields must be finite"):
+            initial_bracket(params, eig, bad, regime)
+
 
 class TestSolverConfig:
     def test_defaults_valid(self):
@@ -202,7 +215,7 @@ class TestSystemState:
             result = simulate(params, grid, eig, u0, SolverConfig(dt=1e-4), t_end)
             assert result.termination == "completed"
             assert len(result.summaries) >= round(t_end / 1e-4)
-            assert {s.bracket for s in result.summaries} <= {"tight", "wide"}
+            assert {s.bracket for s in result.summaries} <= {"predicted", "tight", "wide"}
             assert built == []
 
     @pytest.mark.parametrize("window", [True, False])
@@ -881,19 +894,36 @@ class TestWindowBracketRuns:
             step_cfg = dataclasses.replace(cfg, dt=min(dt, t_end - state.t))
             return step_monotone(state, step_cfg, params, bracket)
 
-        state = SystemState.from_u(params, 0.0, *u0)
-        for summary, snap in zip(result.summaries, result.snapshots[1:]):
-            state, trace = step(state)
-            assert state.t == snap.t
-            assert state.u.tobytes() == snap.u.tobytes()
-            assert state.h.tobytes() == snap.h.tobytes()
+        # each step of the run, redone from the run's own state in the window:
+        # a window step gives the same state bit for bit and the same trace;
+        # a predicted one pinches the same step solution, within gap_tol,
+        # and stays inside the window
+        lower, upper = bracket
+        scale = float(upper.u.max())
+        gap_tol = cfg.inner_tol * (1.0 + scale)
+        chain_tol = 1e-10 * max(1.0, scale)
+        for summary, state, snap in zip(
+            result.summaries, result.snapshots, result.snapshots[1:]
+        ):
+            new_state, trace = step(state)
+            assert new_state.t == snap.t
+            if summary.bracket == "predicted":
+                assert np.abs(new_state.u - snap.u).max() <= gap_tol
+                assert np.all(lower.u - chain_tol <= snap.u)
+                assert np.all(snap.u <= upper.u + chain_tol)
+                continue
+            assert new_state.u.tobytes() == snap.u.tobytes()
+            assert new_state.h.tobytes() == snap.h.tobytes()
             assert trace.bracket == summary.bracket == "window"
             got = (trace.iterations, trace.gap, trace.worst_violation,
                    trace.phi1, trace.phi2, trace.retries, trace.fallbacks)
             want = (summary.iterations, summary.gap, summary.worst_violation,
                     summary.phi1, summary.phi2, summary.retries, summary.fallbacks)
             assert repr(got) == repr(want)
+        # the first two steps always run in the window
+        assert all(s.bracket == "window" for s in result.summaries[:2])
         assert result.final_state is result.snapshots[-1]
+        state = result.final_state
         if result.termination == "failed":
             # the step that ended the run fails the same way on the pair
             with pytest.raises(type(result.error), match=re.escape(str(result.error))):
@@ -901,6 +931,159 @@ class TestWindowBracketRuns:
         else:
             assert result.termination == "completed"
             assert len(result.summaries) == 3
+
+
+def smooth_fields(grid, seed, kinds, constant):
+    """Positive data per species, a mean times one plus a cosine mode of the
+    domain, or the mean alone when `constant`; a 'zero' species is zero."""
+    rng = np.random.default_rng(seed)
+    mode = np.cos(rng.integers(1, 3) * np.pi * grid.xs / grid.lx)
+    if grid.dimension == 2:
+        mode = np.multiply.outer(mode, np.cos(rng.integers(0, 3) * np.pi * grid.ys / grid.ly))
+    return [
+        np.zeros(grid.shape) if kind == "zero"
+        else rng.uniform(0.2, 1.5) * (1.0 + (0.0 if constant else rng.uniform(0.1, 0.5)) * mode)
+        for kind in kinds
+    ]
+
+
+def recorded_run(params, grid, u0, cfg, t_end, bracket):
+    """simulate with every step_monotone call that returned recorded as
+    (state, cfg, bracket, new state, trace)."""
+    calls = []
+    step = sktlab.iteration.step_monotone
+
+    def recording(state, cfg, params, bracket, solver=None):
+        new_state, trace = step(state, cfg, params, bracket, solver)
+        calls.append((state, cfg, bracket, new_state, trace))
+        return new_state, trace
+
+    eig = principal_eigenpair(grid, "principal")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sktlab.iteration, "step_monotone", recording)
+        result = simulate(params, grid, eig, u0, cfg, t_end, bracket=bracket)
+    return result, calls
+
+
+class TestPredictedBrackets:
+    """Steps simulate takes in a bracket around the extrapolated next state."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        **STEP_DRAWS,
+        shape=st.sampled_from(["constant", "smooth", "rough"]),
+        window=st.booleans(),
+        fill=st.floats(0.1, 0.9),
+    )
+    def test_predicted_steps_match_todays_brackets(
+        self, alphas, alpha, coeffs, dims, length, kinds, seed, dt, shape, window, fill
+    ):
+        # every predicted step keeps its chain ordered and its zeros exact,
+        # stays inside a window run's window, and pinches the step solution
+        # that today's bracket from the same state gives, within gap_tol.
+        # Automatic runs take predicted steps on constant data, as a constant
+        # bracket around moving extremes rarely bounds a varying state.
+        params, grid, data, _ = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
+        if shape != "rough":
+            data = smooth_fields(grid, seed, kinds, shape == "constant")
+        bracket = None
+        if window:
+            eig = principal_eigenpair(grid, "principal")
+            regime = classify_global(params, eig.lambda0, eig.mode)
+            assume(regime.certified)
+            # each species peaks at most at the fraction `fill` of its window ceiling
+            data = [fill * n * u / max(u.max(), 1.0) for (_, n), u in zip(regime.window, data)]
+            bracket = initial_bracket(params, eig, [ScalarField(grid, u) for u in data], regime)
+        u0 = tuple(ScalarField(grid, u) for u in data)
+        # no halvings: every step runs at dt, and the first failure ends the run
+        cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
+        result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket)
+        kept = {id(s) for s in result.snapshots}
+        for state, step_cfg, step_bracket, new_state, trace in calls:
+            if trace.bracket != "predicted" or id(new_state) not in kept:
+                continue
+            scale = max(step_bracket.box[1])
+            check_chain_and_zeros(trace, new_state, data, scale)
+            for u, got_u, got_h in zip(data, new_state.u, new_state.h):
+                if not u.any():
+                    assert not np.signbit(got_u).any() and not np.signbit(got_h).any()
+            if window:
+                lower, upper = bracket
+                # the bracket is clipped to the window, and so is its state
+                assert np.all(lower.u <= step_bracket.u[:, 1])
+                assert np.all(step_bracket.u[:, 0] <= upper.u)
+                tol = 1e-10 * max(1.0, scale)
+                assert np.all(lower.u - tol <= new_state.u)
+                assert np.all(new_state.u <= upper.u + tol)
+                today = bracket
+                today_scale = float(upper.u.max())
+            else:
+                kappa = 3.0 * step_cfg.growth_trigger
+                today = constant_bracket(params, state, step_cfg.dt, kappa)
+                if today is None:
+                    today = constant_bracket(params, state, step_cfg.dt, 1.0)
+                today_scale = max(today.box[1])
+            ref_cfg = dataclasses.replace(step_cfg, max_inner_iters=500)
+            ref_state, _ = step_monotone(state, ref_cfg, params, today)
+            gap_tol = step_cfg.inner_tol * (1.0 + max(scale, today_scale))
+            assert np.abs(ref_state.u - new_state.u).max() <= gap_tol
+
+    @pytest.mark.parametrize("window", [False, True], ids=["auto", "window"])
+    def test_zero_data_stays_positive_zero(self, setup, window):
+        # a zero state's predicted bracket is [+0.0, round-off floor]: its
+        # floor holds the lower sequence at +0.0
+        params, grid, eig, regime, _ = setup
+        u0 = (ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 0.0))
+        bracket = initial_bracket(params, eig, u0, regime) if window else None
+        result = simulate(params, grid, eig, u0, SolverConfig(dt=1e-3), 6e-3, bracket=bracket)
+        assert result.termination == "completed"
+        assert [s.bracket for s in result.summaries[2:]] == ["predicted"] * 4
+        for snap in result.snapshots:
+            for a in (snap.u, snap.h):
+                assert np.all(a == 0.0) and not np.signbit(a).any()
+
+    def test_rejected_prediction_falls_back_without_halving(self, monkeypatch):
+        # species 2 grows and suppresses species 1, whose peak turns over at
+        # t = 0.2 and then falls ever faster: the extrapolation lags the turn,
+        # overshoots the peak, and its bracket fails the discrete-bound test.
+        # The attempt falls back to today's brackets; with no halving budget
+        # at all, a fallback that spent one would end the run as failed.
+        params = ModelParams(
+            d1=1.0, d2=1.0, alpha1=0.0, alpha2=0.0,
+            a1=0.5, a2=0.1, b1=1.0, b2=0.1, c1=5.0, c2=50.0,
+        )
+        grid = Grid.interval(np.pi, 9)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.05))
+        predicted = []
+        build = sktlab.iteration._predicted_constant_bracket
+
+        def recording(*args):
+            # args[4] is the extrapolated [min u1, min u2, max u1, max u2]
+            predicted.append((args[4], build(*args)))
+            return predicted[-1][1]
+
+        monkeypatch.setattr(sktlab.iteration, "_predicted_constant_bracket", recording)
+        cfg = SolverConfig(dt=0.02, max_halvings=0)
+        result = simulate(params, grid, eig, u0, cfg, 0.3)
+        assert result.termination == "completed"
+        assert result.halvings_used == 0
+        peaks = [float(s.u[0].max()) for s in result.snapshots]
+        top = int(np.argmax(peaks))
+        assert 0 < top < len(peaks) - 1
+        # a prediction is tried from the third step on, one per attempt
+        kinds = [s.bracket for s in result.summaries]
+        assert len(predicted) == len(kinds) - 2
+        rejected = [k for k, (_, got) in enumerate(predicted, start=2) if got is None]
+        assert rejected
+        for k in rejected:
+            # step k makes snapshot k + 1, past the turn, and overshoots it
+            assert k >= top and predicted[k - 2][0][2] > peaks[k + 1]
+        for k, kind in enumerate(kinds):
+            if k < 2 or k in rejected:
+                assert kind in ("tight", "wide")
+            else:
+                assert kind == "predicted"
 
 
 class TestHelmholtzSolver:
@@ -1278,7 +1461,12 @@ class TestSimulate:
         assert result.halvings_used == 0
         assert result.final_dt == 1e-3
         assert len(result.summaries) == 10
-        assert all(s.bracket == "window" for s in result.summaries)
+        # the first two steps run in the window, later ones in predicted
+        # brackets clipped to it, so every state stays inside the window
+        assert all(s.bracket in ("window", "predicted") for s in result.summaries)
+        lower, upper = bracket
+        for snap in result.snapshots:
+            assert np.all(lower.u <= snap.u) and np.all(snap.u <= upper.u)
         # accumulated t makes the final trimmed dt differ by at most an ulp
         assert all(s.dt == pytest.approx(1e-3, rel=1e-12) for s in result.summaries)
         assert result.final_state.t == pytest.approx(1e-2)
