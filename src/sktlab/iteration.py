@@ -43,8 +43,9 @@ results are bit-identical to one. The trace keeps each iterate's stack
 with its gap and worst violation, and builds the records viewing those
 stacks only when they are read. A bracket reaches the step in the same
 stacked form, with its transform, paired reactions and the transform's
-Laplacian: a caller's bracket is stacked once per run from its states'
-stacks.
+Laplacian, built by one of two builders: _field_bracket from a field
+stack, for a caller's window and a window run's predicted bracket, and
+_auto_bracket on floats for an automatic run's constant brackets.
 
 An automatic bracket is constant per species, so it is worked out on
 Python floats: the transform, paired reactions and sigma at its four
@@ -61,12 +62,16 @@ arrays that broadcast over the grid, and it reaches the step with its
 violations measured; the step takes iterate 0's gap and worst violation
 from the bracket's floats.
 
-Only tight and wide brackets contain the state by construction: their
-floors are at most, and their ceilings at least, the nonnegative state's
-extremes. The step checks containment for a caller's bracket, and for no
-other. A predicted bracket needs none: an admitted pair of discrete lower
-and upper bound solutions brackets the step solution whether or not it
-contains u^n.
+A caller's pair is checked to contain the state where it enters, in
+_window_bracket: on each call of step_monotone with a (lower, upper) pair,
+and once when simulate starts, which raises on a u0 outside it before any
+step. No stacked bracket is checked again. Tight and wide brackets contain
+the state by construction: their floors are at most, and their ceilings at
+least, the nonnegative state's extremes. A predicted bracket needs no
+containment, and a window run's later states need no check: an admitted
+pair of discrete lower and upper bound solutions brackets the step
+solution whether or not it contains u^n, and a window run's every bracket
+lies inside the window.
 
 A SystemState holds the same species axis without the sequence one: a
 (2, *grid) density stack u and its transform h, row 0 species 1. A state is
@@ -87,14 +92,14 @@ only. The right-hand sides and the chain audit are assembled in the
 solver's per-run work arrays, and only each iterate's density stack is a
 fresh array. In 1D the call is one LAPACK tridiagonal solve (dgtsv) of the
 block system of all 4n unknowns, whose blocks the elimination never
-couples, so each column is the one a solve of that column alone gives;
-the block diagonal is kept for the next call with the same values, so a
-semilinear run builds it once per dt and shift. In 2D it is conjugate
-gradients per column, preconditioned by the exact DCT-I solve at the grid
-mean of the column's diagonal and started from the previous iterate's
-transform of the same column: consecutive iterates close in on each
-other, so fewer CG iterations remain. A guess whose residual is not below the right-hand
-side's is dropped for the zero start. A solution is accepted only when
+couples, so each column is the one a solve of that column alone gives,
+and the block diagonal is written from the values on every call. In 2D
+it is conjugate gradients per column, preconditioned by the exact DCT-I
+solve at the grid mean of the column's diagonal and started from the
+previous iterate's transform of the same column: consecutive iterates
+close in on each other, so fewer CG iterations remain. A guess whose
+residual is not below the right-hand side's is dropped for the zero
+start. A solution is accepted only when
 its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
 that misses falls back to sparse LU and is counted in the trace's
@@ -113,23 +118,26 @@ takes the form of the run's other brackets:
 
 - without a caller's bracket, a constant bracket on floats from the
   extrapolated per-species extremes of u, [max(min p_i - e_i, 0),
-  max p_i + e_i], built by _auto_bracket;
+  max p_i + e_i], built by _auto_bracket, which rejects a floor above its
+  ceiling;
 - with one, a field stack inside the caller's window: with p clipped into
   the window, [max(p - e, floor), min(p + e, N)], floor the window's floor
-  (at least zero) and N its ceiling, whose reactions, Laplacian and
-  discrete-bound violations are computed once.
+  (at least zero) and N its ceiling, built by _field_bracket and its
+  discrete-bound violations measured once.
 
-When the predicted bracket fails the discrete-bound test, the attempt falls
-back, at no cost to the halving budget, to the run's other brackets, which
-are also all the first two steps see. A caller's certified (lower, upper)
-bracket is stacked once and reused by every such step, with its transform
-and reactions. Without one, the attempt tries a tight constant bracket
-[(1-kappa) min u_i, (1+kappa) max u_i], with kappa = max(3*growth_trigger,
-2*g) and g the last accepted step's relative change of the per-species sup
-norms, then the wide bracket [0, 2 max u_i]; when kappa >= 1 only the wide
-one. Both are built by _constant_bracket and admitted only when they pass
-the discrete-bound test the step applies to every bracket. Each trace
-records which of "predicted", "window", "tight" and "wide" it ran in.
+simulate tries each attempt's candidates in one order: the predicted
+bracket, once a miss is known; when it fails the discrete-bound test, at no
+cost to the halving budget, the caller's window, or else a tight constant
+bracket [(1-kappa) min u_i, (1+kappa) max u_i], with kappa =
+max(3*growth_trigger, 2*g) and g the last accepted step's relative change
+of the per-species sup norms, and then the wide bracket [0, 2 max u_i];
+when kappa >= 1 only the wide one. The first two steps start at the
+window, or tight. The window is stacked once per run and handed to the
+step unmeasured, so a step that fails in it raises what step_monotone
+raises on the caller's pair. Tight and wide are built by _auto_bracket and
+admitted only when they pass the discrete-bound test the step applies to
+every bracket. Each trace records which of "predicted", "window", "tight"
+and "wide" it ran in.
 
 dt is halved in one place, out of a shared budget, for one of three
 causes: no bracket passes at the current dt, the step raises (the chain
@@ -492,9 +500,7 @@ class _HelmholtzSolver:
     unknowns, whose off-diagonals are zero between blocks. Block j's main
     diagonal is (main + phi_j) + sig_j, the operands and the order scipy's
     solve_banded would use on that column alone; elimination never couples
-    the blocks, so each column is bit-identical to that solve. The block
-    diagonal is kept for the next call with the same values, as a
-    semilinear step repeats them at every inner iterate.
+    the blocks, so each column is bit-identical to that solve.
 
     2D: conjugate gradients per column in the trapezoid-weighted inner
     product, where W(D - lap) is symmetric positive definite, preconditioned
@@ -531,7 +537,6 @@ class _HelmholtzSolver:
             # separates it from the next block
             self._block = (np.append(ab[2, :-1], 0.0), np.append(ab[0, 1:], 0.0))
             self._blocks = {}
-            self._kept = None
         else:
             # only 2D runs pay for the FFT module
             from scipy.fft import dctn, idctn
@@ -556,15 +561,12 @@ class _HelmholtzSolver:
         if self.grid.dimension == 1:
             k = len(rhs)
             dl, du, d = self._block_arrays(k)
-            # the block diagonal, (main + phi_j) + sig_j in block j, is kept
-            # for the next call with the same values
-            key = (k, sig.shape, phi.shape, sig.tobytes(), phi.tobytes())
-            if key != self._kept:
-                np.add(self._main + phi, sig, out=d.reshape(k, -1))
-                self._kept = key
+            # block j's diagonal is (main + phi_j) + sig_j, written on every
+            # call, so the solve may overwrite it
+            np.add(self._main + phi, sig, out=d.reshape(k, -1))
             # the C-ordered (k, n) stack is the vector of all k*n unknowns, so
-            # it is solved in place; the kept diagonal is solved on a copy
-            info = dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=0, overwrite_b=1)[4]
+            # it is solved in place
+            info = dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=1, overwrite_b=1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
@@ -720,15 +722,14 @@ class _Bracket(NamedTuple):
     floats, that simulate already measured for the one step it hands the
     bracket to.
 
-    A window bracket's stacks are whole arrays, stacked once per run with
-    its box from one reduction, and the step checks that it contains the
-    state. A window run's predicted bracket is whole arrays too, inside the
-    window, built with its violations for one step; the step does not check
-    that it contains the state. An automatic run's brackets, predicted ones
-    included, are constant per species: their stacks are (2, 2, 1...)
-    arrays that broadcast over the grid, and their box and violations come
-    from the floats they were built from (see _auto_bracket). Of all kinds,
-    only tight and wide brackets contain the state by construction.
+    A window run's brackets are whole arrays from _field_bracket: the
+    window, stacked once per run and checked where it enters to contain the
+    state (_window_bracket), and predicted ones inside it, built with their
+    violations for one step. An automatic run's brackets, predicted ones
+    included, are constant per species from _auto_bracket: their stacks are
+    (2, 2, 1...) arrays that broadcast over the grid, and their box and
+    violations come from the floats they were built from. The step checks
+    no _Bracket for containment.
     """
 
     u: np.ndarray
@@ -741,21 +742,39 @@ class _Bracket(NamedTuple):
     violations: tuple | None = None
 
 
-def _window_bracket(params, grid, bracket):
-    """A caller's (lower, upper) SystemState pair as a stacked bracket."""
-    lower, upper = bracket
+def _field_bracket(params, grid, u, kind, columns):
+    """The _Bracket of a (species, sequence, *grid) density stack u, sequence
+    0 the ceiling: its transform, paired reactions, the transform's
+    Laplacian and its box, with columns the run's _param_columns."""
+    h = _transform_raw(*columns, u)
+    box = (
+        u[:, 1].reshape(2, -1).min(axis=1).tolist(),
+        u[:, 0].reshape(2, -1).max(axis=1).tolist(),
+    )
+    return _Bracket(u, h, _paired_reactions(params, u), _lap_array(grid, h), box, kind, columns)
+
+
+def _window_bracket(params, state, pair, columns):
+    """A caller's (lower, upper) SystemState pair as a stacked "window"
+    bracket, checked to contain `state` within the chain tolerance at its
+    scale; raises OrderingViolationError when it does not."""
+    lower, upper = pair
+    grid = state.grid
     if not (grid.compatible(lower.grid) and grid.compatible(upper.grid)):
         raise ValueError("bracket and state live on different grids")
-    u = np.stack((upper.u, lower.u), axis=1)
-    h = np.stack((upper.h, lower.h), axis=1)
-    box = (
-        lower.u.reshape(2, -1).min(axis=1).tolist(),
-        upper.u.reshape(2, -1).max(axis=1).tolist(),
-    )
-    return _Bracket(
-        u, h, _paired_reactions(params, u), _lap_array(grid, h), box, "window",
-        _param_columns(params, grid),
-    )
+    window = _field_bracket(params, grid, np.stack((upper.u, lower.u), axis=1), "window", columns)
+    # the state must lie under the upper and over the lower
+    chain_tol = _CHAIN_TOL * max(1.0, *window.box[1])
+    outside = (_sequence_signs(grid) * (state.u[:, None] - window.u)).reshape(2, -1).max(axis=1)
+    for i in (0, 1):
+        worst = float(outside[i])
+        if worst > chain_tol:
+            raise OrderingViolationError(
+                f"state u{i + 1} leaves the bracket by {worst:.3e}",
+                worst_violation=worst,
+                iterate=0,
+            )
+    return window
 
 
 def _violations(params, grid, dt, h_n, bracket):
@@ -779,10 +798,11 @@ def step_monotone(
     """Advance one dt from `state` inside `bracket`, returning (state, trace).
 
     The bracket is a (lower, upper) SystemState pair that must contain the
-    state pointwise; simulate passes its own stacked form of one (_Bracket).
-    Only a "window" bracket is checked for containment: a tight or wide one
-    contains the state by construction, and an admitted "predicted" one
-    bounds the step solution whether or not it contains the state. `solver`
+    state pointwise, checked on every call (_window_bracket); simulate
+    passes stacked brackets (_Bracket), which are not checked again: its
+    window was checked when the run started, tight and wide ones contain
+    the state by construction, and an admitted "predicted" one bounds the
+    step solution whether or not it contains the state. `solver`
     is a _HelmholtzSolver on the state's grid to reuse across steps; a
     fresh one is built when it is None. Raises OrderingViolationError when
     the bracket is not a discrete bound solution at cfg.dt, or when the
@@ -791,7 +811,7 @@ def step_monotone(
     """
     grid = state.grid
     if not isinstance(bracket, _Bracket):
-        bracket = _window_bracket(params, grid, bracket)
+        bracket = _window_bracket(params, state, bracket, _param_columns(params, grid))
     if solver is None:
         solver = _HelmholtzSolver(grid)
     elif not grid.compatible(solver.grid):
@@ -804,19 +824,6 @@ def step_monotone(
     scale = max(ceilings)
     chain_tol = _CHAIN_TOL * max(1.0, scale)
 
-    if bracket.kind == "window":
-        # the state must lie under the upper and over the lower; a tight or
-        # wide bracket contains it by construction, and an admitted
-        # predicted one needs no check: its pair bounds the step solution
-        outside = (_sequence_signs(grid) * (state.u[:, None] - u0)).reshape(2, -1).max(axis=1)
-        for i in (0, 1):
-            worst = float(outside[i])
-            if worst > chain_tol:
-                raise OrderingViolationError(
-                    f"state u{i + 1} leaves the bracket by {worst:.3e}",
-                    worst_violation=worst,
-                    iterate=0,
-                )
     # iterate 0 is the bracket: its gap, and its worst violation, the
     # floor's largest excess over the ceiling, from the floats of a
     # bracket constant per species
@@ -989,8 +996,10 @@ def _run_inner(
 def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     """The constant bracket with these per-species floors and ceilings for a
     step of dt from the state whose _Extremes are given, its discrete-bound
-    violations measured; None when _auto_bracket_feasible rejects them.
-    columns are the run's _param_columns, whose shape the stacks take.
+    violations measured; None when a floor lies above its ceiling or
+    _auto_bracket_feasible rejects the violations. columns are the run's
+    _param_columns, whose shape the stacks take. simulate builds its
+    predicted, tight and wide brackets of automatic runs here.
 
     Everything is worked out on Python floats: the transform, the paired
     reactions (each species' ceiling against the other's floor) and each
@@ -1000,6 +1009,10 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     """
     p = params
     (w1, w2), (v1, v2) = ceilings, floors
+    # an extrapolated maximum below zero, or far below the extrapolated
+    # minimum, leaves no ordered bracket
+    if v1 > w1 or v2 > w2:
+        return None
     # each species' ceiling against the other's floor, as _paired_reactions pairs them
     f1_up, f2_lo = _reaction_raw(p, w1, v2)
     f1_lo, f2_up = _reaction_raw(p, v1, w2)
@@ -1041,23 +1054,6 @@ def _auto_bracket_feasible(violations, ceilings):
     return max(violations) <= _CHAIN_TOL * max(1.0, *ceilings)
 
 
-def _constant_bracket(params, columns, extremes, dt, kappa):
-    """The automatic constant bracket for a step of dt from the state whose
-    _Extremes are given, or None when it is not a discrete bound solution
-    there.
-
-    kappa < 1 gives the tight bracket [(1-kappa) min u_i, (1+kappa) max u_i],
-    kappa = 1 the wide one [0, 2 max u_i]. On a nonnegative state both
-    contain the state exactly.
-    """
-    ceilings = [(1.0 + kappa) * m for m in extremes.u_hi]
-    if kappa >= 1.0:
-        # the literal +0.0: (1 - kappa) * -0.0 would be -0.0
-        return _auto_bracket(params, columns, extremes, dt, [0.0, 0.0], ceilings, "wide")
-    floors = [(1.0 - kappa) * m for m in extremes.u_lo]
-    return _auto_bracket(params, columns, extremes, dt, floors, ceilings, "tight")
-
-
 def _extrapolate(times, values, t):
     """The polynomial in t through the (times, values) nodes, evaluated at t.
 
@@ -1094,56 +1090,6 @@ def _misses(node, prediction):
     return prediction.reshape(2, -1).max(axis=1).tolist()
 
 
-def _predicted_window_bracket(params, grid, window, floor, prediction, widths, h_n, dt):
-    """A window run's predicted bracket for a step of dt, its violations
-    measured; None when they fail the admission test.
-
-    The (2, *grid) prediction is clipped into the window, between floor (the
-    window's floor, at least zero) and its ceiling N, and the bracket is
-    min(p + e, N) over max(p - e, floor), e the species' half-width: a
-    field stack that is ordered and stays inside the window.
-    """
-    top = window.u[:, 0]
-    p = np.minimum(np.maximum(prediction, floor), top)
-    e = np.reshape(widths, (2,) + (1,) * grid.dimension)
-    u = np.empty((2, 2) + grid.shape)
-    np.minimum(p + e, top, out=u[:, 0])
-    np.maximum(p - e, floor, out=u[:, 1])
-    d, alpha = window.columns
-    h = _transform_raw(d, alpha, u)
-    box = (
-        u[:, 1].reshape(2, -1).min(axis=1).tolist(),
-        u[:, 0].reshape(2, -1).max(axis=1).tolist(),
-    )
-    bracket = _Bracket(
-        u, h, _paired_reactions(params, u), _lap_array(grid, h), box, "predicted",
-        window.columns,
-    )
-    violations = _violations(params, grid, dt, h_n, bracket).tolist()
-    if not _auto_bracket_feasible(violations, box[1]):
-        return None
-    return bracket._replace(violations=violations)
-
-
-def _predicted_constant_bracket(params, columns, extremes, dt, prediction, widths):
-    """An automatic run's predicted bracket for a step of dt from the state
-    whose _Extremes are given, or None when it is not a discrete bound
-    solution there.
-
-    prediction is the extrapolated [min u1, min u2, max u1, max u2]; the
-    bracket is constant per species, the predicted minimum less the
-    half-width, at least zero, under the predicted maximum plus it. Built on
-    floats by _auto_bracket, like the tight and wide brackets.
-    """
-    floors = [max(p - e, 0.0) for p, e in zip(prediction[:2], widths)]
-    ceilings = [p + e for p, e in zip(prediction[2:], widths)]
-    # an extrapolated maximum below zero, or far below the extrapolated
-    # minimum, leaves no ordered bracket
-    if floors[0] > ceilings[0] or floors[1] > ceilings[1]:
-        return None
-    return _auto_bracket(params, columns, extremes, dt, floors, ceilings, "predicted")
-
-
 class _Extremes(NamedTuple):
     """Each species' smallest and largest density and transform in a state,
     as lists of floats, from four reductions per state."""
@@ -1177,8 +1123,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     The first two steps, and an attempt whose predicted bracket fails, go
     on at no cost to the halving budget to the run's other brackets. With
     `bracket` given (a certified (lower, upper) pair) that is the pair,
-    stacked once and reused, and the predicted brackets are clipped to it.
-    Otherwise it is the tight constant bracket [(1-kappa) min u_i,
+    stacked once and reused, and the predicted brackets are clipped to it;
+    it must contain u0, or OrderingViolationError is raised before the first
+    step. Otherwise it is the tight constant bracket [(1-kappa) min u_i,
     (1+kappa) max u_i], kappa = max(3*growth_trigger, 2*g) with g the last
     accepted step's relative sup-norm change, when it passes the same test;
     when it does not, or when kappa >= 1, the wide zero-floor bracket with
@@ -1217,9 +1164,10 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     columns = _param_columns(params, grid)
     step_cfg = cfg
     if bracket is not None:
-        # stacked once, with its transform and reactions, for every step
-        window = _window_bracket(params, grid, bracket)
-        floor = np.maximum(window.u[:, 1], 0.0)
+        # checked once to contain u0, and stacked once, with its transform
+        # and reactions, for every step
+        window = _window_bracket(params, state, bracket, columns)
+        top, floor = window.u[:, 0], np.maximum(window.u[:, 1], 0.0)
     # the predictor's nodes, the last three accepted states: their times and
     # values, the u stack in a window run and [min u1, min u2, max u1, max u2]
     # otherwise; and each species' miss of the last accepted prediction
@@ -1244,20 +1192,44 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             round_off = _PREDICT_FLOOR * max(1.0, *norms)
             widths = [_PREDICT_FACTOR * miss + round_off for miss in misses]
             if bracket is not None:
-                step_bracket = _predicted_window_bracket(
-                    params, grid, window, floor, prediction, widths, state.h[:, None], dt_step
-                )
+                # clipped into the window, so every state stays inside it
+                clipped = np.minimum(np.maximum(prediction, floor), top)
+                e = np.reshape(widths, (2,) + (1,) * grid.dimension)
+                u = np.empty((2, 2) + grid.shape)
+                np.minimum(clipped + e, top, out=u[:, 0])
+                np.maximum(clipped - e, floor, out=u[:, 1])
+                step_bracket = _field_bracket(params, grid, u, "predicted", columns)
+                violations = _violations(
+                    params, grid, dt_step, state.h[:, None], step_bracket
+                ).tolist()
+                if _auto_bracket_feasible(violations, step_bracket.box[1]):
+                    step_bracket = step_bracket._replace(violations=violations)
+                else:
+                    step_bracket = None
             else:
-                step_bracket = _predicted_constant_bracket(
-                    params, columns, extremes, dt_step, prediction, widths
+                # around the extrapolated [min u1, min u2, max u1, max u2]
+                floors = [max(p - e, 0.0) for p, e in zip(prediction[:2], widths)]
+                ceilings = [p + e for p, e in zip(prediction[2:], widths)]
+                step_bracket = _auto_bracket(
+                    params, columns, extremes, dt_step, floors, ceilings, "predicted"
                 )
         if step_bracket is None and bracket is not None:
+            # measured by the step, which raises what a caller's pair raises
             step_bracket = window
         elif step_bracket is None:
             kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
-            step_bracket = _constant_bracket(params, columns, extremes, dt_step, min(kappa, 1.0))
-            if step_bracket is None and kappa < 1.0:
-                step_bracket = _constant_bracket(params, columns, extremes, dt_step, 1.0)
+            if kappa < 1.0:
+                floors = [(1.0 - kappa) * m for m in extremes.u_lo]
+                ceilings = [(1.0 + kappa) * m for m in extremes.u_hi]
+                step_bracket = _auto_bracket(
+                    params, columns, extremes, dt_step, floors, ceilings, "tight"
+                )
+            if step_bracket is None:
+                # the literal +0.0 floor: (1 - kappa) * -0.0 would be -0.0
+                ceilings = [2.0 * m for m in extremes.u_hi]
+                step_bracket = _auto_bracket(
+                    params, columns, extremes, dt_step, [0.0, 0.0], ceilings, "wide"
+                )
             if step_bracket is None:
                 rejection = ConvergenceError(
                     f"no feasible step ceiling at the minimum dt ({dt_step:.3e}); "

@@ -26,7 +26,6 @@ from sktlab.iteration import (
     _auto_bracket,
     _auto_bracket_feasible,
     _Bracket,
-    _constant_bracket,
     _Extremes,
     _paired_reactions,
     _param_columns,
@@ -402,10 +401,17 @@ def check_records(trace, ks=None, gaps=None):
 
 
 def constant_bracket(params, state, dt, kappa):
-    """simulate's automatic constant bracket for a step of dt from state."""
-    return _constant_bracket(
-        params, _param_columns(params, state.grid), _Extremes.of(state), dt, kappa
-    )
+    """simulate's automatic constant bracket for a step of dt from state:
+    kappa < 1 the tight one [(1-kappa) min u_i, (1+kappa) max u_i], kappa = 1
+    the wide one [+0.0, 2 max u_i]; None when it is not admitted."""
+    extremes = _Extremes.of(state)
+    ceilings = [(1.0 + kappa) * m for m in extremes.u_hi]
+    if kappa >= 1.0:
+        floors, kind = [0.0, 0.0], "wide"
+    else:
+        floors, kind = [(1.0 - kappa) * m for m in extremes.u_lo], "tight"
+    columns = _param_columns(params, state.grid)
+    return _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind)
 
 
 def bracket_arrays(bracket, grid):
@@ -1056,14 +1062,16 @@ class TestPredictedBrackets:
         eig = principal_eigenpair(grid, "principal")
         u0 = (ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.05))
         predicted = []
-        build = sktlab.iteration._predicted_constant_bracket
+        build = sktlab.iteration._auto_bracket
 
         def recording(*args):
-            # args[4] is the extrapolated [min u1, min u2, max u1, max u2]
-            predicted.append((args[4], build(*args)))
-            return predicted[-1][1]
+            # args[4:] are the floors, the ceilings and the kind
+            got = build(*args)
+            if args[6] == "predicted":
+                predicted.append((args[4], args[5], got))
+            return got
 
-        monkeypatch.setattr(sktlab.iteration, "_predicted_constant_bracket", recording)
+        monkeypatch.setattr(sktlab.iteration, "_auto_bracket", recording)
         cfg = SolverConfig(dt=0.02, max_halvings=0)
         result = simulate(params, grid, eig, u0, cfg, 0.3)
         assert result.termination == "completed"
@@ -1074,11 +1082,14 @@ class TestPredictedBrackets:
         # a prediction is tried from the third step on, one per attempt
         kinds = [s.bracket for s in result.summaries]
         assert len(predicted) == len(kinds) - 2
-        rejected = [k for k, (_, got) in enumerate(predicted, start=2) if got is None]
+        rejected = [k for k, (_, _, got) in enumerate(predicted, start=2) if got is None]
         assert rejected
         for k in rejected:
-            # step k makes snapshot k + 1, past the turn, and overshoots it
-            assert k >= top and predicted[k - 2][0][2] > peaks[k + 1]
+            # step k makes snapshot k + 1, past the turn; on constant data
+            # the extrapolated min and max of u1 agree, so species 1's floor
+            # and ceiling are centred on the prediction, which overshoots it
+            floors, ceilings, _ = predicted[k - 2]
+            assert k >= top and 0.5 * (floors[0] + ceilings[0]) > peaks[k + 1]
         for k, kind in enumerate(kinds):
             if k < 2 or k in rejected:
                 assert kind in ("tight", "wide")
@@ -1278,7 +1289,8 @@ class TestHelmholtzSolver:
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_scalar_shift_diagonal_kept_unchanged(self):
-        # the kept main diagonal for a scalar shift must survive the solves
+        # repeated solves with a scalar shift on one solver give a fresh
+        # solver's bytes: no call leaves its diagonal behind for the next
         grid = Grid.interval(np.pi, 17)
         rng = np.random.default_rng(12)
         cols = [rng.standard_normal(grid.shape) for _ in range(2)]
@@ -1293,10 +1305,10 @@ class TestHelmholtzSolver:
         assert np.array_equal(field, first)
 
     def test_kept_diagonal_follows_the_values(self):
-        # a 1D solver keeps its last block diagonal for a call with the same
-        # values: after a kept call, a changed phi, another column count and
-        # the same values as a field must each give a fresh solver's bytes,
-        # and the kept diagonal must come out of the solve unchanged
+        # a 1D solver kept across calls writes each call's block diagonal
+        # from its values: the same values, a changed phi, another column
+        # count and the same values as a field each give a fresh solver's
+        # bytes, in any order
         grid = Grid.interval(np.pi, 17)
         rng = np.random.default_rng(14)
         cols = rng.standard_normal((4,) + grid.shape)
@@ -1310,11 +1322,9 @@ class TestHelmholtzSolver:
             return solver.solve(sig, phi, b.copy(), cold[: len(b)]).tobytes()
 
         kept = _HelmholtzSolver(grid)
-        first = solve(kept, sig, phi, cols)
-        _, _, diagonal = kept._block_arrays(4)
-        before = diagonal.copy()
+        first = solve(_HelmholtzSolver(grid), sig, phi, cols)
         assert solve(kept, sig, phi, cols) == first
-        assert np.array_equal(diagonal, before)
+        assert solve(kept, sig, phi, cols) == first
         cases = (
             (sig, moved, cols),
             (sig[:3], phi[:3], cols[:3]),
@@ -1470,6 +1480,29 @@ class TestSimulate:
         # accumulated t makes the final trimmed dt differ by at most an ulp
         assert all(s.dt == pytest.approx(1e-3, rel=1e-12) for s in result.summaries)
         assert result.final_state.t == pytest.approx(1e-2)
+
+    def test_pair_not_containing_u0_raises_before_stepping(self, monkeypatch):
+        # a caller's pair is checked once, where it enters: one that does
+        # not contain u0 is an input error, raised before the first step
+        # rather than spending the halving budget on it
+        params = certified_params()
+        grid = Grid.interval(np.pi, 17)
+        eig = principal_eigenpair(grid, "principal")
+        regime = classify_global(params, eig.lambda0, eig.mode)
+        inside = (ScalarField.constant(grid, 0.2), ScalarField.constant(grid, 0.3))
+        bracket = initial_bracket(params, eig, inside, regime)
+        u0 = (ScalarField.constant(grid, 0.9), ScalarField.constant(grid, 0.3))
+        steps = []
+        step = sktlab.iteration.step_monotone
+
+        def recording(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(sktlab.iteration, "step_monotone", recording)
+        with pytest.raises(OrderingViolationError, match=r"u1 leaves the bracket by 2\.333e-01"):
+            simulate(params, grid, eig, u0, SolverConfig(dt=1e-3), 1e-2, bracket=bracket)
+        assert steps == []
 
     def test_snapshot_cadence(self, setup):
         params, grid, eig, regime, u0 = setup
