@@ -26,7 +26,10 @@ slope, plus a lag compensation for the frozen sigma (Pao, Numer. Math. 79,
 
     v^(k) <= v^(k+1) <= w^(k+1) <= w^(k)
 
-hold to round-off. Convergence is declared when the sup-norm gap between the
+hold to round-off. A bracket whose floor lies above its ceiling is refused
+before any iterate; when a later iterate breaks the chain, the iteration
+starts again from the bracket with the shift multiplied by 8, at most three
+times. Convergence is declared when the sup-norm gap between the
 sequences drops below inner_tol*(1 + bracket scale); the accepted state is
 the final lower iterate, which preserves exact nonnegativity (and exact
 zeros) of the data.
@@ -293,8 +296,9 @@ class IterateRecord:
 class IterationTrace:
     """Full audit of one accepted step's inner iteration.
 
-    The step keeps each iterate as its (species, sequence, *grid) density
-    stack with its gap and worst violation. `records` builds the
+    The step keeps each iterate of its accepted shift as its (species,
+    sequence, *grid) density stack with its gap and worst violation;
+    `retries` counts the shift escalations before it. `records` builds the
     IterateRecords viewing those stacks each time it is read, so a caller
     that reads only the digest, as simulate does, never makes them.
     """
@@ -312,10 +316,11 @@ class IterationTrace:
     def records(self) -> tuple:
         # a constant bracket's (2, 2, 1...) stack is read at the iterates' shape
         shape = self.iterates[-1][0].shape
-        return tuple(
-            _record(k, np.broadcast_to(u, shape), gap, worst)
-            for k, (u, gap, worst) in enumerate(self.iterates)
-        )
+        records = []
+        for k, (u, gap, worst) in enumerate(self.iterates):
+            (w1, v1), (w2, v2) = np.broadcast_to(u, shape)
+            records.append(IterateRecord(k, v1, v2, w1, w2, gap, worst))
+        return tuple(records)
 
     @property
     def iterations(self) -> int:
@@ -359,13 +364,6 @@ class SimulationResult:
     error: Exception | None = None
     halvings_used: int = 0
     final_dt: float | None = None
-
-
-class _ChainViolation(Exception):
-    def __init__(self, worst: float, iterate: int):
-        self.worst = worst
-        self.iterate = iterate
-        super().__init__(f"ordering violation {worst:.3e} at inner iterate {iterate}")
 
 
 def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
@@ -578,11 +576,18 @@ class _HelmholtzSolver:
     def work_arrays(self):
         """The inner iteration's work arrays on this grid, made on first use,
         and the views it reads them through, as (solved, solved_cols, base,
-        term, audit, new_minus_old, v_minus_w): solved is two (2, 2, *grid)
-        stacks and solved_cols the same two as (4, *grid) columns, base a
-        (2, 2, *grid) stack, term (4, *grid) columns, and audit (7, npoints)
-        chain audit rows, whose first four are new_minus_old as a
-        (2, 2, *grid) stack and whose last three are v_minus_w, flat."""
+        term, audit, new_minus_old, v_minus_w).
+
+        solved is two (2, 2, *grid) stacks and solved_cols the same two as
+        (4, *grid) columns, the (species, sequence) rows in C order: the
+        solves alternate between them, so the previous iterate's transform
+        stays readable while the next right-hand side is assembled. base is
+        a (2, 2, *grid) stack for the h^n term and term (4, *grid) columns
+        for the shift term. audit is (7, npoints) chain audit rows, one grid
+        each: the first four are new_minus_old, new - old on the rows (w1,
+        v1, w2, v2) as a (2, 2, *grid) stack, and the last three v_minus_w,
+        v - w on the same flat stack shifted by one row, whose rows 0 and 2
+        are species 1's and 2's (row 1, w2 - v1, is not read)."""
         if self._work is None:
             shape = self.grid.shape
             work, audit = np.empty((4, 2, 2) + shape), np.empty((7, self.grid.npoints))
@@ -804,10 +809,17 @@ def step_monotone(
     the state by construction, and an admitted "predicted" one bounds the
     step solution whether or not it contains the state. `solver`
     is a _HelmholtzSolver on the state's grid to reuse across steps; a
-    fresh one is built when it is None. Raises OrderingViolationError when
-    the bracket is not a discrete bound solution at cfg.dt, or when the
-    iterate chain breaks beyond tolerance even after shift escalation, and
-    ConvergenceError when the gap fails to close within max_inner_iters.
+    fresh one is built when it is None.
+
+    The bracket's stacked densities, transform and paired reactions are
+    iterate 0, and each later iterate is one linear solve of all four
+    (species, sequence) columns. When the chain breaks beyond tolerance the
+    iteration starts again from the bracket with the shift multiplied by
+    _PHI_RETRY_FACTOR, up to _MAX_PHI_RETRIES times. Raises
+    OrderingViolationError when the bracket is not a discrete bound
+    solution at cfg.dt, when its floor lies above its ceiling, or when the
+    chain still breaks after the last escalation, and ConvergenceError
+    when the gap fails to close within max_inner_iters.
     """
     grid = state.grid
     if not isinstance(bracket, _Bracket):
@@ -828,13 +840,10 @@ def step_monotone(
     # floor's largest excess over the ceiling, from the floats of a
     # bracket constant per species
     if u0.shape[2:] == grid.shape:
-        iterate0 = (
-            u0,
-            float((u0[:, 0] - u0[:, 1]).max()),
-            float((u0[:, 1] - u0[:, 0]).max()),
-        )
+        gap0 = float((u0[:, 0] - u0[:, 1]).max())
+        worst0 = float((u0[:, 1] - u0[:, 0]).max())
     else:
-        iterate0 = (u0, max(w1 - v1, w2 - v2), max(v1 - w1, v2 - w2))
+        gap0, worst0 = max(w1 - v1, w2 - v2), max(v1 - w1, v2 - w2)
 
     # one-shot feasibility of the bracket endpoints as discrete bound
     # solutions, unless simulate has just measured it for this step
@@ -850,10 +859,17 @@ def step_monotone(
                 worst_violation=worst,
                 iterate=0,
             )
+    # no shift orders a chain that starts broken
+    if worst0 > chain_tol:
+        raise OrderingViolationError(
+            f"bracket floor lies above its ceiling by {worst0:.3e}",
+            worst_violation=worst0,
+            iterate=0,
+        )
 
     # exactly degenerate bound solution, every ceiling equal to its floor:
     # the common value is the step solution
-    if iterate0[1] == 0.0 and iterate0[2] == 0.0:
+    if gap0 == 0.0 and worst0 == 0.0:
         stack = (2, 2) + grid.shape
         u0, h0 = np.broadcast_to(u0, stack), np.broadcast_to(bracket.h, stack)
         new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), h0[:, 1].copy())
@@ -872,124 +888,80 @@ def step_monotone(
     d, alpha = bracket.columns
     gap_tol = cfg.inner_tol * (1.0 + scale)
     fallbacks = solver.fallbacks
-    last_exc = None
-    for retry in range(_MAX_PHI_RETRIES + 1):
-        boost = _PHI_RETRY_FACTOR**retry
-        phis = (phi_base[0] * boost, phi_base[1] * boost)
-        try:
-            iterates, new_state, gap = _run_inner(
-                params, solver, cfg, dt, (d, alpha, h_n), bracket, iterate0, phis,
-                chain_tol, gap_tol, state.t,
-            )
-        except _ChainViolation as exc:
-            last_exc = exc
-            continue
-        trace = IterationTrace(
-            iterates=tuple(iterates),
-            gap=gap,
-            worst_violation=max(worst for _, _, worst in iterates),
-            phi1=phis[0],
-            phi2=phis[1],
-            retries=retry,
-            fallbacks=solver.fallbacks - fallbacks,
-            bracket=bracket.kind,
-        )
-        return new_state, trace
-    raise OrderingViolationError(
-        f"iterate ordering kept failing after {_MAX_PHI_RETRIES} shift escalations "
-        f"(worst violation {last_exc.worst:.3e})",
-        worst_violation=last_exc.worst,
-        iterate=last_exc.iterate,
-    )
-
-
-def _record(k, u, gap, worst):
-    """The record of iterate k, viewing its (species, sequence) stack u."""
-    return IterateRecord(k, u[0, 1], u[1, 1], u[0, 0], u[1, 0], gap=gap, worst_violation=worst)
-
-
-def _run_inner(
-    params, solver, cfg, dt, step, bracket, iterate0, phis, chain_tol, gap_tol, t_start
-):
-    """Iterate both sequences of both species from the bracket.
-
-    step is (d, alpha, h_n): the species columns and the (species, 1, *grid)
-    stack of the step's starting transform. The _Bracket's stacked
-    densities, transform and paired reactions are iterate 0, audited in
-    iterate0 = (bracket.u, gap, worst). Each iterate is one linear solve of
-    all four (species, sequence) columns. Returns (iterates, accepted state,
-    gap), each iterate a (u stack, gap, worst) triple, once the gap is
-    within gap_tol; raises _ChainViolation when the chain breaks beyond
-    chain_tol.
-    """
-    grid = solver.grid
-    shape, npoints = grid.shape, grid.npoints
-    d, alpha, h_n = step
-    u, f = bracket.u, bracket.f
+    npoints = grid.npoints
     # sigma = 1/d at every iterate when both species have alpha = 0
     quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
-
-    # the accepted state's compact rows, allocated ahead of this call's
+    # the accepted state's compact rows, allocated ahead of the iteration's
     # temporaries: kept states then fill the holes earlier steps' temporaries
     # left, where copies made at the end split the heap between them (on
     # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
-    kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
-    # the solves alternate between two transform stacks, so the previous
-    # iterate's stays readable while the next right-hand side is assembled.
-    # The solve's columns are the stack's (species, sequence) rows in C
-    # order; phi, one value per column, and the previous iterate's
-    # transform h are taken on them. The chain audit rows are one grid
-    # each: new - old on the rows (w1, v1, w2, v2), then v - w on the same
-    # flat stack shifted by one row, whose rows 0 and 2 are species 1's and
-    # 2's (row 1, w2 - v1, is not read)
+    kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
     solved, solved_cols, base, term, audit, new_minus_old, v_minus_w = solver.work_arrays()
-    phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * grid.dimension)
-    h = bracket.h.reshape((4,) + bracket.h.shape[2:])
-    iterates = [iterate0]
-    if iterate0[2] > chain_tol:
-        raise _ChainViolation(iterate0[2], 0)
+    for retry in range(_MAX_PHI_RETRIES + 1):
+        boost = _PHI_RETRY_FACTOR**retry
+        phis = (phi_base[0] * boost, phi_base[1] * boost)
+        # one value per solve column, the stack's (species, sequence) rows
+        phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * grid.dimension)
+        u, f, h = u0, bracket.f, bracket.h.reshape((4,) + bracket.h.shape[2:])
+        iterates = [(u0, gap0, worst0)]
+        for k in range(1, cfg.max_inner_iters + 1):
+            if k > 1:
+                f = _paired_reactions(params, u)
+            if k == 1 or quasilinear:
+                # sigma frozen at the previous iterate: the h^n term and sig/dt
+                sig = _sigma(d, alpha, u)
+                np.multiply(sig, h_n, out=base)
+                base /= dt
+                sig_over_dt = (sig / dt).reshape((4,) + sig.shape[2:])
+            rhs, rhs_cols = solved[k % 2], solved_cols[k % 2]
+            np.add(base[0], f[0], out=rhs[0])
+            np.add(base[1], f[1], out=rhs[1])
+            rhs_cols += np.multiply(phi, h, out=term)
+            # in place: rhs becomes the new transformed stack
+            solver.solve(sig_over_dt, phi, rhs_cols, h)
+            new_u = _inverse_stack(params, d, rhs)
 
-    for k in range(1, cfg.max_inner_iters + 1):
-        if k > 1:
-            f = _paired_reactions(params, u)
-        if k == 1 or quasilinear:
-            # sigma frozen at the previous iterate: the h^n term and sig/dt
-            sig = _sigma(d, alpha, u)
-            np.multiply(sig, h_n, out=base)
-            base /= dt
-            sig_over_dt = (sig / dt).reshape((4,) + sig.shape[2:])
-        rhs, rhs_cols = solved[k % 2], solved_cols[k % 2]
-        np.add(base[0], f[0], out=rhs[0])
-        np.add(base[1], f[1], out=rhs[1])
-        rhs_cols += np.multiply(phi, h, out=term)
-        # in place: rhs becomes the new transformed stack
-        solver.solve(sig_over_dt, phi, rhs_cols, h)
-        new_u = _inverse_stack(params, d, rhs)
+            # the lower must not drop nor the upper rise, then the lower must
+            # stay under the upper, whose excess is the gap; 0.0 - x negates x
+            # and keeps a zero +0.0
+            flat = new_u.reshape(-1)
+            np.subtract(new_u, u, out=new_minus_old)
+            np.subtract(flat[npoints:], flat[:-npoints], out=v_minus_w)
+            top = np.maximum.reduce(audit, axis=1).tolist()
+            low = np.minimum.reduce(audit, axis=1).tolist()
+            gap = 0.0 - min(low[4], low[6])
+            worst = max(top[0], top[2], 0.0 - min(low[1], low[3]), top[4], top[6])
 
-        # the lower must not drop nor the upper rise, then the lower must
-        # stay under the upper, whose excess is the gap; 0.0 - x negates x
-        # and keeps a zero +0.0
-        flat = new_u.reshape(-1)
-        np.subtract(new_u, u, out=new_minus_old)
-        np.subtract(flat[npoints:], flat[:-npoints], out=v_minus_w)
-        top = np.maximum.reduce(audit, axis=1).tolist()
-        low = np.minimum.reduce(audit, axis=1).tolist()
-        gap = 0.0 - min(low[4], low[6])
-        worst = max(top[0], top[2], 0.0 - min(low[1], low[3]), top[4], top[6])
-
-        u, h = new_u, rhs_cols
-        iterates.append((u, gap, worst))
-        if worst > chain_tol:
-            raise _ChainViolation(worst, k)
-        if gap <= gap_tol:
-            kept_u[...] = u[:, 1]
-            kept_h[...] = rhs[:, 1]
-            return iterates, SystemState(t_start + dt, grid, kept_u, kept_h), gap
-
-    raise ConvergenceError(
-        f"inner iteration gap {gap:.3e} above tolerance {gap_tol:.3e} "
-        f"after {cfg.max_inner_iters} iterates",
-        gap=gap,
+            u, h = new_u, rhs_cols
+            iterates.append((u, gap, worst))
+            if worst > chain_tol:
+                # the chain broke: start again at the next shift
+                break
+            if gap <= gap_tol:
+                kept_u[...] = u[:, 1]
+                kept_h[...] = rhs[:, 1]
+                trace = IterationTrace(
+                    iterates=tuple(iterates),
+                    gap=gap,
+                    worst_violation=max(worst for _, _, worst in iterates),
+                    phi1=phis[0],
+                    phi2=phis[1],
+                    retries=retry,
+                    fallbacks=solver.fallbacks - fallbacks,
+                    bracket=bracket.kind,
+                )
+                return SystemState(state.t + dt, grid, kept_u, kept_h), trace
+        else:
+            raise ConvergenceError(
+                f"inner iteration gap {gap:.3e} above tolerance {gap_tol:.3e} "
+                f"after {cfg.max_inner_iters} iterates",
+                gap=gap,
+            )
+    raise OrderingViolationError(
+        f"iterate ordering kept failing after {_MAX_PHI_RETRIES} shift escalations "
+        f"(worst violation {worst:.3e})",
+        worst_violation=worst,
+        iterate=k,
     )
 
 

@@ -13,7 +13,8 @@ import pytest
 
 import sktlab
 from sktlab.cli import _write_snapshots_csv, main
-from sktlab.grid import Grid
+from sktlab.config import build_initial_fields, load_config
+from sktlab.grid import Grid, ScalarField, principal_eigenpair
 from sktlab.iteration import SystemState
 from sktlab.model import ModelParams
 
@@ -83,6 +84,25 @@ snapshot_every = 100
 kind = constant
 u1 = 1.2
 u2 = 0.8
+"""
+
+
+RECTANGLE_CONFIG = CERT_MODEL + """\
+[grid]
+dim = 2
+lx = 3.141592653589793
+nx = 9
+ly = 2.0
+ny = 9
+
+[solver]
+dt = 0.001
+t_end = 0.002
+
+[initial]
+kind = expression
+u1 = 0.2 + 0.1*cos(x)*cos(y)
+u2 = 0.3 + 0.05*cos(2*y)
 """
 
 
@@ -171,6 +191,18 @@ class TestConfigErrors:
             extra=("--param", "zeta", "--min", "1", "--max", "2", "--count", "2"),
         )
 
+    @pytest.mark.parametrize("key, value", [("ly", "2.0"), ("ny", "9")])
+    def test_rectangle_keys_on_1d_grid(self, capsys, tmp_path, conf, key, value):
+        text = CERT_CONFIG.replace("nx = 33\n", f"nx = 33\n{key} = {value}\n")
+        self.check(capsys, text, tmp_path, conf, f"{key}: key is meaningless on a 1D grid")
+
+    def test_sweep_needs_a_value(self, capsys, tmp_path, conf):
+        self.check(
+            capsys, CERT_CONFIG, tmp_path, conf, "sweep count must be >= 1, got 0",
+            sub="sweep",
+            extra=("--param", "c1", "--min", "1", "--max", "2", "--count", "0"),
+        )
+
     def test_log_sweep_needs_positive_endpoints(self, capsys, tmp_path, conf):
         self.check(
             capsys, CERT_CONFIG, tmp_path, conf, "log-scale sweep needs positive",
@@ -180,6 +212,32 @@ class TestConfigErrors:
                 "--count", "2", "--scale", "log",
             ),
         )
+
+
+class TestRectangleConfig:
+    def test_fields_match_the_expressions(self, conf):
+        cfg = load_config(conf(RECTANGLE_CONFIG))
+        grid = cfg.grid
+        assert grid.compatible(Grid.rectangle(math.pi, 2.0, 9, 9))
+        u1, u2 = build_initial_fields(
+            cfg.require_initial(), grid, principal_eigenpair(grid, cfg.lambda0_mode)
+        )
+        want1 = ScalarField.from_function(grid, lambda x, y: 0.2 + 0.1 * np.cos(x) * np.cos(y))
+        want2 = ScalarField.from_function(grid, lambda x, y: 0.3 + 0.05 * np.cos(2 * y))
+        for got, want in ((u1, want1), (u2, want2)):
+            assert got.values.shape == (9, 9)
+            assert np.array_equal(got.values, want.values)
+        # u2 varies along y only
+        assert np.ptp(u2.values[:, 0]) == 0.0 and np.ptp(u2.values[0]) > 0.0
+
+    def test_simulate_writes_both_coordinates(self, tmp_path, conf):
+        rc, out = run(conf(RECTANGLE_CONFIG), tmp_path, sub="simulate")
+        assert rc == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["termination"] == "completed" and summary["steps"] == 2
+        lines = (out / "snapshots.csv").read_text().splitlines()
+        assert lines[0] == "t,x,y,u1,u2,h1,h2"
+        assert len(lines) == 1 + 3 * 81
 
 
 class TestClassify:
@@ -364,6 +422,25 @@ class TestSimulate:
         assert "gap" in summary["error"]
         assert summary["steps"] == 0
 
+    @pytest.mark.parametrize("sub, report", [
+        ("simulate", "run_summary.json"), ("blowup", "blowup_report.json"),
+    ])
+    def test_readme_model_failure_exits_4(self, capsys, tmp_path, conf, sub, report):
+        # README's example on 33 points: one inner iterate cannot close the
+        # first step's gap, and no halving is left to retry it
+        text = CERT_MODEL + GRID_1D + (
+            "\n[solver]\ndt = 0.001\nt_end = 0.5\nmax_inner_iters = 1\nmax_halvings = 0\n"
+            "\n[initial]\nkind = expression\nu1 = 0.2 + 0.1*cos(x)\nu2 = 0.3 + 0.05*cos(2*x)\n"
+        )
+        rc, out = run(conf(text), tmp_path, sub=sub)
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert "termination: failed" in captured.out
+        assert captured.err.startswith("simulation failed: inner iteration gap")
+        doc = json.loads((out / report).read_text())
+        summary = doc if sub == "simulate" else doc["run_summary"]
+        assert summary["termination"] == "failed" and summary["steps"] == 0
+
     def test_overflow_exits_0(self, capsys, tmp_path, conf):
         text = BLOWUP_CONFIG.replace("snapshot_every = 100", "snapshot_every = 500")
         rc, out = run(conf(text), tmp_path, sub="simulate")
@@ -427,6 +504,24 @@ class TestSweep:
         assert lines[3].split(",")[1] == "3.5"
         assert lines[3].split(",")[6] == ""
         assert lines[1].split(",")[6] != ""
+
+    def test_log_scale_multiplier_sweep(self, tmp_path, conf):
+        rc, out = run(
+            conf(CERT_CONFIG), tmp_path, sub="sweep",
+            extra=(
+                "--param", "mu1", "--min", "0.5", "--max", "8.0",
+                "--count", "5", "--scale", "log",
+            ),
+        )
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().splitlines()[1:]
+        want = np.geomspace(0.5, 8.0, 5).tolist()
+        assert [line.split(",")[1] for line in lines] == [repr(v) for v in want]
+        for line, mu1 in zip(lines, want):
+            cells = line.split(",")
+            assert cells[0] == "mu1"
+            # constant data (0.2, 0.3) weighted by (mu1, mu2 = 1)
+            assert float(cells[7]) == pytest.approx(0.2 * mu1 + 0.3, rel=1e-12)
 
     def test_simulating_sweep_records_detection(self, tmp_path, conf):
         rc, out = run(

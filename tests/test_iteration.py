@@ -372,6 +372,33 @@ class TestStepMonotone:
         with pytest.raises(OrderingViolationError, match="after 3 shift escalations"):
             step_monotone(state, cfg, params, wide)
 
+    def test_floor_above_ceiling_refused_before_any_shift(self, monkeypatch):
+        # near the unstable nullcline u1 = (1 + u2/2)/2 a floor above its
+        # ceiling can pass the discrete-bound test at a long dt: species 1's
+        # ceiling 0.4 falls and its floor 0.8 rises against the other's
+        # ceiling and floor
+        params = certified_params()
+        grid = Grid.interval(np.pi, 9)
+        state = SystemState.from_u_arrays(
+            params, grid, 0.0, 0.65 + 0.05 * np.cos(grid.xs), 0.25 + 0.05 * np.cos(grid.xs)
+        )
+        dt, floors, ceilings = 10.0, [0.8, 0.0], [0.4, 0.5]
+        stacked = stacked_constant_bracket(params, grid, floors, ceilings, "predicted")
+        assert _violations(params, grid, dt, state.h[:, None], stacked).max() < 0.0
+        # an extrapolated maximum below the extrapolated minimum builds nothing
+        assert _auto_bracket(
+            params, _param_columns(params, grid), _Extremes.of(state), dt, floors,
+            ceilings, "predicted",
+        ) is None
+
+        def no_shift(*args):
+            raise AssertionError("a shift was worked out")
+
+        monkeypatch.setattr(sktlab.iteration, "_phi_automatic", no_shift)
+        with pytest.raises(OrderingViolationError, match="floor lies above its ceiling") as exc:
+            step_monotone(state, SolverConfig(dt=dt), params, stacked)
+        assert exc.value.iterate == 0 and exc.value.worst_violation == 0.8 - 0.4
+
 
 def check_records(trace, ks=None, gaps=None):
     """Each record views its own iterate's stack, and a second read of
@@ -647,7 +674,7 @@ def bracket_data(grid, seed, kind):
     return vals
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     alphas=st.sampled_from(["zero", "positive", "mixed"]),
     alpha=st.floats(0.05, 1.0),
@@ -706,7 +733,7 @@ def test_float_built_bracket_matches_stacked(alphas, alpha, coeffs, dims, kinds,
             assert all(a == b for a, b in zip(got.violations, want.tolist()))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     dims=st.one_of(
         st.tuples(st.integers(3, 40)), st.tuples(st.integers(3, 12), st.integers(3, 12))
@@ -807,7 +834,7 @@ class TestStackedStepMatchesReference:
         assert trace.worst_violation == max(r[5] for r in records)
         return new_state, trace, dt
 
-    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(**STEP_DRAWS)
     def test_auto_bracket_steps(self, alphas, alpha, coeffs, dims, length, kinds, seed, dt):
         params, grid, (u1, u2), state = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
@@ -822,7 +849,7 @@ class TestStackedStepMatchesReference:
         scale = max(2.0 * u1.max(), 2.0 * u2.max())
         check_chain_and_zeros(trace, new_state, (u1, u2), scale)
 
-    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(**STEP_DRAWS)
     def test_tight_bracket_steps(self, alphas, alpha, coeffs, dims, length, kinds, seed, dt):
         # the tight constant bracket at simulate's smallest kappa, admitted by
@@ -874,7 +901,7 @@ class TestStackedStepMatchesReference:
 class TestWindowBracketRuns:
     """simulate in a caller's bracket against step_monotone on the pair."""
 
-    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=25)
     @given(**STEP_DRAWS, fill=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)))
     def test_simulate_matches_steps_on_the_pair(
         self, alphas, alpha, coeffs, dims, length, kinds, seed, dt, fill
@@ -974,7 +1001,7 @@ def recorded_run(params, grid, u0, cfg, t_end, bracket):
 class TestPredictedBrackets:
     """Steps simulate takes in a bracket around the extrapolated next state."""
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(
         **STEP_DRAWS,
         shape=st.sampled_from(["constant", "smooth", "rough"]),
@@ -1098,7 +1125,7 @@ class TestPredictedBrackets:
 
 
 class TestHelmholtzSolver:
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(
         n=st.integers(3, 200),
         length=st.floats(0.5, 10.0),
@@ -1140,7 +1167,7 @@ class TestHelmholtzSolver:
             ref = splu((grid.neg_laplacian_matrix + sp.diags(sig + phi)).tocsc()).solve(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(
         nx=st.integers(3, 40),
         ny=st.integers(3, 40),
