@@ -123,7 +123,8 @@ class Grid:
 
         Positive semidefinite in the quadrature inner product; the constant
         vector spans its kernel. scipy.sparse is imported here, on first use:
-        only 2D runs and diagnostics build the matrix.
+        only the 2D solver's sparse-LU fallback, tests and diagnostics build
+        the matrix; the solver itself applies -lap through _lap_array.
         """
         import scipy.sparse as sp
 

@@ -97,12 +97,15 @@ fresh array. In 1D the call is one LAPACK tridiagonal solve (dgtsv) of the
 block system of all 4n unknowns, whose blocks the elimination never
 couples, so each column is the one a solve of that column alone gives,
 and the block diagonal is written from the values on every call. In 2D
-it is conjugate gradients per column, preconditioned by the exact DCT-I
-solve at the grid mean of the column's diagonal and started from the
+it is conjugate gradients per column, with the matrix applied through the
+Laplacian stencil _lap_array, preconditioned by the exact DCT-I solve at
+the grid mean of the column's diagonal (the DCT-I is numpy's real FFT of
+the even extension, Martucci, IEEE TSP 42, 1994) and started from the
 previous iterate's transform of the same column: consecutive iterates
 close in on each other, so fewer CG iterations remain. A guess whose
 residual is not below the right-hand side's is dropped for the zero
-start. A solution is accepted only when
+start. The 2D path imports no scipy; 1D imports dgtsv when its solver is
+built. A solution is accepted only when
 its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
 that misses falls back to sparse LU and is counted in the trace's
@@ -162,7 +165,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import BracketConstructionError, ConvergenceError, OrderingViolationError
 from .grid import Grid, ScalarField, _lap_array, _neumann_bands, _neumann_eigenvalues
@@ -501,22 +503,25 @@ class _HelmholtzSolver:
     the blocks, so each column is bit-identical to that solve.
 
     2D: conjugate gradients per column in the trapezoid-weighted inner
-    product, where W(D - lap) is symmetric positive definite, preconditioned
-    by the exact DCT-I solve of (c - lap) at c = the mean of the column's
-    diagonal over the grid; with a constant D the first preconditioner
-    application is the exact solve. A column starts from its guess when the
-    guess's residual is smaller in sup norm than the column itself, and
-    from zero otherwise, as it would with a zero guess. D - lap is a
-    diagonally dominant M-matrix whose Laplacian rows sum to zero, so
-    ||(D - lap)^-1||_inf <= 1/min D. A column is accepted only when its
-    recomputed residual satisfies
+    product, where W(D - lap) is symmetric positive definite, with the
+    matrix applied as D*v - _lap_array(v), preconditioned by the exact
+    DCT-I solve of (c - lap) at c = the mean of the column's diagonal over
+    the grid; with a constant D the first preconditioner application is the
+    exact solve. The DCT-I is _dct1, numpy's real FFT of the even extension
+    along each axis, and equals scipy.fft.dctn(type=1) bit for bit. A column
+    starts from its guess when the guess's residual is smaller in sup norm
+    than the column itself, and from zero otherwise, as it would with a zero
+    guess. D - lap is a diagonally dominant M-matrix whose Laplacian rows
+    sum to zero, so ||(D - lap)^-1||_inf <= 1/min D. A column is accepted
+    only when its recomputed residual satisfies
 
         ||b - (D - lap) x||_inf <= 1e-12 min D max(1, ||x||_inf),
 
     which bounds its error by 1e-12 max(1, ||x||_inf), far under the chain
     tolerance. A column that misses the bound within _CG_MAX_ITERS iterations
-    is solved by sparse LU instead and counted in `fallbacks`. A zero column
-    returns exact zeros, whatever its guess.
+    is solved by sparse LU instead and counted in `fallbacks`; only then is
+    scipy.sparse imported. A zero column returns exact zeros, whatever its
+    guess. A 1D solver imports LAPACK's dgtsv from scipy when it is built.
 
     The solver also keeps the inner iteration's work arrays for its grid
     (work_arrays), so a solver reused across a run's steps allocates them
@@ -529,6 +534,10 @@ class _HelmholtzSolver:
         self.fallbacks = 0
         self._work = None
         if grid.dimension == 1:
+            # only 1D runs pay for scipy's package init
+            from scipy.linalg.lapack import dgtsv
+
+            self._dgtsv = dgtsv
             ab = _neumann_bands(grid.nx, grid.hx)
             self._main = ab[1]
             # one block's off-diagonals, each ending in the zero that
@@ -536,13 +545,14 @@ class _HelmholtzSolver:
             self._block = (np.append(ab[2, :-1], 0.0), np.append(ab[0, 1:], 0.0))
             self._blocks = {}
         else:
-            # only 2D runs pay for the FFT module
-            from scipy.fft import dctn, idctn
-
-            self._dct_pair = (dctn, idctn)
-            lam_x = _neumann_eigenvalues(grid.nx, grid.hx)
-            lam_y = _neumann_eigenvalues(grid.ny, grid.hy)
+            nx, ny = grid.shape
+            lam_x = _neumann_eigenvalues(nx, grid.hx)
+            lam_y = _neumann_eigenvalues(ny, grid.hy)
             self._lam = lam_x[:, None] + lam_y[None, :]
+            # the even extensions the DCT-I writes, one per axis, and the
+            # inverse's scale, 1/(2(n-1)) on each axis
+            self._ext = (np.empty((2 * (nx - 1), ny)), np.empty((nx, 2 * (ny - 1))))
+            self._idct_scale = 1.0 / (2 * (nx - 1) * 2 * (ny - 1))
 
     def solve(self, sig_over_dt, phi, rhs_cols, guess):
         """Solve for each column of rhs_cols and return the (k, *grid) solutions.
@@ -564,7 +574,7 @@ class _HelmholtzSolver:
             np.add(self._main + phi, sig, out=d.reshape(k, -1))
             # the C-ordered (k, n) stack is the vector of all k*n unknowns, so
             # it is solved in place
-            info = dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=1, overwrite_b=1)[4]
+            info = self._dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=1, overwrite_b=1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
@@ -629,11 +639,9 @@ class _HelmholtzSolver:
         """Preconditioned CG for (diag - lap) x = b, from x0 when its residual
         beats the zero start's and from zero otherwise; None if x misses the bound."""
         g, w = self.grid, self.grid.weights
-        neg_lap = g.neg_laplacian_matrix
-        dctn, idctn = self._dct_pair
 
         def apply(v):
-            return diag * v + (neg_lap @ v.ravel()).reshape(g.shape)
+            return diag * v - _lap_array(g, v)
 
         r = b - apply(x0)
         # `<` is false on a NaN residual and on a zero column, which both
@@ -647,7 +655,7 @@ class _HelmholtzSolver:
             # `not >` also stops on a NaN residual, which then fails acceptance
             if not np.abs(r).max() > _CG_STOP * d_min * max(1.0, np.abs(x).max()):
                 break
-            z = idctn(dctn(r, type=1) * inv_eig, type=1)
+            z = self._dct1(self._dct1(r) * inv_eig, inverse=True)
             rz_new = np.vdot(w * r, z)
             p = z if p is None else z + (rz_new / rz) * p
             rz = rz_new
@@ -659,6 +667,26 @@ class _HelmholtzSolver:
         if np.abs(residual).max() <= _CG_ACCEPT * d_min * max(1.0, np.abs(x).max()):
             return x
         return None
+
+    def _dct1(self, a, inverse=False):
+        """The 2D DCT-I of a grid array, scipy.fft.dctn(a, type=1), or with
+        inverse its inverse, idctn(a, type=1), bit for bit.
+
+        Each axis in turn, 0 then 1, is the real part of numpy's rfft of the
+        even extension [a, a[-2:0:-1]] along it. The inverse is the same
+        transform scaled by 1/(2(nx-1) 2(ny-1)), applied where scipy applies
+        it: once, to the first axis's result.
+        """
+        e0, e1 = self._ext
+        nx, ny = a.shape
+        e0[:nx] = a
+        e0[nx:] = a[-2:0:-1]
+        t = np.fft.rfft(e0, axis=0).real
+        if inverse:
+            t *= self._idct_scale
+        e1[:, :ny] = t
+        e1[:, ny:] = t[:, -2:0:-1]
+        return np.fft.rfft(e1, axis=1).real
 
 
 def _sigma(d, alpha, u):

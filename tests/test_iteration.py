@@ -17,7 +17,7 @@ from sktlab.errors import (
     ConvergenceError,
     OrderingViolationError,
 )
-from sktlab.grid import Grid, ScalarField, _neumann_bands, principal_eigenpair
+from sktlab.grid import Grid, ScalarField, _lap_array, _neumann_bands, principal_eigenpair
 from sktlab.iteration import (
     _CHAIN_TOL,
     SolverConfig,
@@ -1259,14 +1259,16 @@ class TestHelmholtzSolver:
 
     def test_near_solution_guess_halves_preconditioner_work(self):
         solver, sig_over_dt, b, ref = self.warm_case()
-        dctn, idctn = solver._dct_pair
+        dct1 = solver._dct1
         calls = []
 
-        def counted(a, type):
-            calls.append(1)
-            return idctn(a, type=type)
+        # one inverse transform per preconditioner application
+        def counted(a, inverse=False):
+            if inverse:
+                calls.append(1)
+            return dct1(a, inverse)
 
-        solver._dct_pair = (dctn, counted)
+        solver._dct1 = counted
         solver.solve(sig_over_dt, 2.0, [b], [np.zeros(ref.shape)])
         cold = len(calls)
         calls.clear()
@@ -1395,6 +1397,33 @@ class TestHelmholtzSolver:
         lu = splu((grid.neg_laplacian_matrix + 42.0 * sp.identity(grid.npoints)).tocsc())
         ref = lu.solve(b.ravel()).reshape(grid.shape)
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "shape", [(65, 65), (33, 17), (129, 129), (21, 31), (50, 37), (100, 3)]
+    )
+    def test_dct1_matches_scipy_fft(self, shape):
+        # the preconditioner's numpy DCT-I against scipy's, forward and
+        # inverse, so a numpy or scipy upgrade that breaks the identity shows
+        from scipy.fft import dctn, idctn
+
+        solver = _HelmholtzSolver(Grid.rectangle(np.pi, 2.0, *shape))
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for _ in range(3):
+            a = rng.standard_normal(shape)
+            assert np.array_equal(solver._dct1(a), dctn(a, type=1))
+            assert np.array_equal(solver._dct1(a, inverse=True), idctn(a, type=1))
+
+    @pytest.mark.parametrize("shape", [(9, 13), (3, 5)])
+    def test_stencil_matvec_matches_sparse_matrix(self, shape):
+        # CG applies D - lap through the stencil; the sparse matrix the LU
+        # fallback and diagnostics use must stay the same operator
+        grid = Grid.rectangle(np.pi, 2.0, *shape)
+        rng = np.random.default_rng(4)
+        diag, v = rng.uniform(1.0, 100.0, shape), rng.standard_normal(shape)
+        stencil = diag * v - _lap_array(grid, v)
+        sparse = diag * v + (grid.neg_laplacian_matrix @ v.ravel()).reshape(shape)
+        scale = np.abs(diag * v).max() + 8.0 / min(grid.hx, grid.hy) ** 2 * np.abs(v).max()
+        assert np.abs(stencil - sparse).max() <= 1e-15 * scale
 
     def test_cg_miss_falls_back_to_sparse_lu(self, monkeypatch):
         monkeypatch.setattr(sktlab.iteration, "_CG_MAX_ITERS", 0)
