@@ -10,7 +10,6 @@ written with repr (shortest exact decimal) in both CSV and JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -82,31 +81,25 @@ class _Run:
             cfg.params, self.eig.lambda0, cfg.mu1, cfg.mu2, self.wa0.p_hat
         )
 
-    def choose_bracket(self):
-        """Window bracket only when confinement is certified and no blow-up is.
+    def run_simulation(self, params=None, regime=None, cert=None):
+        """Simulate from the run's fields, with the run's params and
+        certificates or, for a sweep row, the row's own.
 
-        A data-certified blow-up makes any fixed ceiling futile, so those
-        runs (and uncertified ones) use the per-step auto bracket.
+        The window bracket is used only when confinement is certified and
+        no blow-up is. A data-certified blow-up makes any fixed ceiling
+        futile, so those runs (and uncertified ones) use the per-step auto
+        bracket.
         """
-        if not self.cert.certified and self.regime.certified:
-            lower, upper = initial_bracket(
-                self.cfg.params, self.eig, self.u0, self.regime
-            )
-            return (lower, upper), "window"
-        return None, "auto"
-
-    def run_simulation(self):
         solver = self.cfg.require_solver()
         t_end = self.cfg.require_t_end()
-        bracket, bracket_mode = self.choose_bracket()
+        if params is None:
+            params, regime, cert = self.cfg.params, self.regime, self.cert
+        bracket, bracket_mode = None, "auto"
+        if not cert.certified and regime.certified:
+            bracket = initial_bracket(params, self.eig, self.u0, regime)
+            bracket_mode = "window"
         result = simulate(
-            self.cfg.params,
-            self.cfg.grid,
-            self.eig,
-            self.u0,
-            solver,
-            t_end,
-            bracket=bracket,
+            params, self.cfg.grid, self.eig, self.u0, solver, t_end, bracket=bracket
         )
         return result, bracket_mode
 
@@ -289,10 +282,8 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
 
         detected = None
         if args.simulate:
-            cfg.require_t_end()
-            # rebuild with the swept parameters so bracket choice follows
-            sub_cfg = dataclasses.replace(cfg, params=params, mu1=mu1, mu2=mu2)
-            result, _ = _Run(sub_cfg, args.lambda0_mode).run_simulation()
+            # the row's params and certificates choose the bracket
+            result, _ = run.run_simulation(params, regime, cert)
             detected = result.overflow_time
 
         rows.append(
@@ -373,7 +364,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from None
         return _COMMANDS[args.command](args, cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

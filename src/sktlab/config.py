@@ -335,6 +335,11 @@ def build_run_config(sections: dict) -> RunConfig:
     output_view = _view(sections, "output", required=False)
     if output_view is not None:
         output_dir = output_view.string("directory", default=".")
+        if not output_dir:
+            raise ConfigError(
+                "value must not be empty", "output", "directory",
+                output_view.line_of("directory"),
+            )
         raw_formats = output_view.string("formats")
         if raw_formats is not None:
             parts = tuple(p.strip() for p in raw_formats.split(",") if p.strip())

@@ -42,13 +42,14 @@ drives all four iterates. The right-hand sides, the transform and its
 inverse, the feasibility check and the chain audit are each a few numpy
 calls on the whole stack, and every element sees the same floating-point
 operations in the same order as a per-species loop would apply, so the
-results are bit-identical to one. The trace keeps each iterate's stack
-with its gap and worst violation, and builds the records viewing those
-stacks only when they are read. A bracket reaches the step in the same
-stacked form, with its transform, paired reactions and the transform's
-Laplacian, built by one of two builders: _field_bracket from a field
-stack, for a caller's window and a window run's predicted bracket, and
-_auto_bracket on floats for an automatic run's constant brackets.
+results are bit-identical to one. The step's trace holds its digest, the
+TraceSummary simulate keeps, and each iterate's stack with its gap and
+worst violation, and builds the records viewing those stacks only when
+they are read. A bracket reaches the step in the same stacked form, with
+its transform, paired reactions and the transform's Laplacian, built by
+one of two builders: _field_bracket from a field stack, for a caller's
+window and a window run's predicted bracket, and _auto_bracket on floats
+for an automatic run's constant brackets.
 
 An automatic bracket is constant per species, so it is worked out on
 Python floats: the transform, paired reactions and sigma at its four
@@ -108,24 +109,23 @@ start. The 2D path imports no scipy; 1D imports dgtsv when its solver is
 built. A solution is accepted only when
 its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
-that misses falls back to sparse LU and is counted in the trace's
+that misses falls back to sparse LU and is counted in the step's
 `fallbacks`. Zero right-hand sides give exact zeros on both paths.
 
 The time-stepping loop `simulate` repeats steps to t_end. From the third
 step on, each attempt first tries a predicted bracket, the predictor half of
 a predictor-corrector (Hairer & Wanner, Solving ODEs II, IV.8): the next
-state is extrapolated by the quadratic in t through the last three accepted
-states, or the line through two before there are three, with Lagrange
-weights, so a halved dt needs nothing special. Each species gets the
-half-width e_i = 2 * max|u_i^n - p_i^n|, twice the miss of the prediction
-of the last accepted state, plus a round-off floor of 1e-12 * max(1,
-largest sup norm of the state); no floor goes below zero. The bracket
-takes the form of the run's other brackets:
+u stack p is extrapolated by the quadratic in t through the u stacks of
+the last three accepted states, or the line through two before there are
+three, with Lagrange weights, so a halved dt needs nothing special. Each
+species gets the half-width e_i = 2 * max|u_i^n - p_i^n| over the grid,
+twice the miss of the prediction of the last accepted state, plus a
+round-off floor of 1e-12 * max(1, largest sup norm of the state); no floor
+goes below zero. The bracket takes the form of the run's other brackets:
 
-- without a caller's bracket, a constant bracket on floats from the
-  extrapolated per-species extremes of u, [max(min p_i - e_i, 0),
-  max p_i + e_i], built by _auto_bracket, which rejects a floor above its
-  ceiling;
+- without a caller's bracket, constant per species from the extremes of
+  p over the grid, [max(min p_i - e_i, 0), max p_i + e_i], built on floats
+  by _auto_bracket, which rejects a floor above its ceiling;
 - with one, a field stack inside the caller's window: with p clipped into
   the window, [max(p - e, floor), min(p + e, N)], floor the window's floor
   (at least zero) and N its ceiling, built by _field_bracket and its
@@ -142,8 +142,8 @@ window, or tight. The window is stacked once per run and handed to the
 step unmeasured, so a step that fails in it raises what step_monotone
 raises on the caller's pair. Tight and wide are built by _auto_bracket and
 admitted only when they pass the discrete-bound test the step applies to
-every bracket. Each trace records which of "predicted", "window", "tight"
-and "wide" it ran in.
+every bracket. Each step's TraceSummary records which of "predicted",
+"window", "tight" and "wide" it ran in.
 
 dt is halved in one place, out of a shared budget, for one of three
 causes: no bracket passes at the current dt, the step raises (the chain
@@ -160,7 +160,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -295,43 +294,16 @@ class IterateRecord:
 
 
 @dataclass(frozen=True)
-class IterationTrace:
-    """Full audit of one accepted step's inner iteration.
-
-    The step keeps each iterate of its accepted shift as its (species,
-    sequence, *grid) density stack with its gap and worst violation;
-    `retries` counts the shift escalations before it. `records` builds the
-    IterateRecords viewing those stacks each time it is read, so a caller
-    that reads only the digest, as simulate does, never makes them.
-    """
-
-    iterates: tuple  # (u stack, gap, worst violation) per iterate, from 0
-    gap: float
-    worst_violation: float
-    phi1: float
-    phi2: float
-    retries: int
-    fallbacks: int  # 2D columns the linear solver handed to sparse LU, retries included
-    bracket: str  # "window" (the caller's), "predicted", "tight" or "wide"
-
-    @property
-    def records(self) -> tuple:
-        # a constant bracket's (2, 2, 1...) stack is read at the iterates' shape
-        shape = self.iterates[-1][0].shape
-        records = []
-        for k, (u, gap, worst) in enumerate(self.iterates):
-            (w1, v1), (w2, v2) = np.broadcast_to(u, shape)
-            records.append(IterateRecord(k, v1, v2, w1, w2, gap, worst))
-        return tuple(records)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.iterates) - 1
-
-
-@dataclass(frozen=True)
 class TraceSummary:
-    """Per-step digest kept by the driver."""
+    """One accepted step's digest, built once by step_monotone.
+
+    t is the new state's time and dt the step's, iterations the inner
+    iterates after the bracket, gap the last one's, worst_violation the
+    largest over all of them, phi1 and phi2 the accepted shift, retries the
+    shift escalations before it, fallbacks the 2D columns the linear solver
+    handed to sparse LU (retries included), and bracket which one the step
+    ran in: "window" (the caller's), "predicted", "tight" or "wide".
+    """
 
     t: float
     dt: float
@@ -346,6 +318,31 @@ class TraceSummary:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
+class IterationTrace:
+    """Full audit of one accepted step: its digest and its iterates.
+
+    `summary` is the step's TraceSummary. The step keeps each iterate of its
+    accepted shift as its (species, sequence, *grid) density stack with its
+    gap and worst violation. `records` builds the IterateRecords viewing
+    those stacks each time it is read, so a caller that reads only the
+    digest, as simulate does, never makes them.
+    """
+
+    summary: TraceSummary
+    iterates: tuple  # (u stack, gap, worst violation) per iterate, from 0
+
+    @property
+    def records(self) -> tuple:
+        # a constant bracket's (2, 2, 1...) stack is read at the iterates' shape
+        shape = self.iterates[-1][0].shape
+        records = []
+        for k, (u, gap, worst) in enumerate(self.iterates):
+            (w1, v1), (w2, v2) = np.broadcast_to(u, shape)
+            records.append(IterateRecord(k, v1, v2, w1, w2, gap, worst))
+        return tuple(records)
 
 
 @dataclass
@@ -848,6 +845,9 @@ def step_monotone(
     solution at cfg.dt, when its floor lies above its ceiling, or when the
     chain still breaks after the last escalation, and ConvergenceError
     when the gap fails to close within max_inner_iters.
+
+    The returned IterationTrace holds the step's TraceSummary, built once
+    here with t the new state's time and dt = cfg.dt, and its iterates.
     """
     grid = state.grid
     if not isinstance(bracket, _Bracket):
@@ -901,11 +901,11 @@ def step_monotone(
         stack = (2, 2) + grid.shape
         u0, h0 = np.broadcast_to(u0, stack), np.broadcast_to(bracket.h, stack)
         new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), h0[:, 1].copy())
-        trace = IterationTrace(
-            iterates=((u0, 0.0, 0.0),) * 2, gap=0.0, worst_violation=0.0,
-            phi1=0.0, phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
+        summary = TraceSummary(
+            new_state.t, dt, iterations=1, gap=0.0, worst_violation=0.0, phi1=0.0,
+            phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
         )
-        return new_state, trace
+        return new_state, IterationTrace(summary, ((u0, 0.0, 0.0),) * 2)
 
     hdot = _hdot_scales(params, grid, state.u, state.h)
     phi_base = (
@@ -968,8 +968,10 @@ def step_monotone(
             if gap <= gap_tol:
                 kept_u[...] = u[:, 1]
                 kept_h[...] = rhs[:, 1]
-                trace = IterationTrace(
-                    iterates=tuple(iterates),
+                summary = TraceSummary(
+                    t=state.t + dt,
+                    dt=dt,
+                    iterations=k,
                     gap=gap,
                     worst_violation=max(worst for _, _, worst in iterates),
                     phi1=phis[0],
@@ -978,7 +980,8 @@ def step_monotone(
                     fallbacks=solver.fallbacks - fallbacks,
                     bracket=bracket.kind,
                 )
-                return SystemState(state.t + dt, grid, kept_u, kept_h), trace
+                new_state = SystemState(summary.t, grid, kept_u, kept_h)
+                return new_state, IterationTrace(summary, tuple(iterates))
         else:
             raise ConvergenceError(
                 f"inner iteration gap {gap:.3e} above tolerance {gap_tol:.3e} "
@@ -1059,7 +1062,7 @@ def _extrapolate(times, values, t):
 
     Lagrange weights, so unevenly spaced nodes, as a halved dt leaves them,
     need nothing special: two nodes give the line, three the quadratic.
-    values are lists of floats, evaluated on Python floats, or arrays.
+    values are the nodes' arrays, which are left unchanged.
     """
     if len(times) == 2:
         t0, t1 = times
@@ -1071,22 +1074,17 @@ def _extrapolate(times, values, t):
             (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
             (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)),
         )
-    if isinstance(values[0], list):
-        return [sum(map(operator.mul, weights, xs)) for xs in zip(*values)]
     out = weights[0] * values[0]
     for w, x in zip(weights[1:], values[1:]):
         out += w * x
     return out
 
 
-def _misses(node, prediction):
-    """Each species' largest |value - prediction|: over the grid for a u
-    stack, over its minimum and maximum for a list of extremes."""
-    if isinstance(node, list):
-        miss = [abs(x - p) for x, p in zip(node, prediction)]
-        return [max(miss[0], miss[2]), max(miss[1], miss[3])]
+def _misses(u, prediction):
+    """Each species' largest |u - prediction| over the grid, for a state's u
+    stack and its prediction."""
     # in place: the prediction is this attempt's own array
-    np.abs(np.subtract(node, prediction, out=prediction), out=prediction)
+    np.abs(np.subtract(u, prediction, out=prediction), out=prediction)
     return prediction.reshape(2, -1).max(axis=1).tolist()
 
 
@@ -1117,26 +1115,31 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     """March step_monotone from u0 to t_end, or to overflow, or to failure.
 
     From the third step on, each attempt first tries a predicted bracket
-    around the next state extrapolated from the last three accepted ones
-    (the module docstring gives its form), and takes it when it is a
-    discrete bound solution at the current dt; its trace says "predicted".
-    The first two steps, and an attempt whose predicted bracket fails, go
-    on at no cost to the halving budget to the run's other brackets. With
-    `bracket` given (a certified (lower, upper) pair) that is the pair,
-    stacked once and reused, and the predicted brackets are clipped to it;
-    it must contain u0, or OrderingViolationError is raised before the first
-    step. Otherwise it is the tight constant bracket [(1-kappa) min u_i,
-    (1+kappa) max u_i], kappa = max(3*growth_trigger, 2*g) with g the last
-    accepted step's relative sup-norm change, when it passes the same test;
-    when it does not, or when kappa >= 1, the wide zero-floor bracket with
-    ceiling 2*max(u_i), under the same test.
+    around the next u stack extrapolated from those of the last three
+    accepted states (the module docstring gives its form), and takes it
+    when it is a discrete bound solution at the current dt; its summary
+    says "predicted". The first two steps, and an attempt whose predicted
+    bracket fails, go on at no cost to the halving budget to the run's
+    other brackets. With `bracket` given (a certified (lower, upper) pair)
+    that is the pair, stacked once and reused, and the predicted brackets
+    are clipped to it; it must contain u0, or OrderingViolationError is
+    raised before the first step. Otherwise it is the tight constant
+    bracket [(1-kappa) min u_i, (1+kappa) max u_i], kappa =
+    max(3*growth_trigger, 2*g) with g the last accepted step's relative
+    sup-norm change, when it passes the same test; when it does not, or
+    when kappa >= 1, the wide zero-floor bracket with ceiling 2*max(u_i),
+    under the same test.
 
     An attempt is rejected when no bracket passes, when the step raises, or
     when, while halvings remain, a sup norm grows past growth_trigger. Each
     rejection halves dt, spends one halving and starts the attempt again,
     predicted bracket first. A rejection with the budget spent ends the run
     with termination "failed" and the error kept, rather than raising, so
-    partial output survives.
+    partial output survives. Each accepted step's TraceSummary is kept in
+    `summaries` as the step built it.
+
+    `eig` is not used; the argument stays because callers pass the
+    arguments by position.
     """
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -1168,11 +1171,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         # and reactions, for every step
         window = _window_bracket(params, state, bracket, columns)
         top, floor = window.u[:, 0], np.maximum(window.u[:, 1], 0.0)
-    # the predictor's nodes, the last three accepted states: their times and
-    # values, the u stack in a window run and [min u1, min u2, max u1, max u2]
-    # otherwise; and each species' miss of the last accepted prediction
-    node = state.u if bracket is not None else extremes.u_lo + extremes.u_hi
-    times, values, misses = [state.t], [node], None
+    # the predictor's nodes, the last three accepted states' times and u
+    # stacks, and each species' miss of the last accepted prediction
+    times, values, misses = [state.t], [state.u], None
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
@@ -1207,9 +1208,12 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 else:
                     step_bracket = None
             else:
-                # around the extrapolated [min u1, min u2, max u1, max u2]
-                floors = [max(p - e, 0.0) for p, e in zip(prediction[:2], widths)]
-                ceilings = [p + e for p, e in zip(prediction[2:], widths)]
+                # around each species' extremes of the extrapolated stack
+                rows = prediction.reshape(2, -1)
+                lows = np.minimum.reduce(rows, axis=1).tolist()
+                highs = np.maximum.reduce(rows, axis=1).tolist()
+                floors = [max(p - e, 0.0) for p, e in zip(lows, widths)]
+                ceilings = [p + e for p, e in zip(highs, widths)]
                 step_bracket = _auto_bracket(
                     params, columns, extremes, dt_step, floors, ceilings, "predicted"
                 )
@@ -1273,29 +1277,15 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             abs(m1 - p1) / p1 if p1 > 0.0 else 0.0, abs(m2 - p2) / p2 if p2 > 0.0 else 0.0
         )
         state, extremes, norms = new_state, new_extremes, (m1, m2)
-        node = state.u if bracket is not None else extremes.u_lo + extremes.u_hi
         if prediction is not None:
-            misses = _misses(node, prediction)
+            misses = _misses(state.u, prediction)
         if len(times) == 3:
             del times[0], values[0]
         times.append(state.t)
-        values.append(node)
+        values.append(state.u)
         accepted += 1
-        summaries.append(
-            TraceSummary(
-                t=state.t,
-                dt=dt_step,
-                iterations=trace.iterations,
-                gap=trace.gap,
-                worst_violation=trace.worst_violation,
-                phi1=trace.phi1,
-                phi2=trace.phi2,
-                retries=trace.retries,
-                fallbacks=trace.fallbacks,
-                bracket=trace.bracket,
-            )
-        )
-        # the iterate records hold whole stacks: free them before the next step
+        summaries.append(trace.summary)
+        # the iterates hold whole stacks: free them before the next step
         del trace
         if accepted % cfg.snapshot_every == 0:
             snapshots.append(state)

@@ -100,8 +100,8 @@ def monotone_run():
         last = trace.records[-1]
         steps.append(
             {
-                "violation": trace.worst_violation,
-                "gap": trace.gap,
+                "violation": trace.summary.worst_violation,
+                "gap": trace.summary.gap,
                 "u1": state.u1.values,
                 "u2": state.u2.values,
                 "v1": last.v1,

@@ -14,6 +14,7 @@ import pytest
 import sktlab
 from sktlab.cli import _write_snapshots_csv, main
 from sktlab.config import build_initial_fields, load_config
+from sktlab.errors import ConfigError
 from sktlab.grid import Grid, ScalarField, principal_eigenpair
 from sktlab.iteration import SystemState
 from sktlab.model import ModelParams
@@ -165,6 +166,21 @@ class TestConfigErrors:
     def test_bad_formats_list(self, capsys, tmp_path, conf):
         text = CERT_CONFIG + "\n[output]\nformats = csv,xml\n"
         self.check(capsys, text, tmp_path, conf, "[output] formats")
+
+    def test_empty_output_directory(self, capsys, tmp_path, conf):
+        text = CERT_CONFIG + "\n[output]\ndirectory =\n"
+        self.check(capsys, text, tmp_path, conf, "[output] directory: value must not be empty")
+        with pytest.raises(ConfigError) as info:
+            load_config(conf(text))
+        assert info.value.line == text.splitlines().index("directory =") + 1
+
+    def test_output_path_naming_a_file(self, capsys, tmp_path, conf):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["classify", "--config", conf(CERT_CONFIG), "--out", str(taken)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {str(taken)!r}")
 
     def test_output_cadence_needs_solver(self, capsys, tmp_path, conf):
         text = CERT_MODEL + GRID_1D + "\n[initial]\nkind = constant\nu1 = 0.1\nu2 = 0.1\n"
@@ -539,6 +555,27 @@ class TestSweep:
             assert cells[3] == "certified_blowup_if"
             detected = float(cells[9])
             assert 0.5 < detected < 1.1 * math.log(3.0)
+
+    def test_simulating_sweep_builds_one_eigenpair(self, tmp_path, conf, monkeypatch):
+        # every row simulates from the sweep's own eigenpair and fields
+        calls = []
+        inner = sktlab.cli.principal_eigenpair
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sktlab.cli, "principal_eigenpair", counting)
+        rc, out = run(
+            conf(BLOWUP_CONFIG), tmp_path, sub="sweep",
+            extra=(
+                "--param", "d1", "--min", "1.0", "--max", "1.1",
+                "--count", "2", "--simulate",
+            ),
+        )
+        assert rc == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        assert len(calls) == 1
 
 
 class TestDeterminism:

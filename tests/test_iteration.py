@@ -27,6 +27,7 @@ from sktlab.iteration import (
     _auto_bracket_feasible,
     _Bracket,
     _Extremes,
+    _extrapolate,
     _paired_reactions,
     _param_columns,
     _phi_automatic,
@@ -248,8 +249,8 @@ class TestStepMonotone:
         cfg = SolverConfig(dt=1e-3)
         new_state, trace = step_monotone(state, cfg, params, bracket)
         scale = 2.0 / 3.0
-        assert trace.worst_violation <= 1e-10 * max(1.0, scale)
-        assert trace.gap <= cfg.inner_tol * (1.0 + scale)
+        assert trace.summary.worst_violation <= 1e-10 * max(1.0, scale)
+        assert trace.summary.gap <= cfg.inner_tol * (1.0 + scale)
         assert new_state.t == pytest.approx(1e-3)
         last = trace.records[-1]
         assert np.array_equal(new_state.u1.values, last.v1)
@@ -258,7 +259,7 @@ class TestStepMonotone:
         assert np.all(last.v2 <= last.w2 + 1e-10)
         # gap shrinks from the initial bracket width
         assert trace.records[-1].gap < trace.records[0].gap
-        assert trace.retries == 0
+        assert trace.summary.retries == 0
 
     def test_sequences_march_monotonically(self, setup):
         params, grid, eig, regime, u0 = setup
@@ -309,9 +310,9 @@ class TestStepMonotone:
         new_state, trace = step_monotone(
             same, SolverConfig(dt=1e-3), params, (same, same)
         )
-        assert trace.iterations == 1
-        assert trace.gap == 0.0
-        assert trace.worst_violation == 0.0
+        assert trace.summary.iterations == 1
+        assert trace.summary.gap == 0.0
+        assert trace.summary.worst_violation == 0.0
         assert np.all(new_state.u == third2)
         assert new_state.t == pytest.approx(1e-3)
         check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
@@ -322,7 +323,7 @@ class TestStepMonotone:
         )
         wide = constant_bracket(params, zero, 1e-3, 1.0)
         new_state, trace = step_monotone(zero, SolverConfig(dt=1e-3), params, wide)
-        assert trace.bracket == "wide" and np.all(new_state.u == 0.0)
+        assert trace.summary.bracket == "wide" and np.all(new_state.u == 0.0)
         check_records(trace, ks=[0, 1], gaps=[0.0, 0.0])
 
     def test_state_outside_bracket_rejected(self, setup):
@@ -364,8 +365,8 @@ class TestStepMonotone:
         wide = constant_bracket(params, state, cfg.dt, 1.0)
         monkeypatch.setattr(sktlab.iteration, "_phi_automatic", lambda *args: 0.1)
         new_state, trace = step_monotone(state, cfg, params, wide)
-        assert trace.retries == 2
-        assert trace.phi1 == trace.phi2 == 0.1 * 8.0**2
+        assert trace.summary.retries == 2
+        assert trace.summary.phi1 == trace.summary.phi2 == 0.1 * 8.0**2
         check_chain_and_zeros(trace, new_state, state.u, max(wide.box[1]))
 
         monkeypatch.setattr(sktlab.iteration, "_phi_automatic", lambda *args: 1e-6)
@@ -405,7 +406,7 @@ def check_records(trace, ks=None, gaps=None):
     trace.records builds equal records. A constant bracket's (2, 2, 1...)
     stack is viewed read-only at the iterates' shape."""
     first, again = trace.records, trace.records
-    assert len(first) == len(again) == len(trace.iterates) == trace.iterations + 1
+    assert len(first) == len(again) == len(trace.iterates) == trace.summary.iterations + 1
     shape = trace.iterates[-1][0].shape
     for (stack, gap, worst), rec, rec2 in zip(trace.iterates, first, again):
         assert (rec.k, repr(rec.gap), repr(rec.worst_violation)) == (
@@ -772,7 +773,7 @@ def test_automatic_brackets_contain_their_state(dims, kinds, kappa, seed):
 def check_chain_and_zeros(trace, new_state, data, scale):
     """Ordered chains, nonnegativity, and all-zero species staying exactly zero."""
     tol = 1e-10 * max(1.0, scale)
-    assert trace.worst_violation <= tol
+    assert trace.summary.worst_violation <= tol
     for prev, cur in zip(trace.records, trace.records[1:]):
         for lo, hi, lo_prev, hi_prev in (
             (cur.v1, cur.w1, prev.v1, prev.w1), (cur.v2, cur.w2, prev.v2, prev.w2)
@@ -811,7 +812,7 @@ class TestStackedStepMatchesReference:
         else:
             pytest.fail("no step succeeded in 20 halvings")
         records, accepted = reference_inner(
-            params, grid, dt, state, step_bracket, (trace.phi1, trace.phi2),
+            params, grid, dt, state, step_bracket, (trace.summary.phi1, trace.summary.phi2),
             cfg.inner_tol, cfg.max_inner_iters,
         )
         assert accepted is not None
@@ -830,8 +831,8 @@ class TestStackedStepMatchesReference:
         ):
             assert np.array_equal(got.values, want)
         assert new_state.t == state.t + dt
-        assert trace.gap == records[-1][4]
-        assert trace.worst_violation == max(r[5] for r in records)
+        assert trace.summary.gap == records[-1][4]
+        assert trace.summary.worst_violation == max(r[5] for r in records)
         return new_state, trace, dt
 
     @settings(max_examples=50)
@@ -845,7 +846,7 @@ class TestStackedStepMatchesReference:
             return wide_bracket(params, state, dt)[0]
 
         new_state, trace, _ = self.check(params, grid, state, wide, dt)
-        assert trace.bracket == "wide"
+        assert trace.summary.bracket == "wide"
         scale = max(2.0 * u1.max(), 2.0 * u2.max())
         check_chain_and_zeros(trace, new_state, (u1, u2), scale)
 
@@ -863,7 +864,7 @@ class TestStackedStepMatchesReference:
             return constant_bracket(params, state, dt, kappa)
 
         new_state, trace, dt = self.check(params, grid, state, tight, dt)
-        assert trace.bracket == "tight"
+        assert trace.summary.bracket == "tight"
         scale = (1.0 + kappa) * max(u1.max(), u2.max())
         check_chain_and_zeros(trace, new_state, (u1, u2), scale)
 
@@ -947,9 +948,10 @@ class TestWindowBracketRuns:
                 continue
             assert new_state.u.tobytes() == snap.u.tobytes()
             assert new_state.h.tobytes() == snap.h.tobytes()
-            assert trace.bracket == summary.bracket == "window"
-            got = (trace.iterations, trace.gap, trace.worst_violation,
-                   trace.phi1, trace.phi2, trace.retries, trace.fallbacks)
+            assert trace.summary.bracket == summary.bracket == "window"
+            got = (trace.summary.iterations, trace.summary.gap,
+                   trace.summary.worst_violation, trace.summary.phi1, trace.summary.phi2,
+                   trace.summary.retries, trace.summary.fallbacks)
             want = (summary.iterations, summary.gap, summary.worst_violation,
                     summary.phi1, summary.phi2, summary.retries, summary.fallbacks)
             assert repr(got) == repr(want)
@@ -1033,7 +1035,7 @@ class TestPredictedBrackets:
         result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket)
         kept = {id(s) for s in result.snapshots}
         for state, step_cfg, step_bracket, new_state, trace in calls:
-            if trace.bracket != "predicted" or id(new_state) not in kept:
+            if trace.summary.bracket != "predicted" or id(new_state) not in kept:
                 continue
             scale = max(step_bracket.box[1])
             check_chain_and_zeros(trace, new_state, data, scale)
@@ -1122,6 +1124,49 @@ class TestPredictedBrackets:
                 assert kind in ("tight", "wide")
             else:
                 assert kind == "predicted"
+
+    @pytest.mark.parametrize("shape", [(2, 17), (2, 5, 4)], ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "times, degree",
+        [((0.0, 0.1, 0.15), 2), ((0.0, 0.1, 0.15), 1), ((0.1, 0.15), 1)],
+        ids=["quadratic", "line-3", "line-2"],
+    )
+    def test_extrapolation_exact_on_polynomial_stacks(self, shape, times, degree):
+        # unevenly spaced nodes, as a halved dt leaves them: three nodes give
+        # back a quadratic in t and two a line, to round-off, at t = 0.175
+        a, b, c = np.random.default_rng(7).uniform(-1.0, 1.0, (3,) + shape)
+
+        def poly(t):
+            return a + b * t + (c * t * t if degree == 2 else 0.0)
+
+        values = [poly(t) for t in times]
+        kept = [v.copy() for v in values]
+        got = _extrapolate(list(times), values, 0.175)
+        assert got.shape == shape
+        assert np.abs(got - poly(0.175)).max() <= 1e-14
+        # the nodes are left as they were
+        assert all(np.array_equal(v, k) for v, k in zip(values, kept))
+
+    def test_kept_digest_is_the_steps_own(self):
+        # simulate keeps each accepted step's TraceSummary as step_monotone
+        # built it, stamped with the new state's time and the step's own dt;
+        # growth rejections halve dt twice and the last step is shortened
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 9)
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        cfg = SolverConfig(dt=0.02, max_halvings=2)
+        result, calls = recorded_run(params, grid, u0, cfg, 0.1275, None)
+        assert result.termination == "completed" and result.halvings_used == 2
+        kept = {id(s) for s in result.snapshots[1:]}
+        accepted = [call for call in calls if id(call[3]) in kept]
+        assert len(accepted) == len(result.summaries) < len(calls)
+        for summary, (_, step_cfg, _, new_state, trace) in zip(result.summaries, accepted):
+            assert summary is trace.summary
+            assert summary.t == new_state.t
+            assert summary.dt == step_cfg.dt
+            assert summary.iterations == len(trace.iterates) - 1
+        dts = {s.dt for s in result.summaries}
+        assert cfg.dt not in dts and len(dts) == 2
 
 
 class TestHelmholtzSolver:
@@ -1460,7 +1505,7 @@ class TestHelmholtzSolver:
             _, fresh = step_monotone(state, cfg, params, bracket)
             state, trace = step_monotone(state, cfg, params, bracket, solver)
             # quasilinear: one column per species and sequence
-            assert trace.fallbacks == fresh.fallbacks == 4 * trace.iterations
+            assert trace.summary.fallbacks == fresh.summary.fallbacks == 4 * trace.summary.iterations
 
 
 class TestRectangle:
