@@ -45,7 +45,8 @@ operations in the same order as a per-species loop would apply, so the
 results are bit-identical to one. The step's trace holds its digest, the
 TraceSummary simulate keeps, and each iterate's stack with its gap and
 worst violation, and builds the records viewing those stacks only when
-they are read. A bracket reaches the step in the same stacked form, with
+they are read; simulate's own steps keep no iterates and return the
+digest alone. A bracket reaches the step in the same stacked form, with
 its transform, paired reactions and the transform's Laplacian, built by
 one of two builders: _field_bracket from a field stack, for a caller's
 window and a window run's predicted bracket, and _auto_bracket on floats
@@ -59,12 +60,12 @@ largest h^n and its floor violation only at the smallest. That is exact,
 not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
-reduces to. The extremes of u and h^n are taken once per accepted state
-(_Extremes) and serve the constant brackets of the next attempt and the
-growth and overflow test. An admitted bracket's stacks are (2, 2, 1...)
-arrays that broadcast over the grid, and it reaches the step with its
-violations measured; the step takes iterate 0's gap and worst violation
-from the bracket's floats.
+reduces to. The extremes of u and h^n are taken once per accepted state,
+with those of its prediction miss and of the next prediction (_Extremes),
+and serve the next attempt's brackets and the growth and overflow test.
+An admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
+the grid, and it reaches the step with its violations measured; the step
+takes iterate 0's gap and worst violation from the bracket's floats.
 
 A caller's pair is checked to contain the state where it enters, in
 _window_bracket: on each call of step_monotone with a (lower, upper) pair,
@@ -91,13 +92,14 @@ built once per simulate run: the four (species, sequence) rows of the
 right-hand-side stack are its columns, solved in place, and sig/dt is
 passed as the step computes it, a (4, ...) array of sigma at the previous
 iterate over dt. A semilinear (alpha = 0) run's sigma is 1/d at every
-iterate, so its sig/dt and h^n term are computed at the first iterate
-only. The right-hand sides and the chain audit are assembled in the
-solver's per-run work arrays, and only each iterate's density stack is a
-fresh array. In 1D the call is one LAPACK tridiagonal solve (dgtsv) of the
-block system of all 4n unknowns, whose blocks the elimination never
-couples, so each column is the one a solve of that column alone gives,
-and the block diagonal is written from the values on every call. In 2D
+iterate, so the solver keeps its sig/dt per dt and the step computes the
+h^n term once. The right-hand sides and the chain audit are assembled in
+the solver's per-run work arrays; each iterate's density stack and
+reactions, and in a quasilinear run its sigma, are fresh arrays. In 1D
+the call is one LAPACK tridiagonal solve (dgtsv) of the block system of
+all 4n unknowns, whose blocks the elimination never couples, so each
+column is the one a solve of that column alone gives, and the block
+diagonal is written from the values on every call. In 2D
 it is conjugate gradients per column, with the matrix applied through the
 Laplacian stencil _lap_array, preconditioned by the exact DCT-I solve at
 the grid mean of the column's diagonal (the DCT-I is numpy's real FFT of
@@ -105,9 +107,9 @@ the even extension, Martucci, IEEE TSP 42, 1994) and started from the
 previous iterate's transform of the same column: consecutive iterates
 close in on each other, so fewer CG iterations remain. A guess whose
 residual is not below the right-hand side's is dropped for the zero
-start. The 2D path imports no scipy; 1D imports dgtsv when its solver is
-built. A solution is accepted only when
-its recomputed residual bounds its sup-norm error by
+start. The 2D path imports no scipy; 1D loads dgtsv when its first solver
+is built, without scipy's package init (_lapack_dgtsv). A solution is
+accepted only when its recomputed residual bounds its sup-norm error by
 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
 that misses falls back to sparse LU and is counted in the step's
 `fallbacks`. Zero right-hand sides give exact zeros on both paths.
@@ -117,8 +119,9 @@ step on, each attempt first tries a predicted bracket, the predictor half of
 a predictor-corrector (Hairer & Wanner, Solving ODEs II, IV.8): the next
 u stack p is extrapolated by the quadratic in t through the u stacks of
 the last three accepted states, or the line through two before there are
-three, with Lagrange weights, so a halved dt needs nothing special. Each
-species gets the half-width e_i = 2 * max|u_i^n - p_i^n| over the grid,
+three, with Lagrange weights, so a halved dt needs nothing special; it is
+made as the step before is accepted, and again only after a rejection.
+Each species gets the half-width e_i = 2 * max|u_i^n - p_i^n| over the grid,
 twice the miss of the prediction of the last accepted state, plus a
 round-off floor of 1e-12 * max(1, largest sup norm of the state); no floor
 goes below zero. The bracket takes the form of the run's other brackets:
@@ -159,7 +162,12 @@ sub-cap snapshots.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -293,8 +301,7 @@ class IterateRecord:
     worst_violation: float  # signed; positive means the chain broke
 
 
-@dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(NamedTuple):
     """One accepted step's digest, built once by step_monotone.
 
     t is the new state's time and dt the step's, iterations the inner
@@ -302,7 +309,8 @@ class TraceSummary:
     largest over all of them, phi1 and phi2 the accepted shift, retries the
     shift escalations before it, fallbacks the 2D columns the linear solver
     handed to sparse LU (retries included), and bracket which one the step
-    ran in: "window" (the caller's), "predicted", "tight" or "wide".
+    ran in: "window" (the caller's), "predicted", "tight" or "wide". A
+    named tuple, since simulate keeps one for every step.
     """
 
     t: float
@@ -317,7 +325,7 @@ class TraceSummary:
     bracket: str
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -483,6 +491,34 @@ def _hdot_scales(params, grid, u, h):
     )
 
 
+@functools.cache
+def _lapack_dgtsv():
+    """LAPACK's tridiagonal solver dgtsv, through scipy's f2py wrapper.
+
+    `import scipy.linalg` runs scipy's package init, about 0.3 s, while the
+    compiled wrapper module scipy/linalg/_flapack alone loads in
+    milliseconds. So that module is loaded from its file, found without
+    importing scipy, under its own name, which also puts it in sys.modules,
+    where a later `import scipy.linalg` finds and reuses it. Without that
+    file, dgtsv comes from scipy.linalg.lapack.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    spec = importlib.util.find_spec("scipy") if module is None else None
+    for base in (spec.submodule_search_locations or ()) if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if module is None and os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+    if module is None:
+        from scipy.linalg.lapack import dgtsv
+
+        return dgtsv
+    return module.dgtsv
+
+
 class _HelmholtzSolver:
     """Solves (D_j - lap) h_j = rhs_j, D_j = sig_j/dt + phi_j, for columns j on one grid.
 
@@ -518,23 +554,23 @@ class _HelmholtzSolver:
     tolerance. A column that misses the bound within _CG_MAX_ITERS iterations
     is solved by sparse LU instead and counted in `fallbacks`; only then is
     scipy.sparse imported. A zero column returns exact zeros, whatever its
-    guess. A 1D solver imports LAPACK's dgtsv from scipy when it is built.
+    guess. A 1D solver takes LAPACK's dgtsv from _lapack_dgtsv.
 
     The solver also keeps the inner iteration's work arrays for its grid
-    (work_arrays), so a solver reused across a run's steps allocates them
-    once. Raises ValueError when a solve fails or its solution is not
-    finite.
+    (work_arrays) and a semilinear run's sigma (semilinear_sigma), so a
+    solver reused across a run's steps makes them once. simulate's solver
+    is lean, and step_monotone returns it the step's digest alone. Raises
+    ValueError when a solve fails or its solution is not finite.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, lean: bool = False):
         self.grid = grid
+        self.lean = lean
         self.fallbacks = 0
         self._work = None
+        self._sigma = None
         if grid.dimension == 1:
-            # only 1D runs pay for scipy's package init
-            from scipy.linalg.lapack import dgtsv
-
-            self._dgtsv = dgtsv
+            self._dgtsv = _lapack_dgtsv()
             ab = _neumann_bands(grid.nx, grid.hx)
             self._main = ab[1]
             # one block's off-diagonals, each ending in the zero that
@@ -561,21 +597,19 @@ class _HelmholtzSolver:
         zero start's, and 1D ignores it.
         """
         rhs = np.ascontiguousarray(rhs_cols, dtype=float)
-        sig = np.asarray(sig_over_dt, dtype=float)
-        phi = np.asarray(phi, dtype=float)
         if self.grid.dimension == 1:
-            k = len(rhs)
-            dl, du, d = self._block_arrays(k)
+            dl, du, d, d_cols = self._block_arrays(len(rhs))
             # block j's diagonal is (main + phi_j) + sig_j, written on every
             # call, so the solve may overwrite it
-            np.add(self._main + phi, sig, out=d.reshape(k, -1))
+            np.add(self._main, phi, out=d_cols)
+            d_cols += sig_over_dt
             # the C-ordered (k, n) stack is the vector of all k*n unknowns, so
             # it is solved in place
             info = self._dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=1, overwrite_b=1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
-            self._solve_2d(sig, phi, rhs, guess)
+            self._solve_2d(sig_over_dt, phi, rhs, guess)
         if not np.isfinite(rhs).all():
             raise ValueError("linear solve produced non-finite values")
         return rhs
@@ -605,13 +639,28 @@ class _HelmholtzSolver:
             )
         return self._work
 
+    def semilinear_sigma(self, columns, dt):
+        """sigma = 1/d for the (d, alpha) species columns of params with both
+        alpha = 0, and sigma/dt as (4, 1...) solve columns, kept for the
+        same columns object and dt, as a simulate run passes them."""
+        kept = self._sigma
+        if kept is None or kept[0] is not columns or kept[1] != dt:
+            d, alpha = columns
+            # 1/(d + 2 alpha u) at alpha = 0 is 1/d for every u the step sees
+            sig = _sigma(d, alpha, 0.0)
+            cols = np.broadcast_to(sig / dt, (2, 2) + sig.shape[2:])
+            kept = self._sigma = (columns, dt, sig, cols.reshape((4,) + sig.shape[2:]))
+        return kept[2:]
+
     def _block_arrays(self, k):
-        """The (sub, super) off-diagonals of k blocks, built once per k, and
-        a vector their main diagonal is written into."""
+        """The (sub, super) off-diagonals of k blocks, built once per k, a
+        vector their main diagonal is written into, and the same vector as
+        (k, n) block rows."""
         arrays = self._blocks.get(k)
         if arrays is None:
             bands = tuple(np.tile(band, k)[:-1] for band in self._block)
-            arrays = self._blocks[k] = bands + (np.empty(k * self.grid.nx),)
+            d = np.empty(k * self.grid.nx)
+            arrays = self._blocks[k] = bands + (d, d.reshape(k, -1))
         return arrays
 
     def _solve_2d(self, sig, phi, rhs, guess):
@@ -709,7 +758,7 @@ def _sequence_signs(grid):
 
 
 def _paired_reactions(params, u):
-    """Reactions driving the (species, sequence) stack u, as species 1's and 2's.
+    """Reactions driving the (species, sequence) stack u, as a stack like u.
 
     The reactions are quasimonotone decreasing, so each species' upper
     iterate is paired with the other species' lower one, and vice versa:
@@ -719,7 +768,7 @@ def _paired_reactions(params, u):
     times faster on contiguous operands.
     """
     f1, f2 = _reaction_raw(params, u[0], u[1, ::-1].copy())
-    return f1, f2[::-1]
+    return np.array((f1, f2[::-1]))
 
 
 def _inverse_stack(params, d, h):
@@ -764,7 +813,7 @@ class _Bracket(NamedTuple):
 
     u: np.ndarray
     h: np.ndarray
-    f: tuple | np.ndarray
+    f: np.ndarray
     lap_h: np.ndarray | float
     box: tuple
     kind: str
@@ -848,6 +897,9 @@ def step_monotone(
 
     The returned IterationTrace holds the step's TraceSummary, built once
     here with t the new state's time and dt = cfg.dt, and its iterates.
+    simulate steps with a lean solver (_HelmholtzSolver(grid, lean=True)),
+    which keeps no iterates and gets the TraceSummary itself in the trace's
+    place; the step is the same, float for float.
     """
     grid = state.grid
     if not isinstance(bracket, _Bracket):
@@ -897,6 +949,7 @@ def step_monotone(
 
     # exactly degenerate bound solution, every ceiling equal to its floor:
     # the common value is the step solution
+    lean = solver.lean
     if gap0 == 0.0 and worst0 == 0.0:
         stack = (2, 2) + grid.shape
         u0, h0 = np.broadcast_to(u0, stack), np.broadcast_to(bracket.h, stack)
@@ -905,7 +958,7 @@ def step_monotone(
             new_state.t, dt, iterations=1, gap=0.0, worst_violation=0.0, phi1=0.0,
             phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
         )
-        return new_state, IterationTrace(summary, ((u0, 0.0, 0.0),) * 2)
+        return new_state, summary if lean else IterationTrace(summary, ((u0, 0.0, 0.0),) * 2)
 
     hdot = _hdot_scales(params, grid, state.u, state.h)
     phi_base = (
@@ -913,37 +966,40 @@ def step_monotone(
         _phi_automatic(params, 2, v2, w2, v1, w1, hdot[1]),
     )
 
-    d, alpha = bracket.columns
+    columns = d, alpha = bracket.columns
     gap_tol = cfg.inner_tol * (1.0 + scale)
     fallbacks = solver.fallbacks
     npoints = grid.npoints
-    # sigma = 1/d at every iterate when both species have alpha = 0
-    quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
     # the accepted state's compact rows, allocated ahead of the iteration's
     # temporaries: kept states then fill the holes earlier steps' temporaries
     # left, where copies made at the end split the heap between them (on
     # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
     kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
     solved, solved_cols, base, term, audit, new_minus_old, v_minus_w = solver.work_arrays()
+    # sigma is frozen at the previous iterate, except in a semilinear run
+    # (both alpha = 0), where it is 1/d at every iterate: there the h^n term
+    # is computed once per step
+    quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
+    if not quasilinear:
+        sig, sig_over_dt = solver.semilinear_sigma(columns, dt)
+        np.divide(np.multiply(sig, h_n, out=base), dt, out=base)
     for retry in range(_MAX_PHI_RETRIES + 1):
         boost = _PHI_RETRY_FACTOR**retry
         phis = (phi_base[0] * boost, phi_base[1] * boost)
         # one value per solve column, the stack's (species, sequence) rows
         phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * grid.dimension)
         u, f, h = u0, bracket.f, bracket.h.reshape((4,) + bracket.h.shape[2:])
-        iterates = [(u0, gap0, worst0)]
+        iterates = None if lean else [(u0, gap0, worst0)]
+        worst_all = worst0
         for k in range(1, cfg.max_inner_iters + 1):
             if k > 1:
                 f = _paired_reactions(params, u)
-            if k == 1 or quasilinear:
-                # sigma frozen at the previous iterate: the h^n term and sig/dt
+            if quasilinear:
                 sig = _sigma(d, alpha, u)
-                np.multiply(sig, h_n, out=base)
-                base /= dt
+                np.divide(np.multiply(sig, h_n, out=base), dt, out=base)
                 sig_over_dt = (sig / dt).reshape((4,) + sig.shape[2:])
             rhs, rhs_cols = solved[k % 2], solved_cols[k % 2]
-            np.add(base[0], f[0], out=rhs[0])
-            np.add(base[1], f[1], out=rhs[1])
+            np.add(base, f, out=rhs)
             rhs_cols += np.multiply(phi, h, out=term)
             # in place: rhs becomes the new transformed stack
             solver.solve(sig_over_dt, phi, rhs_cols, h)
@@ -961,26 +1017,24 @@ def step_monotone(
             worst = max(top[0], top[2], 0.0 - min(low[1], low[3]), top[4], top[6])
 
             u, h = new_u, rhs_cols
-            iterates.append((u, gap, worst))
+            if iterates is not None:
+                iterates.append((u, gap, worst))
+            # `>` keeps the first of equal maxima, as max() over them would
+            if worst > worst_all:
+                worst_all = worst
             if worst > chain_tol:
                 # the chain broke: start again at the next shift
                 break
             if gap <= gap_tol:
-                kept_u[...] = u[:, 1]
-                kept_h[...] = rhs[:, 1]
+                np.copyto(kept_u, u[:, 1])
+                np.copyto(kept_h, rhs[:, 1])
                 summary = TraceSummary(
-                    t=state.t + dt,
-                    dt=dt,
-                    iterations=k,
-                    gap=gap,
-                    worst_violation=max(worst for _, _, worst in iterates),
-                    phi1=phis[0],
-                    phi2=phis[1],
-                    retries=retry,
-                    fallbacks=solver.fallbacks - fallbacks,
-                    bracket=bracket.kind,
+                    state.t + dt, dt, k, gap, worst_all, phis[0], phis[1], retry,
+                    solver.fallbacks - fallbacks, bracket.kind,
                 )
                 new_state = SystemState(summary.t, grid, kept_u, kept_h)
+                if lean:
+                    return new_state, summary
                 return new_state, IterationTrace(summary, tuple(iterates))
         else:
             raise ConvergenceError(
@@ -1023,10 +1077,10 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
         _transform_raw(p.d1, p.alpha1, w1), _transform_raw(p.d1, p.alpha1, v1),
         _transform_raw(p.d2, p.alpha2, w2), _transform_raw(p.d2, p.alpha2, v2),
     ]
-    (h1_low, h2_low), (h1_high, h2_high) = extremes.h_lo, extremes.h_hi
+    lo, hi = extremes
     violations = (
-        _corner_violation(p.d1, p.alpha1, (w1, v1), h[:2], (f1_up, f1_lo), h1_low, h1_high, dt),
-        _corner_violation(p.d2, p.alpha2, (w2, v2), h[2:], (f2_up, f2_lo), h2_low, h2_high, dt),
+        _corner_violation(p.d1, p.alpha1, (w1, v1), h[:2], (f1_up, f1_lo), lo[2], hi[2], dt),
+        _corner_violation(p.d2, p.alpha2, (w2, v2), h[2:], (f2_up, f2_lo), lo[3], hi[3], dt),
     )
     if not _auto_bracket_feasible(violations, ceilings):
         return None
@@ -1057,12 +1111,13 @@ def _auto_bracket_feasible(violations, ceilings):
     return max(violations) <= _CHAIN_TOL * max(1.0, *ceilings)
 
 
-def _extrapolate(times, values, t):
+def _extrapolate(times, values, t, out=None):
     """The polynomial in t through the (times, values) nodes, evaluated at t.
 
     Lagrange weights, so unevenly spaced nodes, as a halved dt leaves them,
     need nothing special: two nodes give the line, three the quadratic.
-    values are the nodes' arrays, which are left unchanged.
+    values are the nodes' arrays, which are left unchanged; the result is
+    written into `out` when it is given.
     """
     if len(times) == 2:
         t0, t1 = times
@@ -1074,41 +1129,39 @@ def _extrapolate(times, values, t):
             (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
             (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)),
         )
-    out = weights[0] * values[0]
+    out = np.multiply(values[0], weights[0], out=out)
     for w, x in zip(weights[1:], values[1:]):
         out += w * x
     return out
 
 
-def _misses(u, prediction):
-    """Each species' largest |u - prediction| over the grid, for a state's u
-    stack and its prediction."""
-    # in place: the prediction is this attempt's own array
-    np.abs(np.subtract(u, prediction, out=prediction), out=prediction)
-    return prediction.reshape(2, -1).max(axis=1).tolist()
-
-
 class _Extremes(NamedTuple):
-    """Each species' smallest and largest density and transform in a state,
-    as lists of floats, from four reductions per state."""
+    """The smallest and largest value of each row of a (k, npoints) array,
+    as two lists of floats, from one reduction each way.
 
-    u_lo: list
-    u_hi: list
-    h_lo: list
-    h_hi: list
+    The rows are simulate's per-run buffer: 0-1 a state's u1 and u2, 2-3
+    its h1 and h2, 4-5 its miss |u - p| against the prediction p it was
+    stepped into, and 6-7 the next prediction; a state alone (of) gives the
+    first four. Each float is what a reduction of its row alone gives.
+    """
+
+    lo: list
+    hi: list
+
+    @classmethod
+    def reduce(cls, rows):
+        return cls(np.minimum.reduce(rows, axis=1).tolist(),
+                   np.maximum.reduce(rows, axis=1).tolist())
 
     @classmethod
     def of(cls, state):
-        rows = np.concatenate((state.u, state.h)).reshape(4, -1)
-        lo = np.minimum.reduce(rows, axis=1).tolist()
-        hi = np.maximum.reduce(rows, axis=1).tolist()
-        return cls(lo[:2], hi[:2], lo[2:], hi[2:])
+        return cls.reduce(np.concatenate((state.u, state.h)).reshape(4, -1))
 
     def sup_norms(self) -> tuple:
         """SystemState.sup_norms: max |u_i| is max(max u_i, -min u_i) exactly,
         and abs() makes a zero norm +0.0."""
-        (lo1, lo2), (hi1, hi2) = self.u_lo, self.u_hi
-        return abs(max(hi1, -lo1)), abs(max(hi2, -lo2))
+        lo, hi = self
+        return abs(max(hi[0], -lo[0])), abs(max(hi[1], -lo[1]))
 
 
 def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
@@ -1163,7 +1216,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     overflow_time = None
     error = None
     final_state = state
-    solver = _HelmholtzSolver(grid)
+    solver = _HelmholtzSolver(grid, lean=True)
     columns = _param_columns(params, grid)
     step_cfg = cfg
     if bracket is not None:
@@ -1174,6 +1227,13 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     # the predictor's nodes, the last three accepted states' times and u
     # stacks, and each species' miss of the last accepted prediction
     times, values, misses = [state.t], [state.u], None
+    # _Extremes' per-run buffer, and its rows as (2, *grid) stacks; the
+    # prediction rows hold the next step's, for a step of predicted_dt
+    rows = np.zeros((8, grid.npoints))
+    u_rows, h_rows, miss_rows, prediction = (
+        rows[i:i + 2].reshape((2,) + grid.shape) for i in range(0, 8, 2)
+    )
+    predicted_dt = None
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
@@ -1185,10 +1245,11 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         # The predicted bracket goes first once a miss is known, from the
         # third step on; the others follow at no cost to the halving budget
         rejection = None
-        prediction = None
         step_bracket = None
-        if len(times) > 1:
-            prediction = _extrapolate(times, values, state.t + dt_step)
+        if len(times) > 1 and predicted_dt != dt_step:
+            _extrapolate(times, values, state.t + dt_step, prediction)
+            p_lo, p_hi = _Extremes.reduce(rows[6:])
+            predicted_dt = dt_step
         if misses is not None:
             round_off = _PREDICT_FLOOR * max(1.0, *norms)
             widths = [_PREDICT_FACTOR * miss + round_off for miss in misses]
@@ -1209,11 +1270,8 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                     step_bracket = None
             else:
                 # around each species' extremes of the extrapolated stack
-                rows = prediction.reshape(2, -1)
-                lows = np.minimum.reduce(rows, axis=1).tolist()
-                highs = np.maximum.reduce(rows, axis=1).tolist()
-                floors = [max(p - e, 0.0) for p, e in zip(lows, widths)]
-                ceilings = [p + e for p, e in zip(highs, widths)]
+                floors = [max(p - e, 0.0) for p, e in zip(p_lo, widths)]
+                ceilings = [p + e for p, e in zip(p_hi, widths)]
                 step_bracket = _auto_bracket(
                     params, columns, extremes, dt_step, floors, ceilings, "predicted"
                 )
@@ -1222,15 +1280,16 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
             step_bracket = window
         elif step_bracket is None:
             kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
+            lo, hi = extremes
             if kappa < 1.0:
-                floors = [(1.0 - kappa) * m for m in extremes.u_lo]
-                ceilings = [(1.0 + kappa) * m for m in extremes.u_hi]
+                floors = [(1.0 - kappa) * lo[0], (1.0 - kappa) * lo[1]]
+                ceilings = [(1.0 + kappa) * hi[0], (1.0 + kappa) * hi[1]]
                 step_bracket = _auto_bracket(
                     params, columns, extremes, dt_step, floors, ceilings, "tight"
                 )
             if step_bracket is None:
                 # the literal +0.0 floor: (1 - kappa) * -0.0 would be -0.0
-                ceilings = [2.0 * m for m in extremes.u_hi]
+                ceilings = [2.0 * hi[0], 2.0 * hi[1]]
                 step_bracket = _auto_bracket(
                     params, columns, extremes, dt_step, [0.0, 0.0], ceilings, "wide"
                 )
@@ -1241,11 +1300,21 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 )
         if rejection is None:
             try:
-                new_state, trace = step_monotone(state, step_cfg, params, step_bracket, solver)
+                new_state, summary = step_monotone(state, step_cfg, params, step_bracket, solver)
             except (ConvergenceError, OrderingViolationError) as exc:
                 rejection = exc
         if rejection is None:
-            new_extremes = _Extremes.of(new_state)
+            # the new state, its miss when this attempt had a prediction, and
+            # the prediction of the next step, made before this one is
+            # accepted, into the buffer for one pair of reductions
+            np.copyto(u_rows, new_state.u)
+            np.copyto(h_rows, new_state.h)
+            if len(times) > 1:
+                np.abs(np.subtract(new_state.u, prediction, out=miss_rows), out=miss_rows)
+            next_times, next_values = times[-2:] + [new_state.t], values[-2:] + [new_state.u]
+            next_dt = min(dt, t_end - new_state.t)
+            _extrapolate(next_times, next_values, new_state.t + next_dt, prediction)
+            new_extremes = _Extremes.reduce(rows)
             m1, m2 = new_extremes.sup_norms()
             finite = math.isfinite(m1) and math.isfinite(m2)
             if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
@@ -1271,22 +1340,21 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
                 break
             dt = dt / 2.0
             halvings += 1
+            # the prediction row may hold the rejected state's next one
+            predicted_dt = None
             continue
 
         growth = max(
             abs(m1 - p1) / p1 if p1 > 0.0 else 0.0, abs(m2 - p2) / p2 if p2 > 0.0 else 0.0
         )
+        lo, hi = new_extremes
+        if len(times) > 1:
+            misses = hi[4:6]
         state, extremes, norms = new_state, new_extremes, (m1, m2)
-        if prediction is not None:
-            misses = _misses(state.u, prediction)
-        if len(times) == 3:
-            del times[0], values[0]
-        times.append(state.t)
-        values.append(state.u)
+        times, values = next_times, next_values
+        p_lo, p_hi, predicted_dt = lo[6:], hi[6:], next_dt
         accepted += 1
-        summaries.append(trace.summary)
-        # the iterates hold whole stacks: free them before the next step
-        del trace
+        summaries.append(summary)
         if accepted % cfg.snapshot_every == 0:
             snapshots.append(state)
 

@@ -23,6 +23,7 @@ from sktlab.iteration import (
     SolverConfig,
     _HelmholtzSolver,
     SystemState,
+    TraceSummary,
     _auto_bracket,
     _auto_bracket_feasible,
     _Bracket,
@@ -432,12 +433,12 @@ def constant_bracket(params, state, dt, kappa):
     """simulate's automatic constant bracket for a step of dt from state:
     kappa < 1 the tight one [(1-kappa) min u_i, (1+kappa) max u_i], kappa = 1
     the wide one [+0.0, 2 max u_i]; None when it is not admitted."""
-    extremes = _Extremes.of(state)
-    ceilings = [(1.0 + kappa) * m for m in extremes.u_hi]
+    extremes = lo, hi = _Extremes.of(state)
+    ceilings = [(1.0 + kappa) * m for m in hi[:2]]
     if kappa >= 1.0:
         floors, kind = [0.0, 0.0], "wide"
     else:
-        floors, kind = [(1.0 - kappa) * m for m in extremes.u_lo], "tight"
+        floors, kind = [(1.0 - kappa) * m for m in lo[:2]], "tight"
     columns = _param_columns(params, state.grid)
     return _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind)
 
@@ -984,20 +985,32 @@ def smooth_fields(grid, seed, kinds, constant):
 
 def recorded_run(params, grid, u0, cfg, t_end, bracket):
     """simulate with every step_monotone call that returned recorded as
-    (state, cfg, bracket, new state, trace)."""
+    (state, cfg, bracket, new state, summary, trace): simulate's lean solver
+    gets the step's summary back, and trace is the IterationTrace of the
+    same step redone through the public path (a fresh solver), which must
+    give the same new state, byte for byte, and an equal summary."""
     calls = []
     step = sktlab.iteration.step_monotone
 
     def recording(state, cfg, params, bracket, solver=None):
-        new_state, trace = step(state, cfg, params, bracket, solver)
-        calls.append((state, cfg, bracket, new_state, trace))
-        return new_state, trace
+        new_state, summary = step(state, cfg, params, bracket, solver)
+        calls.append((state, cfg, bracket, new_state, summary))
+        return new_state, summary
 
     eig = principal_eigenpair(grid, "principal")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sktlab.iteration, "step_monotone", recording)
         result = simulate(params, grid, eig, u0, cfg, t_end, bracket=bracket)
-    return result, calls
+    traced = []
+    for state, step_cfg, step_bracket, new_state, summary in calls:
+        assert isinstance(summary, TraceSummary)
+        public_state, trace = step_monotone(state, step_cfg, params, step_bracket)
+        assert public_state.t == new_state.t
+        assert public_state.u.tobytes() == new_state.u.tobytes()
+        assert public_state.h.tobytes() == new_state.h.tobytes()
+        assert trace.summary == summary
+        traced.append((state, step_cfg, step_bracket, new_state, summary, trace))
+    return result, traced
 
 
 class TestPredictedBrackets:
@@ -1034,7 +1047,7 @@ class TestPredictedBrackets:
         cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
         result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket)
         kept = {id(s) for s in result.snapshots}
-        for state, step_cfg, step_bracket, new_state, trace in calls:
+        for state, step_cfg, step_bracket, new_state, _, trace in calls:
             if trace.summary.bracket != "predicted" or id(new_state) not in kept:
                 continue
             scale = max(step_bracket.box[1])
@@ -1160,13 +1173,112 @@ class TestPredictedBrackets:
         kept = {id(s) for s in result.snapshots[1:]}
         accepted = [call for call in calls if id(call[3]) in kept]
         assert len(accepted) == len(result.summaries) < len(calls)
-        for summary, (_, step_cfg, _, new_state, trace) in zip(result.summaries, accepted):
-            assert summary is trace.summary
+        for summary, (_, step_cfg, _, new_state, returned, trace) in zip(
+            result.summaries, accepted
+        ):
+            assert summary is returned
             assert summary.t == new_state.t
             assert summary.dt == step_cfg.dt
             assert summary.iterations == len(trace.iterates) - 1
         dts = {s.dt for s in result.summaries}
         assert cfg.dt not in dts and len(dts) == 2
+
+
+class TestLeanSteps:
+    """simulate's own step path against the public one, and its buffer."""
+
+    @pytest.mark.parametrize("case", ["cosine", "constant"])
+    def test_automatic_run_matches_public_steps(self, case):
+        # every step of an automatic 1D run is redone through the public
+        # step_monotone from simulate's state on the bracket simulate picked
+        # (recorded_run): the states and summaries simulate keeps are that
+        # path's, byte for byte and equal, on varying data at n 65 and on
+        # blowup-1d's constant data and dt
+        if case == "cosine":
+            params = certified_params()
+            grid = Grid.interval(np.pi, 65)
+            u0 = (
+                ScalarField.from_function(grid, lambda x: 0.2 + 0.1 * np.cos(x)),
+                ScalarField.from_function(grid, lambda x: 0.3 + 0.05 * np.cos(2 * x)),
+            )
+            cfg, steps, kinds = SolverConfig(dt=1e-3), 50, {"tight"}
+        else:
+            params = certified_params(alpha1=0.0, alpha2=0.0)
+            grid = Grid.interval(np.pi, 33)
+            u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+            cfg, steps, kinds = SolverConfig(dt=1e-4), 300, {"tight", "predicted"}
+        result, calls = recorded_run(params, grid, u0, cfg, steps * cfg.dt, None)
+        assert result.termination == "completed" and result.halvings_used == 0
+        # no attempt was rejected, so each call made the next snapshot
+        assert len(calls) == len(result.summaries) == steps
+        for summary, snap, (_, _, _, new_state, returned, trace) in zip(
+            result.summaries, result.snapshots[1:], calls
+        ):
+            assert snap is new_state and summary is returned
+            assert trace.summary == summary
+        assert {s.bracket for s in result.summaries} == kinds
+
+    @pytest.mark.parametrize("case", ["varying", "zero species", "nan", "inf"])
+    def test_fused_rows_match_separate_reductions(self, case):
+        # simulate's buffer of a state's u and h, its miss |u - p| and the
+        # next prediction, reduced once each way, gives the floats that
+        # separate reductions of the state, the miss and the prediction give
+        rng = np.random.default_rng(13)
+        params = certified_params()
+        grid = Grid.interval(np.pi, 17)
+        u = rng.uniform(0.0, 2.0, (2,) + grid.shape)
+        prediction = u + rng.uniform(-1e-3, 1e-3, u.shape)
+        following = rng.uniform(0.0, 2.0, u.shape)
+        if case == "zero species":
+            u[1] = 0.0
+            prediction[1] = -0.0
+        elif case != "varying":
+            u[0, 5] = float(case)
+        state = SystemState.from_u_arrays(params, grid, 0.0, *u, overflowed=case != "varying")
+        # filled with the calls simulate fills it with
+        rows = np.zeros((8, grid.npoints))
+        u_rows, h_rows, miss_rows, predicted = (
+            rows[i:i + 2].reshape((2,) + grid.shape) for i in range(0, 8, 2)
+        )
+        predicted[...] = prediction
+        np.copyto(u_rows, state.u)
+        np.copyto(h_rows, state.h)
+        np.abs(np.subtract(state.u, predicted, out=miss_rows), out=miss_rows)
+        predicted[...] = following
+        fused = lo, hi = _Extremes.reduce(rows)
+
+        def each(a, reduce):
+            return reduce(a.reshape(2, -1), axis=1).tolist()
+
+        # repr tells +0.0 from -0.0 and compares NaN
+        assert repr(lo[:4]) == repr(each(state.u, np.min) + each(state.h, np.min))
+        assert repr(hi[:4]) == repr(each(state.u, np.max) + each(state.h, np.max))
+        assert repr(_Extremes.of(state)) == repr(_Extremes(lo[:4], hi[:4]))
+        assert repr(hi[4:6]) == repr(each(np.abs(state.u - prediction), np.max))
+        assert repr(lo[6:]) == repr(each(following, np.min))
+        assert repr(hi[6:]) == repr(each(following, np.max))
+        assert repr(fused.sup_norms()) == repr(state.sup_norms())
+        if case == "zero species":
+            assert repr(hi[5]) == repr(fused.sup_norms()[1]) == "0.0"
+
+    def test_kept_semilinear_sigma_follows_dt_and_columns(self):
+        # a solver keeps a semilinear run's sigma/dt for one columns object
+        # and dt; a step on a shared solver equals one on a fresh solver as
+        # dt changes and comes back, and for other params
+        grid = Grid.interval(np.pi, 17)
+        solver = _HelmholtzSolver(grid)
+        for d1 in (1.0, 2.5):
+            params = certified_params(alpha1=0.0, alpha2=0.0, d1=d1)
+            state = SystemState.from_u_arrays(
+                params, grid, 0.0, 0.2 + 0.1 * np.cos(grid.xs), np.full(grid.shape, 0.3)
+            )
+            wide = constant_bracket(params, state, 1e-3, 1.0)
+            for dt in (1e-3, 1e-3, 5e-4, 1e-3):
+                cfg = SolverConfig(dt=dt)
+                shared, _ = step_monotone(state, cfg, params, wide, solver)
+                fresh, _ = step_monotone(state, cfg, params, wide)
+                assert shared.u.tobytes() == fresh.u.tobytes()
+                assert shared.h.tobytes() == fresh.h.tobytes()
 
 
 class TestHelmholtzSolver:
