@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sktlab
+from sktlab import cli
 from sktlab.cli import _write_snapshots_csv, main
 from sktlab.config import build_initial_fields, load_config
 from sktlab.errors import ConfigError
@@ -105,6 +106,15 @@ kind = expression
 u1 = 0.2 + 0.1*cos(x)*cos(y)
 u2 = 0.3 + 0.05*cos(2*y)
 """
+
+
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this sktlab."""
+    # pytest's `pythonpath` setting does not reach child processes.
+    src = str(Path(sktlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture()
@@ -323,7 +333,18 @@ class TestClassify:
 
 
 class TestSnapshotWriter:
-    """snapshots.csv against a cell-by-cell reference formatter."""
+    """snapshots.csv against a cell-by-cell reference formatter, written by
+    this process alone or split into blocks across forked writers."""
+
+    PARAMS = ModelParams(
+        d1=1.0, d2=1.0, alpha1=0.5, alpha2=0.0,
+        a1=1.0, a2=1.0, b1=2.0, b2=0.5, c1=0.5, c2=2.0,
+    )
+    GRIDS = pytest.mark.parametrize(
+        "grid",
+        [Grid.interval(math.pi, 33), Grid.rectangle(math.pi, 2.0, 7, 5)],
+        ids=["1d", "2d"],
+    )
 
     @staticmethod
     def reference(grid, snapshots):
@@ -344,32 +365,158 @@ class TestSnapshotWriter:
                         text += row(s.t, x, y, *(getattr(s, f).values[i, j] for f in fields))
         return text
 
-    @pytest.mark.parametrize(
-        "grid",
-        [Grid.interval(math.pi, 33), Grid.rectangle(math.pi, 2.0, 7, 5)],
-        ids=["1d", "2d"],
-    )
-    def test_matches_cell_by_cell_reference(self, grid, tmp_path):
-        params = ModelParams(
-            d1=1.0, d2=1.0, alpha1=0.5, alpha2=0.0,
-            a1=1.0, a2=1.0, b1=2.0, b2=0.5, c1=0.5, c2=2.0,
-        )
+    @classmethod
+    def states(cls, grid, count):
+        """`count` snapshots with zero, -0.0 and subnormal cells; the last
+        is an overflowed final state, which writes inf and nan cells."""
         rng = np.random.default_rng(2)
         snapshots = []
-        for k in range(3):
+        for k in range(count):
             u1 = rng.random(grid.shape) * 10.0 ** rng.integers(-12, 9, grid.shape)
             u2 = rng.random(grid.shape)
-            u2.flat[0] = 0.0
-            snapshots.append(SystemState.from_u_arrays(params, grid, k / 3, u1, u2))
-        # an overflowed final state writes inf and nan cells
-        bad = np.full(grid.shape, np.inf)
-        bad.flat[1] = np.nan
-        snapshots.append(
-            SystemState.from_u_arrays(params, grid, 1.0, bad, u2, overflowed=True)
-        )
+            u2.flat[:3] = (0.0, -0.0, 5e-324)
+            last = k == count - 1
+            if last:
+                u1 = np.full(grid.shape, np.inf)
+                u1.flat[1] = np.nan
+            snapshots.append(
+                SystemState.from_u_arrays(cls.PARAMS, grid, k / count, u1, u2, overflowed=last)
+            )
+        return snapshots
+
+    @staticmethod
+    def assert_clean(directory):
+        """No temp part is left beside the file, and no child unreaped."""
+        assert {p.name for p in directory.iterdir()} <= {"snapshots.csv"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture()
+    def split(self, monkeypatch):
+        """split(cpus) lets every write split into blocks down to one
+        snapshot on `cpus` writers, and returns the list of forks made."""
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(None)
+            return fork()
+
+        def configure(cpus):
+            monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(os, "fork", counting)
+            return forks
+
+        return configure
+
+    @GRIDS
+    def test_matches_cell_by_cell_reference(self, grid, tmp_path):
+        snapshots = self.states(grid, 4)
         path = tmp_path / "snapshots.csv"
         _write_snapshots_csv(path, grid, snapshots)
+        text = path.read_text()
+        assert text == self.reference(grid, snapshots)
+        for cell in (",-0.0,", ",5e-324,", ",inf,", ",nan,"):
+            assert cell in text
+
+    @GRIDS
+    @pytest.mark.parametrize(
+        "cpus, count, forks",
+        [(2, 4, 1), (3, 5, 2), (8, 3, 2), (8, 1, 0), (1, 4, 0)],
+        ids=["two-writers", "odd-count", "more-cpus-than-snapshots", "one-snapshot", "one-cpu"],
+    )
+    def test_split_matches_reference(self, grid, cpus, count, forks, tmp_path, split):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        counted = split(cpus)
+        snapshots = self.states(grid, count)
+        path = tmp_path / "snapshots.csv"
+        _write_snapshots_csv(path, grid, snapshots)
+        assert len(counted) == forks
         assert path.read_text() == self.reference(grid, snapshots)
+        self.assert_clean(tmp_path)
+
+    @pytest.mark.parametrize(
+        "marker, error",
+        [(0, RuntimeError), (-1, ChildProcessError)],
+        ids=["own-block-fails", "child-block-fails"],
+    )
+    def test_failing_block_raises_and_cleans_up(
+        self, marker, error, tmp_path, split, monkeypatch, capfd
+    ):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        split(2)
+        grid = Grid.interval(math.pi, 33)
+        snapshots = self.states(grid, 4)
+        rows = cli._write_rows
+
+        def failing(fh, points, block):
+            if any(s is snapshots[marker] for s in block):
+                raise RuntimeError("marker snapshot")
+            rows(fh, points, block)
+
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        with pytest.raises(error):
+            _write_snapshots_csv(tmp_path / "snapshots.csv", grid, snapshots)
+        self.assert_clean(tmp_path)
+        if error is ChildProcessError:
+            # the child printed its own traceback
+            assert "RuntimeError: marker snapshot" in capfd.readouterr().err
+
+    def test_cli_prints_each_line_once(self, tmp_path, conf):
+        # stdout still holds "start" at the fork: a child that flushed its
+        # copy of the buffer would print it twice
+        script = (
+            "import sys; from sktlab import cli; "
+            "cli._BLOCK_CELLS = 1; cli._cpu_count = lambda: 3; "
+            "print('start'); sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is block-buffered
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             "simulate", "--config", conf(CERT_CONFIG), "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "start",
+            f"wrote {out / 'snapshots.csv'}",
+            f"wrote {out / 'run_summary.json'}",
+            "termination: completed",
+        ]
+        lines = (out / "snapshots.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6 * 33
+        assert sorted(p.name for p in out.iterdir()) == ["run_summary.json", "snapshots.csv"]
+
+
+class TestUnwritableArtifact:
+    """An artifact path that cannot be opened ends the run with one line."""
+
+    @pytest.mark.parametrize(
+        "sub, config, artifact, extra",
+        [
+            ("classify", CERT_CONFIG, "regime_report.json", ()),
+            ("simulate", CERT_CONFIG, "snapshots.csv", ()),
+            ("simulate", CERT_CONFIG, "run_summary.json", ()),
+            ("blowup", BLOWUP_CONFIG, "blowup_report.json", ()),
+            ("blowup", BLOWUP_CONFIG, "p_hat_trajectory.csv", ()),
+            ("sweep", CERT_CONFIG, "sweep.csv",
+             ("--param", "c1", "--min", "3.0", "--max", "4.0", "--count", "2")),
+        ],
+        ids=["classify", "simulate-csv", "simulate-json", "blowup-json", "blowup-csv", "sweep"],
+    )
+    def test_directory_in_the_way_exits_2(self, capsys, tmp_path, conf, sub, config, artifact, extra):
+        blocked = tmp_path / "out" / artifact
+        blocked.mkdir(parents=True)
+        rc, out = run(conf(config), tmp_path, sub=sub, extra=extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot write {blocked}: Is a directory\n"
+        assert f"wrote {blocked}" not in captured.out
 
 
 class TestSimulate:
@@ -614,12 +761,7 @@ class TestConsoleScript:
             target = tomllib.load(fh)["project"]["scripts"]["sktlab"]
         module, func = target.split(":")
         script = f"import sys; from {module} import {func}; sys.exit({func}())"
-        # pytest's `pythonpath` setting does not reach child processes.
-        src = str(Path(sktlab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = _child_env()
 
         def console(path):
             return subprocess.run(
