@@ -5,7 +5,8 @@ Exit codes separate process health from science: 0 covers every verdict
 artifact that could not be written, 3 a bracket that could not be built, 4 a
 solver that could not converge. All artifacts are deterministic byte-for-byte
 for a given config: floats are written with repr (shortest exact decimal) in
-both CSV and JSON.
+both CSV and JSON. Each is written to a temp file and renamed into place, so
+it appears whole or not at all.
 
 The snapshot writer formats contiguous blocks of snapshots in forked
 processes, one per CPU the process may use, when there are enough cells to
@@ -70,10 +71,24 @@ class _WriteError(Exception):
 
 @contextlib.contextmanager
 def _artifact(path):
-    """Write one artifact in the block, then report it; an OSError raised
-    while writing becomes a _WriteError naming the path."""
+    """Write one artifact to the hidden temp path the block is given, beside
+    `path`, then rename it to `path` and report it.
+
+    The artifact appears whole or not at all: when the block or the rename
+    fails, the temp file is removed, and an OSError becomes a _WriteError
+    naming the path. The writer creates the temp file with a plain open, so
+    the artifact has the mode open gives.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        yield
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        finally:
+            # after the rename there is nothing left to remove
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
@@ -286,8 +301,8 @@ def cmd_classify(args, cfg: RunConfig, out_dir: str) -> int:
     }
     path = args.regime_report or os.path.join(out_dir, "regime_report.json")
     if args.regime_report or "json" in cfg.formats:
-        with _artifact(path):
-            _write_json(report, path)
+        with _artifact(path) as tmp:
+            _write_json(report, tmp)
     print(f"regime: {run.regime.verdict}")
     tail = "" if run.cert.failing_condition is None else (
         f" (failing: {run.cert.failing_condition})"
@@ -302,12 +317,12 @@ def cmd_simulate(args, cfg: RunConfig, out_dir: str) -> int:
 
     if "csv" in cfg.formats:
         path = os.path.join(out_dir, "snapshots.csv")
-        with _artifact(path):
-            _write_snapshots_csv(path, cfg.grid, result.snapshots)
+        with _artifact(path) as tmp:
+            _write_snapshots_csv(tmp, cfg.grid, result.snapshots)
     if "json" in cfg.formats:
         path = os.path.join(out_dir, "run_summary.json")
-        with _artifact(path):
-            _write_json(_run_summary(result, run, bracket_mode), path)
+        with _artifact(path) as tmp:
+            _write_json(_run_summary(result, run, bracket_mode), tmp)
 
     print(f"termination: {result.termination}")
     if result.termination == "overflowed":
@@ -327,12 +342,12 @@ def cmd_blowup(args, cfg: RunConfig, out_dir: str) -> int:
         path = os.path.join(out_dir, "blowup_report.json")
         doc = report.as_dict()
         doc["run_summary"] = _run_summary(result, run, bracket_mode)
-        with _artifact(path):
-            _write_json(doc, path)
+        with _artifact(path) as tmp:
+            _write_json(doc, tmp)
     if "csv" in cfg.formats:
         path = os.path.join(out_dir, "p_hat_trajectory.csv")
-        with _artifact(path):
-            report.write_trajectory_csv(path)
+        with _artifact(path) as tmp:
+            report.write_trajectory_csv(tmp)
 
     print(f"termination: {result.termination}")
     print(f"verdict: {run.cert.verdict}")
@@ -391,7 +406,14 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
         detected = None
         if args.simulate:
             # the row's params and certificates choose the bracket
-            result, _ = run.run_simulation(params, regime, cert)
+            try:
+                result, _ = run.run_simulation(params, regime, cert)
+            except BracketConstructionError:
+                # the data exceed the row's window: run the row in the
+                # automatic bracket, as an uncertified row runs
+                result = simulate(
+                    params, cfg.grid, run.eig, run.u0, cfg.require_solver(), cfg.require_t_end()
+                )
             detected = result.overflow_time
 
         rows.append(
@@ -411,7 +433,7 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
 
     path = os.path.join(out_dir, "sweep.csv")
     if "csv" in cfg.formats:
-        with _artifact(path), open(path, "w", newline="") as fh:
+        with _artifact(path) as tmp, open(tmp, "w", newline="") as fh:
             fh.write(
                 "param,value,regime_verdict,blowup_verdict,condition_branch,"
                 "branch_condition_holds,threshold,p_hat0,t0,detected_blowup_time\n"

@@ -25,7 +25,12 @@ from .iteration import SolverConfig
 from .model import _PARAM_KEYS, ModelParams
 
 _LAMBDA0_MODES = ("principal", "first_positive")
-_INITIAL_KINDS = ("constant", "eigenfunction", "expression")
+# the keys each [initial] kind takes besides `kind`
+_INITIAL_KINDS = {
+    "constant": ("u1", "u2"),
+    "eigenfunction": ("scale1", "scale2"),
+    "expression": ("u1", "u2"),
+}
 _FORMATS = ("csv", "json")
 
 _SECTION_KEYS = {
@@ -118,89 +123,33 @@ def parse_sections(text: str) -> dict:
     return sections
 
 
-class _SectionView:
-    """Typed accessors over one section's raw entries, tracking consumption."""
-
-    def __init__(self, name: str, entries: dict):
-        self.name = name
-        self.entries = dict(entries)
-        self.taken: set = set()
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def raw(self, key: str, default=None):
-        if key not in self.entries:
+def _value(sections: dict, section: str, key: str, kind=float, *, required=False,
+           default=None, choices=None):
+    """`key` of `section` read as `kind`: a finite float, an int, or a str
+    (one of `choices`, when given). An absent key gives `default`, unless it
+    is required; then the error names the section when that is absent too."""
+    entries = sections.get(section, {})
+    if key not in entries:
+        if not required:
             return default
-        self.taken.add(key)
-        return self.entries[key][0]
-
-    def _get(self, key: str, required: bool):
-        if key not in self.entries:
-            if required:
-                raise ConfigError("missing required key", section=self.name, key=key)
-            return None
-        self.taken.add(key)
-        return self.entries[key]
-
-    def float(self, key: str, required: bool = False, default=None):
-        got = self._get(key, required)
-        if got is None:
-            return default
-        value, line = got
-        try:
-            out = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"expected a number, got {value!r}", self.name, key, line
-            ) from None
-        if not math.isfinite(out):
-            raise ConfigError(f"value must be finite, got {value!r}", self.name, key, line)
-        return out
-
-    def int(self, key: str, required: bool = False, default=None):
-        got = self._get(key, required)
-        if got is None:
-            return default
-        value, line = got
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"expected an integer, got {value!r}", self.name, key, line
-            ) from None
-
-    def string(self, key: str, required: bool = False, default=None, choices=None):
-        got = self._get(key, required)
-        if got is None:
-            return default
-        value, line = got
+        if section not in sections:
+            raise ConfigError("missing required section", section=section)
+        raise ConfigError("missing required key", section=section, key=key)
+    value, line = entries[key]
+    if kind is str:
         if choices is not None and value not in choices:
             raise ConfigError(
-                f"expected one of {', '.join(choices)}; got {value!r}",
-                self.name,
-                key,
-                line,
+                f"expected one of {', '.join(choices)}; got {value!r}", section, key, line
             )
         return value
-
-    def line_of(self, key: str):
-        return self.entries[key][1] if key in self.entries else None
-
-    def reject_leftovers(self) -> None:
-        for key in self.entries:
-            if key not in self.taken:
-                raise ConfigError(
-                    "key is not accepted here", self.name, key, self.line_of(key)
-                )
-
-
-def _view(sections: dict, name: str, required: bool) -> _SectionView | None:
-    if name not in sections:
-        if required:
-            raise ConfigError("missing required section", section=name)
-        return None
-    return _SectionView(name, sections[name])
+    try:
+        out = kind(value)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"expected {noun}, got {value!r}", section, key, line) from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"value must be finite, got {value!r}", section, key, line)
+    return out
 
 
 def _check_known(sections: dict) -> None:
@@ -213,34 +162,34 @@ def _check_known(sections: dict) -> None:
                 raise ConfigError("unknown key", section=name, key=key, line=line)
 
 
-def _build_model(view: _SectionView) -> ModelParams:
-    values = {k: view.float(k, required=True) for k in _PARAM_KEYS}
+def _build_model(sections: dict) -> ModelParams:
+    values = {k: _value(sections, "model", k, required=True) for k in _PARAM_KEYS}
     try:
         return ModelParams.from_dict(values)
     except ValueError as exc:
         raise ConfigError(str(exc), section="model") from None
 
 
-def _build_grid(view: _SectionView) -> Grid:
-    dim = view.int("dim", required=True)
+def _build_grid(sections: dict) -> Grid:
+    dim = _value(sections, "grid", "dim", int, required=True)
+    entries = sections["grid"]
     if dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {dim}", "grid", "dim", view.line_of("dim"))
-    lx = view.float("lx", required=True)
-    nx = view.int("nx", required=True)
+        raise ConfigError(f"dim must be 1 or 2, got {dim}", "grid", "dim", entries["dim"][1])
+    kw = dict(
+        dimension=dim,
+        lx=_value(sections, "grid", "lx", required=True),
+        nx=_value(sections, "grid", "nx", int, required=True),
+    )
     if dim == 1:
         for key in ("ly", "ny"):
-            if view.has(key):
+            if key in entries:
                 raise ConfigError(
-                    "key is meaningless on a 1D grid", "grid", key, view.line_of(key)
+                    "key is meaningless on a 1D grid", "grid", key, entries[key][1]
                 )
-        kw = dict(dimension=1, lx=lx, nx=nx)
     else:
-        kw = dict(
-            dimension=2,
-            lx=lx,
-            nx=nx,
-            ly=view.float("ly", required=True),
-            ny=view.int("ny", required=True),
+        kw.update(
+            ly=_value(sections, "grid", "ly", required=True),
+            ny=_value(sections, "grid", "ny", int, required=True),
         )
     try:
         return Grid(**kw)
@@ -248,19 +197,25 @@ def _build_grid(view: _SectionView) -> Grid:
         raise ConfigError(str(exc), section="grid") from None
 
 
-def _build_solver(view: _SectionView):
+def _build_solver(sections: dict):
     # every SolverConfig field is a key, parsed by its annotation ("int" or
     # "float"); a field without a default, dt, is required
-    kwargs = {}
-    for field in dataclasses.fields(SolverConfig):
-        required = field.default is dataclasses.MISSING
-        if required or view.has(field.name):
-            read = view.int if field.type in ("int", int) else view.float
-            kwargs[field.name] = read(field.name, required=required)
-    t_end = view.float("t_end") if view.has("t_end") else None
+    kwargs = {
+        f.name: _value(
+            sections,
+            "solver",
+            f.name,
+            int if f.type in ("int", int) else float,
+            required=f.default is dataclasses.MISSING,
+            default=f.default,
+        )
+        for f in dataclasses.fields(SolverConfig)
+    }
+    t_end = _value(sections, "solver", "t_end")
     if t_end is not None and not t_end > 0.0:
         raise ConfigError(
-            f"t_end must be positive, got {t_end}", "solver", "t_end", view.line_of("t_end")
+            f"t_end must be positive, got {t_end}", "solver", "t_end",
+            sections["solver"]["t_end"][1],
         )
     try:
         return SolverConfig(**kwargs), t_end
@@ -268,107 +223,77 @@ def _build_solver(view: _SectionView):
         raise ConfigError(str(exc), section="solver") from None
 
 
-def _build_initial(view: _SectionView) -> InitialSpec:
-    kind = view.string("kind", required=True, choices=_INITIAL_KINDS)
-    if kind == "constant":
-        built = InitialSpec(
-            kind=kind,
-            u1=view.float("u1", required=True),
-            u2=view.float("u2", required=True),
-        )
-    elif kind == "eigenfunction":
-        built = InitialSpec(
-            kind=kind,
-            scale1=view.float("scale1", required=True),
-            scale2=view.float("scale2", required=True),
-        )
-    else:
-        u1 = view.raw("u1")
-        u2 = view.raw("u2")
-        if u1 is None or u2 is None:
-            missing = "u1" if u1 is None else "u2"
-            raise ConfigError("missing required key", section="initial", key=missing)
-        built = InitialSpec(kind=kind, u1=u1, u2=u2)
-    view.reject_leftovers()
-    return built
+def _build_initial(sections: dict) -> InitialSpec:
+    kind = _value(sections, "initial", "kind", str, required=True, choices=_INITIAL_KINDS)
+    keys = _INITIAL_KINDS[kind]
+    read = str if kind == "expression" else float
+    values = {k: _value(sections, "initial", k, read, required=True) for k in keys}
+    for key, (_, line) in sections["initial"].items():
+        if key != "kind" and key not in keys:
+            raise ConfigError("key is not accepted here", "initial", key, line)
+    return InitialSpec(kind=kind, **values)
 
 
 def build_run_config(sections: dict) -> RunConfig:
     _check_known(sections)
 
-    params = _build_model(_view(sections, "model", required=True))
-    grid = _build_grid(_view(sections, "grid", required=True))
+    params = _build_model(sections)
+    grid = _build_grid(sections)
+    solver, t_end = _build_solver(sections) if "solver" in sections else (None, None)
+    initial = _build_initial(sections) if "initial" in sections else None
 
-    solver_view = _view(sections, "solver", required=False)
-    solver, t_end = (None, None)
-    if solver_view is not None:
-        solver, t_end = _build_solver(solver_view)
-
-    initial_view = _view(sections, "initial", required=False)
-    initial = _build_initial(initial_view) if initial_view is not None else None
-
-    mu1, mu2 = 1.0, 1.0
-    lambda0_mode = "principal"
-    search_resolution = None
-    blowup_view = _view(sections, "blowup", required=False)
-    if blowup_view is not None:
-        mu1 = blowup_view.float("mu1", default=1.0)
-        mu2 = blowup_view.float("mu2", default=1.0)
-        lambda0_mode = blowup_view.string(
-            "lambda0_mode", default="principal", choices=_LAMBDA0_MODES
+    mu1 = _value(sections, "blowup", "mu1", default=1.0)
+    mu2 = _value(sections, "blowup", "mu2", default=1.0)
+    lambda0_mode = _value(
+        sections, "blowup", "lambda0_mode", str, default="principal", choices=_LAMBDA0_MODES
+    )
+    search_resolution = _value(sections, "blowup", "search_resolution", int)
+    if search_resolution is not None and search_resolution < 2:
+        raise ConfigError(
+            f"search_resolution must be >= 2, got {search_resolution}",
+            "blowup",
+            "search_resolution",
+            sections["blowup"]["search_resolution"][1],
         )
-        if blowup_view.has("search_resolution"):
-            search_resolution = blowup_view.int("search_resolution")
-            if search_resolution < 2:
-                raise ConfigError(
-                    f"search_resolution must be >= 2, got {search_resolution}",
-                    "blowup",
-                    "search_resolution",
-                    blowup_view.line_of("search_resolution"),
-                )
     for name, value in (("mu1", mu1), ("mu2", mu2)):
         if not value > 0.0:
             raise ConfigError(f"{name} must be positive, got {value}", section="blowup", key=name)
 
-    output_dir = "."
+    output = sections.get("output", {})
+    output_dir = _value(sections, "output", "directory", str, default=".")
+    if not output_dir:
+        raise ConfigError(
+            "value must not be empty", "output", "directory", output["directory"][1]
+        )
     formats = _FORMATS
-    output_view = _view(sections, "output", required=False)
-    if output_view is not None:
-        output_dir = output_view.string("directory", default=".")
-        if not output_dir:
+    raw_formats = _value(sections, "output", "formats", str)
+    if raw_formats is not None:
+        parts = tuple(p.strip() for p in raw_formats.split(",") if p.strip())
+        bad = [p for p in parts if p not in _FORMATS]
+        if bad or not parts:
             raise ConfigError(
-                "value must not be empty", "output", "directory",
-                output_view.line_of("directory"),
+                f"formats must be a comma list drawn from {', '.join(_FORMATS)}; "
+                f"got {raw_formats!r}",
+                "output",
+                "formats",
+                output["formats"][1],
             )
-        raw_formats = output_view.string("formats")
-        if raw_formats is not None:
-            parts = tuple(p.strip() for p in raw_formats.split(",") if p.strip())
-            bad = [p for p in parts if p not in _FORMATS]
-            if bad or not parts:
-                raise ConfigError(
-                    f"formats must be a comma list drawn from {', '.join(_FORMATS)}; "
-                    f"got {raw_formats!r}",
-                    "output",
-                    "formats",
-                    output_view.line_of("formats"),
-                )
-            formats = tuple(dict.fromkeys(parts))
-        if output_view.has("snapshot_every"):
-            # when both sections set a cadence the [output] one wins
-            every = output_view.int("snapshot_every")
-            if solver is None:
-                raise ConfigError(
-                    "snapshot_every needs a [solver] section to apply to",
-                    "output",
-                    "snapshot_every",
-                    output_view.line_of("snapshot_every"),
-                )
-            try:
-                solver = dataclasses.replace(solver, snapshot_every=every)
-            except ValueError as exc:
-                raise ConfigError(
-                    str(exc), "output", "snapshot_every", output_view.line_of("snapshot_every")
-                ) from None
+        formats = tuple(dict.fromkeys(parts))
+    every = _value(sections, "output", "snapshot_every", int)
+    if every is not None:
+        # when both sections set a cadence the [output] one wins
+        line = output["snapshot_every"][1]
+        if solver is None:
+            raise ConfigError(
+                "snapshot_every needs a [solver] section to apply to",
+                "output",
+                "snapshot_every",
+                line,
+            )
+        try:
+            solver = dataclasses.replace(solver, snapshot_every=every)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "output", "snapshot_every", line) from None
 
     return RunConfig(
         params=params,

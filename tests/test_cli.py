@@ -1,5 +1,6 @@
 """End-to-end command tests: artifacts, exit codes, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -465,6 +466,30 @@ class TestSnapshotWriter:
             # the child printed its own traceback
             assert "RuntimeError: marker snapshot" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("own", [True, False], ids=["own-block-fails", "child-block-fails"])
+    def test_failing_block_leaves_no_artifact(self, own, tmp_path, conf, split, monkeypatch, capfd):
+        # through the CLI the writer's target is a temp file beside
+        # snapshots.csv, renamed only once every block is written
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        split(2)
+        rows = cli._write_rows
+
+        def failing(fh, points, block):
+            if (block[0].t == 0.0) == own:  # block 0 is this process's own
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            rows(fh, points, block)
+
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        rc, out = run(conf(CERT_CONFIG), tmp_path, sub="simulate")
+        assert rc == 2
+        err = capfd.readouterr().err.splitlines()[-1]
+        reason = os.strerror(errno.ENOSPC) if own else "writer of snapshot block 1 exited"
+        assert err.startswith(f"cannot write {out / 'snapshots.csv'}: {reason}")
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_cli_prints_each_line_once(self, tmp_path, conf):
         # stdout still holds "start" at the fork: a child that flushed its
         # copy of the buffer would print it twice
@@ -494,7 +519,8 @@ class TestSnapshotWriter:
 
 
 class TestUnwritableArtifact:
-    """An artifact path that cannot be opened ends the run with one line."""
+    """An artifact path that cannot be written ends the run with one line,
+    and leaves no temp file behind."""
 
     @pytest.mark.parametrize(
         "sub, config, artifact, extra",
@@ -517,6 +543,25 @@ class TestUnwritableArtifact:
         captured = capsys.readouterr()
         assert captured.err == f"cannot write {blocked}: Is a directory\n"
         assert f"wrote {blocked}" not in captured.out
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    @pytest.mark.parametrize(
+        "sub, config, artifacts",
+        [
+            ("simulate", CERT_CONFIG, ("snapshots.csv", "run_summary.json")),
+            ("blowup", BLOWUP_CONFIG, ("blowup_report.json", "p_hat_trajectory.csv")),
+        ],
+        ids=["simulate", "blowup"],
+    )
+    def test_artifacts_take_the_mode_of_a_plain_open(self, tmp_path, conf, sub, config, artifacts):
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        rc, out = run(conf(config), tmp_path, sub=sub)
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(artifacts)
+        for name in artifacts:
+            assert (out / name).stat().st_mode == reference.stat().st_mode
 
 
 class TestSimulate:
@@ -702,6 +747,29 @@ class TestSweep:
             assert cells[3] == "certified_blowup_if"
             detected = float(cells[9])
             assert 0.5 < detected < 1.1 * math.log(3.0)
+
+    def test_row_whose_data_exceed_its_window_runs_automatic(
+        self, capsys, tmp_path, conf, readme_config, monkeypatch
+    ):
+        # at b1 = 6.125 README's data peak, max(u0_1) = 0.3, lies above the
+        # row's admissible ceiling 0.208333, so its window cannot be built
+        windows = []
+        inner = cli.simulate
+
+        def recording(params, *args, bracket=None):
+            windows.append((params.b1, bracket is not None))
+            return inner(params, *args, bracket=bracket)
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        rc, out = run(
+            conf(readme_config), tmp_path, sub="sweep",
+            extra=("--param", "b1", "--min", "0.5", "--max", "8", "--count", "5", "--simulate"),
+        )
+        assert rc == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["0.5", "2.375", "4.25", "6.125", "8.0"]
+        assert all(r[2] == "certified_global" and r[9] == "" for r in rows)
+        assert windows == [(0.5, True), (2.375, True), (4.25, True), (6.125, False), (8.0, False)]
 
     def test_simulating_sweep_builds_one_eigenpair(self, tmp_path, conf, monkeypatch):
         # every row simulates from the sweep's own eigenpair and fields

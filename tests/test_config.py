@@ -9,7 +9,6 @@ the run reads from them.
 
 import importlib.util
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -290,13 +289,6 @@ def workloads():
     return module
 
 
-def _readme_config():
-    """README's complete example config: the ini block that starts with [model]."""
-    text = (ROOT / "README.md").read_text()
-    blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
-    return next(b for b in blocks if b.startswith("[model]"))
-
-
 CERTIFIED = dict(
     d1=1.0, d2=1.0, alpha1=0.5, alpha2=0.5,
     a1=1.0, a2=1.0, b1=2.0, b2=0.5, c1=0.5, c2=2.0,
@@ -342,9 +334,9 @@ class TestConfigsInUse:
         "name, seed", IN_USE_CASES,
         ids=[name if seed is None else f"{name}-seed{seed}" for name, seed in IN_USE_CASES],
     )
-    def test_loads(self, name, seed, tmp_path, workloads):
+    def test_loads(self, name, seed, tmp_path, workloads, readme_config):
         if seed is None:
-            text = _readme_config()
+            text = readme_config
         else:
             text = workloads.WORKLOADS[name].config(seed)
         path = tmp_path / "run.conf"
