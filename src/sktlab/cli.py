@@ -252,8 +252,13 @@ def _write_snapshots_csv(path, grid: Grid, snapshots) -> None:
 
 
 def _run_summary(result, run: _Run, bracket_mode: str) -> dict:
-    worst = max((s.worst_violation for s in result.summaries), default=None)
-    most_iters = max((s.iterations for s in result.summaries), default=None)
+    # one pass; `>` keeps the first of equal maxima, as max() does
+    worst = most_iters = None
+    for s in result.summaries:
+        if worst is None or s.worst_violation > worst:
+            worst = s.worst_violation
+        if most_iters is None or s.iterations > most_iters:
+            most_iters = s.iterations
     m1, m2 = result.final_state.sup_norms()
     return {
         "schema_version": SCHEMA_VERSION,

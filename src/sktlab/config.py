@@ -195,6 +195,10 @@ def _build_grid(sections: dict) -> Grid:
         return Grid(**kw)
     except ValueError as exc:
         raise ConfigError(str(exc), section="grid") from None
+    except OverflowError as exc:
+        # too many points for an array; Grid's message starts with the key
+        key = str(exc).split(" ", 1)[0]
+        raise ConfigError(str(exc), "grid", key, entries[key][1]) from None
 
 
 def _build_solver(sections: dict):

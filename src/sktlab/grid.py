@@ -52,6 +52,11 @@ class Grid:
             raise ValueError(f"lx must be positive, got {self.lx}")
         if self.nx < 3:
             raise ValueError(f"nx must be >= 3, got {self.nx}")
+        # numpy indexes the grid's arrays by np.intp: a larger point count is
+        # an OverflowError that names the count, nx, or ny for nx*ny
+        most = np.iinfo(np.intp).max
+        if self.nx > most:
+            raise OverflowError(f"nx must be at most {most}, got {self.nx}")
         if self.dimension == 1:
             if self.ly is not None or self.ny is not None:
                 raise ValueError("ly/ny are meaningless on a 1D grid")
@@ -64,6 +69,8 @@ class Grid:
                 raise ValueError(f"ly must be positive, got {self.ly}")
             if self.ny < 3:
                 raise ValueError(f"ny must be >= 3, got {self.ny}")
+            if self.ny > most // self.nx:
+                raise OverflowError(f"ny must be at most {most // self.nx}, got {self.ny}")
 
     @classmethod
     def interval(cls, lx: float, nx: int) -> "Grid":

@@ -42,15 +42,16 @@ drives all four iterates. The right-hand sides, the transform and its
 inverse, the feasibility check and the chain audit are each a few numpy
 calls on the whole stack, and every element sees the same floating-point
 operations in the same order as a per-species loop would apply, so the
-results are bit-identical to one. The step's trace holds its digest, the
-TraceSummary simulate keeps, and each iterate's stack with its gap and
-worst violation, and builds the records viewing those stacks only when
-they are read; simulate's own steps keep no iterates and return the
-digest alone. A bracket reaches the step in the same stacked form, with
-its transform, paired reactions and the transform's Laplacian, built by
-one of two builders: _field_bracket from a field stack, for a caller's
-window and a window run's predicted bracket, and _auto_bracket on floats
-for an automatic run's constant brackets.
+results are bit-identical to one. The step's trace holds its digest, a
+TraceSummary, and each iterate's stack with its gap and worst violation,
+and builds the records viewing those stacks only when they are read;
+simulate's own steps keep no iterates and return the digest alone, which
+simulate packs into a 58-byte record (_digests). A bracket reaches the
+step in the same stacked form, with its transform, paired reactions and
+the transform's Laplacian, built by one of two builders: _field_bracket
+from a field stack, for a caller's window and a window run's predicted
+bracket, and _auto_bracket on floats for an automatic run's constant
+brackets.
 
 An automatic bracket is constant per species, so it is worked out on
 Python floats: the transform, paired reactions and sigma at its four
@@ -168,11 +169,13 @@ import importlib.util
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _digests
 from .errors import BracketConstructionError, ConvergenceError, OrderingViolationError
 from .grid import Grid, ScalarField, _lap_array, _neumann_bands, _neumann_eigenvalues
 from .model import ModelParams, _inverse_raw, _reaction_raw, _transform_raw
@@ -309,8 +312,8 @@ class TraceSummary(NamedTuple):
     largest over all of them, phi1 and phi2 the accepted shift, retries the
     shift escalations before it, fallbacks the 2D columns the linear solver
     handed to sparse LU (retries included), and bracket which one the step
-    ran in: "window" (the caller's), "predicted", "tight" or "wide". A
-    named tuple, since simulate keeps one for every step.
+    ran in: "window" (the caller's), "predicted", "tight" or "wide".
+    simulate keeps each as a packed 58-byte record, not a ~270-byte tuple.
     """
 
     t: float
@@ -360,11 +363,12 @@ class SimulationResult:
     termination is "completed", "overflowed", or "failed"; on overflow the
     offending above-cap state is final_state while snapshots retain only
     sub-cap states, and on failure the unrecoverable error is kept in
-    `error`.
+    `error`. `summaries` holds each accepted step's TraceSummary; from
+    simulate, a read-only sequence over packed records (_digests).
     """
 
     snapshots: list
-    summaries: list
+    summaries: Sequence
     termination: str
     final_state: SystemState
     overflow_time: float | None = None
@@ -1188,8 +1192,8 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     rejection halves dt, spends one halving and starts the attempt again,
     predicted bracket first. A rejection with the budget spent ends the run
     with termination "failed" and the error kept, rather than raising, so
-    partial output survives. Each accepted step's TraceSummary is kept in
-    `summaries` as the step built it.
+    partial output survives. Each accepted step's TraceSummary is packed
+    into `summaries`, which reads it back bit for bit.
 
     `eig` is not used; the argument stays because callers pass the
     arguments by position.
@@ -1208,7 +1212,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     norms = extremes.sup_norms()
     growth = 0.0
     snapshots = [state]
-    summaries = []
+    digests = bytearray()
     dt = cfg.dt
     halvings = 0
     accepted = 0
@@ -1354,7 +1358,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         times, values = next_times, next_values
         p_lo, p_hi, predicted_dt = lo[6:], hi[6:], next_dt
         accepted += 1
-        summaries.append(summary)
+        _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:
             snapshots.append(state)
 
@@ -1365,7 +1369,7 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
 
     return SimulationResult(
         snapshots=snapshots,
-        summaries=summaries,
+        summaries=_digests.StepDigests(digests, TraceSummary),
         termination=termination,
         final_state=final_state,
         overflow_time=overflow_time,

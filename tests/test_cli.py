@@ -223,6 +223,24 @@ class TestConfigErrors:
         text = CERT_CONFIG.replace("nx = 33\n", f"nx = 33\n{key} = {value}\n")
         self.check(capsys, text, tmp_path, conf, f"{key}: key is meaningless on a 1D grid")
 
+    @pytest.mark.parametrize(
+        "config, entry, key, line",
+        [(CERT_CONFIG, "nx = 33", "nx", 15), (RECTANGLE_CONFIG, "ny = 9", "ny", 17)],
+        ids=["1d-nx", "2d-ny"],
+    )
+    def test_grid_too_large_for_an_array(self, capsys, tmp_path, conf, config, entry, key, line):
+        # 10**20 points do not fit np.intp: a config error naming the key,
+        # not numpy's "Maximum allowed dimension exceeded" traceback
+        text = config.replace(f"{entry}\n", f"{key} = {10**20}\n")
+        most = np.iinfo(np.intp).max // (9 if key == "ny" else 1)
+        self.check(
+            capsys, text, tmp_path, conf,
+            f"[grid] {key}: {key} must be at most {most}, got {10**20}",
+        )
+        with pytest.raises(ConfigError) as info:
+            load_config(conf(text))
+        assert (info.value.section, info.value.key, info.value.line) == ("grid", key, line)
+
     def test_sweep_needs_a_value(self, capsys, tmp_path, conf):
         self.check(
             capsys, CERT_CONFIG, tmp_path, conf, "sweep count must be >= 1, got 0",

@@ -153,6 +153,10 @@ ERRORS = [
      "[grid] ny: key is meaningless on a 1D grid", "grid", "ny", 16),
     ("grid-rejects", model() + grid(nx="2"), "load",
      "[grid]: nx must be >= 3, got 2", "grid", None, None),
+    ("grid-too-large-1d", model() + grid(nx=str(10**20)), "load",
+     f"[grid] nx: nx must be at most {2**63 - 1}, got {10**20}", "grid", "nx", 15),
+    ("grid-too-large-2d", model() + grid(dim="2", nx="3", ly="2.0", ny=str(2**62)), "load",
+     f"[grid] ny: ny must be at most {(2**63 - 1) // 3}, got {2**62}", "grid", "ny", 17),
     ("t-end-not-positive", BASE + solver(t_end="0"), "load",
      "[solver] t_end: t_end must be positive, got 0.0", "solver", "t_end", 18),
     ("solver-rejects", BASE + solver(dt="-1"), "load",

@@ -46,6 +46,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(dimension=2, lx=1.0, nx=9)
 
+    def test_point_count_must_fit_intp(self):
+        # refused before any array is made; a count that fits is not tried,
+        # since a later use of the grid would allocate it
+        most = np.iinfo(np.intp).max
+        with pytest.raises(OverflowError, match=f"^nx must be at most {most}, got"):
+            Grid.interval(1.0, most + 1)
+        with pytest.raises(OverflowError, match="^nx must be at most"):
+            Grid.rectangle(1.0, 1.0, 10**20, 3)
+        with pytest.raises(OverflowError, match=f"^ny must be at most {most // 2**32}, got"):
+            Grid.rectangle(1.0, 1.0, 2**32, 2**32)
+
     def test_weights_sum_to_measure(self, line, rect):
         assert float(line.weights.sum()) == pytest.approx(np.pi, rel=1e-14)
         assert float(rect.weights.sum()) == pytest.approx(2.0 * np.pi, rel=1e-14)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import re
+import struct
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import sktlab.iteration
+from sktlab._digests import StepDigests, pack
 from sktlab.errors import (
     BracketConstructionError,
     ConvergenceError,
@@ -1013,6 +1017,17 @@ def recorded_run(params, grid, u0, cfg, t_end, bracket):
     return result, traced
 
 
+def assert_same_digest(kept, returned):
+    """A digest simulate kept against the one its step returned: a
+    TraceSummary equal field for field, each float by its bytes."""
+    assert type(kept) is TraceSummary
+    for name, a, b in zip(TraceSummary._fields, kept, returned):
+        if isinstance(b, float):
+            assert struct.pack("d", a) == struct.pack("d", b), name
+        else:
+            assert a == b, name
+
+
 class TestPredictedBrackets:
     """Steps simulate takes in a bracket around the extrapolated next state."""
 
@@ -1161,8 +1176,9 @@ class TestPredictedBrackets:
         assert all(np.array_equal(v, k) for v, k in zip(values, kept))
 
     def test_kept_digest_is_the_steps_own(self):
-        # simulate keeps each accepted step's TraceSummary as step_monotone
-        # built it, stamped with the new state's time and the step's own dt;
+        # simulate's summaries read back each accepted step's TraceSummary
+        # as step_monotone built it, floats bit for bit, stamped with the new
+        # state's time and the step's own dt;
         # growth rejections halve dt twice and the last step is shortened
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
@@ -1176,7 +1192,7 @@ class TestPredictedBrackets:
         for summary, (_, step_cfg, _, new_state, returned, trace) in zip(
             result.summaries, accepted
         ):
-            assert summary is returned
+            assert_same_digest(summary, returned)
             assert summary.t == new_state.t
             assert summary.dt == step_cfg.dt
             assert summary.iterations == len(trace.iterates) - 1
@@ -1214,7 +1230,8 @@ class TestLeanSteps:
         for summary, snap, (_, _, _, new_state, returned, trace) in zip(
             result.summaries, result.snapshots[1:], calls
         ):
-            assert snap is new_state and summary is returned
+            assert snap is new_state
+            assert_same_digest(summary, returned)
             assert trace.summary == summary
         assert {s.bracket for s in result.summaries} == kinds
 
@@ -1279,6 +1296,87 @@ class TestLeanSteps:
                 fresh, _ = step_monotone(state, cfg, params, wide)
                 assert shared.u.tobytes() == fresh.u.tobytes()
                 assert shared.h.tobytes() == fresh.h.tobytes()
+
+
+class TestStepDigests:
+    """The packed records simulate keeps, read back as a Sequence."""
+
+    # one digest per bracket kind, with the floats and ints at their edges
+    SUMMARIES = (
+        TraceSummary(0.1, 1e-4, 1, 2.5e-13, -0.0, 1.0, 1.0, 0, 0, "window"),
+        TraceSummary(1 / 3, 5e-324, 2**32 - 1, 0.0, float("nan"), 2.8, 3.2, 3, 7, "predicted"),
+        TraceSummary(0.3, 1e-4, 7, float("inf"), -2.4e-11, 1e300, -1.5, 255, 2**32 - 1, "tight"),
+        TraceSummary(0.4, 9.5e-11, 3, 8.3e-11, 1e-10, 0.0, 2.0, 1, 0, "wide"),
+    )
+
+    @staticmethod
+    def digests(summaries):
+        buffer = bytearray()
+        for summary in summaries:
+            pack(buffer, summary)
+        return StepDigests(buffer, TraceSummary)
+
+    def test_reads_back_every_field(self):
+        kept = self.digests(self.SUMMARIES)
+        assert isinstance(kept, Sequence)
+        assert len(kept) == 4
+        for i, summary in enumerate(self.SUMMARIES):
+            assert_same_digest(kept[i], summary)
+            assert_same_digest(kept[i - 4], summary)
+        for got, summary in zip(kept, self.SUMMARIES, strict=True):
+            assert_same_digest(got, summary)
+        assert [s.bracket for s in kept] == ["window", "predicted", "tight", "wide"]
+        assert kept[np.int64(-1)].bracket == "wide"
+
+    @pytest.mark.parametrize(
+        "index",
+        [slice(None), slice(1, 3), slice(None, None, -1), slice(-3, None, 2), slice(5, 9)],
+        ids=["all", "middle", "reversed", "negative-start-step-2", "past-the-end"],
+    )
+    def test_slices_are_lists(self, index):
+        got = self.digests(self.SUMMARIES)[index]
+        want = list(self.SUMMARIES)[index]
+        assert type(got) is list and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_digest(a, b)
+
+    def test_index_out_of_range(self):
+        kept = self.digests(self.SUMMARIES)
+        for index in (4, -5, 2**70):
+            with pytest.raises(IndexError):
+                kept[index]
+        with pytest.raises(TypeError):
+            kept[1.0]
+
+    def test_empty_run(self):
+        kept = self.digests(())
+        assert len(kept) == 0 and list(kept) == [] and kept[:] == []
+        for index in (0, -1):
+            with pytest.raises(IndexError):
+                kept[index]
+
+    def test_run_keeps_at_most_80_bytes_a_step(self):
+        # blowup-1d's parameters, data and dt, 2,000 accepted steps with no
+        # snapshot between the first and the last; about 260 bytes a step
+        # when each step's TraceSummary was kept as a tuple
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 33)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        cfg = SolverConfig(dt=1e-4, snapshot_every=10**6)
+        # the warm-up loads dgtsv, which is then no part of the count
+        simulate(params, grid, eig, u0, cfg, 10 * cfg.dt)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = simulate(params, grid, eig, u0, cfg, 2000 * cfg.dt)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        steps = len(result.summaries)
+        assert result.termination == "completed" and steps >= 2000
+        assert len(result.snapshots) == 2
+        assert retained <= 80 * steps
 
 
 class TestHelmholtzSolver:
