@@ -8,17 +8,21 @@ for a given config: floats are written with repr (shortest exact decimal) in
 both CSV and JSON. Each is written to a temp file and renamed into place, so
 it appears whole or not at all.
 
-The snapshot writer formats contiguous blocks of snapshots in forked
-processes, one per CPU the process may use, when there are enough cells to
-pay for a fork; its bytes do not depend on the number of blocks. On Python
-3.12 and later, forking a multi-threaded parent (unpinned OpenBLAS threads,
-say) emits a DeprecationWarning. The children only format floats and write
-a file; they call no BLAS.
+`simulate` keeps its snapshots in a spool, not in memory: one record of
+8*(1 + 4*npoints) bytes per kept state in an unlinked temporary file in the
+output directory, closed (and so freed) when the command ends. The snapshot
+writer formats contiguous blocks of them in forked processes, one per CPU
+the process may use, when there are enough cells to pay for a fork; its
+bytes do not depend on the number of blocks. On Python 3.12 and later,
+forking a multi-threaded parent (unpinned OpenBLAS threads, say) emits a
+DeprecationWarning. The children only read the spool, format floats and
+write a file; they call no BLAS.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import os
@@ -28,6 +32,7 @@ import tempfile
 
 import numpy as np
 
+from ._spool import SnapshotSpool
 from .blowup import _json_real, analyze, weighted_average
 from .config import RunConfig, build_initial_fields, load_config
 from .errors import (
@@ -122,9 +127,10 @@ class _Run:
             cfg.params, self.eig.lambda0, cfg.mu1, cfg.mu2, self.wa0.p_hat
         )
 
-    def run_simulation(self, params=None, regime=None, cert=None):
+    def run_simulation(self, params=None, regime=None, cert=None, **sink):
         """Simulate from the run's fields, with the run's params and
-        certificates or, for a sweep row, the row's own.
+        certificates or, for a sweep row, the row's own; `sink` may name
+        simulate's `snapshots`.
 
         The window bracket is used only when confinement is certified and
         no blow-up is. A data-certified blow-up makes any fixed ceiling
@@ -140,7 +146,8 @@ class _Run:
             bracket = initial_bracket(params, self.eig, self.u0, regime)
             bracket_mode = "window"
         result = simulate(
-            params, self.cfg.grid, self.eig, self.u0, solver, t_end, bracket=bracket
+            params, self.cfg.grid, self.eig, self.u0, solver, t_end,
+            bracket=bracket, **sink,
         )
         return result, bracket_mode
 
@@ -318,12 +325,16 @@ def cmd_classify(args, cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_simulate(args, cfg: RunConfig, out_dir: str) -> int:
     run = _Run(cfg, args.lambda0_mode)
-    result, bracket_mode = run.run_simulation()
-
     if "csv" in cfg.formats:
+        # kept states go to a spool beside the artifact: one that cannot be
+        # made, or written, is a snapshots.csv that cannot be written
         path = os.path.join(out_dir, "snapshots.csv")
-        with _artifact(path) as tmp:
-            _write_snapshots_csv(tmp, cfg.grid, result.snapshots)
+        with _artifact(path) as tmp, SnapshotSpool(cfg.grid, out_dir) as spool:
+            result, bracket_mode = run.run_simulation(snapshots=spool)
+            _write_snapshots_csv(tmp, cfg.grid, spool)
+    else:
+        # no artifact reads the kept states
+        result, bracket_mode = run.run_simulation(snapshots=collections.deque(maxlen=0))
     if "json" in cfg.formats:
         path = os.path.join(out_dir, "run_summary.json")
         with _artifact(path) as tmp:

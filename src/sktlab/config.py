@@ -170,6 +170,15 @@ def _build_model(sections: dict) -> ModelParams:
         raise ConfigError(str(exc), section="model") from None
 
 
+def _rejected(exc, sections: dict, section: str) -> ConfigError:
+    """The config error for a value Grid or SolverConfig rejected, at the
+    key its message starts with, when that key is in the section."""
+    key = str(exc).split(" ", 1)[0]
+    if key not in sections[section]:
+        return ConfigError(str(exc), section=section)
+    return ConfigError(str(exc), section, key, sections[section][key][1])
+
+
 def _build_grid(sections: dict) -> Grid:
     dim = _value(sections, "grid", "dim", int, required=True)
     entries = sections["grid"]
@@ -193,12 +202,8 @@ def _build_grid(sections: dict) -> Grid:
         )
     try:
         return Grid(**kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), section="grid") from None
-    except OverflowError as exc:
-        # too many points for an array; Grid's message starts with the key
-        key = str(exc).split(" ", 1)[0]
-        raise ConfigError(str(exc), "grid", key, entries[key][1]) from None
+    except (ValueError, OverflowError) as exc:
+        raise _rejected(exc, sections, "grid") from None
 
 
 def _build_solver(sections: dict):
@@ -224,7 +229,7 @@ def _build_solver(sections: dict):
     try:
         return SolverConfig(**kwargs), t_end
     except ValueError as exc:
-        raise ConfigError(str(exc), section="solver") from None
+        raise _rejected(exc, sections, "solver") from None
 
 
 def _build_initial(sections: dict) -> InitialSpec:

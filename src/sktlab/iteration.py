@@ -363,11 +363,12 @@ class SimulationResult:
     termination is "completed", "overflowed", or "failed"; on overflow the
     offending above-cap state is final_state while snapshots retain only
     sub-cap states, and on failure the unrecoverable error is kept in
-    `error`. `summaries` holds each accepted step's TraceSummary; from
-    simulate, a read-only sequence over packed records (_digests).
+    `error`. `snapshots` is the sink simulate was given, a list by default.
+    `summaries` holds each accepted step's TraceSummary; from simulate, a
+    read-only sequence over packed records (_digests).
     """
 
-    snapshots: list
+    snapshots: Sequence
     summaries: Sequence
     termination: str
     final_state: SystemState
@@ -975,9 +976,9 @@ def step_monotone(
     fallbacks = solver.fallbacks
     npoints = grid.npoints
     # the accepted state's compact rows, allocated ahead of the iteration's
-    # temporaries: kept states then fill the holes earlier steps' temporaries
-    # left, where copies made at the end split the heap between them (on
-    # cli-simulate-1d's 501 snapshots, 3 MB more peak RSS)
+    # temporaries: states kept in a list then fill the holes earlier steps'
+    # temporaries left, where copies made at the end split the heap between
+    # them (3 MB more peak RSS for 501 kept states of 513 points)
     kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
     solved, solved_cols, base, term, audit, new_minus_old, v_minus_w = solver.work_arrays()
     # sigma is frozen at the previous iterate, except in a semilinear run
@@ -1168,7 +1169,9 @@ class _Extremes(NamedTuple):
         return abs(max(hi[0], -lo[0])), abs(max(hi[1], -lo[1]))
 
 
-def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None):
+def simulate(
+    params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None, snapshots=None
+):
     """March step_monotone from u0 to t_end, or to overflow, or to failure.
 
     From the third step on, each attempt first tries a predicted bracket
@@ -1195,6 +1198,12 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     partial output survives. Each accepted step's TraceSummary is packed
     into `summaries`, which reads it back bit for bit.
 
+    `snapshots` is the sink of the kept states: any object with `append`,
+    which receives the initial state, every snapshot_every-th accepted one
+    and the last, never an overflowed one, and becomes the result's
+    `snapshots`. It defaults to a new list; `sktlab simulate` passes a
+    spool that keeps them on disk (_spool).
+
     `eig` is not used; the argument stays because callers pass the
     arguments by position.
     """
@@ -1211,7 +1220,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
     extremes = _Extremes.of(state)
     norms = extremes.sup_norms()
     growth = 0.0
-    snapshots = [state]
+    snapshots = [] if snapshots is None else snapshots
+    snapshots.append(state)
+    kept = state
     digests = bytearray()
     dt = cfg.dt
     halvings = 0
@@ -1361,8 +1372,9 @@ def simulate(params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=Non
         _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:
             snapshots.append(state)
+            kept = state
 
-    if snapshots[-1] is not state:
+    if kept is not state:
         snapshots.append(state)
     if termination != "overflowed":
         final_state = state

@@ -1,5 +1,6 @@
 """End-to-end command tests: artifacts, exit codes, determinism."""
 
+import contextlib
 import errno
 import json
 import math
@@ -7,6 +8,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ import sktlab
 from sktlab import cli
 from sktlab.cli import _write_snapshots_csv, main
 from sktlab.config import build_initial_fields, load_config
-from sktlab.errors import ConfigError
+from sktlab.errors import ConfigError, NumericalError
 from sktlab.grid import Grid, ScalarField, principal_eigenpair
 from sktlab.iteration import SystemState
 from sktlab.model import ModelParams
@@ -580,6 +583,122 @@ class TestUnwritableArtifact:
         assert sorted(p.name for p in out.iterdir()) == sorted(artifacts)
         for name in artifacts:
             assert (out / name).stat().st_mode == reference.stat().st_mode
+
+
+class TestSnapshotSpool:
+    """`sktlab simulate` keeps its states in a spool, an unlinked file in the
+    output directory that no way out of the command leaves open."""
+
+    @staticmethod
+    def assert_released(out):
+        """No file in `out` is still open in this process, and no child is
+        left unreaped."""
+        fds = Path("/proc/self/fd")
+        if fds.is_dir():
+            links = []
+            for fd in fds.iterdir():
+                with contextlib.suppress(OSError):  # the listing's own fd
+                    links.append(os.readlink(fd))
+            assert not [link for link in links if link.startswith(str(out))]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_spool_that_cannot_be_made_exits_2_before_simulating(
+        self, capsys, tmp_path, conf, monkeypatch
+    ):
+        def refused(**kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        calls = []
+        monkeypatch.setattr(tempfile, "TemporaryFile", refused)
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a))
+        rc, out = run(conf(CERT_CONFIG), tmp_path, sub="simulate")
+        assert rc == 2 and calls == []
+        path = out / "snapshots.csv"
+        assert capsys.readouterr().err == f"cannot write {path}: {os.strerror(errno.EACCES)}\n"
+        assert list(out.iterdir()) == []
+
+    def test_spool_that_cannot_be_written_exits_2(self, capsys, tmp_path, conf, monkeypatch):
+        writes = []
+        pwrite = os.pwrite
+
+        def filling(fd, data, offset):
+            writes.append(offset)
+            if len(writes) > 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", filling)
+        rc, out = run(conf(CERT_CONFIG), tmp_path, sub="simulate")
+        assert rc == 2
+        path = out / "snapshots.csv"
+        assert capsys.readouterr().err == f"cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+        assert list(out.iterdir()) == []
+        self.assert_released(out)
+
+    @pytest.mark.parametrize(
+        "case, code, artifacts",
+        [
+            ("bracket-fails", 3, []),
+            ("raises-after-the-run", 4, []),
+            ("ends-failed", 4, ["run_summary.json", "snapshots.csv"]),
+        ],
+    )
+    def test_failing_run_leaves_no_spool(
+        self, capsys, tmp_path, conf, monkeypatch, case, code, artifacts
+    ):
+        text = CERT_CONFIG
+        if case == "bracket-fails":
+            # the data peak exceeds the window's ceiling; see
+            # TestSimulate.test_bracket_failure_exits_3
+            text = text.replace("kind = constant\nu1 = 0.2", "kind = expression\nu1 = (x/pi)**8")
+        elif case == "ends-failed":
+            text = text.replace("dt = 0.001", "dt = 0.001\nmax_inner_iters = 1\nmax_halvings = 0")
+        else:
+            inner = cli.simulate
+
+            def raising(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                assert len(result.snapshots) == 6  # every state was spooled
+                raise NumericalError("after the run")
+
+            monkeypatch.setattr(cli, "simulate", raising)
+        rc, out = run(conf(text), tmp_path, sub="simulate")
+        assert rc == code, capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == artifacts
+        self.assert_released(out)
+
+    def test_run_keeps_at_most_300_bytes_a_snapshot(self, tmp_path, conf, monkeypatch):
+        # 400 steps on 65 points, each kept: held in a list, each state's u
+        # and h (2 x 2 x 65 float64) and their objects cost about 2.6 KB.
+        # Spooled, what is left is the step digests (about 65 bytes a step)
+        # and the interpreter's free lists
+        short = CERT_CONFIG.replace("nx = 33", "nx = 65")
+        text = short.replace("t_end = 0.005", "t_end = 0.4")
+        measured = {}
+        inner = cli.simulate
+
+        def measuring(*args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            result = inner(*args, **kwargs)
+            measured["retained"] = tracemalloc.get_traced_memory()[0] - before
+            measured["kept"] = len(result.snapshots)
+            return result
+
+        # the warm-up loads dgtsv and fills the per-grid caches, which are
+        # then no part of the count
+        assert run(conf(short, "short.conf"), tmp_path / "warm", sub="simulate")[0] == 0
+        monkeypatch.setattr(cli, "simulate", measuring)
+        tracemalloc.start()
+        try:
+            rc, out = run(conf(text), tmp_path, sub="simulate")
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert measured["kept"] == 401
+        assert measured["retained"] <= 300 * measured["kept"]
+        lines = (out / "snapshots.csv").read_text().splitlines()
+        assert len(lines) == 1 + 401 * 65
 
 
 class TestSimulate:

@@ -152,7 +152,9 @@ ERRORS = [
     ("ny-on-1d", model() + grid(ny="5"), "load",
      "[grid] ny: key is meaningless on a 1D grid", "grid", "ny", 16),
     ("grid-rejects", model() + grid(nx="2"), "load",
-     "[grid]: nx must be >= 3, got 2", "grid", None, None),
+     "[grid] nx: nx must be >= 3, got 2", "grid", "nx", 15),
+    ("lx-rejects", model() + grid(lx="-1"), "load",
+     "[grid] lx: lx must be positive, got -1.0", "grid", "lx", 14),
     ("grid-too-large-1d", model() + grid(nx=str(10**20)), "load",
      f"[grid] nx: nx must be at most {2**63 - 1}, got {10**20}", "grid", "nx", 15),
     ("grid-too-large-2d", model() + grid(dim="2", nx="3", ly="2.0", ny=str(2**62)), "load",
@@ -160,7 +162,7 @@ ERRORS = [
     ("t-end-not-positive", BASE + solver(t_end="0"), "load",
      "[solver] t_end: t_end must be positive, got 0.0", "solver", "t_end", 18),
     ("solver-rejects", BASE + solver(dt="-1"), "load",
-     "[solver]: dt must be positive, got -1.0", "solver", None, None),
+     "[solver] dt: dt must be positive, got -1.0", "solver", "dt", 17),
     ("search-resolution-too-small", BASE + section("blowup", {"search_resolution": "1"}),
      "load", "[blowup] search_resolution: search_resolution must be >= 2, got 1",
      "blowup", "search_resolution", 17),
