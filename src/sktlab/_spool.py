@@ -5,7 +5,9 @@ heap each costs 8*4*npoints bytes for the whole run; spooled, each is one
 fixed record in a file the kernel may evict, and the process holds none of
 them. A record is t, then u and h in C order, all float64, so every value
 reads back bit for bit. Writes and reads name their offset (os.pwrite,
-os.pread), so forked readers share the file but no position in it.
+os.pread), so forked readers share the file but no position in it. The
+spool needs both calls and a file that is unlinked when it is made, as on
+POSIX; `sktlab simulate` keeps its states in a list where they are missing.
 """
 
 import operator
@@ -23,13 +25,14 @@ class _Records(Sequence):
 
     Indexing takes ints, negative ones included, and slices, which give
     another _Records over the same file. Each element read is a new
-    SystemState whose u and h are read-only views of one record.
+    SystemState whose u and h are read-only views of one record. Once the
+    spool is closed, reading any of its records raises ValueError.
     """
 
-    __slots__ = ("_fd", "_grid", "_size", "_rows")
+    __slots__ = ("_file", "_grid", "_size", "_rows")
 
-    def __init__(self, fd: int, grid, rows: range):
-        self._fd, self._grid, self._rows = fd, grid, rows
+    def __init__(self, file, grid, rows: range):
+        self._file, self._grid, self._rows = file, grid, rows
         self._size = 8 * (1 + 4 * grid.npoints)
 
     def __len__(self) -> int:
@@ -37,12 +40,13 @@ class _Records(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _Records(self._fd, self._grid, self._rows[index])
+            return _Records(self._file, self._grid, self._rows[index])
         try:
             row = self._rows[operator.index(index)]
         except IndexError:
             raise IndexError("snapshot index out of range") from None
-        data = os.pread(self._fd, self._size, row * self._size)
+        # fileno() of a closed file raises, so no read reaches a reused fd
+        data = os.pread(self._file.fileno(), self._size, row * self._size)
         if len(data) != self._size:
             raise EOFError(f"snapshot record {row} is cut short")
         record = np.frombuffer(data)
@@ -56,11 +60,10 @@ class SnapshotSpool(_Records):
     `directory`; a `simulate` snapshot sink. Leaving its with block closes
     the file, which frees its space."""
 
-    __slots__ = ("_file",)
+    __slots__ = ()
 
     def __init__(self, grid, directory):
-        self._file = tempfile.TemporaryFile(dir=directory)
-        super().__init__(self._file.fileno(), grid, range(0))
+        super().__init__(tempfile.TemporaryFile(dir=directory), grid, range(0))
 
     def __enter__(self):
         return self
@@ -75,10 +78,10 @@ class SnapshotSpool(_Records):
         record = memoryview(b"".join((t, state.u.tobytes(), state.h.tobytes())))
         if len(record) != self._size:
             raise ValueError("the state does not live on the spool's grid")
-        offset = len(self) * self._size
+        fd, offset = self._file.fileno(), len(self) * self._size
         # a short write leaves the rest to the next call, which raises the
         # reason (a full disk, say)
         while record:
-            written = os.pwrite(self._fd, record, offset)
+            written = os.pwrite(fd, record, offset)
             record, offset = record[written:], offset + written
         self._rows = range(len(self._rows) + 1)

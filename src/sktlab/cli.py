@@ -10,19 +10,19 @@ it appears whole or not at all.
 
 `simulate` keeps its snapshots in a spool, not in memory: one record of
 8*(1 + 4*npoints) bytes per kept state in an unlinked temporary file in the
-output directory, closed (and so freed) when the command ends. The snapshot
-writer formats contiguous blocks of them in forked processes, one per CPU
-the process may use, when there are enough cells to pay for a fork; its
-bytes do not depend on the number of blocks. On Python 3.12 and later,
+output directory, closed (and so freed) when the command ends. Where os.pread
+and os.pwrite are missing it keeps them in a list, as the library does. The
+snapshot writer formats contiguous blocks of them in forked processes, one
+per CPU the process may use, when there are enough cells to pay for a fork;
+its bytes do not depend on the number of blocks. On Python 3.12 and later,
 forking a multi-threaded parent (unpinned OpenBLAS threads, say) emits a
-DeprecationWarning. The children only read the spool, format floats and
+DeprecationWarning. The children only read the snapshots, format floats and
 write a file; they call no BLAS.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import json
 import os
@@ -32,7 +32,6 @@ import tempfile
 
 import numpy as np
 
-from ._spool import SnapshotSpool
 from .blowup import _json_real, analyze, weighted_average
 from .config import RunConfig, build_initial_fields, load_config
 from .errors import (
@@ -127,10 +126,10 @@ class _Run:
             cfg.params, self.eig.lambda0, cfg.mu1, cfg.mu2, self.wa0.p_hat
         )
 
-    def run_simulation(self, params=None, regime=None, cert=None, **sink):
+    def run_simulation(self, params=None, regime=None, cert=None, snapshots=None):
         """Simulate from the run's fields, with the run's params and
-        certificates or, for a sweep row, the row's own; `sink` may name
-        simulate's `snapshots`.
+        certificates or, for a sweep row, the row's own, keeping the states
+        in `snapshots` (simulate's sink; a new list by default).
 
         The window bracket is used only when confinement is certified and
         no blow-up is. A data-certified blow-up makes any fixed ceiling
@@ -147,7 +146,7 @@ class _Run:
             bracket_mode = "window"
         result = simulate(
             params, self.cfg.grid, self.eig, self.u0, solver, t_end,
-            bracket=bracket, **sink,
+            bracket=bracket, snapshots=snapshots,
         )
         return result, bracket_mode
 
@@ -323,18 +322,28 @@ def cmd_classify(args, cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _snapshot_sink(grid: Grid, directory):
+    """The with-block sink that `simulate` keeps states in for snapshots.csv:
+    a spool file in `directory` where os.pread and os.pwrite exist, else a
+    list."""
+    if not hasattr(os, "pwrite"):
+        return contextlib.nullcontext([])
+    from ._spool import SnapshotSpool  # only this command compiles it
+
+    return SnapshotSpool(grid, directory)
+
+
 def cmd_simulate(args, cfg: RunConfig, out_dir: str) -> int:
     run = _Run(cfg, args.lambda0_mode)
     if "csv" in cfg.formats:
         # kept states go to a spool beside the artifact: one that cannot be
         # made, or written, is a snapshots.csv that cannot be written
         path = os.path.join(out_dir, "snapshots.csv")
-        with _artifact(path) as tmp, SnapshotSpool(cfg.grid, out_dir) as spool:
-            result, bracket_mode = run.run_simulation(snapshots=spool)
-            _write_snapshots_csv(tmp, cfg.grid, spool)
+        with _artifact(path) as tmp, _snapshot_sink(cfg.grid, out_dir) as snapshots:
+            result, bracket_mode = run.run_simulation(snapshots=snapshots)
+            _write_snapshots_csv(tmp, cfg.grid, snapshots)
     else:
-        # no artifact reads the kept states
-        result, bracket_mode = run.run_simulation(snapshots=collections.deque(maxlen=0))
+        result, bracket_mode = run.run_simulation()
     if "json" in cfg.formats:
         path = os.path.join(out_dir, "run_summary.json")
         with _artifact(path) as tmp:

@@ -668,6 +668,28 @@ class TestSnapshotSpool:
         assert sorted(p.name for p in out.iterdir()) == artifacts
         self.assert_released(out)
 
+    @pytest.mark.parametrize("missing", [("pwrite",), ("pwrite", "fork")], ids=["no-pwrite", "no-fork"])
+    def test_platform_without_pwrite_keeps_a_list(self, tmp_path, conf, monkeypatch, missing):
+        rc, out = run(conf(CERT_CONFIG), tmp_path / "spooled", sub="simulate")
+        assert rc == 0
+        sinks = []
+        inner = cli.simulate
+
+        def recording(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            sinks.append(type(result.snapshots))
+            return result
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)  # fork where fork exists
+        for name in missing:
+            monkeypatch.delattr(os, name)
+        rc, listed = run(conf(CERT_CONFIG), tmp_path / "listed", sub="simulate")
+        assert rc == 0 and sinks == [list]
+        for name in ("snapshots.csv", "run_summary.json"):
+            assert (listed / name).read_bytes() == (out / name).read_bytes()
+        assert sorted(p.name for p in listed.iterdir()) == ["run_summary.json", "snapshots.csv"]
+
     def test_run_keeps_at_most_300_bytes_a_snapshot(self, tmp_path, conf, monkeypatch):
         # 400 steps on 65 points, each kept: held in a list, each state's u
         # and h (2 x 2 x 65 float64) and their objects cost about 2.6 KB.
@@ -893,9 +915,9 @@ class TestSweep:
         windows = []
         inner = cli.simulate
 
-        def recording(params, *args, bracket=None):
+        def recording(params, *args, bracket=None, **kwargs):
             windows.append((params.b1, bracket is not None))
-            return inner(params, *args, bracket=bracket)
+            return inner(params, *args, bracket=bracket, **kwargs)
 
         monkeypatch.setattr(cli, "simulate", recording)
         rc, out = run(

@@ -25,6 +25,9 @@ GRIDS = pytest.mark.parametrize(
 # the smallest subnormal, an exact integer past 2**53 and the largest
 # decades of float64
 TIMES = (0.0, 5e-324, 0.1, 2.0**60 + 2.0**8, 1e308, 1.7976931348623157e308)
+pytestmark = pytest.mark.skipif(
+    not hasattr(os, "pwrite"), reason="no os.pread or os.pwrite on this platform"
+)
 
 
 def states(grid, count):
@@ -87,6 +90,23 @@ def test_indexing_matches_a_list(tmp_path):
                 view[len(want)]
         # a slice of a slice, as the writer cuts blocks
         assert [s.t for s in spool[1:6][1::2]] == [s.t for s in kept[1:6][1::2]]
+
+
+def test_reads_after_close_raise(tmp_path):
+    grid = Grid.interval(math.pi, 9)
+    with SnapshotSpool(grid, tmp_path) as spool:
+        for s in states(grid, 3):
+            spool.append(s)
+        view = spool[1:]
+    # a file opened now may take the spool's old descriptor; no read reaches it
+    with open(tmp_path / "other", "wb") as other:
+        other.write(bytes(1024))
+        for records in (spool, view):
+            assert len(records) > 0
+            with pytest.raises(ValueError, match="closed file"):
+                records[0]
+        with pytest.raises(ValueError, match="closed file"):
+            spool.append(states(grid, 1)[0])
 
 
 def test_refuses_overflowed_and_foreign_states(tmp_path):
