@@ -196,6 +196,8 @@ _CG_MAX_ITERS = 100
 # max(1, largest sup norm) for the round-off of the extrapolation
 _PREDICT_FACTOR = 2.0
 _PREDICT_FLOOR = 1e-12
+# simulate's smallest dt per unit of max(1, t), about a thousand ulps of t
+_DT_FLOOR = 1e3 * sys.float_info.epsilon
 
 
 def _row_field(stack: str, row: int) -> property:
@@ -454,27 +456,19 @@ def _phi_automatic(params, i, m_own, big_own, m_other, big_other, hdot):
     """Shift making the iterate map order-preserving on the bracket box.
 
     1 + (bound on the falling own-derivative, max(0, -df_i/du_i), over the
-    box corners) * (max slope of the inverse transform) + a lag term
-    compensating the frozen sigma; the lag vanishes in the semilinear case.
-    df_i/du_i is linear in both densities, so its extremes lie at corners.
+    box) * (max slope of the inverse transform) + a lag term compensating
+    the frozen sigma; the lag vanishes in the semilinear case. df_i/du_i =
+    -a + 2 own u_i - other u_j has positive coefficients, so it falls
+    furthest at the corner (m_own, big_other), and as every rounded
+    operation in it is monotone, that corner's float is the largest over
+    the box's four corners.
     """
-    if i == 1:
-        a, own, other = params.a1, params.b1, params.c1
-        d, alpha = params.d1, params.alpha1
-    else:
-        a, own, other = params.a2, params.c2, params.b2
-        d, alpha = params.d2, params.alpha2
-    mf = max(
-        0.0,
-        -(-a + 2.0 * own * m_own - other * m_other),
-        -(-a + 2.0 * own * m_own - other * big_other),
-        -(-a + 2.0 * own * big_own - other * m_other),
-        -(-a + 2.0 * own * big_own - other * big_other),
-    )
+    a, own, other, d, alpha = params.species[i - 1]
+    mf = -(-a + 2.0 * own * m_own - other * big_other)
     denom = d + 2.0 * alpha * m_own
     q_slope = 1.0 / denom
     lag = 0.0 if alpha == 0.0 else 2.0 * alpha * q_slope * hdot / denom**2
-    return 1.0 + mf * q_slope + lag
+    return 1.0 + (mf if mf > 0.0 else 0.0) * q_slope + lag
 
 
 def _hdot_scales(params, grid, u, h):
@@ -485,8 +479,6 @@ def _hdot_scales(params, grid, u, h):
     bounds share one reaction evaluation and one Laplacian.
     """
     alphas = (params.alpha1, params.alpha2)
-    if not any(alphas):
-        return (0.0, 0.0)
     fs = _reaction_raw(params, u[0], u[1])
     laps = _lap_array(grid, h)
     return tuple(
@@ -563,14 +555,14 @@ class _HelmholtzSolver:
 
     The solver also keeps the inner iteration's work arrays for its grid
     (work_arrays) and a semilinear run's sigma (semilinear_sigma), so a
-    solver reused across a run's steps makes them once. simulate's solver
-    is lean, and step_monotone returns it the step's digest alone. Raises
-    ValueError when a solve fails or its solution is not finite.
+    solver reused across a run's steps makes them once. Raises ValueError
+    when a solve fails or its solution is not finite; a solution written
+    into the solver's own work arrays is left to the inner iteration, whose
+    chain audit checks it.
     """
 
-    def __init__(self, grid: Grid, lean: bool = False):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.lean = lean
         self.fallbacks = 0
         self._work = None
         self._sigma = None
@@ -615,7 +607,10 @@ class _HelmholtzSolver:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
             self._solve_2d(sig_over_dt, phi, rhs, guess)
-        if not np.isfinite(rhs).all():
+        # step_monotone's chain audit reads the finiteness of the solutions
+        # it has the solver write into its work arrays
+        audited = self._work is not None and rhs.base is self._work[0].base
+        if not audited and not np.isfinite(rhs).all():
             raise ValueError("linear solve produced non-finite values")
         return rhs
 
@@ -644,18 +639,18 @@ class _HelmholtzSolver:
             )
         return self._work
 
-    def semilinear_sigma(self, columns, dt):
+    def semilinear_sigma(self, columns):
         """sigma = 1/d for the (d, alpha) species columns of params with both
-        alpha = 0, and sigma/dt as (4, 1...) solve columns, kept for the
-        same columns object and dt, as a simulate run passes them."""
+        alpha = 0, and the same as (4, 1...) solve columns, kept for the same
+        columns object, as a simulate run passes them."""
         kept = self._sigma
-        if kept is None or kept[0] is not columns or kept[1] != dt:
+        if kept is None or kept[0] is not columns:
             d, alpha = columns
             # 1/(d + 2 alpha u) at alpha = 0 is 1/d for every u the step sees
             sig = _sigma(d, alpha, 0.0)
-            cols = np.broadcast_to(sig / dt, (2, 2) + sig.shape[2:])
-            kept = self._sigma = (columns, dt, sig, cols.reshape((4,) + sig.shape[2:]))
-        return kept[2:]
+            cols = np.broadcast_to(sig, (2, 2) + sig.shape[2:]).reshape((4,) + sig.shape[2:])
+            kept = self._sigma = (columns, sig, cols)
+        return kept[1:]
 
     def _block_arrays(self, k):
         """The (sub, super) off-diagonals of k blocks, built once per k, a
@@ -877,18 +872,21 @@ def _violations(params, grid, dt, h_n, bracket):
 
 
 def step_monotone(
-    state: SystemState, cfg: SolverConfig, params: ModelParams, bracket, solver=None
+    state: SystemState, cfg: SolverConfig, params: ModelParams, bracket, solver=None,
+    dt=None, trace=True,
 ):
-    """Advance one dt from `state` inside `bracket`, returning (state, trace).
+    """Advance one step of dt from `state` inside `bracket`, returning (state, trace).
 
-    The bracket is a (lower, upper) SystemState pair that must contain the
-    state pointwise, checked on every call (_window_bracket); simulate
-    passes stacked brackets (_Bracket), which are not checked again: its
-    window was checked when the run started, tight and wide ones contain
-    the state by construction, and an admitted "predicted" one bounds the
-    step solution whether or not it contains the state. `solver`
-    is a _HelmholtzSolver on the state's grid to reuse across steps; a
-    fresh one is built when it is None.
+    dt is the step's length, cfg.dt when None; cfg gives the inner
+    iteration's tolerance and iterate cap. The bracket is a (lower, upper)
+    SystemState pair that must contain the state pointwise, checked on
+    every call (_window_bracket); simulate passes stacked brackets
+    (_Bracket), which are not checked again: its window was checked when
+    the run started, tight and wide ones contain the state by
+    construction, and an admitted "predicted" one bounds the step solution
+    whether or not it contains the state. `solver` is a _HelmholtzSolver on
+    the state's grid to reuse across steps; a fresh one is built when it is
+    None.
 
     The bracket's stacked densities, transform and paired reactions are
     iterate 0, and each later iterate is one linear solve of all four
@@ -896,39 +894,45 @@ def step_monotone(
     iteration starts again from the bracket with the shift multiplied by
     _PHI_RETRY_FACTOR, up to _MAX_PHI_RETRIES times. Raises
     OrderingViolationError when the bracket is not a discrete bound
-    solution at cfg.dt, when its floor lies above its ceiling, or when the
-    chain still breaks after the last escalation, and ConvergenceError
-    when the gap fails to close within max_inner_iters.
+    solution at dt, when its floor lies above its ceiling, or when the
+    chain still breaks after the last escalation, ConvergenceError when the
+    gap fails to close within max_inner_iters, and ValueError when a linear
+    solve gives a value that is not finite.
 
     The returned IterationTrace holds the step's TraceSummary, built once
-    here with t the new state's time and dt = cfg.dt, and its iterates.
-    simulate steps with a lean solver (_HelmholtzSolver(grid, lean=True)),
-    which keeps no iterates and gets the TraceSummary itself in the trace's
-    place; the step is the same, float for float.
+    here with t the new state's time and dt the step's, and its iterates.
+    With trace=False, as simulate steps, the step keeps no iterates and
+    returns the TraceSummary itself in the trace's place; the step is the
+    same, float for float.
     """
     grid = state.grid
     if not isinstance(bracket, _Bracket):
         bracket = _window_bracket(params, state, bracket, _param_columns(params, grid))
     if solver is None:
         solver = _HelmholtzSolver(grid)
-    elif not grid.compatible(solver.grid):
+    elif solver.grid is not grid and not grid.compatible(solver.grid):
         raise ValueError("solver and state live on different grids")
-    dt = cfg.dt
+    if dt is None:
+        dt = cfg.dt
     u0 = bracket.u
     h_n = state.h[:, None]
-    floors, ceilings = bracket.box
-    (v1, v2), (w1, w2) = floors, ceilings
-    scale = max(ceilings)
-    chain_tol = _CHAIN_TOL * max(1.0, scale)
+    shape = state.h.shape[1:]
+    (v1, v2), (w1, w2) = bracket.box
+    # `b if b > a else a` is max(a, b), and `b if b < a else a` min(a, b),
+    # float for float, without the call
+    scale = w2 if w2 > w1 else w1
+    chain_tol = _CHAIN_TOL * (scale if scale > 1.0 else 1.0)
 
     # iterate 0 is the bracket: its gap, and its worst violation, the
     # floor's largest excess over the ceiling, from the floats of a
     # bracket constant per species
-    if u0.shape[2:] == grid.shape:
+    if u0.shape[2:] == shape:
         gap0 = float((u0[:, 0] - u0[:, 1]).max())
         worst0 = float((u0[:, 1] - u0[:, 0]).max())
     else:
-        gap0, worst0 = max(w1 - v1, w2 - v2), max(v1 - w1, v2 - w2)
+        gap0, gap2, worst0, worst2 = w1 - v1, w2 - v2, v1 - w1, v2 - w2
+        gap0 = gap2 if gap2 > gap0 else gap0
+        worst0 = worst2 if worst2 > worst0 else worst0
 
     # one-shot feasibility of the bracket endpoints as discrete bound
     # solutions, unless simulate has just measured it for this step
@@ -954,18 +958,21 @@ def step_monotone(
 
     # exactly degenerate bound solution, every ceiling equal to its floor:
     # the common value is the step solution
-    lean = solver.lean
     if gap0 == 0.0 and worst0 == 0.0:
-        stack = (2, 2) + grid.shape
+        stack = (2, 2) + shape
         u0, h0 = np.broadcast_to(u0, stack), np.broadcast_to(bracket.h, stack)
         new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), h0[:, 1].copy())
         summary = TraceSummary(
             new_state.t, dt, iterations=1, gap=0.0, worst_violation=0.0, phi1=0.0,
             phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
         )
-        return new_state, summary if lean else IterationTrace(summary, ((u0, 0.0, 0.0),) * 2)
+        return new_state, IterationTrace(summary, ((u0, 0.0, 0.0),) * 2) if trace else summary
 
-    hdot = _hdot_scales(params, grid, state.u, state.h)
+    # sigma is frozen at the previous iterate, except in a semilinear run
+    # (both alpha = 0), where it is 1/d at every iterate: there the h^n term
+    # is computed once per step, and the shift needs no lag
+    quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
+    hdot = _hdot_scales(params, grid, state.u, state.h) if quasilinear else (0.0, 0.0)
     phi_base = (
         _phi_automatic(params, 1, v1, w1, v2, w2, hdot[0]),
         _phi_automatic(params, 2, v2, w2, v1, w1, hdot[1]),
@@ -974,27 +981,24 @@ def step_monotone(
     columns = d, alpha = bracket.columns
     gap_tol = cfg.inner_tol * (1.0 + scale)
     fallbacks = solver.fallbacks
-    npoints = grid.npoints
     # the accepted state's compact rows, allocated ahead of the iteration's
     # temporaries: states kept in a list then fill the holes earlier steps'
     # temporaries left, where copies made at the end split the heap between
     # them (3 MB more peak RSS for 501 kept states of 513 points)
-    kept_u, kept_h = np.empty((2,) + grid.shape), np.empty((2,) + grid.shape)
+    kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
     solved, solved_cols, base, term, audit, new_minus_old, v_minus_w = solver.work_arrays()
-    # sigma is frozen at the previous iterate, except in a semilinear run
-    # (both alpha = 0), where it is 1/d at every iterate: there the h^n term
-    # is computed once per step
-    quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
+    npoints = audit.shape[1]
     if not quasilinear:
-        sig, sig_over_dt = solver.semilinear_sigma(columns, dt)
+        sig, sig_cols = solver.semilinear_sigma(columns)
+        sig_over_dt = sig_cols / dt
         np.divide(np.multiply(sig, h_n, out=base), dt, out=base)
     for retry in range(_MAX_PHI_RETRIES + 1):
         boost = _PHI_RETRY_FACTOR**retry
         phis = (phi_base[0] * boost, phi_base[1] * boost)
         # one value per solve column, the stack's (species, sequence) rows
-        phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * grid.dimension)
+        phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * len(shape))
         u, f, h = u0, bracket.f, bracket.h.reshape((4,) + bracket.h.shape[2:])
-        iterates = None if lean else [(u0, gap0, worst0)]
+        iterates = [(u0, gap0, worst0)] if trace else None
         worst_all = worst0
         for k in range(1, cfg.max_inner_iters + 1):
             if k > 1:
@@ -1006,7 +1010,8 @@ def step_monotone(
             rhs, rhs_cols = solved[k % 2], solved_cols[k % 2]
             np.add(base, f, out=rhs)
             rhs_cols += np.multiply(phi, h, out=term)
-            # in place: rhs becomes the new transformed stack
+            # in place: rhs becomes the new transformed stack, whose
+            # finiteness the audit below checks
             solver.solve(sig_over_dt, phi, rhs_cols, h)
             new_u = _inverse_stack(params, d, rhs)
 
@@ -1018,8 +1023,13 @@ def step_monotone(
             np.subtract(flat[npoints:], flat[:-npoints], out=v_minus_w)
             top = np.maximum.reduce(audit, axis=1).tolist()
             low = np.minimum.reduce(audit, axis=1).tolist()
-            gap = 0.0 - min(low[4], low[6])
-            worst = max(top[0], top[2], 0.0 - min(low[1], low[3]), top[4], top[6])
+            # a non-finite transform has a non-finite density, which every
+            # row's extremes carry: nan into both, an infinity into one
+            if not math.isfinite(sum(top) - sum(low)):
+                raise ValueError("linear solve produced non-finite values")
+            gap, fall = low[6], low[3]
+            gap = 0.0 - (gap if gap < low[4] else low[4])
+            worst = max(top[0], top[2], 0.0 - (fall if fall < low[1] else low[1]), top[4], top[6])
 
             u, h = new_u, rhs_cols
             if iterates is not None:
@@ -1038,7 +1048,7 @@ def step_monotone(
                     solver.fallbacks - fallbacks, bracket.kind,
                 )
                 new_state = SystemState(summary.t, grid, kept_u, kept_h)
-                if lean:
+                if iterates is None:
                     return new_state, summary
                 return new_state, IterationTrace(summary, tuple(iterates))
         else:
@@ -1069,24 +1079,27 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     its smallest, where the grid maximum falls. An admitted bracket's stacks
     are (2, 2, 1...) arrays that broadcast over the grid.
     """
-    p = params
     (w1, w2), (v1, v2) = ceilings, floors
     # an extrapolated maximum below zero, or far below the extrapolated
     # minimum, leaves no ordered bracket
     if v1 > w1 or v2 > w2:
         return None
     # each species' ceiling against the other's floor, as _paired_reactions pairs them
-    f1_up, f2_lo = _reaction_raw(p, w1, v2)
-    f1_lo, f2_up = _reaction_raw(p, v1, w2)
-    h = [
-        _transform_raw(p.d1, p.alpha1, w1), _transform_raw(p.d1, p.alpha1, v1),
-        _transform_raw(p.d2, p.alpha2, w2), _transform_raw(p.d2, p.alpha2, v2),
-    ]
+    f1_up, f2_lo = _reaction_raw(params, w1, v2)
+    f1_lo, f2_up = _reaction_raw(params, v1, w2)
     lo, hi = extremes
-    violations = (
-        _corner_violation(p.d1, p.alpha1, (w1, v1), h[:2], (f1_up, f1_lo), lo[2], hi[2], dt),
-        _corner_violation(p.d2, p.alpha2, (w2, v2), h[2:], (f2_up, f2_lo), lo[3], hi[3], dt),
-    )
+    # per corner, _transform_raw's (d + alpha u) u, and _violations'
+    # f - (sigma (h - h^n)/dt - lap h) and its sign with lap h = 0, written
+    # out on floats
+    (_, _, _, d1, a1), (_, _, _, d2, a2) = params.species
+    h = [(d1 + a1 * w1) * w1, (d1 + a1 * v1) * v1, (d2 + a2 * w2) * w2, (d2 + a2 * v2) * v2]
+    violations = []
+    for (d, a), (up, low), (h_up, h_low), (f_up, f_low), i in (
+        ((d1, a1), (w1, v1), h[:2], (f1_up, f1_lo), 2), ((d2, a2), (w2, v2), h[2:], (f2_up, f2_lo), 3)
+    ):
+        worst = f_up - 1.0 / (d + 2.0 * a * up) * (h_up - hi[i]) / dt
+        below = (f_low - 1.0 / (d + 2.0 * a * low) * (h_low - lo[i]) / dt) * -1.0
+        violations.append(below if below > worst else worst)
     if not _auto_bracket_feasible(violations, ceilings):
         return None
     # the u, h and f stacks, each in (species, sequence) C order
@@ -1095,18 +1108,6 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     # a constant stack's Laplacian is exactly zero
     return _Bracket(
         stacks[0], stacks[1], stacks[2], 0.0, (floors, ceilings), kind, columns, violations
-    )
-
-
-def _corner_violation(d, alpha, u, h, f, h_low, h_high, dt):
-    """One species' worst discrete-bound violation of a constant bracket,
-    from its (ceiling, floor) values of u, h and f: _violations'
-    f - (sigma (h - h^n)/dt - lap h) and its signs with lap h = 0, the
-    ceiling's at the species' largest h^n and the floor's at its smallest."""
-    (up, lo), (h_up, h_lo), (f_up, f_lo) = u, h, f
-    return max(
-        f_up - _sigma(d, alpha, up) * (h_up - h_high) / dt,
-        (f_lo - _sigma(d, alpha, lo) * (h_lo - h_low) / dt) * -1.0,
     )
 
 
@@ -1144,10 +1145,10 @@ class _Extremes(NamedTuple):
     """The smallest and largest value of each row of a (k, npoints) array,
     as two lists of floats, from one reduction each way.
 
-    The rows are simulate's per-run buffer: 0-1 a state's u1 and u2, 2-3
-    its h1 and h2, 4-5 its miss |u - p| against the prediction p it was
-    stepped into, and 6-7 the next prediction; a state alone (of) gives the
-    first four. Each float is what a reduction of its row alone gives.
+    The rows are an automatic run's per-run buffer in simulate: 0-1 a
+    state's u1 and u2, 2-3 its h1 and h2, and 4-5 the prediction of the
+    next state; a state alone (of) gives the first four. Each float is what
+    a reduction of its row alone gives.
     """
 
     lo: list
@@ -1177,7 +1178,7 @@ def simulate(
     From the third step on, each attempt first tries a predicted bracket
     around the next u stack extrapolated from those of the last three
     accepted states (the module docstring gives its form), and takes it
-    when it is a discrete bound solution at the current dt; its summary
+    when it is a discrete bound solution at the attempt's dt; its summary
     says "predicted". The first two steps, and an attempt whose predicted
     bracket fails, go on at no cost to the halving budget to the run's
     other brackets. With `bracket` given (a certified (lower, upper) pair)
@@ -1190,13 +1191,23 @@ def simulate(
     when kappa >= 1, the wide zero-floor bracket with ceiling 2*max(u_i),
     under the same test.
 
-    An attempt is rejected when no bracket passes, when the step raises, or
-    when, while halvings remain, a sup norm grows past growth_trigger. Each
-    rejection halves dt, spends one halving and starts the attempt again,
-    predicted bracket first. A rejection with the budget spent ends the run
-    with termination "failed" and the error kept, rather than raising, so
-    partial output survives. Each accepted step's TraceSummary is packed
-    into `summaries`, which reads it back bit for bit.
+    One controller picks each step's dt. After an accepted step whose
+    largest relative sup-norm rise over the two species is r (0 when both
+    norms fall), the next dt is min(cfg.dt, dt * min(2, 0.9 *
+    growth_trigger / r)), so a run whose norms never rise by more than
+    half the trigger stays at cfg.dt. A last step cut short to land on
+    t_end leaves the controller's dt as it was. An attempt is rejected when
+    no bracket passes, when the step raises, or when r exceeds
+    growth_trigger; each rejection halves dt, spends one of max_halvings
+    and starts the attempt again, predicted bracket first. Once the budget
+    is spent, a step that rises too fast is accepted and the controller
+    still shrinks the next dt, so growth control never switches off; any
+    other rejection then ends the run with termination "failed" and the
+    error kept. A dt below _DT_FLOOR * max(1, t), where t + dt can no
+    longer be told from t to about a thousand ulps, ends the run with
+    termination "dt_floor". Neither raises, so partial output survives.
+    Each accepted step's TraceSummary is packed into `summaries`, which
+    reads it back bit for bit.
 
     `snapshots` is the sink of the kept states: any object with `append`,
     which receives the initial state, every snapshot_every-th accepted one
@@ -1217,23 +1228,22 @@ def simulate(
         raise ValueError("initial fields must be finite")
     if np.any(state.u < 0.0):
         raise ValueError("initial fields must be nonnegative")
-    extremes = _Extremes.of(state)
-    norms = extremes.sup_norms()
     growth = 0.0
     snapshots = [] if snapshots is None else snapshots
     snapshots.append(state)
     kept = state
     digests = bytearray()
-    dt = cfg.dt
+    dt, grow = cfg.dt, 2.0
+    trigger = cfg.growth_trigger
     halvings = 0
     accepted = 0
     termination = "completed"
     overflow_time = None
     error = None
     final_state = state
-    solver = _HelmholtzSolver(grid, lean=True)
+    # on the states' own grid, which every step then finds by identity
+    solver = _HelmholtzSolver(state.grid)
     columns = _param_columns(params, grid)
-    step_cfg = cfg
     if bracket is not None:
         # checked once to contain u0, and stacked once, with its transform
         # and reactions, for every step
@@ -1242,19 +1252,29 @@ def simulate(
     # the predictor's nodes, the last three accepted states' times and u
     # stacks, and each species' miss of the last accepted prediction
     times, values, misses = [state.t], [state.u], None
-    # _Extremes' per-run buffer, and its rows as (2, *grid) stacks; the
-    # prediction rows hold the next step's, for a step of predicted_dt
-    rows = np.zeros((8, grid.npoints))
-    u_rows, h_rows, miss_rows, prediction = (
-        rows[i:i + 2].reshape((2,) + grid.shape) for i in range(0, 8, 2)
-    )
+    # two per-run buffers of (2, *grid) stacks. An accepted state's |u| and
+    # its miss |u - p| against the prediction p it was stepped into are
+    # reduced for their largest values, the sup norms and the misses. An
+    # automatic run's state u and h and the prediction for an attempt of
+    # predicted_dt are reduced each way (_Extremes) before its brackets
+    checked, rows = np.zeros((4, grid.npoints)), np.empty((6, grid.npoints))
+    stack = (2,) + grid.shape
+    abs_u, miss_rows = checked[:2].reshape(stack), checked[2:].reshape(stack)
+    u_rows, h_rows, prediction = (rows[i:i + 2].reshape(stack) for i in (0, 2, 4))
+    np.copyto(u_rows, state.u)
+    np.copyto(h_rows, state.h)
+    extremes = _Extremes.reduce(rows[:4])
+    norms = extremes.sup_norms()
     predicted_dt = None
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
-        dt_step = min(dt, t_end - state.t)
-        if step_cfg.dt != dt_step:
-            step_cfg = cfg if dt_step == cfg.dt else dataclasses.replace(cfg, dt=dt_step)
+        if dt < _DT_FLOOR * (state.t if state.t > 1.0 else 1.0):
+            termination = "dt_floor"
+            break
+        dt_step = t_end - state.t
+        if dt <= dt_step:
+            dt_step = dt
 
         # one attempt: the step, or the reason to redo it at half the dt.
         # The predicted bracket goes first once a miss is known, from the
@@ -1263,15 +1283,19 @@ def simulate(
         step_bracket = None
         if len(times) > 1 and predicted_dt != dt_step:
             _extrapolate(times, values, state.t + dt_step, prediction)
-            p_lo, p_hi = _Extremes.reduce(rows[6:])
             predicted_dt = dt_step
+            if bracket is None:
+                extremes = _Extremes.reduce(rows)
         if misses is not None:
-            round_off = _PREDICT_FLOOR * max(1.0, *norms)
-            widths = [_PREDICT_FACTOR * miss + round_off for miss in misses]
+            n1, n2 = norms
+            n1 = n2 if n2 > n1 else n1
+            round_off = _PREDICT_FLOOR * (n1 if n1 > 1.0 else 1.0)
+            e1 = _PREDICT_FACTOR * misses[0] + round_off
+            e2 = _PREDICT_FACTOR * misses[1] + round_off
             if bracket is not None:
                 # clipped into the window, so every state stays inside it
                 clipped = np.minimum(np.maximum(prediction, floor), top)
-                e = np.reshape(widths, (2,) + (1,) * grid.dimension)
+                e = np.reshape((e1, e2), (2,) + (1,) * grid.dimension)
                 u = np.empty((2, 2) + grid.shape)
                 np.minimum(clipped + e, top, out=u[:, 0])
                 np.maximum(clipped - e, floor, out=u[:, 1])
@@ -1285,16 +1309,18 @@ def simulate(
                     step_bracket = None
             else:
                 # around each species' extremes of the extrapolated stack
-                floors = [max(p - e, 0.0) for p, e in zip(p_lo, widths)]
-                ceilings = [p + e for p, e in zip(p_hi, widths)]
+                lo, hi = extremes
+                f1, f2 = lo[4] - e1, lo[5] - e2
                 step_bracket = _auto_bracket(
-                    params, columns, extremes, dt_step, floors, ceilings, "predicted"
+                    params, columns, extremes, dt_step,
+                    [0.0 if 0.0 > f1 else f1, 0.0 if 0.0 > f2 else f2],
+                    [hi[4] + e1, hi[5] + e2], "predicted",
                 )
         if step_bracket is None and bracket is not None:
             # measured by the step, which raises what a caller's pair raises
             step_bracket = window
         elif step_bracket is None:
-            kappa = max(3.0 * cfg.growth_trigger, 2.0 * growth)
+            kappa = max(3.0 * trigger, 2.0 * growth)
             lo, hi = extremes
             if kappa < 1.0:
                 floors = [(1.0 - kappa) * lo[0], (1.0 - kappa) * lo[1]]
@@ -1315,22 +1341,18 @@ def simulate(
                 )
         if rejection is None:
             try:
-                new_state, summary = step_monotone(state, step_cfg, params, step_bracket, solver)
+                new_state, summary = step_monotone(
+                    state, cfg, params, step_bracket, solver, dt_step, False
+                )
             except (ConvergenceError, OrderingViolationError) as exc:
                 rejection = exc
         if rejection is None:
-            # the new state, its miss when this attempt had a prediction, and
-            # the prediction of the next step, made before this one is
-            # accepted, into the buffer for one pair of reductions
-            np.copyto(u_rows, new_state.u)
-            np.copyto(h_rows, new_state.h)
+            # the new state's |u| and its miss, when this attempt had a
+            # prediction, for one reduction; max |u_i| is the sup norm exactly
+            np.abs(new_state.u, out=abs_u)
             if len(times) > 1:
                 np.abs(np.subtract(new_state.u, prediction, out=miss_rows), out=miss_rows)
-            next_times, next_values = times[-2:] + [new_state.t], values[-2:] + [new_state.u]
-            next_dt = min(dt, t_end - new_state.t)
-            _extrapolate(next_times, next_values, new_state.t + next_dt, prediction)
-            new_extremes = _Extremes.reduce(rows)
-            m1, m2 = new_extremes.sup_norms()
+            m1, m2, miss1, miss2 = np.maximum.reduce(checked, axis=1).tolist()
             finite = math.isfinite(m1) and math.isfinite(m2)
             if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
                 termination = "overflowed"
@@ -1339,13 +1361,12 @@ def simulate(
                     new_state if finite else dataclasses.replace(new_state, overflowed=True)
                 )
                 break
-            # growth is checked only while the halving budget lasts, so this
-            # cause never ends the run
+            # each species' relative sup-norm change, and the larger rise
             p1, p2 = norms
-            if halvings < cfg.max_halvings and (
-                (p1 > 0.0 and m1 > (1.0 + cfg.growth_trigger) * p1)
-                or (p2 > 0.0 and m2 > (1.0 + cfg.growth_trigger) * p2)
-            ):
+            r1 = (m1 - p1) / p1 if p1 > 0.0 else 0.0
+            r2 = (m2 - p2) / p2 if p2 > 0.0 else 0.0
+            rise = r2 if r2 > r1 else r1
+            if rise > trigger and halvings < cfg.max_halvings:
                 rejection = "growth"
 
         if rejection is not None:
@@ -1353,21 +1374,29 @@ def simulate(
                 termination = "failed"
                 error = rejection
                 break
-            dt = dt / 2.0
+            dt = dt_step / 2.0
             halvings += 1
-            # the prediction row may hold the rejected state's next one
-            predicted_dt = None
+            grow = 1.0
             continue
 
-        growth = max(
-            abs(m1 - p1) / p1 if p1 > 0.0 else 0.0, abs(m2 - p2) / p2 if p2 > 0.0 else 0.0
-        )
-        lo, hi = new_extremes
+        if dt_step == dt:
+            # the controller, fed only by steps of its own dt, and kept from
+            # growing dt on the step after a rejection
+            factor = 0.9 * trigger / rise if rise > 0.0 else 2.0
+            dt *= factor if factor < grow else grow
+            if dt > cfg.dt:
+                dt = cfg.dt
+        grow = 2.0
+        r1, r2 = abs(r1), abs(r2)
+        growth = r2 if r2 > r1 else r1
         if len(times) > 1:
-            misses = hi[4:6]
-        state, extremes, norms = new_state, new_extremes, (m1, m2)
-        times, values = next_times, next_values
-        p_lo, p_hi, predicted_dt = lo[6:], hi[6:], next_dt
+            misses = miss1, miss2
+        state, norms = new_state, (m1, m2)
+        times, values = times[-2:] + [state.t], values[-2:] + [state.u]
+        predicted_dt = None
+        if bracket is None:
+            np.copyto(u_rows, state.u)
+            np.copyto(h_rows, state.h)
         accepted += 1
         _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:

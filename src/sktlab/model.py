@@ -78,6 +78,12 @@ class ModelParams:
         for name in ("alpha1", "alpha2"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # each species' (a, own, other, d, alpha), f_i = u_i (-a + own u_i -
+        # other u_j) up to the order of its terms, for float-level callers
+        object.__setattr__(self, "species", (
+            (self.a1, self.b1, self.c1, self.d1, self.alpha1),
+            (self.a2, self.c2, self.b2, self.d2, self.alpha2),
+        ))
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in _PARAM_KEYS}

@@ -818,6 +818,22 @@ class TestSimulate:
         assert summary["bracket_mode"] == "auto"
         assert "overflow_time:" in capsys.readouterr().out
 
+    def test_dt_floor_exits_0_with_its_termination(self, capsys, tmp_path, conf):
+        # with no overflow cap in reach, the controller shrinks dt with the
+        # blow-up until it reaches its floor, about 1e3 ulps of t; the run
+        # ends there and keeps what it made
+        text = BLOWUP_CONFIG.replace("overflow_cap = 50.0", "overflow_cap = 1e300").replace(
+            "snapshot_every = 100", "snapshot_every = 50\ngrowth_trigger = 0.05"
+        )
+        rc, out = run(conf(text), tmp_path, sub="simulate")
+        assert rc == 0
+        assert "termination: dt_floor" in capsys.readouterr().out
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["termination"] == "dt_floor" and summary["error"] is None
+        assert summary["final_dt"] < 1e3 * np.finfo(float).eps * max(1.0, summary["final_time"])
+        rows = (out / "snapshots.csv").read_text().splitlines()
+        assert len(rows) - 1 == 17 * (summary["steps"] // 50 + 2)
+
 
 class TestBlowupCommand:
     def test_certified_run_report(self, capsys, tmp_path, conf):

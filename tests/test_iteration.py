@@ -922,16 +922,15 @@ class TestWindowBracketRuns:
             for f, (n, _), u in zip(fill, regime.window, data)
         )
         bracket = initial_bracket(params, eig, u0, regime)
-        # no halvings: every step runs at dt, and the first failure ends the run
+        # no halvings: the first failure ends the run, and only a rising
+        # norm moves dt off cfg.dt
         cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
         t_end = 3.0 * dt
         result = simulate(params, grid, eig, u0, cfg, t_end, bracket=bracket)
         assert len(result.snapshots) == len(result.summaries) + 1
 
-        def step(state):
-            # simulate trims the last step to land on t_end
-            step_cfg = dataclasses.replace(cfg, dt=min(dt, t_end - state.t))
-            return step_monotone(state, step_cfg, params, bracket)
+        def step(state, step_dt):
+            return step_monotone(state, cfg, params, bracket, dt=step_dt)
 
         # each step of the run, redone from the run's own state in the window:
         # a window step gives the same state bit for bit and the same trace;
@@ -944,7 +943,7 @@ class TestWindowBracketRuns:
         for summary, state, snap in zip(
             result.summaries, result.snapshots, result.snapshots[1:]
         ):
-            new_state, trace = step(state)
+            new_state, trace = step(state, summary.dt)
             assert new_state.t == snap.t
             if summary.bracket == "predicted":
                 assert np.abs(new_state.u - snap.u).max() <= gap_tol
@@ -965,12 +964,14 @@ class TestWindowBracketRuns:
         assert result.final_state is result.snapshots[-1]
         state = result.final_state
         if result.termination == "failed":
-            # the step that ended the run fails the same way on the pair
+            # the step that ended the run fails the same way on the pair, at
+            # the controller's dt, trimmed to land on t_end
             with pytest.raises(type(result.error), match=re.escape(str(result.error))):
-                step(state)
+                step(state, min(result.final_dt, t_end - state.t))
         else:
             assert result.termination == "completed"
-            assert len(result.summaries) == 3
+            assert state.t == pytest.approx(t_end, rel=1e-12)
+            assert len(result.summaries) == 3 or min(s.dt for s in result.summaries) < dt
 
 
 def smooth_fields(grid, seed, kinds, constant):
@@ -987,18 +988,21 @@ def smooth_fields(grid, seed, kinds, constant):
     ]
 
 
-def recorded_run(params, grid, u0, cfg, t_end, bracket):
+def recorded_run(params, grid, u0, cfg, t_end, bracket, redo=None):
     """simulate with every step_monotone call that returned recorded as
-    (state, cfg, bracket, new state, summary, trace): simulate's lean solver
-    gets the step's summary back, and trace is the IterationTrace of the
-    same step redone through the public path (a fresh solver), which must
-    give the same new state, byte for byte, and an equal summary."""
+    (state, cfg, bracket, new state, summary, trace), cfg with the dt the
+    step was given: simulate asks for the step's summary alone, and trace is
+    the IterationTrace of the same step redone through the public path (a
+    fresh solver), which must give the same new state, byte for byte, and
+    an equal summary. With `redo`, a set of bracket kinds, only steps in
+    those brackets are redone, and the others' trace is None."""
     calls = []
     step = sktlab.iteration.step_monotone
 
-    def recording(state, cfg, params, bracket, solver=None):
-        new_state, summary = step(state, cfg, params, bracket, solver)
-        calls.append((state, cfg, bracket, new_state, summary))
+    def recording(state, cfg, params, bracket, solver, dt, trace):
+        assert trace is False
+        new_state, summary = step(state, cfg, params, bracket, solver, dt, trace)
+        calls.append((state, dataclasses.replace(cfg, dt=dt), bracket, new_state, summary))
         return new_state, summary
 
     eig = principal_eigenpair(grid, "principal")
@@ -1008,6 +1012,9 @@ def recorded_run(params, grid, u0, cfg, t_end, bracket):
     traced = []
     for state, step_cfg, step_bracket, new_state, summary in calls:
         assert isinstance(summary, TraceSummary)
+        if redo is not None and summary.bracket not in redo:
+            traced.append((state, step_cfg, step_bracket, new_state, summary, None))
+            continue
         public_state, trace = step_monotone(state, step_cfg, params, step_bracket)
         assert public_state.t == new_state.t
         assert public_state.u.tobytes() == new_state.u.tobytes()
@@ -1058,12 +1065,13 @@ class TestPredictedBrackets:
             data = [fill * n * u / max(u.max(), 1.0) for (_, n), u in zip(regime.window, data)]
             bracket = initial_bracket(params, eig, [ScalarField(grid, u) for u in data], regime)
         u0 = tuple(ScalarField(grid, u) for u in data)
-        # no halvings: every step runs at dt, and the first failure ends the run
+        # no halvings: the first failure ends the run, and a rising norm
+        # shrinks dt, so predicted brackets also span uneven nodes
         cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
-        result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket)
+        result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket, {"predicted"})
         kept = {id(s) for s in result.snapshots}
-        for state, step_cfg, step_bracket, new_state, _, trace in calls:
-            if trace.summary.bracket != "predicted" or id(new_state) not in kept:
+        for state, step_cfg, step_bracket, new_state, summary, trace in calls:
+            if summary.bracket != "predicted" or id(new_state) not in kept:
                 continue
             scale = max(step_bracket.box[1])
             check_chain_and_zeros(trace, new_state, data, scale)
@@ -1129,8 +1137,11 @@ class TestPredictedBrackets:
             return got
 
         monkeypatch.setattr(sktlab.iteration, "_auto_bracket", recording)
-        cfg = SolverConfig(dt=0.02, max_halvings=0)
+        # a growth trigger of 0.3 keeps every step at dt: no step's norm
+        # rises by 0.45 * 0.3, where the controller would start to shrink dt
+        cfg = SolverConfig(dt=0.02, max_halvings=0, growth_trigger=0.3)
         result = simulate(params, grid, eig, u0, cfg, 0.3)
+        assert {s.dt for s in result.summaries} == {0.02}
         assert result.termination == "completed"
         assert result.halvings_used == 0
         peaks = [float(s.u[0].max()) for s in result.snapshots]
@@ -1179,7 +1190,8 @@ class TestPredictedBrackets:
         # simulate's summaries read back each accepted step's TraceSummary
         # as step_monotone built it, floats bit for bit, stamped with the new
         # state's time and the step's own dt;
-        # growth rejections halve dt twice and the last step is shortened
+        # growth rejections halve dt twice, the controller then picks each
+        # step's dt, and the last step is shortened to land on t_end
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
         u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
@@ -1197,7 +1209,8 @@ class TestPredictedBrackets:
             assert summary.dt == step_cfg.dt
             assert summary.iterations == len(trace.iterates) - 1
         dts = {s.dt for s in result.summaries}
-        assert cfg.dt not in dts and len(dts) == 2
+        assert cfg.dt not in dts and len(dts) > 2
+        assert result.final_state.t == pytest.approx(0.1275, rel=1e-12)
 
 
 class TestLeanSteps:
@@ -1856,7 +1869,9 @@ class TestSimulate:
     def test_infeasible_brackets_spend_the_one_halving_branch(self, monkeypatch):
         # from (1.2, 0.8) at dt 0.5 the tight bracket fails at every dt tried
         # and the wide ceiling at 0.5 and 0.25: those attempts halve dt without
-        # a step. At 0.125 the wide step grows too fast and is redone at 0.0625.
+        # a step. At 0.125 the wide step grows too fast and is redone at 0.0625,
+        # which spends the last halving; that step grows too fast as well, and
+        # is accepted, so the controller shrinks the next dt.
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
         eig = principal_eigenpair(grid, "principal")
@@ -1869,26 +1884,32 @@ class TestSimulate:
         step_dts = []
         step = sktlab.iteration.step_monotone
 
-        def recording(state, cfg, *args):
-            step_dts.append(cfg.dt)
-            return step(state, cfg, *args)
+        def recording(state, cfg, params, bracket, solver, dt, trace):
+            step_dts.append(dt)
+            return step(state, cfg, params, bracket, solver, dt, trace)
 
         monkeypatch.setattr(sktlab.iteration, "step_monotone", recording)
-        for max_halvings, first_steps, first_dts in (
-            (3, [("wide", 0.0625), ("tight", 0.0625)], [0.125, 0.0625]), (0, [], []),
-        ):
-            step_dts.clear()
-            cfg = SolverConfig(dt=0.5, max_halvings=max_halvings)
-            result = simulate(params, grid, eig, u0, cfg, 0.5)
-            assert result.halvings_used == max_halvings
-            assert [(s.bracket, s.dt) for s in result.summaries[:2]] == first_steps
-            assert step_dts[:2] == first_dts
-            # the growing state outruns even the wide ceiling once the budget
-            # is spent
-            assert result.termination == "failed"
-            assert isinstance(result.error, ConvergenceError)
-            assert "no feasible step ceiling at the minimum dt" in str(result.error)
-        assert "(5.000e-01)" in str(result.error)
+        cfg = SolverConfig(dt=0.5, max_halvings=3)
+        result = simulate(params, grid, eig, u0, cfg, 0.5)
+        assert result.halvings_used == 3
+        assert step_dts[:2] == [0.125, 0.0625]
+        first, second = result.summaries[:2]
+        assert (first.bracket, first.dt) == ("wide", 0.0625)
+        assert second.bracket == "tight" and second.dt < 0.0625
+        # under the controller the growing state no longer outruns the
+        # brackets: the run completes, every step rising by at most about
+        # the trigger after the first
+        assert result.termination == "completed"
+        norms = [float(snap.u.max()) for snap in result.snapshots]
+        rises = [(b - a) / a for a, b in zip(norms, norms[1:])]
+        assert rises[0] > cfg.growth_trigger and max(rises[1:]) <= 1.2 * cfg.growth_trigger
+        # with no budget at all, the first infeasible attempt ends the run
+        step_dts.clear()
+        result = simulate(params, grid, eig, u0, SolverConfig(dt=0.5, max_halvings=0), 0.5)
+        assert result.halvings_used == 0 and len(result.summaries) == 0 and step_dts == []
+        assert result.termination == "failed"
+        assert isinstance(result.error, ConvergenceError)
+        assert "no feasible step ceiling at the minimum dt (5.000e-01)" in str(result.error)
 
     def test_slow_steps_run_in_tight_brackets(self, setup):
         # a decaying state under the default trigger: every step is admitted
@@ -1903,6 +1924,11 @@ class TestSimulate:
         assert [s.bracket for s in result.summaries] == ["wide"] * 5
 
     def test_growth_trigger_spends_halvings(self):
+        # the first step, trimmed to t_end = 0.05, rises too fast and is
+        # halved three times, which spends the budget; at 0.00625 it still
+        # rises too fast, and is accepted, and the controller shrinks each
+        # later dt so that no step rises past the trigger by more than the
+        # growth of the rate from one step to the next
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
         eig = principal_eigenpair(grid, "principal")
@@ -1911,8 +1937,13 @@ class TestSimulate:
         result = simulate(params, grid, eig, u0, cfg, 0.05)
         assert result.termination == "completed"
         assert result.halvings_used == 3
-        assert result.final_dt == pytest.approx(0.0125)
-        assert all(s.dt <= 0.0125 + 1e-15 for s in result.summaries)
+        assert result.summaries[0].dt == 0.05 / 8
+        assert all(s.dt < 0.9 * 0.05 / 8 for s in result.summaries[1:])
+        assert result.final_dt < 0.05 / 8
+        norms = [float(snap.u.max()) for snap in result.snapshots]
+        rises = [(b - a) / a for a, b in zip(norms, norms[1:])]
+        assert rises[0] > cfg.growth_trigger
+        assert max(rises[1:]) <= cfg.growth_trigger
         assert result.final_state.u1.values.max() > 1.2
 
     def test_overflow_keeps_offending_state_out_of_snapshots(self):
@@ -1970,3 +2001,128 @@ class TestSimulate:
         bad = (u0[0], ScalarField(grid, vals, overflowed=True))
         with pytest.raises(ValueError, match="initial fields must be finite"):
             simulate(params, grid, eig, bad, SolverConfig(dt=1e-3), 1e-2, bracket=bracket)
+
+
+class TestControlledSteps:
+    """One controller picks every dt: from the last step's rise, past the
+    halving budget, back up to cfg.dt, and down to a floor."""
+
+    def test_spike_then_decay_finishes_at_cfg_dt(self):
+        # species 1 peaks above its growth threshold a1/b1 = 1 with its mean
+        # below it: the reaction lifts the peak for a while, then diffusion
+        # wins and the state decays. dt shrinks while the peak rises and
+        # grows back once it falls; a run that ended at its smallest dt
+        # would take far more steps
+        params = ModelParams(
+            d1=0.3, d2=1.0, alpha1=0.0, alpha2=0.0, a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
+        )
+        grid = Grid.interval(np.pi, 17)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (
+            ScalarField.from_function(grid, lambda x: 0.7 + 0.5 * np.cos(x)),
+            ScalarField.constant(grid, 0.0),
+        )
+        cfg = SolverConfig(dt=0.05, max_halvings=0)
+        result = simulate(params, grid, eig, u0, cfg, 8.0)
+        assert result.termination == "completed" and result.halvings_used == 0
+        peaks = [float(snap.u[0].max()) for snap in result.snapshots]
+        top = int(np.argmax(peaks))
+        assert 0 < top and peaks[top] > 1.04 * peaks[0] and peaks[-1] < 0.01
+        dts = [s.dt for s in result.summaries]
+        assert dts[0] == cfg.dt and min(dts[:top]) < 0.3 * cfg.dt
+        # the last step is trimmed to land on t_end, and leaves the
+        # controller's dt as it was
+        assert dts[-2] == result.final_dt == cfg.dt and dts[-1] < cfg.dt
+        assert len(dts) < 4.0 * 8.0 / cfg.dt
+        assert all(np.all(snap.u[1] == 0.0) for snap in result.snapshots)
+
+    @settings(max_examples=30)
+    @given(
+        alphas=STEP_DRAWS["alphas"],
+        alpha=STEP_DRAWS["alpha"],
+        coeffs=STEP_DRAWS["coeffs"],
+        dims=st.tuples(st.integers(3, 20)),
+        levels=st.tuples(st.floats(0.55, 0.95), st.sampled_from([0.0, 0.3, 0.9])),
+        dt=st.floats(0.5, 2.0),
+    )
+    def test_predicted_brackets_across_dt_changes(self, alphas, alpha, coeffs, dims, levels, dt):
+        # constant data under each species' growth threshold a_i/own_i only
+        # decay, so no norm rises; at a long dt the wide ceiling 2 max u_1 lies
+        # above species 1's threshold, the first attempts halve dt, and the
+        # controller doubles it back to cfg.dt. Predicted brackets on the
+        # unevenly spaced nodes this leaves are admitted, and keep the chain
+        # ordered and a zero species exactly zero
+        params, grid, _, _ = drawn_case(alphas, alpha, coeffs, dims, 2.0, ("zero", "zero"), 0)
+        (_, own1, _, _, _), (_, own2, _, _, _) = params.species
+        data = [
+            np.full(grid.shape, level * a / own)
+            for level, a, own in zip(levels, (params.a1, params.a2), (own1, own2))
+        ]
+        u0 = tuple(ScalarField(grid, u) for u in data)
+        cfg = SolverConfig(dt=dt)
+        result, calls = recorded_run(params, grid, u0, cfg, 8.0 * dt, None, {"predicted"})
+        assert result.termination == "completed" and result.final_dt == cfg.dt
+        kept = {id(s) for s in result.snapshots}
+        accepted = [call for call in calls if id(call[3]) in kept]
+        for _, _, step_bracket, new_state, summary, trace in accepted:
+            if summary.bracket != "predicted":
+                continue
+            check_chain_and_zeros(trace, new_state, data, max(step_bracket.box[1]))
+        # dt shrank, grew back, and predicted brackets are admitted again
+        dts = [s.dt for s in result.summaries]
+        if result.halvings_used:
+            back = dts.index(cfg.dt)
+            assert min(dts) < cfg.dt and back > 0
+            assert any(s.bracket == "predicted" for s in result.summaries[back:])
+
+    def test_regrowth_predicts_on_uneven_nodes(self):
+        # like the draws above: dt 2 halves to 0.5, where the step after the
+        # rejection holds it, then doubles back, and the step at 1 runs
+        # predicted, extrapolated from nodes 0.5 apart
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 9)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 0.45), ScalarField.constant(grid, 0.0))
+        result = simulate(params, grid, eig, u0, SolverConfig(dt=2.0), 16.0)
+        assert result.termination == "completed" and result.halvings_used == 2
+        steps = [(s.dt, s.bracket) for s in result.summaries[:5]]
+        assert steps == [
+            (0.5, "wide"), (0.5, "tight"), (1.0, "predicted"), (2.0, "tight"), (2.0, "predicted"),
+        ]
+        assert result.summaries[-1].dt == result.final_dt == 2.0
+
+    def test_budget_spent_keeps_growth_controlled(self):
+        # blowup-1d's model with no halving budget: the first step rises past
+        # the trigger and is accepted, and from then on the controller keeps
+        # every step's rise within the trigger, with dt falling with 1/u,
+        # up to the overflow cap
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 9)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        cfg = SolverConfig(dt=0.01, max_halvings=0, overflow_cap=100.0, growth_trigger=0.01)
+        result = simulate(params, grid, eig, u0, cfg, 10.0)
+        assert result.termination == "overflowed" and result.halvings_used == 0
+        norms = [float(snap.u.max()) for snap in result.snapshots]
+        rises = [(b - a) / a for a, b in zip(norms, norms[1:])]
+        assert rises[0] > cfg.growth_trigger
+        assert max(rises[1:]) <= cfg.growth_trigger
+        dts = [s.dt for s in result.summaries]
+        assert dts[-1] < 0.02 * dts[1] and all(b <= a for a, b in zip(dts[1:], dts[2:]))
+
+    def test_dt_floor_ends_the_run_and_keeps_its_output(self):
+        # no overflow cap in reach: the controller shrinks dt with the
+        # blow-up until dt falls under about 1e3 ulps of t, where the run
+        # ends with termination "dt_floor", no error, and its snapshots
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 5)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        cfg = SolverConfig(dt=0.01, growth_trigger=0.05, overflow_cap=1e300, snapshot_every=50)
+        result = simulate(params, grid, eig, u0, cfg, 2.0)
+        assert result.termination == "dt_floor" and result.error is None
+        state = result.final_state
+        assert result.final_dt < 1e3 * np.finfo(float).eps * max(1.0, state.t) <= 2.0 * result.final_dt
+        assert state is result.snapshots[-1] and state.t < 2.0
+        assert len(result.snapshots) == len(result.summaries) // 50 + 2
+        assert float(state.u.max()) > 1e10 and np.isfinite(state.u).all()
