@@ -57,13 +57,15 @@ class _Records(Sequence):
 
 class SnapshotSpool(_Records):
     """Kept states, appended as records to an unlinked temporary file in
-    `directory`; a `simulate` snapshot sink. Leaving its with block closes
-    the file, which frees its space."""
+    `directory`; a `simulate` snapshot sink. Each record is built in one
+    float64 array made with the spool, the only copy of the state it takes.
+    Leaving its with block closes the file, which frees its space."""
 
-    __slots__ = ()
+    __slots__ = ("_record",)
 
     def __init__(self, grid, directory):
         super().__init__(tempfile.TemporaryFile(dir=directory), grid, range(0))
+        self._record = np.empty(1 + 4 * grid.npoints)
 
     def __enter__(self):
         return self
@@ -74,10 +76,13 @@ class SnapshotSpool(_Records):
     def append(self, state: SystemState) -> None:
         if state.overflowed:
             raise ValueError("an overflowed state has no finite record")
-        t = np.float64(state.t).tobytes()
-        record = memoryview(b"".join((t, state.u.tobytes(), state.h.tobytes())))
-        if len(record) != self._size:
+        record, n = self._record, 2 * self._grid.npoints
+        if state.u.size != n or state.h.size != n:
             raise ValueError("the state does not live on the spool's grid")
+        record[0] = state.t
+        record[1:1 + n] = state.u.reshape(-1)
+        record[1 + n:] = state.h.reshape(-1)
+        record = memoryview(record).cast("B")
         fd, offset = self._file.fileno(), len(self) * self._size
         # a short write leaves the rest to the next call, which raises the
         # reason (a full disk, say)

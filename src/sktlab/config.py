@@ -167,12 +167,13 @@ def _build_model(sections: dict) -> ModelParams:
     try:
         return ModelParams.from_dict(values)
     except ValueError as exc:
-        raise ConfigError(str(exc), section="model") from None
+        raise _rejected(exc, sections, "model") from None
 
 
 def _rejected(exc, sections: dict, section: str) -> ConfigError:
-    """The config error for a value Grid or SolverConfig rejected, at the
-    key its message starts with, when that key is in the section."""
+    """The config error for a value ModelParams, Grid or SolverConfig
+    rejected, at the key its message starts with, when that key is in the
+    section."""
     key = str(exc).split(" ", 1)[0]
     if key not in sections[section]:
         return ConfigError(str(exc), section=section)

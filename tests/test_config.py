@@ -144,7 +144,7 @@ ERRORS = [
      "[initial] scale2: key is not accepted here", "initial", "scale2", 20),
     # constraints on values read
     ("model-rejects", model(d1="0") + grid(), "load",
-     "[model]: d1 must be > 0, got 0.0", "model", None, None),
+     "[model] d1: d1 must be > 0, got 0.0", "model", "d1", 2),
     ("bad-dim", model() + grid(dim="3"), "load",
      "[grid] dim: dim must be 1 or 2, got 3", "grid", "dim", 13),
     ("ly-on-1d", model() + grid(ly="2.0"), "load",
@@ -205,7 +205,7 @@ ERRORS = [
     ("model-value-before-missing-grid-2", model(b2="0.5.1"), "load",
      "[model] b2: expected a number, got '0.5.1'", "model", "b2", 9),
     ("model-rejects-before-missing-grid", model(c1="-0.5"), "load",
-     "[model]: c1 must be > 0, got -0.5", "model", None, None),
+     "[model] c1: c1 must be > 0, got -0.5", "model", "c1", 10),
     ("model-before-grid", model(d2="x") + grid(nx="x"), "load",
      "[model] d2: expected a number, got 'x'", "model", "d2", 3),
     ("grid-before-solver", model() + grid(nx="x") + solver(dt="x"), "load",
