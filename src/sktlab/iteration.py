@@ -61,9 +61,10 @@ largest h^n and its floor violation only at the smallest. That is exact,
 not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
-reduces to. The extremes of u and h^n are taken once per accepted state,
-with those of its prediction miss and of the next prediction (_Extremes),
-and serve the next attempt's brackets and the growth and overflow test.
+reduces to. An accepted state's sup norms and prediction miss come from
+one reduction, for the controller and the overflow test; an automatic
+run's extremes of u, h^n and the attempt's prediction from one pair
+(_Extremes), for its brackets.
 An admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
 the grid, and it reaches the step with its violations measured; the step
 takes iterate 0's gap and worst violation from the bracket's floats.
@@ -120,8 +121,8 @@ step on, each attempt first tries a predicted bracket, the predictor half of
 a predictor-corrector (Hairer & Wanner, Solving ODEs II, IV.8): the next
 u stack p is extrapolated by the quadratic in t through the u stacks of
 the last three accepted states, or the line through two before there are
-three, with Lagrange weights, so a halved dt needs nothing special; it is
-made as the step before is accepted, and again only after a rejection.
+three, with Lagrange weights, so unevenly spaced nodes need nothing
+special; it is made for each attempt's dt.
 Each species gets the half-width e_i = 2 * max|u_i^n - p_i^n| over the grid,
 twice the miss of the prediction of the last accepted state, plus a
 round-off floor of 1e-12 * max(1, largest sup norm of the state); no floor
@@ -149,14 +150,20 @@ admitted only when they pass the discrete-bound test the step applies to
 every bracket. Each step's TraceSummary records which of "predicted",
 "window", "tight" and "wide" it ran in.
 
-dt is halved in one place, out of a shared budget, for one of three
-causes: no bracket passes at the current dt, the step raises (the chain
-breaks after every shift escalation, or the gap does not close), or a sup
-norm grows past growth_trigger, checked only while the budget lasts. The
-attempt is then made again at the halved dt, predicted bracket first. A
-predicted or tight bracket that fails its test costs no halving: the step
-falls back to the next one. Overflow of either species past overflow_cap
-terminates the run with the offending state preserved separately from the
+One controller picks every dt (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4): after an accepted step whose largest relative sup-norm rise is r,
+the next dt is min(cfg.dt, dt * min(2, 0.9 * growth_trigger / r)), with no
+growth on the step after a rejection. An attempt is rejected, and redone
+at half its dt, predicted bracket first, for one of three causes: no
+bracket passes at its dt, the step raises (the chain breaks after every
+shift escalation, or the gap does not close), or r exceeds
+growth_trigger. Each rejection spends one of max_halvings. With the budget
+spent, a step that rises too fast is accepted and the controller shrinks
+the next dt, while the other causes end the run as failed. A predicted or
+tight bracket that fails its test costs no halving: the step falls back
+to the next one. A dt below about 1e3 ulps of t ends the run as
+"dt_floor", and overflow of either species past overflow_cap as
+"overflowed", with the offending state preserved separately from the
 sub-cap snapshots.
 """
 
@@ -257,8 +264,11 @@ class SolverConfig:
     """Knobs of the inner iteration and the time-stepping driver.
 
     Each step derives its shift phi from its bracket (_phi_automatic), so
-    no shift is configured. The int and float fields here are also the
-    config file's [solver] keys.
+    no shift is configured. dt is the largest step simulate takes: its
+    controller keeps each step's relative sup-norm rise under
+    growth_trigger, and max_halvings is the run's budget of rejected
+    attempts, each redone at half its dt (simulate). The int and float
+    fields here are also the config file's [solver] keys.
     """
 
     dt: float
@@ -362,11 +372,13 @@ class IterationTrace:
 class SimulationResult:
     """Everything simulate produced, including how it stopped.
 
-    termination is "completed", "overflowed", or "failed"; on overflow the
-    offending above-cap state is final_state while snapshots retain only
-    sub-cap states, and on failure the unrecoverable error is kept in
-    `error`. `snapshots` is the sink simulate was given, a list by default.
-    `summaries` holds each accepted step's TraceSummary; from simulate, a
+    termination is "completed", "overflowed", "dt_floor" or "failed"; on
+    overflow the offending above-cap state is final_state while snapshots
+    retain only sub-cap states, "dt_floor" says dt fell under round-off in
+    t, and on failure the unrecoverable error is kept in `error`.
+    halvings_used counts rejected attempts and final_dt is the
+    controller's dt for the next step. `snapshots` is the sink simulate
+    was given, a list by default. `summaries` holds each accepted step's TraceSummary; from simulate, a
     read-only sequence over packed records (_digests).
     """
 
@@ -1088,18 +1100,16 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     f1_up, f2_lo = _reaction_raw(params, w1, v2)
     f1_lo, f2_up = _reaction_raw(params, v1, w2)
     lo, hi = extremes
-    # per corner, _transform_raw's (d + alpha u) u, and _violations'
-    # f - (sigma (h - h^n)/dt - lap h) and its sign with lap h = 0, written
-    # out on floats
+    # each corner's _transform_raw, (d + alpha u) u, and per species the
+    # larger of _violations' f - (sigma (h - h^n)/dt - lap h) at the ceiling
+    # and its negative at the floor, with lap h = 0, written out on floats
     (_, _, _, d1, a1), (_, _, _, d2, a2) = params.species
     h = [(d1 + a1 * w1) * w1, (d1 + a1 * v1) * v1, (d2 + a2 * w2) * w2, (d2 + a2 * v2) * v2]
-    violations = []
-    for (d, a), (up, low), (h_up, h_low), (f_up, f_low), i in (
-        ((d1, a1), (w1, v1), h[:2], (f1_up, f1_lo), 2), ((d2, a2), (w2, v2), h[2:], (f2_up, f2_lo), 3)
-    ):
-        worst = f_up - 1.0 / (d + 2.0 * a * up) * (h_up - hi[i]) / dt
-        below = (f_low - 1.0 / (d + 2.0 * a * low) * (h_low - lo[i]) / dt) * -1.0
-        violations.append(below if below > worst else worst)
+    top1 = f1_up - 1.0 / (d1 + 2.0 * a1 * w1) * (h[0] - hi[2]) / dt
+    bottom1 = (f1_lo - 1.0 / (d1 + 2.0 * a1 * v1) * (h[1] - lo[2]) / dt) * -1.0
+    top2 = f2_up - 1.0 / (d2 + 2.0 * a2 * w2) * (h[2] - hi[3]) / dt
+    bottom2 = (f2_lo - 1.0 / (d2 + 2.0 * a2 * v2) * (h[3] - lo[3]) / dt) * -1.0
+    violations = [bottom1 if bottom1 > top1 else top1, bottom2 if bottom2 > top2 else top2]
     if not _auto_bracket_feasible(violations, ceilings):
         return None
     # the u, h and f stacks, each in (species, sequence) C order
@@ -1191,23 +1201,16 @@ def simulate(
     when kappa >= 1, the wide zero-floor bracket with ceiling 2*max(u_i),
     under the same test.
 
-    One controller picks each step's dt. After an accepted step whose
-    largest relative sup-norm rise over the two species is r (0 when both
-    norms fall), the next dt is min(cfg.dt, dt * min(2, 0.9 *
-    growth_trigger / r)), so a run whose norms never rise by more than
-    half the trigger stays at cfg.dt. A last step cut short to land on
-    t_end leaves the controller's dt as it was. An attempt is rejected when
-    no bracket passes, when the step raises, or when r exceeds
-    growth_trigger; each rejection halves dt, spends one of max_halvings
-    and starts the attempt again, predicted bracket first. Once the budget
-    is spent, a step that rises too fast is accepted and the controller
-    still shrinks the next dt, so growth control never switches off; any
-    other rejection then ends the run with termination "failed" and the
-    error kept. A dt below _DT_FLOOR * max(1, t), where t + dt can no
-    longer be told from t to about a thousand ulps, ends the run with
-    termination "dt_floor". Neither raises, so partial output survives.
-    Each accepted step's TraceSummary is packed into `summaries`, which
-    reads it back bit for bit.
+    The controller of the module docstring picks each step's dt, with r
+    the larger of the two species' relative sup-norm rises (0 when both
+    norms fall), so a run whose norms never rise by more than half the
+    trigger stays at cfg.dt; a last step cut short to land on t_end leaves
+    the controller's dt as it was. Once the halving budget is spent, growth
+    control stays on; any other rejection then ends the run with
+    termination "failed" and the error kept. A dt below _DT_FLOOR * max(1,
+    t) ends it with termination "dt_floor". Neither raises, so partial
+    output survives. Each accepted step's TraceSummary is packed into
+    `summaries`, which reads it back bit for bit.
 
     `snapshots` is the sink of the kept states: any object with `append`,
     which receives the initial state, every snapshot_every-th accepted one
