@@ -229,6 +229,11 @@ class SystemState:
     h: np.ndarray
     overflowed: bool = False
 
+    def __init__(self, t, grid, u, h, overflowed=False):
+        # the fields at once, where a frozen dataclass's own __init__ sets
+        # each through object.__setattr__: a state is made every step
+        self.__dict__.update(t=t, grid=grid, u=u, h=h, overflowed=overflowed)
+
     u1, u2 = _row_field("u", 0), _row_field("u", 1)
     h1, h2 = _row_field("h", 0), _row_field("h", 1)
 
@@ -613,8 +618,8 @@ class _HelmholtzSolver:
             np.add(self._main, phi, out=d_cols)
             d_cols += sig_over_dt
             # the C-ordered (k, n) stack is the vector of all k*n unknowns, so
-            # it is solved in place
-            info = self._dgtsv(dl, d, du, rhs.reshape(-1), overwrite_d=1, overwrite_b=1)[4]
+            # it is solved in place: overwrite_d and overwrite_b, by position
+            info = self._dgtsv(dl, d, du, rhs.reshape(-1), 0, 1, 0, 1)[4]
             if info != 0:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
@@ -629,25 +634,27 @@ class _HelmholtzSolver:
     def work_arrays(self):
         """The inner iteration's work arrays on this grid, made on first use,
         and the views it reads them through, as (solved, solved_cols, base,
-        term, audit, new_minus_old, v_minus_w).
+        term, audit, new_minus_old, v_minus_w, negated).
 
         solved is two (2, 2, *grid) stacks and solved_cols the same two as
         (4, *grid) columns, the (species, sequence) rows in C order: the
         solves alternate between them, so the previous iterate's transform
         stays readable while the next right-hand side is assembled. base is
         a (2, 2, *grid) stack for the h^n term and term (4, *grid) columns
-        for the shift term. audit is (7, npoints) chain audit rows, one grid
+        for the shift term. audit is (14, npoints) chain audit rows, one grid
         each: the first four are new_minus_old, new - old on the rows (w1,
-        v1, w2, v2) as a (2, 2, *grid) stack, and the last three v_minus_w,
+        v1, w2, v2) as a (2, 2, *grid) stack, the next three v_minus_w,
         v - w on the same flat stack shifted by one row, whose rows 0 and 2
-        are species 1's and 2's (row 1, w2 - v1, is not read)."""
+        are species 1's and 2's (row 1, w2 - v1, is not read), and the last
+        seven, negated, the first seven's negatives, so one reduction gives
+        each row's largest value and its smallest."""
         if self._work is None:
             shape = self.grid.shape
-            work, audit = np.empty((4, 2, 2) + shape), np.empty((7, self.grid.npoints))
+            work, audit = np.empty((4, 2, 2) + shape), np.empty((14, self.grid.npoints))
             solved = work[:2]
             self._work = (
                 solved, solved.reshape((2, 4) + shape), work[3], work[2].reshape((4,) + shape),
-                audit, audit[:4].reshape((2, 2) + shape), audit[4:].reshape(-1),
+                audit, audit[:4].reshape((2, 2) + shape), audit[4:7].reshape(-1), audit[7:],
             )
         return self._work
 
@@ -998,8 +1005,11 @@ def step_monotone(
     # temporaries left, where copies made at the end split the heap between
     # them (3 MB more peak RSS for 501 kept states of 513 points)
     kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
-    solved, solved_cols, base, term, audit, new_minus_old, v_minus_w = solver.work_arrays()
+    solved, solved_cols, base, term, audit, new_minus_old, v_minus_w, negated = (
+        solver.work_arrays()
+    )
     npoints = audit.shape[1]
+    measured = audit[:7]
     if not quasilinear:
         sig, sig_cols = solver.semilinear_sigma(columns)
         sig_over_dt = sig_cols / dt
@@ -1028,20 +1038,21 @@ def step_monotone(
             new_u = _inverse_stack(params, d, rhs)
 
             # the lower must not drop nor the upper rise, then the lower must
-            # stay under the upper, whose excess is the gap; 0.0 - x negates x
-            # and keeps a zero +0.0
+            # stay under the upper, whose excess is the gap. A row's smallest
+            # value is minus its negative's largest, up to a zero's sign, and
+            # 0.0 + x gives a zero +0.0, as 0.0 - (smallest) would
             flat = new_u.reshape(-1)
             np.subtract(new_u, u, out=new_minus_old)
             np.subtract(flat[npoints:], flat[:-npoints], out=v_minus_w)
+            np.negative(measured, out=negated)
             top = np.maximum.reduce(audit, axis=1).tolist()
-            low = np.minimum.reduce(audit, axis=1).tolist()
             # a non-finite transform has a non-finite density, which every
             # row's extremes carry: nan into both, an infinity into one
-            if not math.isfinite(sum(top) - sum(low)):
+            if not math.isfinite(sum(top)):
                 raise ValueError("linear solve produced non-finite values")
-            gap, fall = low[6], low[3]
-            gap = 0.0 - (gap if gap < low[4] else low[4])
-            worst = max(top[0], top[2], 0.0 - (fall if fall < low[1] else low[1]), top[4], top[6])
+            gap, fall = top[13], top[10]
+            gap = 0.0 + (top[11] if top[11] > gap else gap)
+            worst = max(top[0], top[2], 0.0 + (top[8] if top[8] > fall else fall), top[4], top[6])
 
             u, h = new_u, rhs_cols
             if iterates is not None:
@@ -1170,6 +1181,17 @@ class _Extremes(NamedTuple):
                    np.maximum.reduce(rows, axis=1).tolist())
 
     @classmethod
+    def reduce_signed(cls, buffer):
+        """reduce's floats for the first half of a (2k, npoints) buffer from
+        one reduction: the second half is overwritten with the first's
+        negatives, whose largest values are minus the smallest; a zero
+        smallest value reads +0.0."""
+        k = len(buffer) // 2
+        np.negative(buffer[:k], out=buffer[k:])
+        top = np.maximum.reduce(buffer, axis=1).tolist()
+        return cls([0.0 - x for x in top[k:]], top[:k])
+
+    @classmethod
     def of(cls, state):
         return cls.reduce(np.concatenate((state.u, state.h)).reshape(4, -1))
 
@@ -1259,13 +1281,13 @@ def simulate(
     # its miss |u - p| against the prediction p it was stepped into are
     # reduced for their largest values, the sup norms and the misses. An
     # automatic run's state u and h and the prediction for an attempt of
-    # predicted_dt are reduced each way (_Extremes) before its brackets
-    checked, rows = np.zeros((4, grid.npoints)), np.empty((6, grid.npoints))
+    # predicted_dt are reduced each way (_Extremes), with their negatives in
+    # the buffer's second half, before its brackets
+    checked, rows = np.zeros((4, grid.npoints)), np.empty((12, grid.npoints))
     stack = (2,) + grid.shape
     abs_u, miss_rows = checked[:2].reshape(stack), checked[2:].reshape(stack)
-    u_rows, h_rows, prediction = (rows[i:i + 2].reshape(stack) for i in (0, 2, 4))
-    np.copyto(u_rows, state.u)
-    np.copyto(h_rows, state.h)
+    state_rows, prediction = rows[:4].reshape((4,) + grid.shape), rows[4:6].reshape(stack)
+    np.concatenate((state.u, state.h), out=state_rows)
     extremes = _Extremes.reduce(rows[:4])
     norms = extremes.sup_norms()
     predicted_dt = None
@@ -1288,7 +1310,7 @@ def simulate(
             _extrapolate(times, values, state.t + dt_step, prediction)
             predicted_dt = dt_step
             if bracket is None:
-                extremes = _Extremes.reduce(rows)
+                extremes = _Extremes.reduce_signed(rows)
         if misses is not None:
             n1, n2 = norms
             n1 = n2 if n2 > n1 else n1
@@ -1398,8 +1420,7 @@ def simulate(
         times, values = times[-2:] + [state.t], values[-2:] + [state.u]
         predicted_dt = None
         if bracket is None:
-            np.copyto(u_rows, state.u)
-            np.copyto(h_rows, state.h)
+            np.concatenate((state.u, state.h), out=state_rows)
         accepted += 1
         _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:
