@@ -634,7 +634,7 @@ class _HelmholtzSolver:
     def work_arrays(self):
         """The inner iteration's work arrays on this grid, made on first use,
         and the views it reads them through, as (solved, solved_cols, base,
-        term, audit, new_minus_old, v_minus_w, negated).
+        term, audit, new_minus_old, v_minus_w, measured, negated).
 
         solved is two (2, 2, *grid) stacks and solved_cols the same two as
         (4, *grid) columns, the (species, sequence) rows in C order: the
@@ -646,15 +646,16 @@ class _HelmholtzSolver:
         v1, w2, v2) as a (2, 2, *grid) stack, the next three v_minus_w,
         v - w on the same flat stack shifted by one row, whose rows 0 and 2
         are species 1's and 2's (row 1, w2 - v1, is not read), and the last
-        seven, negated, the first seven's negatives, so one reduction gives
-        each row's largest value and its smallest."""
+        seven, negated, the negatives of the first seven, measured, so one
+        reduction gives each row's largest value and its smallest."""
         if self._work is None:
             shape = self.grid.shape
             work, audit = np.empty((4, 2, 2) + shape), np.empty((14, self.grid.npoints))
             solved = work[:2]
             self._work = (
                 solved, solved.reshape((2, 4) + shape), work[3], work[2].reshape((4,) + shape),
-                audit, audit[:4].reshape((2, 2) + shape), audit[4:7].reshape(-1), audit[7:],
+                audit, audit[:4].reshape((2, 2) + shape), audit[4:7].reshape(-1), audit[:7],
+                audit[7:],
             )
         return self._work
 
@@ -1005,11 +1006,10 @@ def step_monotone(
     # temporaries left, where copies made at the end split the heap between
     # them (3 MB more peak RSS for 501 kept states of 513 points)
     kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
-    solved, solved_cols, base, term, audit, new_minus_old, v_minus_w, negated = (
+    solved, solved_cols, base, term, audit, new_minus_old, v_minus_w, measured, negated = (
         solver.work_arrays()
     )
     npoints = audit.shape[1]
-    measured = audit[:7]
     if not quasilinear:
         sig, sig_cols = solver.semilinear_sigma(columns)
         sig_over_dt = sig_cols / dt
@@ -1157,8 +1157,9 @@ def _extrapolate(times, values, t, out=None):
             (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)),
         )
     out = np.multiply(values[0], weights[0], out=out)
-    for w, x in zip(weights[1:], values[1:]):
-        out += w * x
+    out += weights[1] * values[1]
+    if len(values) == 3:
+        out += weights[2] * values[2]
     return out
 
 
@@ -1277,18 +1278,22 @@ def simulate(
     # the predictor's nodes, the last three accepted states' times and u
     # stacks, and each species' miss of the last accepted prediction
     times, values, misses = [state.t], [state.u], None
-    # two per-run buffers of (2, *grid) stacks. An accepted state's |u| and
-    # its miss |u - p| against the prediction p it was stepped into are
-    # reduced for their largest values, the sup norms and the misses. An
-    # automatic run's state u and h and the prediction for an attempt of
-    # predicted_dt are reduced each way (_Extremes), with their negatives in
-    # the buffer's second half, before its brackets
-    checked, rows = np.zeros((4, grid.npoints)), np.empty((12, grid.npoints))
-    stack = (2,) + grid.shape
+    # per-run buffers of (2, *grid) stacks. An accepted state's |u| and its
+    # miss |u - p| against the prediction p it was stepped into are reduced
+    # for their largest values, the sup norms and the misses. An automatic
+    # run's state u and h and the prediction for an attempt of predicted_dt
+    # are reduced each way (_Extremes), with their negatives in the buffer's
+    # second half, before its brackets; a window run needs the prediction
+    # alone
+    checked, stack = np.zeros((4, grid.npoints)), (2,) + grid.shape
     abs_u, miss_rows = checked[:2].reshape(stack), checked[2:].reshape(stack)
-    state_rows, prediction = rows[:4].reshape((4,) + grid.shape), rows[4:6].reshape(stack)
-    np.concatenate((state.u, state.h), out=state_rows)
-    extremes = _Extremes.reduce(rows[:4])
+    if bracket is None:
+        rows = np.empty((12, grid.npoints))
+        state_rows, prediction = rows[:4].reshape((4,) + grid.shape), rows[4:6].reshape(stack)
+        np.concatenate((state.u, state.h), out=state_rows)
+        extremes = _Extremes.reduce(rows[:4])
+    else:
+        prediction, extremes = np.empty(stack), _Extremes.of(state)
     norms = extremes.sup_norms()
     predicted_dt = None
 
