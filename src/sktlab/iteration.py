@@ -61,10 +61,10 @@ largest h^n and its floor violation only at the smallest. That is exact,
 not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
-reduces to. An accepted state's sup norms and prediction miss come from
-one reduction, for the controller and the overflow test; an automatic
-run's extremes of u, h^n and the attempt's prediction from one pair
-(_Extremes), for its brackets.
+reduces to. An accepted state's extremes of u and h^n, which give its
+sup norms for the controller and the overflow test, come from one
+reduction of the rows and their negatives (_Extremes.reduce_signed); a
+window run reduces only |u| and its prediction miss.
 An admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
 the grid, and it reaches the step with its violations measured; the step
 takes iterate 0's gap and worst violation from the bracket's floats.
@@ -119,22 +119,26 @@ that misses falls back to sparse LU and is counted in the step's
 The time-stepping loop `simulate` repeats steps to t_end. From the third
 step on, each attempt first tries a predicted bracket, the predictor half of
 a predictor-corrector (Hairer & Wanner, Solving ODEs II, IV.8): the next
-u stack p is extrapolated by the quadratic in t through the u stacks of
-the last three accepted states, or the line through two before there are
-three, with Lagrange weights, so unevenly spaced nodes need nothing
-special; it is made for each attempt's dt.
-Each species gets the half-width e_i = 2 * max|u_i^n - p_i^n| over the grid,
-twice the miss of the prediction of the last accepted state, plus a
-round-off floor of 1e-12 * max(1, largest sup norm of the state); no floor
-goes below zero. The bracket takes the form of the run's other brackets:
+state is extrapolated by the quadratic in t through the last three
+accepted states, or the line through two before there are three, with
+Lagrange weights, so unevenly spaced nodes need nothing special; it is
+made for each attempt's dt. Each species gets the half-width e_i =
+2 * miss_i, twice the miss of the prediction of the last accepted state,
+plus a round-off floor of 1e-12 * max(1, largest sup norm of the state);
+no floor goes below zero. The bracket takes the form of the run's other
+brackets:
 
-- without a caller's bracket, constant per species from the extremes of
-  p over the grid, [max(min p_i - e_i, 0), max p_i + e_i], built on floats
-  by _auto_bracket, which rejects a floor above its ceiling;
-- with one, a field stack inside the caller's window: with p clipped into
-  the window, [max(p - e, floor), min(p + e, N)], floor the window's floor
-  (at least zero) and N its ceiling, built by _field_bracket and its
-  discrete-bound violations measured once.
+- without a caller's bracket, constant per species: the extremes of u_i
+  are extrapolated as floats to p_lo_i and p_hi_i, the miss is the larger
+  of |min u_i^n - p_lo_i^n| and |max u_i^n - p_hi_i^n|, and the bracket,
+  [max(p_lo_i - e_i, 0), p_hi_i + e_i], is built on floats by
+  _auto_bracket, which rejects a floor above its ceiling. For spatially
+  constant data these are the extremes of the extrapolated u stack;
+- with one, a field stack inside the caller's window: the u stack p is
+  extrapolated, the miss is max|u_i^n - p_i^n| over the grid, and with p
+  clipped into the window, [max(p - e, floor), min(p + e, N)], floor the
+  window's floor (at least zero) and N its ceiling, built by _field_bracket
+  and its discrete-bound violations measured once.
 
 simulate tries each attempt's candidates in one order: the predicted
 bracket, once a miss is known; when it fails the discrete-bound test, at no
@@ -1138,28 +1142,37 @@ def _auto_bracket_feasible(violations, ceilings):
     return max(violations) <= _CHAIN_TOL * max(1.0, *ceilings)
 
 
+def _lagrange(times, t):
+    """The Lagrange weights at t of the nodes at `times`: two nodes give
+    the line, three the quadratic, however unevenly spaced."""
+    if len(times) == 2:
+        t0, t1 = times
+        return (t - t1) / (t0 - t1), (t - t0) / (t1 - t0)
+    t0, t1, t2 = times
+    return (
+        (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2)),
+        (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
+        (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)),
+    )
+
+
 def _extrapolate(times, values, t, out=None):
     """The polynomial in t through the (times, values) nodes, evaluated at t.
 
-    Lagrange weights, so unevenly spaced nodes, as a halved dt leaves them,
-    need nothing special: two nodes give the line, three the quadratic.
-    values are the nodes' arrays, which are left unchanged; the result is
-    written into `out` when it is given.
+    values are the nodes' arrays, which are left unchanged, or their float
+    sequences, which give a list; an array result is written into `out`
+    when it is given. Each value is ((x0 w0 + w1 x1) + w2 x2) with the
+    _lagrange weights w, so an array and its floats give the same floats.
     """
-    if len(times) == 2:
-        t0, t1 = times
-        weights = ((t - t1) / (t0 - t1), (t - t0) / (t1 - t0))
-    else:
-        t0, t1, t2 = times
-        weights = (
-            (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2)),
-            (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
-            (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)),
-        )
-    out = np.multiply(values[0], weights[0], out=out)
-    out += weights[1] * values[1]
+    w = _lagrange(times, t)
+    if not isinstance(values[0], np.ndarray):
+        if len(w) == 2:
+            return [x0 * w[0] + w[1] * x1 for x0, x1 in zip(*values)]
+        return [x0 * w[0] + w[1] * x1 + w[2] * x2 for x0, x1, x2 in zip(*values)]
+    out = np.multiply(values[0], w[0], out=out)
+    out += w[1] * values[1]
     if len(values) == 3:
-        out += weights[2] * values[2]
+        out += w[2] * values[2]
     return out
 
 
@@ -1167,10 +1180,9 @@ class _Extremes(NamedTuple):
     """The smallest and largest value of each row of a (k, npoints) array,
     as two lists of floats, from one reduction each way.
 
-    The rows are an automatic run's per-run buffer in simulate: 0-1 a
-    state's u1 and u2, 2-3 its h1 and h2, and 4-5 the prediction of the
-    next state; a state alone (of) gives the first four. Each float is what
-    a reduction of its row alone gives.
+    The rows are a state's u1, u2, h1 and h2, from a state alone (of) or an
+    automatic run's per-run buffer in simulate. Each float is what a
+    reduction of its row alone gives.
     """
 
     lo: list
@@ -1184,9 +1196,9 @@ class _Extremes(NamedTuple):
     @classmethod
     def reduce_signed(cls, buffer):
         """reduce's floats for the first half of a (2k, npoints) buffer from
-        one reduction: the second half is overwritten with the first's
-        negatives, whose largest values are minus the smallest; a zero
-        smallest value reads +0.0."""
+        one reduction, as simulate's automatic runs take them: the second
+        half is overwritten with the first's negatives, whose largest values
+        are minus the smallest; a zero smallest value reads +0.0."""
         k = len(buffer) // 2
         np.negative(buffer[:k], out=buffer[k:])
         top = np.maximum.reduce(buffer, axis=1).tolist()
@@ -1276,25 +1288,24 @@ def simulate(
         window = _window_bracket(params, state, bracket, columns)
         top, floor = window.u[:, 0], np.maximum(window.u[:, 1], 0.0)
     # the predictor's nodes, the last three accepted states' times and u
-    # stacks, and each species' miss of the last accepted prediction
-    times, values, misses = [state.t], [state.u], None
-    # per-run buffers of (2, *grid) stacks. An accepted state's |u| and its
-    # miss |u - p| against the prediction p it was stepped into are reduced
-    # for their largest values, the sup norms and the misses. An automatic
-    # run's state u and h and the prediction for an attempt of predicted_dt
-    # are reduced each way (_Extremes), with their negatives in the buffer's
-    # second half, before its brackets; a window run needs the prediction
-    # alone
-    checked, stack = np.zeros((4, grid.npoints)), (2,) + grid.shape
-    abs_u, miss_rows = checked[:2].reshape(stack), checked[2:].reshape(stack)
-    if bracket is None:
-        rows = np.empty((12, grid.npoints))
-        state_rows, prediction = rows[:4].reshape((4,) + grid.shape), rows[4:6].reshape(stack)
-        np.concatenate((state.u, state.h), out=state_rows)
-        extremes = _Extremes.reduce(rows[:4])
-    else:
-        prediction, extremes = np.empty(stack), _Extremes.of(state)
+    # stacks, or in an automatic run their extremes of u as floats, and
+    # each species' miss of the last accepted prediction
+    times, misses = [state.t], None
+    extremes = _Extremes.of(state)
     norms = extremes.sup_norms()
+    if bracket is None:
+        # an accepted state's u and h, with their negatives below them, for
+        # one reduction each way (_Extremes)
+        rows = np.empty((8, grid.npoints))
+        state_rows = rows[:4].reshape((4,) + grid.shape)
+        values = [extremes.lo[:2] + extremes.hi[:2]]
+    else:
+        # an accepted state's |u| and its miss |u - p| against the
+        # prediction p it was stepped into, reduced for their largest
+        # values, the sup norms and the misses
+        checked, stack = np.zeros((4, grid.npoints)), (2,) + grid.shape
+        abs_u, miss_rows = checked[:2].reshape(stack), checked[2:].reshape(stack)
+        prediction, values = np.empty(stack), [state.u]
     predicted_dt = None
 
     t_guard = 1e-12 * t_end
@@ -1312,10 +1323,12 @@ def simulate(
         rejection = None
         step_bracket = None
         if len(times) > 1 and predicted_dt != dt_step:
-            _extrapolate(times, values, state.t + dt_step, prediction)
-            predicted_dt = dt_step
             if bracket is None:
-                extremes = _Extremes.reduce_signed(rows)
+                # the extrapolated extremes (min u1, min u2, max u1, max u2)
+                prediction = _extrapolate(times, values, state.t + dt_step)
+            else:
+                _extrapolate(times, values, state.t + dt_step, prediction)
+            predicted_dt = dt_step
         if misses is not None:
             n1, n2 = norms
             n1 = n2 if n2 > n1 else n1
@@ -1338,13 +1351,13 @@ def simulate(
                 else:
                     step_bracket = None
             else:
-                # around each species' extremes of the extrapolated stack
-                lo, hi = extremes
-                f1, f2 = lo[4] - e1, lo[5] - e2
+                # around each species' extrapolated extremes
+                p_lo1, p_lo2, p_hi1, p_hi2 = prediction
+                f1, f2 = p_lo1 - e1, p_lo2 - e2
                 step_bracket = _auto_bracket(
                     params, columns, extremes, dt_step,
                     [0.0 if 0.0 > f1 else f1, 0.0 if 0.0 > f2 else f2],
-                    [hi[4] + e1, hi[5] + e2], "predicted",
+                    [p_hi1 + e1, p_hi2 + e2], "predicted",
                 )
         if step_bracket is None and bracket is not None:
             # measured by the step, which raises what a caller's pair raises
@@ -1377,12 +1390,21 @@ def simulate(
             except (ConvergenceError, OrderingViolationError) as exc:
                 rejection = exc
         if rejection is None:
-            # the new state's |u| and its miss, when this attempt had a
-            # prediction, for one reduction; max |u_i| is the sup norm exactly
-            np.abs(new_state.u, out=abs_u)
-            if len(times) > 1:
-                np.abs(np.subtract(new_state.u, prediction, out=miss_rows), out=miss_rows)
-            m1, m2, miss1, miss2 = np.maximum.reduce(checked, axis=1).tolist()
+            if bracket is None:
+                np.concatenate((new_state.u, new_state.h), out=state_rows)
+                new_extremes = lo, hi = _Extremes.reduce_signed(rows)
+                m1, m2 = new_extremes.sup_norms()
+                if len(times) > 1:
+                    # the miss of the extrapolated extremes
+                    miss1 = max(abs(lo[0] - prediction[0]), abs(hi[0] - prediction[2]))
+                    miss2 = max(abs(lo[1] - prediction[1]), abs(hi[1] - prediction[3]))
+            else:
+                # the new state's |u| and its miss, when this attempt had a
+                # prediction, for one reduction; max |u_i| is the sup norm
+                np.abs(new_state.u, out=abs_u)
+                if len(times) > 1:
+                    np.abs(np.subtract(new_state.u, prediction, out=miss_rows), out=miss_rows)
+                m1, m2, miss1, miss2 = np.maximum.reduce(checked, axis=1).tolist()
             finite = math.isfinite(m1) and math.isfinite(m2)
             if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
                 termination = "overflowed"
@@ -1422,10 +1444,11 @@ def simulate(
         if len(times) > 1:
             misses = miss1, miss2
         state, norms = new_state, (m1, m2)
-        times, values = times[-2:] + [state.t], values[-2:] + [state.u]
+        node = state.u if bracket is not None else lo[:2] + hi[:2]
+        times, values = times[-2:] + [state.t], values[-2:] + [node]
         predicted_dt = None
         if bracket is None:
-            np.concatenate((state.u, state.h), out=state_rows)
+            extremes = new_extremes
         accepted += 1
         _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:

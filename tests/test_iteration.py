@@ -1927,8 +1927,7 @@ class TestSimulate:
         # the first step, trimmed to t_end = 0.05, rises too fast and is
         # halved three times, which spends the budget; at 0.00625 it still
         # rises too fast, and is accepted, and the controller shrinks each
-        # later dt so that no step rises past the trigger by more than the
-        # growth of the rate from one step to the next
+        # later dt so that no later step rises past the trigger
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
         eig = principal_eigenpair(grid, "principal")
