@@ -1250,9 +1250,9 @@ class TestLeanSteps:
 
     @pytest.mark.parametrize("case", ["varying", "zero species", "nan", "inf"])
     def test_fused_rows_match_separate_reductions(self, case):
-        # simulate's buffer of a state's u and h, its miss |u - p| and the
-        # next prediction, reduced once each way, gives the floats that
-        # separate reductions of the state, the miss and the prediction give
+        # a buffer of a state's u and h, its miss |u - p| and a next
+        # prediction, reduced once each way, gives the floats that separate
+        # reductions of the state, the miss and the prediction give
         rng = np.random.default_rng(13)
         params = certified_params()
         grid = Grid.interval(np.pi, 17)
@@ -1265,7 +1265,6 @@ class TestLeanSteps:
         elif case != "varying":
             u[0, 5] = float(case)
         state = SystemState.from_u_arrays(params, grid, 0.0, *u, overflowed=case != "varying")
-        # filled with the calls simulate fills it with
         rows = np.zeros((8, grid.npoints))
         u_rows, h_rows, miss_rows, predicted = (
             rows[i:i + 2].reshape((2,) + grid.shape) for i in range(0, 8, 2)
@@ -1288,6 +1287,11 @@ class TestLeanSteps:
         assert repr(lo[6:]) == repr(each(following, np.min))
         assert repr(hi[6:]) == repr(each(following, np.max))
         assert repr(fused.sup_norms()) == repr(state.sup_norms())
+        # one reduction of the rows and their negatives gives the same
+        # floats, a zero smallest value read as +0.0
+        signed = _Extremes.reduce_signed(np.concatenate((rows, np.empty_like(rows))))
+        assert repr(signed.hi) == repr(hi) and repr(signed.lo) == repr([0.0 + x for x in lo])
+        assert repr(signed.sup_norms()) == repr(state.sup_norms())
         if case == "zero species":
             assert repr(hi[5]) == repr(fused.sup_norms()[1]) == "0.0"
 
