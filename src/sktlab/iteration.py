@@ -84,8 +84,8 @@ A SystemState holds the same species axis without the sequence one: a
 (2, *grid) density stack u and its transform h, row 0 species 1. A state is
 checked (shape, finiteness unless flagged overflowed) where it enters from
 outside, in from_u_arrays; the states a step returns are compact copies of
-the last lower iterate's u and h rows, whose finiteness the linear solver
-has already checked. A step reads the state as state.u[:, None] and
+the last lower iterate's u and h rows, whose finiteness the step's chain
+audit has already checked. A step reads the state as state.u[:, None] and
 state.h[:, None], a sequence axis of one, and never takes it apart into
 species.
 
@@ -161,7 +161,10 @@ growth on the step after a rejection. An attempt is rejected, and redone
 at half its dt, predicted bracket first, for one of three causes: no
 bracket passes at its dt, the step raises (the chain breaks after every
 shift escalation, or the gap does not close), or r exceeds
-growth_trigger. Each rejection spends one of max_halvings. With the budget
+growth_trigger. Each rejection spends one of max_halvings. One of the
+first two causes also caps every later dt at the halved one, as it would
+come back at a larger dt and spend a halving at each return; a growth
+rejection leaves the cap where it was. With the budget
 spent, a step that rises too fast is accepted and the controller shrinks
 the next dt, while the other causes end the run as failed. A predicted or
 tight bracket that fails its test costs no halving: the step falls back
@@ -577,9 +580,8 @@ class _HelmholtzSolver:
     The solver also keeps the inner iteration's work arrays for its grid
     (work_arrays) and a semilinear run's sigma (semilinear_sigma), so a
     solver reused across a run's steps makes them once. Raises ValueError
-    when a solve fails or its solution is not finite; a solution written
-    into the solver's own work arrays is left to the inner iteration, whose
-    chain audit checks it.
+    when a solve fails or, unless its caller checks that itself, when its
+    solution is not finite.
     """
 
     def __init__(self, grid: Grid):
@@ -605,14 +607,16 @@ class _HelmholtzSolver:
             self._ext = (np.empty((2 * (nx - 1), ny)), np.empty((nx, 2 * (ny - 1))))
             self._idct_scale = 1.0 / (2 * (nx - 1) * 2 * (ny - 1))
 
-    def solve(self, sig_over_dt, phi, rhs_cols, guess):
+    def solve(self, sig_over_dt, phi, rhs_cols, guess, check_finite=True):
         """Solve for each column of rhs_cols and return the (k, *grid) solutions.
 
         rhs_cols is a (k, *grid) stack or a sequence of k field arrays. A
         C-contiguous float stack is overwritten with the solutions and
         returned. guess holds a starting point for each column, broadcasting
         against the stack; 2D CG starts from it when its residual beats the
-        zero start's, and 1D ignores it.
+        zero start's, and 1D ignores it. With check_finite false the caller
+        checks that the solutions are finite, as step_monotone's chain
+        audit does.
         """
         rhs = np.ascontiguousarray(rhs_cols, dtype=float)
         if self.grid.dimension == 1:
@@ -628,10 +632,7 @@ class _HelmholtzSolver:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
             self._solve_2d(sig_over_dt, phi, rhs, guess)
-        # step_monotone's chain audit reads the finiteness of the solutions
-        # it has the solver write into its work arrays
-        audited = self._work is not None and rhs.base is self._work[0].base
-        if not audited and not np.isfinite(rhs).all():
+        if check_finite and not np.isfinite(rhs).all():
             raise ValueError("linear solve produced non-finite values")
         return rhs
 
@@ -1038,7 +1039,7 @@ def step_monotone(
             rhs_cols += np.multiply(phi, h, out=term)
             # in place: rhs becomes the new transformed stack, whose
             # finiteness the audit below checks
-            solver.solve(sig_over_dt, phi, rhs_cols, h)
+            solver.solve(sig_over_dt, phi, rhs_cols, h, False)
             new_u = _inverse_stack(params, d, rhs)
 
             # the lower must not drop nor the upper rise, then the lower must
@@ -1240,9 +1241,11 @@ def simulate(
     the larger of the two species' relative sup-norm rises (0 when both
     norms fall), so a run whose norms never rise by more than half the
     trigger stays at cfg.dt; a last step cut short to land on t_end leaves
-    the controller's dt as it was. Once the halving budget is spent, growth
-    control stays on; any other rejection then ends the run with
-    termination "failed" and the error kept. A dt below _DT_FLOOR * max(1,
+    the controller's dt as it was. A rejection for no passing bracket or a
+    raising step caps the controller's dt at the halved one for the rest
+    of the run; a growth rejection does not. Once the halving budget is
+    spent, growth control stays on; any other rejection then ends the run
+    with termination "failed" and the error kept. A dt below _DT_FLOOR * max(1,
     t) ends it with termination "dt_floor". Neither raises, so partial
     output survives. Each accepted step's TraceSummary is packed into
     `summaries`, which reads it back bit for bit.
@@ -1271,7 +1274,9 @@ def simulate(
     snapshots.append(state)
     kept = state
     digests = bytearray()
-    dt, grow = cfg.dt, 2.0
+    # ceiling is the largest dt the controller may pick: cfg.dt, lowered
+    # to the halved dt by each rejection that is not for growth
+    dt, grow, ceiling = cfg.dt, 2.0, cfg.dt
     trigger = cfg.growth_trigger
     halvings = 0
     accepted = 0
@@ -1429,6 +1434,10 @@ def simulate(
             dt = dt_step / 2.0
             halvings += 1
             grow = 1.0
+            if rejection != "growth":
+                # no bracket passed, or the step raised: at a larger dt the
+                # same cause would come back and spend a halving each time
+                ceiling = dt
             continue
 
         if dt_step == dt:
@@ -1436,8 +1445,8 @@ def simulate(
             # growing dt on the step after a rejection
             factor = 0.9 * trigger / rise if rise > 0.0 else 2.0
             dt *= factor if factor < grow else grow
-            if dt > cfg.dt:
-                dt = cfg.dt
+            if dt > ceiling:
+                dt = ceiling
         grow = 2.0
         r1, r2 = abs(r1), abs(r2)
         growth = r2 if r2 > r1 else r1

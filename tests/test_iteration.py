@@ -988,14 +988,13 @@ def smooth_fields(grid, seed, kinds, constant):
     ]
 
 
-def recorded_run(params, grid, u0, cfg, t_end, bracket, redo=None):
+def recorded_run(params, grid, u0, cfg, t_end, bracket):
     """simulate with every step_monotone call that returned recorded as
     (state, cfg, bracket, new state, summary, trace), cfg with the dt the
     step was given: simulate asks for the step's summary alone, and trace is
     the IterationTrace of the same step redone through the public path (a
     fresh solver), which must give the same new state, byte for byte, and
-    an equal summary. With `redo`, a set of bracket kinds, only steps in
-    those brackets are redone, and the others' trace is None."""
+    an equal summary."""
     calls = []
     step = sktlab.iteration.step_monotone
 
@@ -1012,9 +1011,6 @@ def recorded_run(params, grid, u0, cfg, t_end, bracket, redo=None):
     traced = []
     for state, step_cfg, step_bracket, new_state, summary in calls:
         assert isinstance(summary, TraceSummary)
-        if redo is not None and summary.bracket not in redo:
-            traced.append((state, step_cfg, step_bracket, new_state, summary, None))
-            continue
         public_state, trace = step_monotone(state, step_cfg, params, step_bracket)
         assert public_state.t == new_state.t
         assert public_state.u.tobytes() == new_state.u.tobytes()
@@ -1068,7 +1064,7 @@ class TestPredictedBrackets:
         # no halvings: the first failure ends the run, and a rising norm
         # shrinks dt, so predicted brackets also span uneven nodes
         cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
-        result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket, {"predicted"})
+        result, calls = recorded_run(params, grid, u0, cfg, 6.0 * dt, bracket)
         kept = {id(s) for s in result.snapshots}
         for state, step_cfg, step_bracket, new_state, summary, trace in calls:
             if summary.bracket != "predicted" or id(new_state) not in kept:
@@ -2045,54 +2041,77 @@ class TestControlledSteps:
         alpha=STEP_DRAWS["alpha"],
         coeffs=STEP_DRAWS["coeffs"],
         dims=st.tuples(st.integers(3, 20)),
-        levels=st.tuples(st.floats(0.55, 0.95), st.sampled_from([0.0, 0.3, 0.9])),
-        dt=st.floats(0.5, 2.0),
+        excess=st.floats(0.05, 0.5),
+        level2=st.sampled_from([0.0, 0.3, 0.9]),
+        overshoot=st.floats(1.1, 1.6),
     )
-    def test_predicted_brackets_across_dt_changes(self, alphas, alpha, coeffs, dims, levels, dt):
-        # constant data under each species' growth threshold a_i/own_i only
-        # decay, so no norm rises; at a long dt the wide ceiling 2 max u_1 lies
-        # above species 1's threshold, the first attempts halve dt, and the
-        # controller doubles it back to cfg.dt. Predicted brackets on the
-        # unevenly spaced nodes this leaves are admitted, and keep the chain
+    def test_predicted_brackets_across_dt_changes(
+        self, alphas, alpha, coeffs, dims, excess, level2, overshoot
+    ):
+        # constant data with species 1 above its growth threshold blow up at
+        # the relative rate lam = b1 u1 - a1 - c1 u2, and species 2 under its
+        # threshold decays. At cfg.dt = overshoot * growth_trigger / lam the
+        # first step rises past the trigger and is halved; at half of it the
+        # rise is under 0.9 * trigger, so the controller grows dt again after
+        # the step it holds, and then picks a new dt at every step. Predicted
+        # brackets on these uneven nodes are admitted, and keep the chain
         # ordered and a zero species exactly zero
         params, grid, _, _ = drawn_case(alphas, alpha, coeffs, dims, 2.0, ("zero", "zero"), 0)
-        (_, own1, _, _, _), (_, own2, _, _, _) = params.species
-        data = [
-            np.full(grid.shape, level * a / own)
-            for level, a, own in zip(levels, (params.a1, params.a2), (own1, own2))
-        ]
+        u2 = level2 * params.a2 / params.c2
+        u1 = (1.0 + excess) * (params.a1 + params.c1 * u2) / params.b1
+        data = [np.full(grid.shape, u1), np.full(grid.shape, u2)]
         u0 = tuple(ScalarField(grid, u) for u in data)
-        cfg = SolverConfig(dt=dt)
-        result, calls = recorded_run(params, grid, u0, cfg, 8.0 * dt, None, {"predicted"})
-        assert result.termination == "completed" and result.final_dt == cfg.dt
+        lam = params.b1 * u1 - params.a1 - params.c1 * u2
+        cfg = SolverConfig(dt=overshoot * 1e-3 / lam, growth_trigger=1e-3)
+        result, calls = recorded_run(params, grid, u0, cfg, 8.0 * cfg.dt, None)
+        assert result.termination == "completed" and result.halvings_used == 1
         kept = {id(s) for s in result.snapshots}
         accepted = [call for call in calls if id(call[3]) in kept]
         for _, _, step_bracket, new_state, summary, trace in accepted:
             if summary.bracket != "predicted":
                 continue
             check_chain_and_zeros(trace, new_state, data, max(step_bracket.box[1]))
-        # dt shrank, grew back, and predicted brackets are admitted again
+        # dt shrank, grew back, and predicted brackets are admitted on most
+        # of the nodes that follow
         dts = [s.dt for s in result.summaries]
-        if result.halvings_used:
-            back = dts.index(cfg.dt)
-            assert min(dts) < cfg.dt and back > 0
-            assert any(s.bracket == "predicted" for s in result.summaries[back:])
+        assert dts[0] == dts[1] == 0.5 * cfg.dt < dts[2] < cfg.dt
+        predicted = [s.bracket == "predicted" for s in result.summaries[2:]]
+        assert 2 * sum(predicted) >= len(predicted)
 
-    def test_regrowth_predicts_on_uneven_nodes(self):
-        # like the draws above: dt 2 halves to 0.5, where the step after the
-        # rejection holds it, then doubles back, and the step at 1 runs
-        # predicted, extrapolated from nodes 0.5 apart
+    def test_rejected_steps_cap_dt_and_growth_rejections_do_not(self):
+        # from (0.45, 0) at dt 2 the wide bracket fails at 2 and at 1, and
+        # each failure halves dt for the rest of the run: a bracket or step
+        # that failed at a dt may fail there again, and each return would
+        # spend a halving. Under the same cap, the controller grows dt after
+        # a growth rejection and when norms fall
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
         eig = principal_eigenpair(grid, "principal")
         u0 = (ScalarField.constant(grid, 0.45), ScalarField.constant(grid, 0.0))
         result = simulate(params, grid, eig, u0, SolverConfig(dt=2.0), 16.0)
         assert result.termination == "completed" and result.halvings_used == 2
-        steps = [(s.dt, s.bracket) for s in result.summaries[:5]]
-        assert steps == [
-            (0.5, "wide"), (0.5, "tight"), (1.0, "predicted"), (2.0, "tight"), (2.0, "predicted"),
-        ]
-        assert result.summaries[-1].dt == result.final_dt == 2.0
+        assert {s.dt for s in result.summaries} == {0.5} and result.final_dt == 0.5
+        assert [s.bracket for s in result.summaries[:3]] == ["wide", "tight", "predicted"]
+
+    @pytest.mark.parametrize("iterates, halvings, steps", [(100, 9, 4096), (500, 7, 1024)])
+    def test_gap_that_closes_only_at_a_smaller_dt_halves_once(self, iterates, halvings, steps):
+        # the wide bracket's gap from this constant state does not close
+        # within the iterate cap at dt 2**-6 (with 100 iterates, 2**-8) but
+        # does at the next halving. A controller free to grow dt back after
+        # the failure would spend a halving at every return: 20 halvings and
+        # a failed run with 100 iterates, 17 with 500
+        params = ModelParams(
+            d1=0.25, d2=1.0, alpha1=1.0, alpha2=0.5, a1=1.0, a2=1.0, b1=0.5, b2=1.0, c1=1.0,
+            c2=1.0,
+        )
+        grid = Grid.interval(2.0, 3)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.5), ScalarField.constant(grid, 0.3))
+        cfg = SolverConfig(dt=1.0, max_inner_iters=iterates)
+        result = simulate(params, grid, eig, u0, cfg, 8.0)
+        assert result.termination == "completed"
+        assert result.halvings_used == halvings and len(result.summaries) == steps
+        assert result.final_dt == 2.0**-halvings
 
     def test_budget_spent_keeps_growth_controlled(self):
         # blowup-1d's model with no halving budget: the first step rises past
