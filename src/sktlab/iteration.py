@@ -1245,9 +1245,9 @@ def simulate(
     raising step caps the controller's dt at the halved one for the rest
     of the run; a growth rejection does not. Once the halving budget is
     spent, growth control stays on; any other rejection then ends the run
-    with termination "failed" and the error kept. A dt below _DT_FLOOR * max(1,
-    t) ends it with termination "dt_floor". Neither raises, so partial
-    output survives. Each accepted step's TraceSummary is packed into
+    with termination "failed" and the error kept. A dt below _DT_FLOOR *
+    max(1, t) ends it with termination "dt_floor". Neither raises, so
+    partial output survives. Each accepted step's TraceSummary is packed into
     `summaries`, which reads it back bit for bit.
 
     `snapshots` is the sink of the kept states: any object with `append`,
