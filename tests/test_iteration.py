@@ -1564,6 +1564,31 @@ class TestHelmholtzSolver:
         [Grid.interval(np.pi, 9), Grid.rectangle(np.pi, 2.0, 9, 5)],
         ids=["1d", "2d"],
     )
+    def test_step_checks_its_solutions_itself(self, grid, monkeypatch):
+        # the step asks the solver to skip its finiteness check, and its
+        # chain audit raises the solver's error on a non-finite solution
+        solve = _HelmholtzSolver.solve
+
+        def poisoned(self, sig_over_dt, phi, rhs_cols, guess, check_finite=True):
+            assert check_finite is False
+            out = solve(self, sig_over_dt, phi, rhs_cols, guess, check_finite)
+            out.flat[3] = np.nan
+            return out
+
+        params = certified_params()
+        state = SystemState.from_u_arrays(
+            params, grid, 0.0, np.full(grid.shape, 0.3), np.full(grid.shape, 0.2)
+        )
+        bracket = constant_bracket(params, state, 1e-3, 3e-3)
+        monkeypatch.setattr(_HelmholtzSolver, "solve", poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            step_monotone(state, SolverConfig(dt=1e-3), params, bracket)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.interval(np.pi, 9), Grid.rectangle(np.pi, 2.0, 9, 5)],
+        ids=["1d", "2d"],
+    )
     def test_stack_solved_in_place(self, grid):
         # a C-contiguous stack, or a one-column slice of one, is overwritten
         # with its solutions; a list of columns is left as it was
