@@ -2103,12 +2103,12 @@ class TestControlledSteps:
         predicted = [s.bracket == "predicted" for s in result.summaries[2:]]
         assert 2 * sum(predicted) >= len(predicted)
 
-    def test_rejected_steps_cap_dt_and_growth_rejections_do_not(self):
-        # from (0.45, 0) at dt 2 the wide bracket fails at 2 and at 1, and
-        # each failure halves dt for the rest of the run: a bracket or step
-        # that failed at a dt may fail there again, and each return would
-        # spend a halving. Under the same cap, the controller grows dt after
-        # a growth rejection and when norms fall
+    def test_failed_brackets_cap_dt_for_the_rest_of_the_run(self):
+        # from (0.45, 0) at dt 2 no bracket passes at 2 or at 1, and each
+        # failure halves dt for the rest of the run, though the norms fall: a
+        # bracket or step that failed at a dt may fail there again, and each
+        # return would spend a halving. A growth rejection sets no cap (the
+        # dt-change property above)
         params = certified_params(alpha1=0.0, alpha2=0.0)
         grid = Grid.interval(np.pi, 9)
         eig = principal_eigenpair(grid, "principal")
