@@ -64,8 +64,8 @@ grid is its value at the extreme h^n, the same float a stacked evaluation
 reduces to. An accepted state's extremes of u and h^n, which give its
 sup norms for the controller and the overflow test, come from one
 reduction of the rows and their negatives (_Extremes.reduce_signed); a
-window run reduces only |u| and its prediction miss.
-An admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
+window run takes only the sup norms of u and its prediction miss. An
+admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
 the grid, and it reaches the step with its violations measured; the step
 takes iterate 0's gap and worst violation from the bracket's floats.
 
@@ -80,14 +80,11 @@ pair of discrete lower and upper bound solutions brackets the step
 solution whether or not it contains u^n, and a window run's every bracket
 lies inside the window.
 
-A SystemState holds the same species axis without the sequence one: a
-(2, *grid) density stack u and its transform h, row 0 species 1. A state is
-checked (shape, finiteness unless flagged overflowed) where it enters from
-outside, in from_u_arrays; the states a step returns are compact copies of
-the last lower iterate's u and h rows, whose finiteness the step's chain
-audit has already checked. A step reads the state as state.u[:, None] and
-state.h[:, None], a sequence axis of one, and never takes it apart into
-species.
+A SystemState holds the same species axis without the sequence one. A
+step reads it as state.u[:, None] and state.h[:, None], a sequence axis of
+one, and never takes it apart into species; the states it returns are
+compact copies of the last lower iterate's u and h rows, whose finiteness
+its chain audit has already checked.
 
 Each inner iterate makes one linear solve, through _HelmholtzSolver,
 built once per simulate run: the four (species, sequence) rows of the
@@ -97,78 +94,72 @@ iterate over dt. A semilinear (alpha = 0) run's sigma is 1/d at every
 iterate, so the solver keeps its sig/dt per dt and the step computes the
 h^n term once. The right-hand sides and the chain audit are assembled in
 the solver's per-run work arrays; each iterate's density stack and
-reactions, and in a quasilinear run its sigma, are fresh arrays. In 1D
-the call is one LAPACK tridiagonal solve (dgtsv) of the block system of
-all 4n unknowns, whose blocks the elimination never couples, so each
-column is the one a solve of that column alone gives, and the block
-diagonal is written from the values on every call. In 2D
-it is conjugate gradients per column, with the matrix applied through the
-Laplacian stencil _lap_array, preconditioned by the exact DCT-I solve at
-the grid mean of the column's diagonal (the DCT-I is numpy's real FFT of
-the even extension, Martucci, IEEE TSP 42, 1994) and started from the
-previous iterate's transform of the same column: consecutive iterates
-close in on each other, so fewer CG iterations remain. A guess whose
-residual is not below the right-hand side's is dropped for the zero
-start. The 2D path imports no scipy; 1D loads dgtsv when its first solver
-is built, without scipy's package init (_lapack_dgtsv). A solution is
-accepted only when its recomputed residual bounds its sup-norm error by
-1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance, and a column
-that misses falls back to sparse LU and is counted in the step's
-`fallbacks`. Zero right-hand sides give exact zeros on both paths.
+reactions, and in a quasilinear run its sigma, are fresh arrays. The
+solver's docstring gives its 1D and 2D paths (DCT-I preconditioner:
+Martucci, IEEE TSP 42, 1994) and its acceptance bound, an error of at
+most 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance; zero
+right-hand sides give exact zeros on both paths. In 2D each column starts
+from the previous iterate's transform of the same column: consecutive
+iterates close in on each other, so fewer CG iterations remain.
 
-The time-stepping loop `simulate` repeats steps to t_end. From the third
-step on, each attempt first tries a predicted bracket, the predictor half of
-a predictor-corrector (Hairer & Wanner, Solving ODEs II, IV.8): the next
-state is extrapolated by the quadratic in t through the last three
-accepted states, or the line through two before there are three, with
-Lagrange weights, so unevenly spaced nodes need nothing special; it is
-made for each attempt's dt. Each species gets the half-width e_i =
-2 * miss_i, twice the miss of the prediction of the last accepted state,
-plus a round-off floor of 1e-12 * max(1, largest sup norm of the state);
-no floor goes below zero. The bracket takes the form of the run's other
-brackets:
+The time-stepping loop `simulate` repeats steps to t_end. Before the first
+step it picks the run's bracket ladder once: _WindowLadder with a caller's
+bracket, _AutomaticLadder without one. The ladder keeps the predictor's
+nodes and gives each attempt its candidate brackets in order; the loop
+keeps the attempt, the rejection rule and the controller.
 
-- without a caller's bracket, constant per species: the extremes of u_i
-  are extrapolated as floats to p_lo_i and p_hi_i, the miss is the larger
-  of |min u_i^n - p_lo_i^n| and |max u_i^n - p_hi_i^n|, and the bracket,
+From the third step on, each attempt first tries a predicted bracket, the
+predictor half of a predictor-corrector (Hairer & Wanner, Solving ODEs II,
+IV.8): the next state is extrapolated by the quadratic in t through the
+last three accepted states, or the line through two before there are
+three, with Lagrange weights, so unevenly spaced nodes need nothing
+special; it is made for each attempt's dt. Each species gets the
+half-width e_i = 2 * miss_i, twice the miss of the prediction of the last
+accepted state, plus a round-off floor of 1e-12 * max(1, largest sup norm
+of the state); no floor goes below zero. The bracket takes the form of the
+run's other brackets:
+
+- in an automatic run, constant per species: the extremes of u_i are
+  extrapolated as floats to p_lo_i and p_hi_i, the miss is the larger of
+  |min u_i^n - p_lo_i^n| and |max u_i^n - p_hi_i^n|, and the bracket,
   [max(p_lo_i - e_i, 0), p_hi_i + e_i], is built on floats by
   _auto_bracket, which rejects a floor above its ceiling. For spatially
   constant data these are the extremes of the extrapolated u stack;
-- with one, a field stack inside the caller's window: the u stack p is
-  extrapolated, the miss is max|u_i^n - p_i^n| over the grid, and with p
-  clipped into the window, [max(p - e, floor), min(p + e, N)], floor the
-  window's floor (at least zero) and N its ceiling, built by _field_bracket
-  and its discrete-bound violations measured once.
+- in a window run, a field stack inside the caller's window: the u stack p
+  is extrapolated, the miss is max|u_i^n - p_i^n| over the grid, and with
+  p clipped into the window, [max(p - e, floor), min(p + e, N)], floor the
+  window's floor (at least zero) and N its ceiling, built by
+  _field_bracket and its discrete-bound violations measured once.
 
-simulate tries each attempt's candidates in one order: the predicted
-bracket, once a miss is known; when it fails the discrete-bound test, at no
-cost to the halving budget, the caller's window, or else a tight constant
+When the predicted bracket fails the discrete-bound test, or before a miss
+is known, the attempt goes on, at no cost to the halving budget, to the
+caller's window in a window run; in an automatic run to a tight constant
 bracket [(1-kappa) min u_i, (1+kappa) max u_i], with kappa =
 max(3*growth_trigger, 2*g) and g the last accepted step's relative change
-of the per-species sup norms, and then the wide bracket [0, 2 max u_i];
-when kappa >= 1 only the wide one. The first two steps start at the
-window, or tight. The window is stacked once per run and handed to the
-step unmeasured, so a step that fails in it raises what step_monotone
-raises on the caller's pair. Tight and wide are built by _auto_bracket and
-admitted only when they pass the discrete-bound test the step applies to
-every bracket. Each step's TraceSummary records which of "predicted",
-"window", "tight" and "wide" it ran in.
+of the per-species sup norms, and then to the wide bracket [0, 2 max u_i];
+when kappa >= 1 only to the wide one. The window is stacked once per run
+and handed to the step unmeasured, so a step that fails in it raises what
+step_monotone raises on the caller's pair. Tight and wide are admitted
+only when they pass the discrete-bound test the step applies to every
+bracket. Each step's TraceSummary records which of "predicted", "window",
+"tight" and "wide" it ran in.
 
 One controller picks every dt (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4): after an accepted step whose largest relative sup-norm rise is r,
-the next dt is min(cfg.dt, dt * min(2, 0.9 * growth_trigger / r)), with no
-growth on the step after a rejection. An attempt is rejected, and redone
-at half its dt, predicted bracket first, for one of three causes: no
-bracket passes at its dt, the step raises (the chain breaks after every
-shift escalation, or the gap does not close), or r exceeds
-growth_trigger. Each rejection spends one of max_halvings. One of the
-first two causes also caps every later dt at the halved one, as it would
-come back at a larger dt and spend a halving at each return; a growth
-rejection leaves the cap where it was. With the budget
-spent, a step that rises too fast is accepted and the controller shrinks
-the next dt, while the other causes end the run as failed. A predicted or
-tight bracket that fails its test costs no halving: the step falls back
-to the next one. A dt below about 1e3 ulps of t ends the run as
+II.4): after an accepted step whose larger relative sup-norm rise over
+the two species is r, the next dt is min(cfg.dt, dt * min(2, 0.9 *
+growth_trigger / r)), or twice dt when neither norm rises, so a run whose
+norms never rise by more than 0.45 * growth_trigger stays at cfg.dt. It
+does not grow dt on the step after a rejection, and a last step cut short
+to land on t_end leaves dt as it was. An attempt is rejected, and redone at
+half its dt, predicted bracket first, for one of three causes: no bracket
+passes at its dt, the step raises (the chain breaks after every shift
+escalation, or the gap does not close), or r exceeds growth_trigger. Each
+rejection spends one of max_halvings. One of the first two causes also
+caps every later dt at the halved one, as it would come back at a larger
+dt and spend a halving at each return; a growth rejection leaves the cap
+where it was. With the budget spent, a step that rises too fast is
+accepted and the controller shrinks the next dt, while the other causes
+end the run as "failed". A dt below about 1e3 ulps of t ends the run as
 "dt_floor", and overflow of either species past overflow_cap as
 "overflowed", with the offending state preserved separately from the
 sub-cap snapshots.
@@ -276,11 +267,11 @@ class SolverConfig:
     """Knobs of the inner iteration and the time-stepping driver.
 
     Each step derives its shift phi from its bracket (_phi_automatic), so
-    no shift is configured. dt is the largest step simulate takes: its
-    controller keeps each step's relative sup-norm rise under
-    growth_trigger, and max_halvings is the run's budget of rejected
-    attempts, each redone at half its dt (simulate). The int and float
-    fields here are also the config file's [solver] keys.
+    no shift is configured. dt is the largest step simulate takes,
+    growth_trigger the relative sup-norm rise its controller allows a step,
+    and max_halvings the run's budget of rejected attempts; the module
+    docstring gives the controller. The int and float fields here are also
+    the config file's [solver] keys.
     """
 
     dt: float
@@ -390,8 +381,9 @@ class SimulationResult:
     t, and on failure the unrecoverable error is kept in `error`.
     halvings_used counts rejected attempts and final_dt is the
     controller's dt for the next step. `snapshots` is the sink simulate
-    was given, a list by default. `summaries` holds each accepted step's TraceSummary; from simulate, a
-    read-only sequence over packed records (_digests).
+    was given, a list by default. `summaries` holds each accepted step's
+    TraceSummary; from simulate, a read-only sequence over packed records
+    (_digests).
     """
 
     snapshots: Sequence
@@ -580,8 +572,8 @@ class _HelmholtzSolver:
     The solver also keeps the inner iteration's work arrays for its grid
     (work_arrays) and a semilinear run's sigma (semilinear_sigma), so a
     solver reused across a run's steps makes them once. Raises ValueError
-    when a solve fails or, unless its caller checks that itself, when its
-    solution is not finite.
+    when a 1D solve fails. Solutions are returned unchecked: step_monotone's
+    chain audit checks that they are finite.
     """
 
     def __init__(self, grid: Grid):
@@ -607,16 +599,14 @@ class _HelmholtzSolver:
             self._ext = (np.empty((2 * (nx - 1), ny)), np.empty((nx, 2 * (ny - 1))))
             self._idct_scale = 1.0 / (2 * (nx - 1) * 2 * (ny - 1))
 
-    def solve(self, sig_over_dt, phi, rhs_cols, guess, check_finite=True):
+    def solve(self, sig_over_dt, phi, rhs_cols, guess):
         """Solve for each column of rhs_cols and return the (k, *grid) solutions.
 
         rhs_cols is a (k, *grid) stack or a sequence of k field arrays. A
         C-contiguous float stack is overwritten with the solutions and
         returned. guess holds a starting point for each column, broadcasting
         against the stack; 2D CG starts from it when its residual beats the
-        zero start's, and 1D ignores it. With check_finite false the caller
-        checks that the solutions are finite, as step_monotone's chain
-        audit does.
+        zero start's, and 1D ignores it.
         """
         rhs = np.ascontiguousarray(rhs_cols, dtype=float)
         if self.grid.dimension == 1:
@@ -632,8 +622,6 @@ class _HelmholtzSolver:
                 raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
             self._solve_2d(sig_over_dt, phi, rhs, guess)
-        if check_finite and not np.isfinite(rhs).all():
-            raise ValueError("linear solve produced non-finite values")
         return rhs
 
     def work_arrays(self):
@@ -817,23 +805,15 @@ class _Bracket(NamedTuple):
     the ceiling and 1 the floor; h and f are u's transform and paired
     reactions, which also start the inner iteration, and lap_h is the
     Laplacian of h. box is (floors, ceilings), each species' smallest floor
-    and largest ceiling value as floats. kind is "window" for a caller's
-    bracket, "predicted" for one around the extrapolated next state, and
-    "tight" or "wide" for the others of an automatic run. columns are the
-    (d, alpha) species columns of the run's params (_param_columns), which
-    simulate builds once per run and hands every step with its bracket.
-    violations, when set, are the per-species discrete-bound violations, as
-    floats, that simulate already measured for the one step it hands the
-    bracket to.
-
-    A window run's brackets are whole arrays from _field_bracket: the
-    window, stacked once per run and checked where it enters to contain the
-    state (_window_bracket), and predicted ones inside it, built with their
-    violations for one step. An automatic run's brackets, predicted ones
-    included, are constant per species from _auto_bracket: their stacks are
-    (2, 2, 1...) arrays that broadcast over the grid, and their box and
-    violations come from the floats they were built from. The step checks
-    no _Bracket for containment.
+    and largest ceiling value as floats. kind is the TraceSummary's
+    bracket: "window", "predicted", "tight" or "wide". columns are the
+    (d, alpha) species columns of the run's params (_param_columns), built
+    once per run. violations, when set, are the per-species discrete-bound
+    violations, as floats, already measured for the one step the bracket is
+    handed to. A bracket built by _field_bracket holds whole arrays, and
+    one built by _auto_bracket (2, 2, 1...) stacks that broadcast over the
+    grid; the module docstring gives which run uses which, and why the step
+    checks no _Bracket for containment.
     """
 
     u: np.ndarray
@@ -843,7 +823,7 @@ class _Bracket(NamedTuple):
     box: tuple
     kind: str
     columns: tuple
-    violations: tuple | None = None
+    violations: list | None = None
 
 
 def _field_bracket(params, grid, u, kind, columns):
@@ -906,23 +886,18 @@ def step_monotone(
     iteration's tolerance and iterate cap. The bracket is a (lower, upper)
     SystemState pair that must contain the state pointwise, checked on
     every call (_window_bracket); simulate passes stacked brackets
-    (_Bracket), which are not checked again: its window was checked when
-    the run started, tight and wide ones contain the state by
-    construction, and an admitted "predicted" one bounds the step solution
-    whether or not it contains the state. `solver` is a _HelmholtzSolver on
-    the state's grid to reuse across steps; a fresh one is built when it is
-    None.
+    (_Bracket), which are not checked again (the module docstring gives
+    why). `solver` is a _HelmholtzSolver on the state's grid to reuse
+    across steps; a fresh one is built when it is None.
 
     The bracket's stacked densities, transform and paired reactions are
     iterate 0, and each later iterate is one linear solve of all four
-    (species, sequence) columns. When the chain breaks beyond tolerance the
-    iteration starts again from the bracket with the shift multiplied by
-    _PHI_RETRY_FACTOR, up to _MAX_PHI_RETRIES times. Raises
-    OrderingViolationError when the bracket is not a discrete bound
-    solution at dt, when its floor lies above its ceiling, or when the
-    chain still breaks after the last escalation, ConvergenceError when the
-    gap fails to close within max_inner_iters, and ValueError when a linear
-    solve gives a value that is not finite.
+    (species, sequence) columns; the module docstring gives the shift
+    escalations. Raises OrderingViolationError when the bracket is not a
+    discrete bound solution at dt, when its floor lies above its ceiling,
+    or when the chain still breaks after the last escalation,
+    ConvergenceError when the gap fails to close within max_inner_iters,
+    and ValueError when a linear solve gives a value that is not finite.
 
     The returned IterationTrace holds the step's TraceSummary, built once
     here with t the new state's time and dt the step's, and its iterates.
@@ -1039,7 +1014,7 @@ def step_monotone(
             rhs_cols += np.multiply(phi, h, out=term)
             # in place: rhs becomes the new transformed stack, whose
             # finiteness the audit below checks
-            solver.solve(sig_over_dt, phi, rhs_cols, h, False)
+            solver.solve(sig_over_dt, phi, rhs_cols, h)
             new_u = _inverse_stack(params, d, rhs)
 
             # the lower must not drop nor the upper rise, then the lower must
@@ -1098,14 +1073,9 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     step of dt from the state whose _Extremes are given, its discrete-bound
     violations measured; None when a floor lies above its ceiling or
     _auto_bracket_feasible rejects the violations. columns are the run's
-    _param_columns, whose shape the stacks take. simulate builds its
-    predicted, tight and wide brackets of automatic runs here.
-
-    Everything is worked out on Python floats: the transform, the paired
-    reactions (each species' ceiling against the other's floor) and each
-    violation, the ceiling's at the species' largest h^n and the floor's at
-    its smallest, where the grid maximum falls. An admitted bracket's stacks
-    are (2, 2, 1...) arrays that broadcast over the grid.
+    _param_columns, whose shape the stacks take. An automatic run builds
+    its predicted, tight and wide brackets here, on Python floats, as the
+    module docstring gives.
     """
     (w1, w2), (v1, v2) = ceilings, floors
     # an extrapolated maximum below zero, or far below the extrapolated
@@ -1158,18 +1128,13 @@ def _lagrange(times, t):
 
 
 def _extrapolate(times, values, t, out=None):
-    """The polynomial in t through the (times, values) nodes, evaluated at t.
-
-    values are the nodes' arrays, which are left unchanged, or their float
-    sequences, which give a list; an array result is written into `out`
-    when it is given. Each value is ((x0 w0 + w1 x1) + w2 x2) with the
-    _lagrange weights w, so an array and its floats give the same floats.
+    """The polynomial in t through the (times, values) nodes' arrays,
+    evaluated at t, and written into `out` when it is given; the nodes are
+    left unchanged. Each value is ((x0 w0 + w1 x1) + w2 x2) with the
+    _lagrange weights w, the order _AutomaticLadder keeps on floats, so an
+    array and its floats give the same floats.
     """
     w = _lagrange(times, t)
-    if not isinstance(values[0], np.ndarray):
-        if len(w) == 2:
-            return [x0 * w[0] + w[1] * x1 for x0, x1 in zip(*values)]
-        return [x0 * w[0] + w[1] * x1 + w[2] * x2 for x0, x1, x2 in zip(*values)]
     out = np.multiply(values[0], w[0], out=out)
     out += w[1] * values[1]
     if len(values) == 3:
@@ -1181,9 +1146,9 @@ class _Extremes(NamedTuple):
     """The smallest and largest value of each row of a (k, npoints) array,
     as two lists of floats, from one reduction each way.
 
-    The rows are a state's u1, u2, h1 and h2, from a state alone (of) or an
-    automatic run's per-run buffer in simulate. Each float is what a
-    reduction of its row alone gives.
+    The rows are a state's u1, u2, h1 and h2, from a state alone (of) or
+    _AutomaticLadder's buffer. Each float is what a reduction of its row
+    alone gives.
     """
 
     lo: list
@@ -1197,9 +1162,9 @@ class _Extremes(NamedTuple):
     @classmethod
     def reduce_signed(cls, buffer):
         """reduce's floats for the first half of a (2k, npoints) buffer from
-        one reduction, as simulate's automatic runs take them: the second
-        half is overwritten with the first's negatives, whose largest values
-        are minus the smallest; a zero smallest value reads +0.0."""
+        one reduction, as _AutomaticLadder takes them: the second half is
+        overwritten with the first's negatives, whose largest values are
+        minus the smallest; a zero smallest value reads +0.0."""
         k = len(buffer) // 2
         np.negative(buffer[:k], out=buffer[k:])
         top = np.maximum.reduce(buffer, axis=1).tolist()
@@ -1216,39 +1181,174 @@ class _Extremes(NamedTuple):
         return abs(max(hi[0], -lo[0])), abs(max(hi[1], -lo[1]))
 
 
+class _Ladder:
+    """One simulate run's predictor and candidate brackets, picked once per
+    run: _WindowLadder with a caller's window, _AutomaticLadder without
+    one. The module docstring gives each kind's predictor and candidate
+    order.
+
+    Each kind's bracket(state, dt, norms, growth) returns the attempt's
+    first admitted _Bracket for a step of dt from state, predicting the
+    state at state.t + dt from the second step on; norms are the state's
+    sup norms and growth the last accepted step's relative changes of them.
+    An automatic run raises ConvergenceError when no bracket passes, and a
+    window run ends at the window, which the step measures. measure(state)
+    returns a stepped state's sup norms and keeps its miss of the
+    prediction and its node; advance(state) makes the state simulate
+    accepted, the one measured last, the newest node. half_widths(norms)
+    gives each species' e_i around the prediction.
+    """
+
+    def __init__(self, params, grid, state):
+        self.params, self.grid, self.columns = params, grid, _param_columns(params, grid)
+        # the last three accepted states' times, the miss of the last
+        # accepted prediction, and the miss of the state measured last
+        self.times, self.misses, self.miss = [state.t], None, None
+
+    def half_widths(self, norms):
+        # `b if b > a else a` is max(a, b), float for float, without the call
+        n1, n2 = norms
+        n1 = n2 if n2 > n1 else n1
+        round_off = _PREDICT_FLOOR * (n1 if n1 > 1.0 else 1.0)
+        return (
+            _PREDICT_FACTOR * self.misses[0] + round_off,
+            _PREDICT_FACTOR * self.misses[1] + round_off,
+        )
+
+    def advance(self, state):
+        self.misses = self.miss
+        self.times = self.times[-2:] + [state.t]
+        self.values = self.values[-2:] + [self.node]
+
+
+class _WindowLadder(_Ladder):
+    """A run in a caller's window: u-stack nodes, and candidates the
+    predicted bracket, a field stack clipped into the window, then the
+    window."""
+
+    def __init__(self, params, grid, state, pair):
+        super().__init__(params, grid, state)
+        # checked once to contain the state, and stacked once, with its
+        # transform and reactions, for every step
+        self.window = window = _window_bracket(params, state, pair, self.columns)
+        self.top, self.floor = window.u[:, 0], np.maximum(window.u[:, 1], 0.0)
+        self.prediction, self.values = np.empty((2,) + grid.shape), [state.u]
+
+    def bracket(self, state, dt, norms, growth):
+        if len(self.times) > 1:
+            _extrapolate(self.times, self.values, state.t + dt, self.prediction)
+        if self.misses is not None:
+            # clipped into the window, so every state stays inside it
+            clipped = np.minimum(np.maximum(self.prediction, self.floor), self.top)
+            e = np.reshape(self.half_widths(norms), (2,) + (1,) * self.grid.dimension)
+            u = np.empty((2, 2) + self.grid.shape)
+            np.minimum(clipped + e, self.top, out=u[:, 0])
+            np.maximum(clipped - e, self.floor, out=u[:, 1])
+            predicted = _field_bracket(self.params, self.grid, u, "predicted", self.columns)
+            violations = _violations(
+                self.params, self.grid, dt, state.h[:, None], predicted
+            ).tolist()
+            if _auto_bracket_feasible(violations, predicted.box[1]):
+                return predicted._replace(violations=violations)
+        # measured by the step, which raises what a caller's pair raises
+        return self.window
+
+    def measure(self, state):
+        if len(self.times) > 1:
+            self.miss = np.abs(state.u - self.prediction).reshape(2, -1).max(axis=1).tolist()
+        self.node = state.u
+        return state.sup_norms()
+
+
+class _AutomaticLadder(_Ladder):
+    """A run without a window: float nodes, the extremes (min u1, min u2,
+    max u1, max u2), and candidates constant per species from
+    _auto_bracket, the predicted bracket, then tight, then wide."""
+
+    def __init__(self, params, grid, state, trigger):
+        super().__init__(params, grid, state)
+        self.trigger = trigger
+        self.extremes = lo, hi = _Extremes.of(state)
+        # an accepted state's u and h, with their negatives below them, for
+        # one reduction each way (_Extremes.reduce_signed)
+        self.rows = np.empty((8, grid.npoints))
+        self.state_rows = self.rows[:4].reshape((4,) + grid.shape)
+        self.values = [lo[:2] + hi[:2]]
+
+    def bracket(self, state, dt, norms, growth):
+        if len(self.times) > 1:
+            # _extrapolate's sums, on floats
+            w = _lagrange(self.times, state.t + dt)
+            if len(w) == 2:
+                self.prediction = [x0 * w[0] + w[1] * x1 for x0, x1 in zip(*self.values)]
+            else:
+                self.prediction = [
+                    x0 * w[0] + w[1] * x1 + w[2] * x2 for x0, x1, x2 in zip(*self.values)
+                ]
+        lo, hi = extremes = self.extremes
+        if self.misses is not None:
+            e1, e2 = self.half_widths(norms)
+            p_lo1, p_lo2, p_hi1, p_hi2 = self.prediction
+            f1, f2 = p_lo1 - e1, p_lo2 - e2
+            bracket = _auto_bracket(
+                self.params, self.columns, extremes, dt,
+                [0.0 if 0.0 > f1 else f1, 0.0 if 0.0 > f2 else f2], [p_hi1 + e1, p_hi2 + e2],
+                "predicted",
+            )
+            if bracket is not None:
+                return bracket
+        kappa = max(3.0 * self.trigger, 2.0 * max(abs(growth[0]), abs(growth[1])))
+        if kappa < 1.0:
+            bracket = _auto_bracket(
+                self.params, self.columns, extremes, dt,
+                [(1.0 - kappa) * lo[0], (1.0 - kappa) * lo[1]],
+                [(1.0 + kappa) * hi[0], (1.0 + kappa) * hi[1]], "tight",
+            )
+            if bracket is not None:
+                return bracket
+        # the literal +0.0 floor: (1 - kappa) * -0.0 would be -0.0
+        bracket = _auto_bracket(
+            self.params, self.columns, extremes, dt, [0.0, 0.0], [2.0 * hi[0], 2.0 * hi[1]],
+            "wide",
+        )
+        if bracket is None:
+            raise ConvergenceError(
+                f"no feasible step ceiling at the minimum dt ({dt:.3e}); "
+                f"state max {max(norms):.3e}"
+            )
+        return bracket
+
+    def measure(self, state):
+        np.concatenate((state.u, state.h), out=self.state_rows)
+        self.measured = lo, hi = _Extremes.reduce_signed(self.rows)
+        if len(self.times) > 1:
+            p = self.prediction
+            self.miss = (
+                max(abs(lo[0] - p[0]), abs(hi[0] - p[2])),
+                max(abs(lo[1] - p[1]), abs(hi[1] - p[3])),
+            )
+        self.node = lo[:2] + hi[:2]
+        return self.measured.sup_norms()
+
+    def advance(self, state):
+        super().advance(state)
+        self.extremes = self.measured
+
+
 def simulate(
     params, grid, eig, u0, cfg: SolverConfig, t_end: float, bracket=None, snapshots=None
 ):
     """March step_monotone from u0 to t_end, or to overflow, or to failure.
 
-    From the third step on, each attempt first tries a predicted bracket
-    around the next u stack extrapolated from those of the last three
-    accepted states (the module docstring gives its form), and takes it
-    when it is a discrete bound solution at the attempt's dt; its summary
-    says "predicted". The first two steps, and an attempt whose predicted
-    bracket fails, go on at no cost to the halving budget to the run's
-    other brackets. With `bracket` given (a certified (lower, upper) pair)
-    that is the pair, stacked once and reused, and the predicted brackets
-    are clipped to it; it must contain u0, or OrderingViolationError is
-    raised before the first step. Otherwise it is the tight constant
-    bracket [(1-kappa) min u_i, (1+kappa) max u_i], kappa =
-    max(3*growth_trigger, 2*g) with g the last accepted step's relative
-    sup-norm change, when it passes the same test; when it does not, or
-    when kappa >= 1, the wide zero-floor bracket with ceiling 2*max(u_i),
-    under the same test.
-
-    The controller of the module docstring picks each step's dt, with r
-    the larger of the two species' relative sup-norm rises (0 when both
-    norms fall), so a run whose norms never rise by more than half the
-    trigger stays at cfg.dt; a last step cut short to land on t_end leaves
-    the controller's dt as it was. A rejection for no passing bracket or a
-    raising step caps the controller's dt at the halved one for the rest
-    of the run; a growth rejection does not. Once the halving budget is
-    spent, growth control stays on; any other rejection then ends the run
-    with termination "failed" and the error kept. A dt below _DT_FLOOR *
-    max(1, t) ends it with termination "dt_floor". Neither raises, so
-    partial output survives. Each accepted step's TraceSummary is packed into
-    `summaries`, which reads it back bit for bit.
+    The module docstring gives the brackets each attempt tries, the
+    predictor and the step-size controller. With `bracket`, a certified
+    (lower, upper) pair, the run stays inside that window, which must
+    contain u0, or OrderingViolationError is raised before the first step;
+    without it the run's brackets are constant per species. A failed run
+    ends with termination "failed" and its error kept, and a dt under
+    round-off in t with "dt_floor"; neither raises, so partial output
+    survives. Each accepted step's TraceSummary is packed into `summaries`,
+    which reads it back bit for bit.
 
     `snapshots` is the sink of the kept states: any object with `append`,
     which receives the initial state, every snapshot_every-th accepted one
@@ -1269,49 +1369,23 @@ def simulate(
         raise ValueError("initial fields must be finite")
     if np.any(state.u < 0.0):
         raise ValueError("initial fields must be nonnegative")
-    growth = 0.0
+    growth = (0.0, 0.0)
     snapshots = [] if snapshots is None else snapshots
     snapshots.append(state)
-    kept = state
     digests = bytearray()
     # ceiling is the largest dt the controller may pick: cfg.dt, lowered
     # to the halved dt by each rejection that is not for growth
     dt, grow, ceiling = cfg.dt, 2.0, cfg.dt
-    trigger = cfg.growth_trigger
-    halvings = 0
-    accepted = 0
+    halvings = accepted = 0
     termination = "completed"
-    overflow_time = None
-    error = None
-    final_state = state
+    overflow_time = error = None
     # on the states' own grid, which every step then finds by identity
     solver = _HelmholtzSolver(state.grid)
-    columns = _param_columns(params, grid)
-    if bracket is not None:
-        # checked once to contain u0, and stacked once, with its transform
-        # and reactions, for every step
-        window = _window_bracket(params, state, bracket, columns)
-        top, floor = window.u[:, 0], np.maximum(window.u[:, 1], 0.0)
-    # the predictor's nodes, the last three accepted states' times and u
-    # stacks, or in an automatic run their extremes of u as floats, and
-    # each species' miss of the last accepted prediction
-    times, misses = [state.t], None
-    extremes = _Extremes.of(state)
-    norms = extremes.sup_norms()
     if bracket is None:
-        # an accepted state's u and h, with their negatives below them, for
-        # one reduction each way (_Extremes)
-        rows = np.empty((8, grid.npoints))
-        state_rows = rows[:4].reshape((4,) + grid.shape)
-        values = [extremes.lo[:2] + extremes.hi[:2]]
+        ladder = _AutomaticLadder(params, grid, state, cfg.growth_trigger)
     else:
-        # an accepted state's |u| and its miss |u - p| against the
-        # prediction p it was stepped into, reduced for their largest
-        # values, the sup norms and the misses
-        checked, stack = np.zeros((4, grid.npoints)), (2,) + grid.shape
-        abs_u, miss_rows = checked[:2].reshape(stack), checked[2:].reshape(stack)
-        prediction, values = np.empty(stack), [state.u]
-    predicted_dt = None
+        ladder = _WindowLadder(params, grid, state, bracket)
+    norms = state.sup_norms()
 
     t_guard = 1e-12 * t_end
     while state.t < t_end - t_guard:
@@ -1322,94 +1396,17 @@ def simulate(
         if dt <= dt_step:
             dt_step = dt
 
-        # one attempt: the step, or the reason to redo it at half the dt.
-        # The predicted bracket goes first once a miss is known, from the
-        # third step on; the others follow at no cost to the halving budget
-        rejection = None
-        step_bracket = None
-        if len(times) > 1 and predicted_dt != dt_step:
-            if bracket is None:
-                # the extrapolated extremes (min u1, min u2, max u1, max u2)
-                prediction = _extrapolate(times, values, state.t + dt_step)
-            else:
-                _extrapolate(times, values, state.t + dt_step, prediction)
-            predicted_dt = dt_step
-        if misses is not None:
-            n1, n2 = norms
-            n1 = n2 if n2 > n1 else n1
-            round_off = _PREDICT_FLOOR * (n1 if n1 > 1.0 else 1.0)
-            e1 = _PREDICT_FACTOR * misses[0] + round_off
-            e2 = _PREDICT_FACTOR * misses[1] + round_off
-            if bracket is not None:
-                # clipped into the window, so every state stays inside it
-                clipped = np.minimum(np.maximum(prediction, floor), top)
-                e = np.reshape((e1, e2), (2,) + (1,) * grid.dimension)
-                u = np.empty((2, 2) + grid.shape)
-                np.minimum(clipped + e, top, out=u[:, 0])
-                np.maximum(clipped - e, floor, out=u[:, 1])
-                step_bracket = _field_bracket(params, grid, u, "predicted", columns)
-                violations = _violations(
-                    params, grid, dt_step, state.h[:, None], step_bracket
-                ).tolist()
-                if _auto_bracket_feasible(violations, step_bracket.box[1]):
-                    step_bracket = step_bracket._replace(violations=violations)
-                else:
-                    step_bracket = None
-            else:
-                # around each species' extrapolated extremes
-                p_lo1, p_lo2, p_hi1, p_hi2 = prediction
-                f1, f2 = p_lo1 - e1, p_lo2 - e2
-                step_bracket = _auto_bracket(
-                    params, columns, extremes, dt_step,
-                    [0.0 if 0.0 > f1 else f1, 0.0 if 0.0 > f2 else f2],
-                    [p_hi1 + e1, p_hi2 + e2], "predicted",
-                )
-        if step_bracket is None and bracket is not None:
-            # measured by the step, which raises what a caller's pair raises
-            step_bracket = window
-        elif step_bracket is None:
-            kappa = max(3.0 * trigger, 2.0 * growth)
-            lo, hi = extremes
-            if kappa < 1.0:
-                floors = [(1.0 - kappa) * lo[0], (1.0 - kappa) * lo[1]]
-                ceilings = [(1.0 + kappa) * hi[0], (1.0 + kappa) * hi[1]]
-                step_bracket = _auto_bracket(
-                    params, columns, extremes, dt_step, floors, ceilings, "tight"
-                )
-            if step_bracket is None:
-                # the literal +0.0 floor: (1 - kappa) * -0.0 would be -0.0
-                ceilings = [2.0 * hi[0], 2.0 * hi[1]]
-                step_bracket = _auto_bracket(
-                    params, columns, extremes, dt_step, [0.0, 0.0], ceilings, "wide"
-                )
-            if step_bracket is None:
-                rejection = ConvergenceError(
-                    f"no feasible step ceiling at the minimum dt ({dt_step:.3e}); "
-                    f"state max {max(norms):.3e}"
-                )
-        if rejection is None:
-            try:
-                new_state, summary = step_monotone(
-                    state, cfg, params, step_bracket, solver, dt_step, False
-                )
-            except (ConvergenceError, OrderingViolationError) as exc:
-                rejection = exc
-        if rejection is None:
-            if bracket is None:
-                np.concatenate((new_state.u, new_state.h), out=state_rows)
-                new_extremes = lo, hi = _Extremes.reduce_signed(rows)
-                m1, m2 = new_extremes.sup_norms()
-                if len(times) > 1:
-                    # the miss of the extrapolated extremes
-                    miss1 = max(abs(lo[0] - prediction[0]), abs(hi[0] - prediction[2]))
-                    miss2 = max(abs(lo[1] - prediction[1]), abs(hi[1] - prediction[3]))
-            else:
-                # the new state's |u| and its miss, when this attempt had a
-                # prediction, for one reduction; max |u_i| is the sup norm
-                np.abs(new_state.u, out=abs_u)
-                if len(times) > 1:
-                    np.abs(np.subtract(new_state.u, prediction, out=miss_rows), out=miss_rows)
-                m1, m2, miss1, miss2 = np.maximum.reduce(checked, axis=1).tolist()
+        # one attempt: the step, or the reason to redo it at half the dt. No
+        # local keeps the bracket, whose arrays go with the step's frame
+        try:
+            new_state, summary = step_monotone(
+                state, cfg, params, ladder.bracket(state, dt_step, norms, growth), solver,
+                dt_step, False,
+            )
+        except (ConvergenceError, OrderingViolationError) as exc:
+            rejection = exc
+        else:
+            m1, m2 = ladder.measure(new_state)
             finite = math.isfinite(m1) and math.isfinite(m2)
             if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
                 termination = "overflowed"
@@ -1423,8 +1420,9 @@ def simulate(
             r1 = (m1 - p1) / p1 if p1 > 0.0 else 0.0
             r2 = (m2 - p2) / p2 if p2 > 0.0 else 0.0
             rise = r2 if r2 > r1 else r1
-            if rise > trigger and halvings < cfg.max_halvings:
-                rejection = "growth"
+            rejection = (
+                "growth" if rise > cfg.growth_trigger and halvings < cfg.max_halvings else None
+            )
 
         if rejection is not None:
             if halvings >= cfg.max_halvings:
@@ -1443,28 +1441,21 @@ def simulate(
         if dt_step == dt:
             # the controller, fed only by steps of its own dt, and kept from
             # growing dt on the step after a rejection
-            factor = 0.9 * trigger / rise if rise > 0.0 else 2.0
+            factor = 0.9 * cfg.growth_trigger / rise if rise > 0.0 else 2.0
             dt *= factor if factor < grow else grow
             if dt > ceiling:
                 dt = ceiling
         grow = 2.0
-        r1, r2 = abs(r1), abs(r2)
-        growth = r2 if r2 > r1 else r1
-        if len(times) > 1:
-            misses = miss1, miss2
+        growth = r1, r2
         state, norms = new_state, (m1, m2)
-        node = state.u if bracket is not None else lo[:2] + hi[:2]
-        times, values = times[-2:] + [state.t], values[-2:] + [node]
-        predicted_dt = None
-        if bracket is None:
-            extremes = new_extremes
+        ladder.advance(state)
         accepted += 1
         _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:
             snapshots.append(state)
-            kept = state
 
-    if kept is not state:
+    # the last state, unless it was kept as a snapshot or no step was taken
+    if accepted % cfg.snapshot_every:
         snapshots.append(state)
     if termination != "overflowed":
         final_state = state

@@ -1160,6 +1160,30 @@ class TestPredictedBrackets:
             else:
                 assert kind == "predicted"
 
+    def test_rejected_window_prediction_falls_back_without_halving(self, setup, monkeypatch):
+        # a window run's predicted bracket that fails the discrete-bound test
+        # falls back to the caller's window, at no cost to the halving budget:
+        # with none at all, a fallback that spent one would end the run as
+        # failed. The fifth step's prediction is forced to fail
+        params, grid, eig, regime, u0 = setup
+        pair = initial_bracket(params, eig, u0, regime)
+        feasible = sktlab.iteration._auto_bracket_feasible
+        verdicts = []
+
+        def failing_fifth(violations, ceilings):
+            # called for each predicted bracket, from the third step on
+            verdicts.append(feasible(violations, ceilings) and len(verdicts) != 2)
+            return verdicts[-1]
+
+        monkeypatch.setattr(sktlab.iteration, "_auto_bracket_feasible", failing_fifth)
+        cfg = SolverConfig(dt=1e-3, max_halvings=0)
+        result = simulate(params, grid, eig, u0, cfg, 8 * cfg.dt, bracket=pair)
+        assert result.termination == "completed" and result.halvings_used == 0
+        kinds = [s.bracket for s in result.summaries]
+        assert len(verdicts) == len(kinds) - 2 == 6
+        assert kinds == ["window"] * 2 + ["predicted"] * 2 + ["window"] + ["predicted"] * 3
+        assert {s.dt for s in result.summaries} == {cfg.dt}
+
     @pytest.mark.parametrize("shape", [(2, 17), (2, 5, 4)], ids=["1d", "2d"])
     @pytest.mark.parametrize(
         "times, degree",
@@ -1551,27 +1575,13 @@ class TestHelmholtzSolver:
         [Grid.interval(np.pi, 9), Grid.rectangle(np.pi, 2.0, 9, 5)],
         ids=["1d", "2d"],
     )
-    def test_nonfinite_rhs_raises(self, grid):
-        b = np.ones(grid.shape)
-        b.flat[3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            _HelmholtzSolver(grid).solve(
-                10.0, 1.0, [np.ones(grid.shape), b], np.zeros((2,) + grid.shape)
-            )
-
-    @pytest.mark.parametrize(
-        "grid",
-        [Grid.interval(np.pi, 9), Grid.rectangle(np.pi, 2.0, 9, 5)],
-        ids=["1d", "2d"],
-    )
     def test_step_checks_its_solutions_itself(self, grid, monkeypatch):
-        # the step asks the solver to skip its finiteness check, and its
-        # chain audit raises the solver's error on a non-finite solution
+        # the solver returns its solutions unchecked, and the step's chain
+        # audit raises on a non-finite one
         solve = _HelmholtzSolver.solve
 
-        def poisoned(self, sig_over_dt, phi, rhs_cols, guess, check_finite=True):
-            assert check_finite is False
-            out = solve(self, sig_over_dt, phi, rhs_cols, guess, check_finite)
+        def poisoned(self, sig_over_dt, phi, rhs_cols, guess):
+            out = solve(self, sig_over_dt, phi, rhs_cols, guess)
             out.flat[3] = np.nan
             return out
 
