@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import EigenPair, Grid, weighted_integral
 from .iteration import SimulationResult, SystemState
-from .regimes import SCHEMA_VERSION, BlowupCertificate, t0_estimate
+from .regimes import SCHEMA_VERSION, BlowupCertificate, _t0_or_none
 
 BOUND_SLACK = 0.98  # tolerated fraction of the bound (quadrature + time error)
 T0_SLACK = 1.10  # detection may trail T0 by this factor and still comply
@@ -159,9 +159,7 @@ def analyze(
     averages = [weighted_average(grid, eig, cert.mu1, cert.mu2, s) for s in states]
     p_hat0 = averages[0].p_hat
 
-    t0 = None
-    if cert.conditions_hold and cert.threshold is not None and p_hat0 > cert.threshold:
-        t0 = t0_estimate(cert, p_hat0)
+    t0 = _t0_or_none(cert, p_hat0)
 
     rows = []
     violations = 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -46,10 +47,10 @@ from .iteration import SystemState, initial_bracket, simulate
 from .model import _PARAM_KEYS
 from .regimes import (
     SCHEMA_VERSION,
+    _t0_or_none,
     classify_blowup,
     classify_global,
     search_multipliers,
-    t0_estimate,
 )
 
 EXIT_OK = 0
@@ -63,10 +64,6 @@ _SWEEP_AXES = _PARAM_KEYS + ("mu1", "mu2")
 def _r(value) -> str:
     """Shortest exact decimal for a CSV cell; empty cell for None."""
     return "" if value is None else repr(float(value))
-
-
-def _b(value) -> str:
-    return "" if value is None else ("true" if value else "false")
 
 
 class _WriteError(Exception):
@@ -104,15 +101,9 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _data_t0(cert, p_hat0):
-    """T0 from a certificate and the measured initial average, if defined."""
-    if cert.conditions_hold and cert.threshold is not None and p_hat0 > cert.threshold:
-        return t0_estimate(cert, p_hat0)
-    return None
-
-
 class _Run:
-    """Shared setup: grid, eigenpair, initial fields, initial average."""
+    """Shared setup: grid, eigenpair, initial fields, initial averages, and
+    the config's certificates."""
 
     def __init__(self, cfg: RunConfig, lambda0_mode_override):
         self.cfg = cfg
@@ -121,29 +112,38 @@ class _Run:
         self.u0 = build_initial_fields(cfg.require_initial(), cfg.grid, self.eig)
         state0 = SystemState.from_u(cfg.params, 0.0, self.u0[0], self.u0[1])
         self.wa0 = weighted_average(cfg.grid, self.eig, cfg.mu1, cfg.mu2, state0)
-        self.regime = classify_global(cfg.params, self.eig.lambda0, self.mode)
-        self.cert = classify_blowup(
-            cfg.params, self.eig.lambda0, cfg.mu1, cfg.mu2, self.wa0.p_hat
-        )
+        self.regime, self.cert, self.p_hat0 = self.certificates(cfg.params, cfg.mu1, cfg.mu2)
 
-    def run_simulation(self, params=None, regime=None, cert=None, snapshots=None):
-        """Simulate from the run's fields, with the run's params and
-        certificates or, for a sweep row, the row's own, keeping the states
-        in `snapshots` (simulate's sink; a new list by default).
+    def certificates(self, params, mu1, mu2):
+        """(regime, blow-up certificate, p_hat0) for `params` and the
+        multipliers, p_hat0 being the data's weighted average under them."""
+        regime = classify_global(params, self.eig.lambda0, self.mode)
+        p_hat0 = mu1 * self.wa0.p_hat1 + mu2 * self.wa0.p_hat2
+        return regime, classify_blowup(params, self.eig.lambda0, mu1, mu2, p_hat0), p_hat0
+
+    def run_simulation(self, row=None, snapshots=None):
+        """Simulate from the run's fields, with the config's params and
+        certificates or a sweep row's (params, regime, cert), keeping the
+        states in `snapshots` (simulate's sink; a new list by default).
+        Returns the result and the bracket mode.
 
         The window bracket is used only when confinement is certified and
         no blow-up is. A data-certified blow-up makes any fixed ceiling
         futile, so those runs (and uncertified ones) use the per-step auto
-        bracket.
+        bracket. A sweep row whose data exceed its window runs in the auto
+        bracket too; the config's own run raises BracketConstructionError.
         """
         solver = self.cfg.require_solver()
         t_end = self.cfg.require_t_end()
-        if params is None:
-            params, regime, cert = self.cfg.params, self.regime, self.cert
+        params, regime, cert = row or (self.cfg.params, self.regime, self.cert)
         bracket, bracket_mode = None, "auto"
         if not cert.certified and regime.certified:
-            bracket = initial_bracket(params, self.eig, self.u0, regime)
-            bracket_mode = "window"
+            try:
+                bracket = initial_bracket(params, self.eig, self.u0, regime)
+                bracket_mode = "window"
+            except BracketConstructionError:
+                if row is None:
+                    raise
         result = simulate(
             params, self.cfg.grid, self.eig, self.u0, solver, t_end,
             bracket=bracket, snapshots=snapshots,
@@ -287,7 +287,7 @@ def _run_summary(result, run: _Run, bracket_mode: str) -> dict:
 def cmd_classify(args, cfg: RunConfig, out_dir: str) -> int:
     run = _Run(cfg, args.lambda0_mode)
     cert_dict = run.cert.as_dict()
-    cert_dict["t0"] = _data_t0(run.cert, run.wa0.p_hat)
+    cert_dict["t0"] = _t0_or_none(run.cert, run.p_hat0)
 
     searched = None
     if cfg.search_resolution is not None:
@@ -299,13 +299,13 @@ def cmd_classify(args, cfg: RunConfig, out_dir: str) -> int:
             cfg.search_resolution,
         )
         searched = best.as_dict()
-        searched["t0"] = _data_t0(best, best.p_hat0)
+        searched["t0"] = _t0_or_none(best, best.p_hat0)
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "lambda0": run.eig.lambda0,
         "lambda0_mode": run.mode,
-        "p_hat0": run.wa0.p_hat,
+        "p_hat0": run.p_hat0,
         "regime": run.regime.as_dict(),
         "blowup_certificate": cert_dict,
         "searched_certificate": searched,
@@ -387,6 +387,8 @@ def cmd_blowup(args, cfg: RunConfig, out_dir: str) -> int:
 def _sweep_values(args) -> np.ndarray:
     if args.count < 1:
         raise ConfigError(f"sweep count must be >= 1, got {args.count}")
+    if not (math.isfinite(args.min) and math.isfinite(args.max)):
+        raise ConfigError(f"sweep endpoints must be finite, got [{args.min}, {args.max}]")
     if args.scale == "log":
         if args.min <= 0.0 or args.max <= 0.0:
             raise ConfigError(
@@ -402,43 +404,27 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError(
             f"unknown sweep axis {key!r}; choose one of {', '.join(_SWEEP_AXES)}"
         )
-    values = _sweep_values(args)
+    values = _sweep_values(args).tolist()
     run = _Run(cfg, args.lambda0_mode)
 
     rows = []
     for value in values:
-        value = float(value)
-        params = cfg.params
-        mu1, mu2 = cfg.mu1, cfg.mu2
-        if key in _PARAM_KEYS:
-            try:
+        params, mu = cfg.params, {"mu1": cfg.mu1, "mu2": cfg.mu2}
+        try:
+            if key in mu:
+                if not value > 0.0:
+                    raise ValueError("multipliers must be positive")
+                mu[key] = value
+            else:
                 params = params.replace(**{key: value})
-            except ValueError as exc:
-                raise ConfigError(f"sweep value {value!r} rejected: {exc}") from None
-        elif key == "mu1":
-            mu1 = value
-        else:
-            mu2 = value
-        if not (mu1 > 0.0 and mu2 > 0.0):
-            raise ConfigError(f"sweep value {value!r} rejected: multipliers must be positive")
+        except ValueError as exc:
+            raise ConfigError(f"sweep value {value!r} rejected: {exc}") from None
 
-        regime = classify_global(params, run.eig.lambda0, run.mode)
-        p_hat0 = mu1 * run.wa0.p_hat1 + mu2 * run.wa0.p_hat2
-        cert = classify_blowup(params, run.eig.lambda0, mu1, mu2, p_hat0)
+        regime, cert, p_hat0 = run.certificates(params, **mu)
         branch = next(r for r in cert.conditions if r.name.startswith("c1 + b2"))
-        t0 = _data_t0(cert, p_hat0)
-
         detected = None
         if args.simulate:
-            # the row's params and certificates choose the bracket
-            try:
-                result, _ = run.run_simulation(params, regime, cert)
-            except BracketConstructionError:
-                # the data exceed the row's window: run the row in the
-                # automatic bracket, as an uncertified row runs
-                result = simulate(
-                    params, cfg.grid, run.eig, run.u0, cfg.require_solver(), cfg.require_t_end()
-                )
+            result, _ = run.run_simulation((params, regime, cert))
             detected = result.overflow_time
 
         rows.append(
@@ -448,10 +434,10 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
                 regime.verdict,
                 cert.verdict,
                 cert.condition_branch,
-                _b(branch.holds),
+                "true" if branch.holds else "false",
                 _r(cert.threshold),
                 _r(p_hat0),
-                _r(t0),
+                _r(_t0_or_none(cert, p_hat0)),
                 _r(detected),
             )
         )

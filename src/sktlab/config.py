@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,15 @@ _INITIAL_KINDS = {
     "expression": ("u1", "u2"),
 }
 _FORMATS = ("csv", "json")
+# (section, key) -> (test, rule) for the keys whose range the reader checks
+# itself; a value that fails its test is reported as "<key> <rule>, got <value>"
+_RANGES = {
+    ("grid", "dim"): (lambda v: v in (1, 2), "must be 1 or 2"),
+    ("solver", "t_end"): (lambda v: v > 0.0, "must be positive"),
+    ("blowup", "search_resolution"): (lambda v: v >= 2, "must be >= 2"),
+    ("blowup", "mu1"): (lambda v: v > 0.0, "must be positive"),
+    ("blowup", "mu2"): (lambda v: v > 0.0, "must be positive"),
+}
 
 _SECTION_KEYS = {
     "model": set(_PARAM_KEYS),
@@ -126,8 +136,9 @@ def parse_sections(text: str) -> dict:
 def _value(sections: dict, section: str, key: str, kind=float, *, required=False,
            default=None, choices=None):
     """`key` of `section` read as `kind`: a finite float, an int, or a str
-    (one of `choices`, when given). An absent key gives `default`, unless it
-    is required; then the error names the section when that is absent too."""
+    (one of `choices`, when given), within its `_RANGES` rule if it has one.
+    An absent key gives `default`, unless it is required; then the error
+    names the section when that is absent too."""
     entries = sections.get(section, {})
     if key not in entries:
         if not required:
@@ -149,6 +160,9 @@ def _value(sections: dict, section: str, key: str, kind=float, *, required=False
         raise ConfigError(f"expected {noun}, got {value!r}", section, key, line) from None
     if kind is float and not math.isfinite(out):
         raise ConfigError(f"value must be finite, got {value!r}", section, key, line)
+    test, rule = _RANGES.get((section, key), (None, None))
+    if test is not None and not test(out):
+        raise ConfigError(f"{key} {rule}, got {out}", section, key, line)
     return out
 
 
@@ -183,8 +197,6 @@ def _rejected(exc, sections: dict, section: str) -> ConfigError:
 def _build_grid(sections: dict) -> Grid:
     dim = _value(sections, "grid", "dim", int, required=True)
     entries = sections["grid"]
-    if dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {dim}", "grid", "dim", entries["dim"][1])
     kw = dict(
         dimension=dim,
         lx=_value(sections, "grid", "lx", required=True),
@@ -222,11 +234,6 @@ def _build_solver(sections: dict):
         for f in dataclasses.fields(SolverConfig)
     }
     t_end = _value(sections, "solver", "t_end")
-    if t_end is not None and not t_end > 0.0:
-        raise ConfigError(
-            f"t_end must be positive, got {t_end}", "solver", "t_end",
-            sections["solver"]["t_end"][1],
-        )
     try:
         return SolverConfig(**kwargs), t_end
     except ValueError as exc:
@@ -252,22 +259,12 @@ def build_run_config(sections: dict) -> RunConfig:
     solver, t_end = _build_solver(sections) if "solver" in sections else (None, None)
     initial = _build_initial(sections) if "initial" in sections else None
 
-    mu1 = _value(sections, "blowup", "mu1", default=1.0)
-    mu2 = _value(sections, "blowup", "mu2", default=1.0)
     lambda0_mode = _value(
         sections, "blowup", "lambda0_mode", str, default="principal", choices=_LAMBDA0_MODES
     )
     search_resolution = _value(sections, "blowup", "search_resolution", int)
-    if search_resolution is not None and search_resolution < 2:
-        raise ConfigError(
-            f"search_resolution must be >= 2, got {search_resolution}",
-            "blowup",
-            "search_resolution",
-            sections["blowup"]["search_resolution"][1],
-        )
-    for name, value in (("mu1", mu1), ("mu2", mu2)):
-        if not value > 0.0:
-            raise ConfigError(f"{name} must be positive, got {value}", section="blowup", key=name)
+    mu1 = _value(sections, "blowup", "mu1", default=1.0)
+    mu2 = _value(sections, "blowup", "mu2", default=1.0)
 
     output = sections.get("output", {})
     output_dir = _value(sections, "output", "directory", str, default=".")
@@ -330,7 +327,12 @@ def load_config(path) -> RunConfig:
 
 
 _EXPR_FUNCS = {"sin": np.sin, "cos": np.cos}
-_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# the allowed binary and unary operators, by AST node type
+_EXPR_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.USub: operator.neg, ast.UAdd: operator.pos,
+}
 
 
 def _eval_expression(text: str, grid: Grid, key: str) -> np.ndarray:
@@ -340,12 +342,13 @@ def _eval_expression(text: str, grid: Grid, key: str) -> np.ndarray:
     signs. Anything else is rejected by node type, so the config language
     stays a calculator.
     """
+    def error(message):
+        return ConfigError(message, "initial", key)
+
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
-        raise ConfigError(
-            f"invalid expression {text!r}: {exc.msg}", "initial", key
-        ) from None
+        raise error(f"invalid expression {text!r}: {exc.msg}") from None
 
     names: dict = {"pi": math.pi}
     if grid.dimension == 1:
@@ -361,27 +364,15 @@ def _eval_expression(text: str, grid: Grid, key: str) -> np.ndarray:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
                 return float(node.value)
-            raise ConfigError(
-                f"only numeric literals are allowed, got {node.value!r}", "initial", key
-            )
+            raise error(f"only numeric literals are allowed, got {node.value!r}")
         if isinstance(node, ast.Name):
             if node.id in names:
                 return names[node.id]
-            raise ConfigError(f"unknown name {node.id!r} in expression", "initial", key)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
-            left, right = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            return left**right
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            operand = ev(node.operand)
-            return -operand if isinstance(node.op, ast.USub) else +operand
+            raise error(f"unknown name {node.id!r} in expression")
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+            return _EXPR_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+            return _EXPR_OPS[type(node.op)](ev(node.operand))
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -390,16 +381,12 @@ def _eval_expression(text: str, grid: Grid, key: str) -> np.ndarray:
             and not node.keywords
         ):
             return _EXPR_FUNCS[node.func.id](ev(node.args[0]))
-        raise ConfigError(
-            f"disallowed syntax in expression {text!r}", "initial", key
-        )
+        raise error(f"disallowed syntax in expression {text!r}")
 
     try:
         out = np.asarray(ev(tree), dtype=float)
     except (ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(
-            f"expression {text!r} failed to evaluate: {exc}", "initial", key
-        ) from None
+        raise error(f"expression {text!r} failed to evaluate: {exc}") from None
     return np.broadcast_to(out, grid.shape).copy()
 
 

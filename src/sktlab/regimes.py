@@ -208,7 +208,11 @@ def classify_blowup(
     mu_max = max(gc.mu1, gc.mu2)
     mu_min = min(gc.mu1, gc.mu2)
     tau_bar = lambda0 * max(p.d1, p.d2) + gc.c / mu_min
-    psi_under = gc.psi / mu_max**2 - lambda0 * (p.alpha1 + p.alpha2) / mu_max
+    try:
+        psi_scaled = gc.psi / mu_max**2
+    except OverflowError:  # mu_max above about 1.34e154, whose square overflows
+        psi_scaled = gc.psi / mu_max / mu_max
+    psi_under = psi_scaled - lambda0 * (p.alpha1 + p.alpha2) / mu_max
     threshold = tau_bar / psi_under if psi_under > 0.0 else None
 
     # the interaction inequality follows whichever term realizes psi1
@@ -303,3 +307,10 @@ def t0_estimate(cert: BlowupCertificate, p_hat0: float) -> float:
         )
     q = cert.psi_under * p_hat0
     return math.log(q / (q - cert.tau_bar)) / cert.tau_bar
+
+
+def _t0_or_none(cert: BlowupCertificate, p_hat0: float) -> float | None:
+    """t0_estimate where it is defined, else None."""
+    if cert.conditions_hold and cert.threshold is not None and p_hat0 > cert.threshold:
+        return t0_estimate(cert, p_hat0)
+    return None

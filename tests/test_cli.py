@@ -17,12 +17,14 @@ import pytest
 
 import sktlab
 from sktlab import cli
+from sktlab.blowup import weighted_average
 from sktlab.cli import _write_snapshots_csv, main
 from sktlab.config import build_initial_fields, load_config
-from sktlab.errors import ConfigError, NumericalError
+from sktlab.errors import BracketConstructionError, ConfigError, NumericalError
 from sktlab.grid import Grid, ScalarField, principal_eigenpair
-from sktlab.iteration import SystemState
+from sktlab.iteration import SystemState, initial_bracket, simulate
 from sktlab.model import ModelParams
+from sktlab.regimes import _t0_or_none, classify_blowup, classify_global
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -249,6 +251,19 @@ class TestConfigErrors:
             capsys, CERT_CONFIG, tmp_path, conf, "sweep count must be >= 1, got 0",
             sub="sweep",
             extra=("--param", "c1", "--min", "1", "--max", "2", "--count", "0"),
+        )
+
+    @pytest.mark.parametrize(
+        "low, high, scale",
+        [("1", "inf", "linear"), ("nan", "2", "linear"), ("1", "inf", "log"), ("nan", "2", "log")],
+    )
+    def test_sweep_endpoints_must_be_finite(self, capsys, tmp_path, conf, low, high, scale):
+        self.check(
+            capsys, CERT_CONFIG, tmp_path, conf,
+            f"sweep endpoints must be finite, got [{float(low)}, {float(high)}]",
+            sub="sweep",
+            extra=("--param", "c1", "--min", low, "--max", high, "--count", "2",
+                   "--scale", scale),
         )
 
     def test_log_sweep_needs_positive_endpoints(self, capsys, tmp_path, conf):
@@ -863,6 +878,28 @@ class TestBlowupCommand:
         assert "detected_blowup_time:" in stdout
 
 
+class TestLargeMultipliers:
+    """Multipliers whose square overflows (above about 1.34e154)."""
+
+    @pytest.mark.parametrize("sub", ["classify", "blowup"])
+    def test_config_multiplier(self, capsys, tmp_path, conf, sub):
+        rc, out = run(conf(CERT_CONFIG + "\n[blowup]\nmu1 = 1e200\n"), tmp_path, sub=sub)
+        assert rc == 0, capsys.readouterr().err
+        name = "regime_report.json" if sub == "classify" else "blowup_report.json"
+        doc = json.loads((out / name).read_text())
+        cert = doc["blowup_certificate" if sub == "classify" else "certificate"]
+        assert (cert["mu1"], cert["mu2"]) == (1e200, 1.0)
+
+    def test_sweep_to_the_largest_float(self, capsys, tmp_path, conf):
+        rc, out = run(
+            conf(CERT_CONFIG), tmp_path, sub="sweep",
+            extra=("--param", "mu1", "--min", "1", "--max", "1e308", "--count", "2"),
+        )
+        assert rc == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["1.0", "1e+308"]
+
+
 class TestSweep:
     def test_branch_flip_at_exact_boundary(self, tmp_path, conf):
         rc, out = run(
@@ -945,6 +982,67 @@ class TestSweep:
         assert [r[1] for r in rows] == ["0.5", "2.375", "4.25", "6.125", "8.0"]
         assert all(r[2] == "certified_global" and r[9] == "" for r in rows)
         assert windows == [(0.5, True), (2.375, True), (4.25, True), (6.125, False), (8.0, False)]
+
+    @pytest.mark.parametrize(
+        "config, axis, low, high, count",
+        [("readme", "b1", "0.5", "8", 5), ("blowup", "d1", "1.0", "1.1", 2)],
+    )
+    def test_rows_agree_with_single_runs(
+        self, tmp_path, conf, readme_config, monkeypatch, config, axis, low, high, count
+    ):
+        # each row's cells against a direct run of the row's params, in the
+        # bracket its certificates pick: README's b1 rows 6.125 and 8.0 fall
+        # back from a window their data exceed, BLOWUP_CONFIG's rows overflow
+        path = conf(readme_config if config == "readme" else BLOWUP_CONFIG)
+        ran = []
+        inner = cli.simulate
+
+        def recording(*args, **kwargs):
+            ran.append(inner(*args, **kwargs))
+            return ran[-1]
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        rc, out = run(
+            path, tmp_path, sub="sweep",
+            extra=("--param", axis, "--min", low, "--max", high, "--count", str(count),
+                   "--simulate"),
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(ran) == count
+
+        cfg = load_config(path)
+        eig = principal_eigenpair(cfg.grid, cfg.lambda0_mode)
+        u0 = build_initial_fields(cfg.require_initial(), cfg.grid, eig)
+        state0 = SystemState.from_u(cfg.params, 0.0, u0[0], u0[1])
+        wa0 = weighted_average(cfg.grid, eig, cfg.mu1, cfg.mu2, state0)
+        brackets = []
+        for row, sweep_run in zip(rows, ran):
+            params = cfg.params.replace(**{axis: float(row[1])})
+            regime = classify_global(params, eig.lambda0, eig.mode)
+            cert = classify_blowup(params, eig.lambda0, cfg.mu1, cfg.mu2, wa0.p_hat)
+            bracket = None
+            if not cert.certified and regime.certified:
+                with contextlib.suppress(BracketConstructionError):
+                    bracket = initial_bracket(params, eig, u0, regime)
+            brackets.append(bracket is not None)
+            result = simulate(
+                params, cfg.grid, eig, u0, cfg.require_solver(), cfg.require_t_end(),
+                bracket=bracket,
+            )
+            assert row[9] == cli._r(result.overflow_time)
+            assert row[8] == cli._r(_t0_or_none(cert, wa0.p_hat))
+            assert (sweep_run.termination, sweep_run.final_state.t) == (
+                result.termination, result.final_state.t
+            )
+            for a, b in zip(sweep_run.final_state.u, result.final_state.u):
+                assert np.array_equal(a, b)
+        if config == "readme":
+            assert brackets == [True, True, True, False, False]
+            assert all(r[9] == "" for r in rows)
+        else:
+            assert not any(brackets)
+            assert all(r[8] and r[9] for r in rows)
 
     def test_simulating_sweep_builds_one_eigenpair(self, tmp_path, conf, monkeypatch):
         # every row simulates from the sweep's own eigenpair and fields

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sktlab.config import build_initial_fields, load_config
+from sktlab.config import build_initial_fields, load_config, parse_sections
 from sktlab.errors import ConfigError
 from sktlab.grid import principal_eigenpair
 
@@ -167,7 +167,7 @@ ERRORS = [
      "load", "[blowup] search_resolution: search_resolution must be >= 2, got 1",
      "blowup", "search_resolution", 17),
     ("mu-not-positive", BASE + section("blowup", {"mu1": "1.0", "mu2": "-2"}), "load",
-     "[blowup] mu2: mu2 must be positive, got -2.0", "blowup", "mu2", None),
+     "[blowup] mu2: mu2 must be positive, got -2.0", "blowup", "mu2", 18),
     ("empty-directory", BASE + section("output", {"directory": ""}), "load",
      "[output] directory: value must not be empty", "output", "directory", 17),
     ("bad-formats", BASE + section("output", {"formats": "csv,xml"}), "load",
@@ -238,7 +238,7 @@ ERRORS = [
      "blowup", "search_resolution", 18),
     ("blowup-before-output", BASE + section("blowup", {"mu1": "0"})
      + section("output", {"formats": "xml"}), "load",
-     "[blowup] mu1: mu1 must be positive, got 0.0", "blowup", "mu1", None),
+     "[blowup] mu1: mu1 must be positive, got 0.0", "blowup", "mu1", 17),
 ]
 
 
@@ -257,6 +257,16 @@ def _raise(text, stage, tmp_path):
         build_initial_fields(cfg.require_initial(), cfg.grid, eig)
 
 
+def _key_line(text, section, key):
+    """The line of `key` in `section` of a config text, or None where the
+    text has no such key or does not parse."""
+    try:
+        entry = parse_sections(text).get(section, {}).get(key)
+    except ConfigError:
+        return None
+    return None if entry is None else entry[1]
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "text, stage, message, section, key, line",
@@ -268,6 +278,10 @@ class TestErrors:
             _raise(text, stage, tmp_path)
         err = info.value
         assert (str(err), err.section, err.key, err.line) == (message, section, key, line)
+        if stage == "load":
+            # a load error at a key the file holds is located at that key
+            key_line = _key_line(text, section, key)
+            assert key_line is None or err.line == key_line
 
     def test_unreadable_file(self, tmp_path):
         path = str(tmp_path / "absent.conf")

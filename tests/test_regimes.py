@@ -197,6 +197,38 @@ class TestClassifyBlowup:
                 t0_estimate(base, 2.0)
             )
 
+    @pytest.mark.parametrize(
+        "alpha, lam, mu2, p_hat0",
+        [(0.0, 0.0, 1.0, 2.0), (0.0, 0.0, 1.0, 1.0), (0.1, 0.5, 2.0, 40.0), (0.5, 1.0, 0.5, 5.0)],
+    )
+    def test_scaling_invariance_past_the_square(self, alpha, lam, mu2, p_hat0):
+        # mu_max**2 overflows above about 1.34e154; scaling the multipliers
+        # and p_hat0 by s still leaves the certificate as it is
+        p = params(alpha1=alpha, alpha2=alpha)
+        s = 1e200
+        base = classify_blowup(p, lam, 1.0, mu2, p_hat0)
+        big = classify_blowup(p, lam, s, s * mu2, s * p_hat0)
+        assert (big.verdict, big.failing_condition, big.condition_branch) == (
+            base.verdict, base.failing_condition, base.condition_branch
+        )
+        assert [r.holds for r in big.conditions] == [r.holds for r in base.conditions]
+        assert big.tau_bar == pytest.approx(base.tau_bar, rel=1e-12, abs=0.0)
+        assert big.psi_under == pytest.approx(base.psi_under / s, rel=1e-12, abs=0.0)
+        if base.threshold is None:
+            assert big.threshold is None
+        else:
+            assert big.threshold == pytest.approx(s * base.threshold, rel=1e-12, abs=0.0)
+        if base.certified:
+            assert t0_estimate(big, s * p_hat0) == pytest.approx(
+                t0_estimate(base, p_hat0), rel=1e-9, abs=0.0
+            )
+
+    def test_psi_under_keeps_the_square_where_it_is_finite(self):
+        p = params(alpha1=0.0, alpha2=0.0)
+        for mu in (3.0, 1.3e154):
+            gc = growth_constants(p, mu, mu)
+            assert classify_blowup(p, 0.0, mu, mu, 2.0 * mu).psi_under == gc.psi / mu**2
+
     def test_serialization(self):
         d = classify_blowup(params(alpha1=0.0, alpha2=0.0), 0.0, 1.0, 1.0, 2.0).as_dict()
         assert d["schema_version"] == 1
