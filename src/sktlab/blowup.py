@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import EigenPair, Grid, weighted_integral
 from .iteration import SimulationResult, SystemState
-from .regimes import SCHEMA_VERSION, BlowupCertificate, _t0_or_none
+from .regimes import SCHEMA_VERSION, BlowupCertificate, _t0_or_none, t0_estimate
 
 BOUND_SLACK = 0.98  # tolerated fraction of the bound (quadrature + time error)
 T0_SLACK = 1.10  # detection may trail T0 by this factor and still comply
@@ -60,15 +60,10 @@ def weighted_average(
 def riccati_bound(cert: BlowupCertificate, p_hat0: float, t: float) -> float:
     """Comparison lower bound exp(-tau*t) / (1/p0 - (psi/tau)(1 - exp(-tau*t))).
 
-    Only defined while the certificate's structural conditions hold, p_hat0
-    exceeds the threshold, and t < T0; outside that domain ValueError.
+    Defined for 0 <= t < T0 where t0_estimate is; outside that domain
+    ValueError, t0_estimate's own for a certificate or p_hat0 outside its.
     """
-    if not cert.conditions_hold or cert.threshold is None:
-        raise ValueError("riccati_bound: certificate conditions do not hold")
-    if not p_hat0 > cert.threshold:
-        raise ValueError(
-            f"riccati_bound: p_hat0 {p_hat0!r} does not exceed threshold {cert.threshold!r}"
-        )
+    t0_estimate(cert, p_hat0)
     if t < 0.0:
         raise ValueError(f"riccati_bound: t must be >= 0, got {t}")
     tau = cert.tau_bar

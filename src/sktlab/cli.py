@@ -3,10 +3,11 @@
 Exit codes separate process health from science: 0 covers every verdict
 (certified or not, overflow or completion), 2 is a malformed config or an
 artifact that could not be written, 3 a bracket that could not be built, 4 a
-solver that could not converge. All artifacts are deterministic byte-for-byte
-for a given config: floats are written with repr (shortest exact decimal) in
-both CSV and JSON. Each is written to a temp file and renamed into place, so
-it appears whole or not at all.
+solver that failed (no convergence, broken ordering, or a failed linear
+solve). All artifacts are deterministic byte-for-byte for a given config:
+floats are written with repr (shortest exact decimal) in both CSV and JSON.
+Each is written to a temp file and renamed into place, so it appears whole
+or not at all.
 
 `simulate` keeps its snapshots in a spool, not in memory: one record of
 8*(1 + 4*npoints) bytes per kept state in an unlinked temporary file in the
@@ -112,13 +113,23 @@ class _Run:
         self.u0 = build_initial_fields(cfg.require_initial(), cfg.grid, self.eig)
         state0 = SystemState.from_u(cfg.params, 0.0, self.u0[0], self.u0[1])
         self.wa0 = weighted_average(cfg.grid, self.eig, cfg.mu1, cfg.mu2, state0)
-        self.regime, self.cert, self.p_hat0 = self.certificates(cfg.params, cfg.mu1, cfg.mu2)
+        try:
+            self.regime, self.cert, self.p_hat0 = self.certificates(cfg.params, cfg.mu1, cfg.mu2)
+        except ValueError as exc:  # the multipliers' weighted average overflows
+            raise ConfigError(str(exc), section="blowup") from None
 
     def certificates(self, params, mu1, mu2):
         """(regime, blow-up certificate, p_hat0) for `params` and the
-        multipliers, p_hat0 being the data's weighted average under them."""
+        multipliers, p_hat0 being the data's weighted average under them.
+        Raises ValueError when that average overflows, or classify_blowup
+        refuses the multipliers."""
         regime = classify_global(params, self.eig.lambda0, self.mode)
         p_hat0 = mu1 * self.wa0.p_hat1 + mu2 * self.wa0.p_hat2
+        if not math.isfinite(p_hat0):
+            raise ValueError(
+                f"the weighted average mu1*p_hat1 + mu2*p_hat2 overflows at mu1 = {mu1!r}, "
+                f"mu2 = {mu2!r}"
+            )
         return regime, classify_blowup(params, self.eig.lambda0, mu1, mu2, p_hat0), p_hat0
 
     def run_simulation(self, row=None, snapshots=None):
@@ -412,15 +423,12 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
         params, mu = cfg.params, {"mu1": cfg.mu1, "mu2": cfg.mu2}
         try:
             if key in mu:
-                if not value > 0.0:
-                    raise ValueError("multipliers must be positive")
                 mu[key] = value
             else:
                 params = params.replace(**{key: value})
+            regime, cert, p_hat0 = run.certificates(params, **mu)
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r} rejected: {exc}") from None
-
-        regime, cert, p_hat0 = run.certificates(params, **mu)
         branch = next(r for r in cert.conditions if r.name.startswith("c1 + b2"))
         detected = None
         if args.simulate:

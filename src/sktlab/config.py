@@ -26,12 +26,7 @@ from .iteration import SolverConfig
 from .model import _PARAM_KEYS, ModelParams
 
 _LAMBDA0_MODES = ("principal", "first_positive")
-# the keys each [initial] kind takes besides `kind`
-_INITIAL_KINDS = {
-    "constant": ("u1", "u2"),
-    "eigenfunction": ("scale1", "scale2"),
-    "expression": ("u1", "u2"),
-}
+_INITIAL_KINDS = ("constant", "expression")
 _FORMATS = ("csv", "json")
 # (section, key) -> (test, rule) for the keys whose range the reader checks
 # itself; a value that fails its test is reported as "<key> <rule>, got <value>"
@@ -47,9 +42,9 @@ _SECTION_KEYS = {
     "model": set(_PARAM_KEYS),
     "grid": {"dim", "lx", "ly", "nx", "ny"},
     "solver": {"t_end", *(f.name for f in dataclasses.fields(SolverConfig))},
-    "initial": {"kind", "u1", "u2", "scale1", "scale2"},
+    "initial": {"kind", "u1", "u2"},
     "blowup": {"mu1", "mu2", "lambda0_mode", "search_resolution"},
-    "output": {"directory", "snapshot_every", "formats"},
+    "output": {"directory", "formats"},
 }
 
 
@@ -60,8 +55,6 @@ class InitialSpec:
     kind: str
     u1: float | str | None = None
     u2: float | str | None = None
-    scale1: float | None = None
-    scale2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -242,12 +235,8 @@ def _build_solver(sections: dict):
 
 def _build_initial(sections: dict) -> InitialSpec:
     kind = _value(sections, "initial", "kind", str, required=True, choices=_INITIAL_KINDS)
-    keys = _INITIAL_KINDS[kind]
     read = str if kind == "expression" else float
-    values = {k: _value(sections, "initial", k, read, required=True) for k in keys}
-    for key, (_, line) in sections["initial"].items():
-        if key != "kind" and key not in keys:
-            raise ConfigError("key is not accepted here", "initial", key, line)
+    values = {k: _value(sections, "initial", k, read, required=True) for k in ("u1", "u2")}
     return InitialSpec(kind=kind, **values)
 
 
@@ -286,21 +275,6 @@ def build_run_config(sections: dict) -> RunConfig:
                 output["formats"][1],
             )
         formats = tuple(dict.fromkeys(parts))
-    every = _value(sections, "output", "snapshot_every", int)
-    if every is not None:
-        # when both sections set a cadence the [output] one wins
-        line = output["snapshot_every"][1]
-        if solver is None:
-            raise ConfigError(
-                "snapshot_every needs a [solver] section to apply to",
-                "output",
-                "snapshot_every",
-                line,
-            )
-        try:
-            solver = dataclasses.replace(solver, snapshot_every=every)
-        except ValueError as exc:
-            raise ConfigError(str(exc), "output", "snapshot_every", line) from None
 
     return RunConfig(
         params=params,
@@ -393,17 +367,13 @@ def _eval_expression(text: str, grid: Grid, key: str) -> np.ndarray:
 def build_initial_fields(
     initial: InitialSpec, grid: Grid, eig: EigenPair
 ) -> tuple:
-    """Materialize the configured initial data as two fields on the grid."""
+    """Materialize the configured initial data as two fields on the grid.
+
+    `eig` is not used; the argument stays because callers pass the
+    arguments by position.
+    """
     if initial.kind == "constant":
-        arrays = (
-            np.full(grid.shape, initial.u1),
-            np.full(grid.shape, initial.u2),
-        )
-    elif initial.kind == "eigenfunction":
-        arrays = (
-            initial.scale1 * eig.phi0.values,
-            initial.scale2 * eig.phi0.values,
-        )
+        arrays = (np.full(grid.shape, initial.u1), np.full(grid.shape, initial.u2))
     else:
         arrays = (
             _eval_expression(initial.u1, grid, "u1"),
@@ -414,7 +384,7 @@ def build_initial_fields(
             raise ConfigError("initial data is not finite everywhere", "initial", key)
         if values.min() < 0.0:
             raise ConfigError(
-                f"initial data must be nonnegative; min is {values.min()!r}",
+                f"initial data must be nonnegative; min is {float(values.min())!r}",
                 "initial",
                 key,
             )

@@ -23,6 +23,7 @@ fresh outputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -46,31 +47,40 @@ class Grid:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        object.__setattr__(self, "lx", float(self.lx))
-        object.__setattr__(self, "nx", int(self.nx))
-        if not (np.isfinite(self.lx) and self.lx > 0.0):
-            raise ValueError(f"lx must be positive, got {self.lx}")
-        if self.nx < 3:
-            raise ValueError(f"nx must be >= 3, got {self.nx}")
-        # numpy indexes the grid's arrays by np.intp: a larger point count is
-        # an OverflowError that names the count, nx, or ny for nx*ny
-        most = np.iinfo(np.intp).max
-        if self.nx > most:
-            raise OverflowError(f"nx must be at most {most}, got {self.nx}")
+        most = self._check_axis("lx", "nx", np.iinfo(np.intp).max)
         if self.dimension == 1:
             if self.ly is not None or self.ny is not None:
                 raise ValueError("ly/ny are meaningless on a 1D grid")
         else:
             if self.ly is None or self.ny is None:
                 raise ValueError("2D grid requires ly and ny")
-            object.__setattr__(self, "ly", float(self.ly))
-            object.__setattr__(self, "ny", int(self.ny))
-            if not (np.isfinite(self.ly) and self.ly > 0.0):
-                raise ValueError(f"ly must be positive, got {self.ly}")
-            if self.ny < 3:
-                raise ValueError(f"ny must be >= 3, got {self.ny}")
-            if self.ny > most // self.nx:
-                raise OverflowError(f"ny must be at most {most // self.nx}, got {self.ny}")
+            self._check_axis("ly", "ny", most)
+
+    def _check_axis(self, length_key: str, count_key: str, most: int) -> int:
+        """Coerce one axis's length and point count, and check them: a finite
+        positive length, at least 3 points, at most `most` of them, and a
+        spacing whose square is a normal float, as the stencil divides by it.
+        Returns the most points the next axis may have.
+
+        numpy indexes the grid's arrays by np.intp: a larger point count is
+        an OverflowError that names the count, nx, or ny for nx*ny.
+        """
+        length, count = float(getattr(self, length_key)), int(getattr(self, count_key))
+        object.__setattr__(self, length_key, length)
+        object.__setattr__(self, count_key, count)
+        if not (np.isfinite(length) and length > 0.0):
+            raise ValueError(f"{length_key} must be positive, got {length}")
+        if count < 3:
+            raise ValueError(f"{count_key} must be >= 3, got {count}")
+        if count > most:
+            raise OverflowError(f"{count_key} must be at most {most}, got {count}")
+        spacing = length / (count - 1)
+        if spacing * spacing < sys.float_info.min:
+            raise ValueError(
+                f"{length_key} / ({count_key} - 1) = {spacing!r} is too small: "
+                "its square underflows"
+            )
+        return most // count
 
     @classmethod
     def interval(cls, lx: float, nx: int) -> "Grid":

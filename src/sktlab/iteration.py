@@ -153,7 +153,8 @@ does not grow dt on the step after a rejection, and a last step cut short
 to land on t_end leaves dt as it was. An attempt is rejected, and redone at
 half its dt, predicted bracket first, for one of three causes: no bracket
 passes at its dt, the step raises (the chain breaks after every shift
-escalation, or the gap does not close), or r exceeds growth_trigger. Each
+escalation, the gap does not close, or a linear solve fails or gives a
+value that is not finite), or r exceeds growth_trigger. Each
 rejection spends one of max_halvings. One of the first two causes also
 caps every later dt at the halved one, as it would come back at a larger
 dt and spend a halving at each return; a growth rejection leaves the cap
@@ -181,7 +182,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _digests
-from .errors import BracketConstructionError, ConvergenceError, OrderingViolationError
+from .errors import (
+    BracketConstructionError, ConvergenceError, NumericalError, OrderingViolationError,
+)
 from .grid import Grid, ScalarField, _lap_array, _neumann_bands, _neumann_eigenvalues
 from .model import ModelParams, _inverse_raw, _reaction_raw, _transform_raw
 from .regimes import RegimeReport
@@ -396,6 +399,21 @@ class SimulationResult:
     final_dt: float | None = None
 
 
+def _check_initial(u0, grid=None) -> None:
+    """Raise ValueError unless the initial fields u0 = (u1, u2) lie on one
+    grid, and on `grid` when it is given, and are finite and nonnegative.
+    Fields flagged overflowed may hold NaN or inf, which every comparison
+    would let through, so finiteness is checked first."""
+    if not u0[0].grid.compatible(u0[1].grid):
+        raise ValueError("initial fields live on different grids")
+    if grid is not None and not grid.compatible(u0[0].grid):
+        raise ValueError("initial fields live on a different grid")
+    if not all(np.isfinite(field.values).all() for field in u0):
+        raise ValueError("initial fields must be finite")
+    if any((field.values < 0.0).any() for field in u0):
+        raise ValueError("initial fields must be nonnegative")
+
+
 def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
     """Build the certified constant-ceiling / scaled-eigenfunction bracket.
 
@@ -404,8 +422,7 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
     floor is rho_i * phi0 with rho_i = min(1e-3, half the pointwise minimum
     of u0_i/phi0), dropped to zero whenever u0_i touches zero or phi0 is not
     strictly positive. Returns (lower, upper) SystemStates at t = 0. Raises
-    ValueError on data that are not finite (fields flagged overflowed may
-    hold NaN or inf) or not nonnegative.
+    ValueError on data that _check_initial refuses.
     """
     if not regime.certified:
         failed = next((r.name for r in regime.inequalities if not r.holds), None)
@@ -413,26 +430,16 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
             f"regime is not certified_global (first failed condition: {failed})",
             inequality=failed,
         )
-    (n1_lo, n1_hi), (n2_lo, n2_hi) = regime.window
-    u0_1, u0_2 = u0
-    grid = u0_1.grid
-    if not grid.compatible(u0_2.grid):
-        raise ValueError("initial fields live on different grids")
-    phi = eig.phi0
-    if not grid.compatible(phi.grid):
+    _check_initial(u0)
+    grid = u0[0].grid
+    if not grid.compatible(eig.phi0.grid):
         raise ValueError("eigenfunction lives on a different grid")
-    # fields flagged overflowed may hold NaN or inf, which every comparison
-    # below would let through
-    if not all(np.isfinite(field.values).all() for field in u0):
-        raise ValueError("initial fields must be finite")
+    phi_vals = eig.phi0.values
+    phi_positive = bool(np.all(phi_vals > 0.0))
 
-    uppers = []
-    for i, (field, lo, hi) in enumerate(
-        ((u0_1, n1_lo, n1_hi), (u0_2, n2_lo, n2_hi)), start=1
-    ):
+    uppers, lowers = [], []
+    for i, (field, (lo, hi)) in enumerate(zip(u0, regime.window), start=1):
         vals = field.values
-        if np.any(vals < 0.0):
-            raise ValueError(f"u0_{i} must be nonnegative")
         top = float(vals.max())
         n_i = 0.5 * (max(lo, 0.0) + hi)
         if top > n_i:
@@ -443,17 +450,10 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
                 )
             n_i = top
         uppers.append(n_i)
-
-    lowers = []
-    phi_vals = phi.values
-    phi_positive = bool(np.all(phi_vals > 0.0))
-    for field in (u0_1, u0_2):
-        vals = field.values
         if not phi_positive or float(vals.min()) <= 0.0:
-            rho = 0.0
+            lowers.append(0.0)
         else:
-            rho = min(_LOWER_SCALE_CAP, 0.5 * float((vals / phi_vals).min()))
-        lowers.append(rho)
+            lowers.append(min(_LOWER_SCALE_CAP, 0.5 * float((vals / phi_vals).min())))
 
     lower = SystemState.from_u_arrays(
         params, grid, 0.0, lowers[0] * phi_vals, lowers[1] * phi_vals
@@ -571,8 +571,9 @@ class _HelmholtzSolver:
 
     The solver also keeps the inner iteration's work arrays for its grid
     (work_arrays) and a semilinear run's sigma (semilinear_sigma), so a
-    solver reused across a run's steps makes them once. Raises ValueError
-    when a 1D solve fails. Solutions are returned unchecked: step_monotone's
+    solver reused across a run's steps makes them once. Raises
+    NumericalError when LAPACK reports a 1D solve failed or a sparse LU
+    factor is singular. Solutions are returned unchecked: step_monotone's
     chain audit checks that they are finite.
     """
 
@@ -619,7 +620,7 @@ class _HelmholtzSolver:
             # it is solved in place: overwrite_d and overwrite_b, by position
             info = self._dgtsv(dl, d, du, rhs.reshape(-1), 0, 1, 0, 1)[4]
             if info != 0:
-                raise ValueError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
+                raise NumericalError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
         else:
             self._solve_2d(sig_over_dt, phi, rhs, guess)
         return rhs
@@ -690,7 +691,10 @@ class _HelmholtzSolver:
                 from scipy.sparse.linalg import splu
 
                 lhs = g.neg_laplacian_matrix + sp.diags(d.ravel())
-                x = splu(lhs.tocsc()).solve(b.ravel()).reshape(g.shape)
+                try:
+                    x = splu(lhs.tocsc()).solve(b.ravel()).reshape(g.shape)
+                except RuntimeError as exc:  # an exactly singular factor
+                    raise NumericalError(f"sparse LU solve failed: {exc}") from None
                 self.fallbacks += 1
             b[...] = x
 
@@ -897,7 +901,8 @@ def step_monotone(
     discrete bound solution at dt, when its floor lies above its ceiling,
     or when the chain still breaks after the last escalation,
     ConvergenceError when the gap fails to close within max_inner_iters,
-    and ValueError when a linear solve gives a value that is not finite.
+    and NumericalError when a linear solve fails or gives a value that is
+    not finite.
 
     The returned IterationTrace holds the step's TraceSummary, built once
     here with t the new state's time and dt the step's, and its iterates.
@@ -1029,7 +1034,7 @@ def step_monotone(
             # a non-finite transform has a non-finite density, which every
             # row's extremes carry: nan into both, an infinity into one
             if not math.isfinite(sum(top)):
-                raise ValueError("linear solve produced non-finite values")
+                raise NumericalError("linear solve produced non-finite values")
             gap, fall = top[13], top[10]
             gap = 0.0 + (top[11] if top[11] > gap else gap)
             worst = max(top[0], top[2], 0.0 + (top[8] if top[8] > fall else fall), top[4], top[6])
@@ -1362,13 +1367,7 @@ def simulate(
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
     state = SystemState.from_u(params, 0.0, *u0)
-    if not grid.compatible(state.grid):
-        raise ValueError("initial fields live on a different grid")
-    # fields flagged overflowed pass from_u with non-finite values
-    if not np.isfinite(state.u).all():
-        raise ValueError("initial fields must be finite")
-    if np.any(state.u < 0.0):
-        raise ValueError("initial fields must be nonnegative")
+    _check_initial(u0, grid)
     growth = (0.0, 0.0)
     snapshots = [] if snapshots is None else snapshots
     snapshots.append(state)
@@ -1403,7 +1402,7 @@ def simulate(
                 state, cfg, params, ladder.bracket(state, dt_step, norms, growth), solver,
                 dt_step, False,
             )
-        except (ConvergenceError, OrderingViolationError) as exc:
+        except (ConvergenceError, OrderingViolationError, NumericalError) as exc:
             rejection = exc
         else:
             m1, m2 = ladder.measure(new_state)

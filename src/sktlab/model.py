@@ -133,18 +133,25 @@ def _transform_raw(d: float, alpha: float, u):
     return (d + alpha * u) * u
 
 
+def _checked(name: str, d: float, alpha: float, var: str, values):
+    """The values as a float array, after the checks transform_forward and
+    transform_inverse share: d > 0, alpha >= 0, finite nonnegative values;
+    a failing one is a ValueError that starts with the function's name."""
+    if not (d > 0.0 and np.isfinite(d)):
+        raise ValueError(f"{name}: d must be positive, got {d}")
+    if not (alpha >= 0.0 and np.isfinite(alpha)):
+        raise ValueError(f"{name}: alpha must be >= 0, got {alpha}")
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name}: {var} must be finite")
+    if np.any(values < 0.0):
+        raise ValueError(f"{name}: {var} must be nonnegative")
+    return values
+
+
 def transform_forward(d: float, alpha: float, u):
     """h = P(u) = (d + alpha*u) * u for u >= 0."""
-    if not (d > 0.0 and np.isfinite(d)):
-        raise ValueError(f"transform_forward: d must be positive, got {d}")
-    if not (alpha >= 0.0 and np.isfinite(alpha)):
-        raise ValueError(f"transform_forward: alpha must be >= 0, got {alpha}")
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("transform_forward: u must be finite")
-    if np.any(u < 0.0):
-        raise ValueError("transform_forward: u must be nonnegative")
-    h = _transform_raw(d, alpha, u)
+    h = _transform_raw(d, alpha, _checked("transform_forward", d, alpha, "u", u))
     return float(h) if h.ndim == 0 else h
 
 
@@ -162,16 +169,7 @@ def _inverse_raw(d: float, alpha: float, h):
 
 def transform_inverse(d: float, alpha: float, h):
     """u = q(h), the inverse of P on u >= 0; for alpha = 0 returns h/d."""
-    if not (d > 0.0 and np.isfinite(d)):
-        raise ValueError(f"transform_inverse: d must be positive, got {d}")
-    if not (alpha >= 0.0 and np.isfinite(alpha)):
-        raise ValueError(f"transform_inverse: alpha must be >= 0, got {alpha}")
-    h = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("transform_inverse: h must be finite")
-    if np.any(h < 0.0):
-        raise ValueError("transform_inverse: h must be nonnegative")
-    u = _inverse_raw(d, alpha, h)
+    u = _inverse_raw(d, alpha, _checked("transform_inverse", d, alpha, "h", h))
     return float(u) if u.ndim == 0 else u
 
 

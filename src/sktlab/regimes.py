@@ -311,6 +311,7 @@ def t0_estimate(cert: BlowupCertificate, p_hat0: float) -> float:
 
 def _t0_or_none(cert: BlowupCertificate, p_hat0: float) -> float | None:
     """t0_estimate where it is defined, else None."""
-    if cert.conditions_hold and cert.threshold is not None and p_hat0 > cert.threshold:
+    try:
         return t0_estimate(cert, p_hat0)
-    return None
+    except ValueError:
+        return None

@@ -199,9 +199,13 @@ class TestConfigErrors:
         assert err.startswith(f"config error: cannot create output directory {str(taken)!r}")
 
     def test_output_cadence_needs_solver(self, capsys, tmp_path, conf):
+        # the cadence is set in [solver] only: an [output] one is an unknown
+        # key, with or without a [solver] section, and changes no run
+        needle = "[output] snapshot_every: unknown key"
         text = CERT_MODEL + GRID_1D + "\n[initial]\nkind = constant\nu1 = 0.1\nu2 = 0.1\n"
-        text += "\n[output]\nsnapshot_every = 5\n"
-        self.check(capsys, text, tmp_path, conf, "[output] snapshot_every")
+        self.check(capsys, text + "\n[output]\nsnapshot_every = 5\n", tmp_path, conf, needle)
+        text = CERT_CONFIG + "\n[output]\nsnapshot_every = 5\n"
+        self.check(capsys, text, tmp_path, conf, needle, sub="simulate")
 
     def test_expression_whitelist_blocks_calls(self, capsys, tmp_path, conf):
         text = CERT_MODEL + GRID_1D + (
@@ -264,6 +268,40 @@ class TestConfigErrors:
             sub="sweep",
             extra=("--param", "c1", "--min", low, "--max", high, "--count", "2",
                    "--scale", scale),
+        )
+
+    @pytest.mark.parametrize(
+        "param, low, pair", [("mu2", "-1", "1.0, -1.0"), ("mu1", "0", "0.0, 1.0")]
+    )
+    def test_swept_multiplier_rejected(self, capsys, tmp_path, conf, param, low, pair):
+        # growth_constants owns the multipliers' rule; the sweep only names
+        # the row's value
+        rc, out = run(
+            conf(CERT_CONFIG), tmp_path, sub="sweep",
+            extra=("--param", param, "--min", low, "--max", "1", "--count", "2"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: sweep value {float(low)!r} rejected: "
+            f"multipliers must be positive and finite, got {pair}\n"
+        )
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "grid, spacing", [("dim = 1\nlx = 1e-160\nnx = 65", "1.5625e-162"),
+                          ("dim = 2\nlx = 1e-160\nnx = 9\nly = 1.0\nny = 9", "1.25e-161")],
+        ids=["1d", "2d"],
+    )
+    def test_spacing_whose_square_underflows(
+        self, capsys, tmp_path, conf, readme_config, grid, spacing
+    ):
+        # the stencil's 1/h^2 would divide by zero (1D) or make sparse LU's
+        # factor exactly singular (2D): the grid is refused at its key
+        text = readme_config.replace("dim = 1\nlx = 3.141592653589793\nnx = 65", grid)
+        self.check(
+            capsys, text, tmp_path, conf,
+            f"[grid] lx: lx / (nx - 1) = {spacing} is too small: its square underflows",
+            sub="simulate",
         )
 
     def test_log_sweep_needs_positive_endpoints(self, capsys, tmp_path, conf):
@@ -765,13 +803,6 @@ class TestSimulate:
             assert cells[2] == "0.0" and cells[3] == "0.0"
             assert cells[4] == "0.0" and cells[5] == "0.0"
 
-    def test_output_cadence_overrides_solver(self, tmp_path, conf):
-        text = CERT_CONFIG + "\n[output]\nsnapshot_every = 5\n"
-        rc, out = run(conf(text), tmp_path, sub="simulate")
-        assert rc == 0
-        lines = (out / "snapshots.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 * 33  # t=0 and t=t_end only
-
     def test_formats_json_only(self, tmp_path, conf):
         text = CERT_CONFIG + "\n[output]\nformats = json\n"
         rc, out = run(conf(text), tmp_path, sub="simulate")
@@ -822,6 +853,33 @@ class TestSimulate:
         doc = json.loads((out / report).read_text())
         summary = doc if sub == "simulate" else doc["run_summary"]
         assert summary["termination"] == "failed" and summary["steps"] == 0
+
+    @pytest.mark.parametrize(
+        "lx, error",
+        [("1e-150", "tridiagonal solve failed (LAPACK dgtsv info 65)"),
+         ("1e-8", "iterate ordering kept failing after 3 shift escalations")],
+        ids=["1e-150", "1e-8"],
+    )
+    @pytest.mark.parametrize("sub, report", [
+        ("simulate", "run_summary.json"), ("blowup", "blowup_report.json"),
+    ])
+    def test_failed_linear_solve_exits_4(
+        self, capsys, tmp_path, conf, readme_config, sub, report, lx, error
+    ):
+        # on README's example, a tiny interval makes the tridiagonal solve
+        # fail: each attempt is rejected and halved, and with the halvings
+        # spent the run fails with partial artifacts. At lx = 1e-8 the
+        # halved steps get past the solve and then fail to order
+        text = readme_config.replace("lx = 3.141592653589793", f"lx = {lx}")
+        rc, out = run(conf(text), tmp_path, sub=sub)
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert "termination: failed" in captured.out
+        assert captured.err.startswith(f"simulation failed: {error}")
+        doc = json.loads((out / report).read_text())
+        summary = doc if sub == "simulate" else doc["run_summary"]
+        assert summary["termination"] == "failed" and summary["steps"] == 0
+        assert summary["halvings_used"] == 20 and summary["error"].startswith(error)
 
     def test_overflow_exits_0(self, capsys, tmp_path, conf):
         text = BLOWUP_CONFIG.replace("snapshot_every = 100", "snapshot_every = 500")
@@ -889,6 +947,32 @@ class TestLargeMultipliers:
         doc = json.loads((out / name).read_text())
         cert = doc["blowup_certificate" if sub == "classify" else "certificate"]
         assert (cert["mu1"], cert["mu2"]) == (1e200, 1.0)
+
+    @pytest.mark.parametrize("sub", ["classify", "simulate", "blowup"])
+    def test_weighted_average_that_overflows(self, capsys, tmp_path, conf, readme_config, sub):
+        # mu1*p_hat1 + mu2*p_hat2 is inf: a [blowup] config error that names it
+        text = readme_config.replace("u1 = 0.2 + 0.1*cos(x)", "u1 = 2.0 + 0.1*cos(x)")
+        rc, out = run(conf(text.replace("mu1 = 1.0", "mu1 = 1e308")), tmp_path, sub=sub)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: [blowup]: the weighted average mu1*p_hat1 + mu2*p_hat2 "
+            "overflows at mu1 = 1e+308, mu2 = 1.0\n"
+        )
+        assert os.listdir(out) == []
+
+    def test_swept_multiplier_that_overflows(self, capsys, tmp_path, conf, readme_config):
+        # the row whose multiplier makes the weighted average overflow is rejected
+        text = readme_config.replace("u1 = 0.2 + 0.1*cos(x)", "u1 = 2.0 + 0.1*cos(x)")
+        rc, out = run(
+            conf(text), tmp_path, sub="sweep",
+            extra=("--param", "mu1", "--min", "1", "--max", "1e308", "--count", "2"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep value 1e+308 rejected: the weighted average "
+            "mu1*p_hat1 + mu2*p_hat2 overflows at mu1 = 1e+308, mu2 = 1.0\n"
+        )
+        assert not (out / "sweep.csv").exists()
 
     def test_sweep_to_the_largest_float(self, capsys, tmp_path, conf):
         rc, out = run(

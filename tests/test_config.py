@@ -1,12 +1,14 @@
 """Run-config loading: every error the loader raises, and the configs in use.
 
 `TestErrors` pins each ConfigError that sktlab.config raises: its full
-message, section, key and line. Where one file holds several faults, the
-row pins which one is reported first. `TestConfigsInUse` loads README's
-example config and each benchmark workload's config and checks every value
-the run reads from them.
+message, section, key and line. Where one file holds several faults, the row
+pins which one is reported first, and a traced run of the rows checks that
+every statement building a ConfigError is reached by one. `TestConfigsInUse`
+loads README's example config and each benchmark workload's config and
+checks every value the run reads from them.
 """
 
+import ast
 import importlib.util
 import math
 import sys
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from sktlab.config import build_initial_fields, load_config, parse_sections
+from sktlab import config
+from sktlab.config import _rejected, build_initial_fields, load_config, parse_sections
 from sktlab.errors import ConfigError
 from sktlab.grid import principal_eigenpair
 
@@ -102,8 +105,6 @@ ERRORS = [
      "[initial] kind: missing required key", "initial", "kind", None),
     ("missing-constant-value", BASE + initial(kind="constant", u1="0.2"), "load",
      "[initial] u2: missing required key", "initial", "u2", None),
-    ("missing-scale", BASE + initial(kind="eigenfunction", scale2="0.1"), "load",
-     "[initial] scale1: missing required key", "initial", "scale1", None),
     ("missing-expression", BASE + initial(kind="expression", u1="x"), "load",
      "[initial] u2: missing required key", "initial", "u2", None),
     ("missing-expression-u1", BASE + initial(kind="expression", u2="x"), "load",
@@ -121,7 +122,7 @@ ERRORS = [
      "[solver] max_inner_iters: expected an integer, got '5e2'", "solver",
      "max_inner_iters", 19),
     ("bad-kind", BASE + initial(kind="random"), "load",
-     "[initial] kind: expected one of constant, eigenfunction, expression; got 'random'",
+     "[initial] kind: expected one of constant, expression; got 'random'",
      "initial", "kind", 17),
     ("bad-lambda0-mode", BASE + section("blowup", {"lambda0_mode": "second"}), "load",
      "[blowup] lambda0_mode: expected one of principal, first_positive; got 'second'",
@@ -129,19 +130,32 @@ ERRORS = [
     ("bad-search-resolution", BASE + section("blowup", {"search_resolution": "x"}), "load",
      "[blowup] search_resolution: expected an integer, got 'x'",
      "blowup", "search_resolution", 17),
+    # keys of settings that were removed ([initial] kind = eigenfunction
+    # with scale1 and scale2, and the [output] snapshot cadence) are
+    # unknown keys, reported at their line before any value is read
     ("bad-snapshot-every", BASE + solver() + section("output", {"snapshot_every": "1.5"}),
-     "load", "[output] snapshot_every: expected an integer, got '1.5'",
-     "output", "snapshot_every", 20),
-    # keys an [initial] kind does not take
+     "load", "[output] snapshot_every: unknown key", "output", "snapshot_every", 20),
     ("constant-takes-no-scale",
      BASE + initial(kind="constant", u1="0.2", scale1="1.0", u2="0.3"), "load",
-     "[initial] scale1: key is not accepted here", "initial", "scale1", 19),
+     "[initial] scale1: unknown key", "initial", "scale1", 19),
     ("eigenfunction-takes-no-u",
      BASE + initial(u1="0.2", kind="eigenfunction", scale1="1.0", scale2="0.5"), "load",
-     "[initial] u1: key is not accepted here", "initial", "u1", 17),
+     "[initial] scale1: unknown key", "initial", "scale1", 19),
     ("expression-takes-no-scale",
      BASE + initial(kind="expression", u1="x", u2="x", scale2="1.0"), "load",
-     "[initial] scale2: key is not accepted here", "initial", "scale2", 20),
+     "[initial] scale2: unknown key", "initial", "scale2", 20),
+    ("cadence-needs-solver", BASE + section("output", {"snapshot_every": "5"}), "load",
+     "[output] snapshot_every: unknown key", "output", "snapshot_every", 17),
+    ("cadence-rejected", BASE + solver() + section("output", {"snapshot_every": "0"}),
+     "load", "[output] snapshot_every: unknown key", "output", "snapshot_every", 20),
+    ("missing-scale", BASE + initial(kind="eigenfunction", scale2="0.1"), "load",
+     "[initial] scale2: unknown key", "initial", "scale2", 18),
+    ("first-unaccepted-key-in-file-order",
+     BASE + initial(kind="constant", scale2="1.0", u1="0.2", u2="0.3", scale1="1.0"),
+     "load", "[initial] scale2: unknown key", "initial", "scale2", 18),
+    ("eigenfunction-kind", BASE + initial(kind="eigenfunction", u1="0.2", u2="0.3"), "load",
+     "[initial] kind: expected one of constant, expression; got 'eigenfunction'",
+     "initial", "kind", 17),
     # constraints on values read
     ("model-rejects", model(d1="0") + grid(), "load",
      "[model] d1: d1 must be > 0, got 0.0", "model", "d1", 2),
@@ -155,6 +169,16 @@ ERRORS = [
      "[grid] nx: nx must be >= 3, got 2", "grid", "nx", 15),
     ("lx-rejects", model() + grid(lx="-1"), "load",
      "[grid] lx: lx must be positive, got -1.0", "grid", "lx", 14),
+    ("ly-rejects", model() + grid(dim="2", ly="-1", ny="5"), "load",
+     "[grid] ly: ly must be positive, got -1.0", "grid", "ly", 16),
+    ("ny-rejects", model() + grid(dim="2", ly="2.0", ny="2"), "load",
+     "[grid] ny: ny must be >= 3, got 2", "grid", "ny", 17),
+    ("lx-spacing-underflows", model() + grid(lx="1e-160"), "load",
+     "[grid] lx: lx / (nx - 1) = 1.25e-161 is too small: its square underflows",
+     "grid", "lx", 14),
+    ("ly-spacing-underflows", model() + grid(dim="2", ly="1e-160", ny="9"), "load",
+     "[grid] ly: ly / (ny - 1) = 1.25e-161 is too small: its square underflows",
+     "grid", "ly", 16),
     ("grid-too-large-1d", model() + grid(nx=str(10**20)), "load",
      f"[grid] nx: nx must be at most {2**63 - 1}, got {10**20}", "grid", "nx", 15),
     ("grid-too-large-2d", model() + grid(dim="2", nx="3", ly="2.0", ny=str(2**62)), "load",
@@ -176,12 +200,6 @@ ERRORS = [
     ("empty-formats", BASE + section("output", {"formats": ", ,"}), "load",
      "[output] formats: formats must be a comma list drawn from csv, json; got ', ,'",
      "output", "formats", 17),
-    ("cadence-needs-solver", BASE + section("output", {"snapshot_every": "5"}), "load",
-     "[output] snapshot_every: snapshot_every needs a [solver] section to apply to",
-     "output", "snapshot_every", 17),
-    ("cadence-rejected", BASE + solver() + section("output", {"snapshot_every": "0"}),
-     "load", "[output] snapshot_every: snapshot_every must be >= 1, got 0",
-     "output", "snapshot_every", 20),
     # initial data, evaluated on the grid
     ("invalid-expression", BASE + initial(kind="expression", u1="0.2 +", u2="x"), "fields",
      "[initial] u1: invalid expression '0.2 +': invalid syntax", "initial", "u1", None),
@@ -197,7 +215,10 @@ ERRORS = [
     ("not-finite-data", BASE + initial(kind="expression", u1="x", u2="1e200*1e200"),
      "fields", "[initial] u2: initial data is not finite everywhere", "initial", "u2", None),
     ("negative-data", BASE + initial(kind="constant", u1="-1", u2="0.3"), "fields",
-     "[initial] u1: initial data must be nonnegative; min is np.float64(-1.0)",
+     "[initial] u1: initial data must be nonnegative; min is -1.0",
+     "initial", "u1", None),
+    ("negated-expression", BASE + initial(kind="expression", u1="-(x + 1)", u2="x"),
+     "fields", "[initial] u1: initial data must be nonnegative; min is -4.0",
      "initial", "u1", None),
     # which fault is reported first
     ("model-value-before-missing-grid", model(d1="x"), "load",
@@ -210,24 +231,6 @@ ERRORS = [
      "[model] d2: expected a number, got 'x'", "model", "d2", 3),
     ("grid-before-solver", model() + grid(nx="x") + solver(dt="x"), "load",
      "[grid] nx: expected an integer, got 'x'", "grid", "nx", 15),
-    ("missing-value-before-unaccepted-key",
-     BASE + initial(kind="constant", scale1="1.0", u1="0.2"), "load",
-     "[initial] u2: missing required key", "initial", "u2", None),
-    ("bad-value-before-unaccepted-key",
-     BASE + initial(kind="constant", scale1="1.0", u1="x", u2="0.3"), "load",
-     "[initial] u1: expected a number, got 'x'", "initial", "u1", 19),
-    ("bad-scale-before-unaccepted-key",
-     BASE + initial(u2="0.3", kind="eigenfunction", scale1="1.0", scale2="-"), "load",
-     "[initial] scale2: expected a number, got '-'", "initial", "scale2", 20),
-    ("missing-expression-before-unaccepted-key",
-     BASE + initial(kind="expression", scale1="1.0", u2="x"), "load",
-     "[initial] u1: missing required key", "initial", "u1", None),
-    ("first-unaccepted-key-in-file-order",
-     BASE + initial(kind="constant", scale2="1.0", u1="0.2", u2="0.3", scale1="1.0"),
-     "load", "[initial] scale2: key is not accepted here", "initial", "scale2", 18),
-    ("bad-kind-before-unaccepted-key", BASE + initial(scale1="1.0", kind="uniform"), "load",
-     "[initial] kind: expected one of constant, eigenfunction, expression; got 'uniform'",
-     "initial", "kind", 18),
     ("solver-before-initial", BASE + solver(dt="x") + initial(kind="x"), "load",
      "[solver] dt: expected a number, got 'x'", "solver", "dt", 17),
     ("missing-dt-before-bad-t-end", BASE + section("solver", {"t_end": "x"}), "load",
@@ -293,6 +296,52 @@ class TestErrors:
             f"[Errno 2] No such file or directory: {path!r}"
         )
         assert (err.section, err.key, err.line) == (None, None, None)
+
+    def test_rejected_value_without_a_key(self):
+        # a message that does not start with one of the section's keys is
+        # placed at the section alone
+        sections = parse_sections(BASE)
+        err = _rejected(ValueError("2D grid requires ly and ny"), sections, "grid")
+        assert (str(err), err.section, err.key, err.line) == (
+            "[grid]: 2D grid requires ly and ny", "grid", None, None
+        )
+
+    def test_table_reaches_every_config_error(self, tmp_path):
+        # every statement of sktlab/config.py that builds a ConfigError runs
+        # in some row of ERRORS, or in the two tests above: a site no test
+        # pins fails here, with its line
+        path = config.__file__
+        tree = ast.parse(Path(path).read_text())
+        sites = {
+            node.func.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "ConfigError"
+        }
+        reached = set()
+
+        def local(frame, event, arg):
+            if event == "line":
+                reached.add(frame.f_lineno)
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code.co_filename == path else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for row in ERRORS:
+                with pytest.raises(ConfigError):
+                    _raise(row[1], row[2], tmp_path)
+            self.test_unreadable_file(tmp_path)
+            self.test_rejected_value_without_a_key()
+        finally:
+            sys.settrace(previous)
+        lines = Path(path).read_text().splitlines()
+        missed = [f"{n}: {lines[n - 1].strip()}" for n in sorted(sites - reached)]
+        assert len(sites) > 20 and missed == []
 
 
 @pytest.fixture(scope="module")

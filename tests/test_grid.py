@@ -46,6 +46,23 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(dimension=2, lx=1.0, nx=9)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_spacing_whose_square_underflows(self, dimension):
+        # the stencil divides by the spacing squared: a subnormal or zero
+        # square is refused, on either axis; the smallest normal one is not
+        tiny = float(np.sqrt(np.finfo(float).tiny))
+        Grid.interval(2.0 * tiny, 3)
+        if dimension == 1:
+            make, key = (lambda length: Grid.interval(length, 3)), "lx / (nx - 1)"
+        else:
+            make, key = (lambda length: Grid.rectangle(1.0, length, 3, 3)), "ly / (ny - 1)"
+        spacing = 0.99 * tiny
+        with pytest.raises(ValueError) as info:
+            make(2.0 * spacing)
+        assert str(info.value) == f"{key} = {spacing!r} is too small: its square underflows"
+        with pytest.raises(ValueError, match="its square underflows"):
+            make(1e-160)
+
     def test_point_count_must_fit_intp(self):
         # refused before any array is made; a count that fits is not tried,
         # since a later use of the grid would allocate it
@@ -173,6 +190,19 @@ class TestScalarField:
         # repr round-trips exactly
         x5, v5 = lines[6].split(",")
         assert float(v5) == f.values[5]
+
+    def test_csv_2d_rows(self, tmp_path):
+        # one row per point, x outer and y inner, as the values' C order
+        grid = Grid.rectangle(1.0, 0.5, 3, 3)
+        f = ScalarField(grid, np.arange(9.0).reshape(3, 3) / 3.0)
+        path = tmp_path / "field.csv"
+        f.write_csv(path)
+        assert path.read_text() == (
+            "x,y,value\n"
+            "0.0,0.0,0.0\n0.0,0.25,0.3333333333333333\n0.0,0.5,0.6666666666666666\n"
+            "0.5,0.0,1.0\n0.5,0.25,1.3333333333333333\n0.5,0.5,1.6666666666666667\n"
+            "1.0,0.0,2.0\n1.0,0.25,2.3333333333333335\n1.0,0.5,2.6666666666666665\n"
+        )
 
 
 class TestEigenpair:

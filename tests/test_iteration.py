@@ -19,6 +19,7 @@ from sktlab._digests import StepDigests, pack
 from sktlab.errors import (
     BracketConstructionError,
     ConvergenceError,
+    NumericalError,
     OrderingViolationError,
 )
 from sktlab.grid import Grid, ScalarField, _lap_array, _neumann_bands, principal_eigenpair
@@ -97,6 +98,20 @@ class TestInitialBracket:
         lower, _ = initial_bracket(params, eig, u0, regime)
         assert np.all(lower.u1.values == 0.0)
         assert np.all(lower.u2.values == 1e-3)
+
+    def test_ceiling_raised_to_data_peak(self, setup):
+        # a species whose data peak lies between the window's midpoint and
+        # its ceiling gets the peak itself as ceiling; the other keeps the
+        # midpoint (the test's own window, since the principal windows are
+        # single points)
+        params, grid, eig, regime, _ = setup
+        window = dataclasses.replace(regime, window=((0.2, 1.0), (0.2, 1.0)))
+        vals = np.full(grid.shape, 0.5)
+        vals[7] = 0.8
+        u0 = (ScalarField(grid, vals), ScalarField.constant(grid, 0.35))
+        _, upper = initial_bracket(params, eig, u0, window)
+        assert upper.u[0].tolist() == [0.8] * grid.nx
+        assert upper.u[1].tolist() == [0.6] * grid.nx
 
     def test_data_above_ceiling_rejected(self, setup):
         params, grid, eig, regime, _ = setup
@@ -1591,8 +1606,27 @@ class TestHelmholtzSolver:
         )
         bracket = constant_bracket(params, state, 1e-3, 3e-3)
         monkeypatch.setattr(_HelmholtzSolver, "solve", poisoned)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericalError, match="linear solve produced non-finite values"):
             step_monotone(state, SolverConfig(dt=1e-3), params, bracket)
+
+    def test_failed_1d_solve_is_a_numerical_error(self):
+        # a zero main diagonal on an odd number of points is singular, and
+        # LAPACK reports it
+        solver = _HelmholtzSolver(Grid.interval(np.pi, 9))
+        with pytest.raises(NumericalError) as info:
+            solver.solve(0.0, -solver._main, np.ones((1, 9)), 0.0)
+        assert str(info.value) == "tridiagonal solve failed (LAPACK dgtsv info 9)"
+
+    def test_singular_sparse_lu_is_a_numerical_error(self, monkeypatch):
+        # CG misses its bound, and the fallback's factor is exactly singular:
+        # a zero diagonal leaves the 45 points' odd-even couplings alone
+        grid = Grid.rectangle(np.pi, 2.0, 9, 5)
+        solver = _HelmholtzSolver(grid)
+        monkeypatch.setattr(solver, "_pcg", lambda *args: None)
+        phi = -(2.0 / grid.hx**2 + 2.0 / grid.hy**2)
+        with np.errstate(divide="ignore"), pytest.raises(NumericalError) as info:
+            solver.solve(0.0, phi, np.ones((1,) + grid.shape), 0.0)
+        assert str(info.value) == "sparse LU solve failed: Factor is exactly singular"
 
     @pytest.mark.parametrize(
         "grid",
@@ -2007,6 +2041,33 @@ class TestSimulate:
         assert result.final_state.t == 0.0
         assert len(result.snapshots) == 1
         assert len(result.summaries) == 0
+
+    @pytest.mark.parametrize("fails, halvings", [(1, 1), (None, 2)], ids=["once", "always"])
+    def test_failed_linear_solve_rejects_the_attempt(self, setup, monkeypatch, fails, halvings):
+        # a solve that fails is a rejection like the step's other raises: the
+        # attempt is redone at half its dt, which then caps dt; with the
+        # budget spent the run ends "failed" with its error and snapshots
+        params, grid, eig, _, u0 = setup
+        solve = _HelmholtzSolver.solve
+        calls = []
+
+        def failing(self, *args):
+            calls.append(None)
+            if fails is None or len(calls) <= fails:
+                raise NumericalError("tridiagonal solve failed (LAPACK dgtsv info 1)")
+            return solve(self, *args)
+
+        monkeypatch.setattr(_HelmholtzSolver, "solve", failing)
+        cfg = SolverConfig(dt=1e-3, max_halvings=2)
+        result = simulate(params, grid, eig, u0, cfg, 4e-3)
+        assert result.halvings_used == halvings
+        if fails is None:
+            assert result.termination == "failed"
+            assert str(result.error) == "tridiagonal solve failed (LAPACK dgtsv info 1)"
+            assert result.final_state.t == 0.0 and len(result.snapshots) == 1
+        else:
+            assert result.termination == "completed"
+            assert [s.dt for s in result.summaries] == [5e-4] * 8
 
     def test_input_validation(self, setup):
         params, grid, eig, regime, u0 = setup

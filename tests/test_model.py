@@ -96,6 +96,31 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform_inverse(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "fn, var", [(transform_forward, "u"), (transform_inverse, "h")],
+        ids=["forward", "inverse"],
+    )
+    @pytest.mark.parametrize(
+        "d, alpha, values, message",
+        [
+            (0.0, 1.0, 1.0, "d must be positive, got 0.0"),
+            (np.inf, 1.0, 1.0, "d must be positive, got inf"),
+            (1.0, -0.5, 1.0, "alpha must be >= 0, got -0.5"),
+            (1.0, np.nan, 1.0, "alpha must be >= 0, got nan"),
+            (1.0, 1.0, [0.5, np.inf], "{var} must be finite"),
+            (1.0, 1.0, [0.5, -1e-300], "{var} must be nonnegative"),
+            # the arguments are checked in that order
+            (-1.0, -1.0, np.nan, "d must be positive, got -1.0"),
+            (1.0, -1.0, np.nan, "alpha must be >= 0, got -1.0"),
+            (1.0, 1.0, [np.nan, -1.0], "{var} must be finite"),
+        ],
+    )
+    def test_argument_errors(self, fn, var, d, alpha, values, message):
+        expected = f"{fn.__name__}: {message.format(var=var)}"
+        with pytest.raises(ValueError) as info:
+            fn(d, alpha, values)
+        assert str(info.value) == expected
+
 
 class TestReaction:
     def test_signs_at_reference_point(self):

@@ -7,6 +7,7 @@ import pytest
 
 from sktlab.model import ModelParams
 from sktlab.oracle import (
+    OdeTrajectory,
     ode_reduce,
     riccati_closed_form,
     riccati_singularity_time,
@@ -39,6 +40,18 @@ class TestOdeReduce:
         ts = np.linspace(0.0, 0.5, 11)
         traj = ode_reduce(certified_params(), (0.2, 0.3), 0.5, 1e-10, t_eval=ts)
         assert np.allclose(traj.times, ts)
+
+    def test_write_csv(self, tmp_path):
+        # one row per sample, each float the shortest repr that round-trips
+        traj = OdeTrajectory(
+            np.array([0.0, 0.1]), np.array([0.2, 1.0 / 3.0]), np.array([0.3, 2e-17]),
+            "completed",
+        )
+        path = tmp_path / "ode.csv"
+        traj.write_csv(path)
+        assert path.read_text() == (
+            "t,u1,u2\n0.0,0.2,0.3\n0.1,0.3333333333333333,2e-17\n"
+        )
 
     def test_zero_initial_state_stays_zero(self):
         traj = ode_reduce(certified_params(), (0.0, 0.0), 1.0, 1e-10)
