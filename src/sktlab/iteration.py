@@ -61,11 +61,13 @@ largest h^n and its floor violation only at the smallest. That is exact,
 not an estimate: every rounded operation in the violation
 f - (sigma*(h - h^n)/dt - 0.0) is monotone in h^n, so its maximum over the
 grid is its value at the extreme h^n, the same float a stacked evaluation
-reduces to. An accepted state's extremes of u and h^n, which give its
-sup norms for the controller and the overflow test, come from one
-reduction of the rows and their negatives (_Extremes.reduce_signed); a
-window run takes only the sup norms of u and its prediction miss. An
-admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
+reduces to. An accepted state's extremes of u and h, which give its sup
+norms for the controller and the overflow test and an automatic run's
+next h^n extremes, come from the step that made it: the chain audit's
+rows hold the lower iterate's u and h beside the chain's, so its one
+reduction per iterate also measures the state the step accepts, and the
+step hands those floats to simulate (_StepContext.extremes). A window
+run reduces only the miss of its prediction. An admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
 the grid, and it reaches the step with its violations measured; the step
 takes iterate 0's gap and worst violation from the bracket's floats.
 
@@ -84,17 +86,20 @@ A SystemState holds the same species axis without the sequence one. A
 step reads it as state.u[:, None] and state.h[:, None], a sequence axis of
 one, and never takes it apart into species; the states it returns are
 compact copies of the last lower iterate's u and h rows, whose finiteness
-its chain audit has already checked.
+its chain audit has already checked, so a returned state is finite.
 
 Each inner iterate makes one linear solve, through _HelmholtzSolver,
 built once per simulate run: the four (species, sequence) rows of the
 right-hand-side stack are its columns, solved in place, and sig/dt is
 passed as the step computes it, a (4, ...) array of sigma at the previous
 iterate over dt. A semilinear (alpha = 0) run's sigma is 1/d at every
-iterate, so the solver keeps its sig/dt per dt and the step computes the
-h^n term once. The right-hand sides and the chain audit are assembled in
-the solver's per-run work arrays; each iterate's density stack and
-reactions, and in a quasilinear run its sigma, are fresh arrays. The
+iterate, so the step computes its sig/dt and the h^n term once. What a
+step works out that is fixed for the whole run, the species columns,
+the semilinear sigma, the inverse transform's branch, the shift column
+and the work arrays the right-hand sides and the chain audit are
+assembled in, is made once per run, in the _StepContext the solver keeps
+for the run's params; each iterate's density stack and reactions, and in
+a quasilinear run its sigma, are fresh arrays. The
 solver's docstring gives its 1D and 2D paths (DCT-I preconditioner:
 Martucci, IEEE TSP 42, 1994) and its acceptance bound, an error of at
 most 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance; zero
@@ -168,7 +173,6 @@ sub-cap snapshots.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
@@ -379,8 +383,8 @@ class SimulationResult:
     """Everything simulate produced, including how it stopped.
 
     termination is "completed", "overflowed", "dt_floor" or "failed"; on
-    overflow the offending above-cap state is final_state while snapshots
-    retain only sub-cap states, "dt_floor" says dt fell under round-off in
+    overflow the offending above-cap state, finite like every state a step
+    returns, is final_state while snapshots retain only sub-cap states, "dt_floor" says dt fell under round-off in
     t, and on failure the unrecoverable error is kept in `error`.
     halvings_used counts rejected attempts and final_dt is the
     controller's dt for the next step. `snapshots` is the sink simulate
@@ -569,9 +573,9 @@ class _HelmholtzSolver:
     scipy.sparse imported. A zero column returns exact zeros, whatever its
     guess. A 1D solver takes LAPACK's dgtsv from _lapack_dgtsv.
 
-    The solver also keeps the inner iteration's work arrays for its grid
-    (work_arrays) and a semilinear run's sigma (semilinear_sigma), so a
-    solver reused across a run's steps makes them once. Raises
+    The solver also keeps what a step works out once per run, its
+    _StepContext (step_context), so a solver reused across a run's steps
+    makes it once. Raises
     NumericalError when LAPACK reports a 1D solve failed or a sparse LU
     factor is singular. Solutions are returned unchecked: step_monotone's
     chain audit checks that they are finite.
@@ -580,8 +584,7 @@ class _HelmholtzSolver:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.fallbacks = 0
-        self._work = None
-        self._sigma = None
+        self._context = None
         if grid.dimension == 1:
             self._dgtsv = _lapack_dgtsv()
             ab = _neumann_bands(grid.nx, grid.hx)
@@ -625,46 +628,13 @@ class _HelmholtzSolver:
             self._solve_2d(sig_over_dt, phi, rhs, guess)
         return rhs
 
-    def work_arrays(self):
-        """The inner iteration's work arrays on this grid, made on first use,
-        and the views it reads them through, as (solved, solved_cols, base,
-        term, audit, new_minus_old, v_minus_w, measured, negated).
-
-        solved is two (2, 2, *grid) stacks and solved_cols the same two as
-        (4, *grid) columns, the (species, sequence) rows in C order: the
-        solves alternate between them, so the previous iterate's transform
-        stays readable while the next right-hand side is assembled. base is
-        a (2, 2, *grid) stack for the h^n term and term (4, *grid) columns
-        for the shift term. audit is (14, npoints) chain audit rows, one grid
-        each: the first four are new_minus_old, new - old on the rows (w1,
-        v1, w2, v2) as a (2, 2, *grid) stack, the next three v_minus_w,
-        v - w on the same flat stack shifted by one row, whose rows 0 and 2
-        are species 1's and 2's (row 1, w2 - v1, is not read), and the last
-        seven, negated, the negatives of the first seven, measured, so one
-        reduction gives each row's largest value and its smallest."""
-        if self._work is None:
-            shape = self.grid.shape
-            work, audit = np.empty((4, 2, 2) + shape), np.empty((14, self.grid.npoints))
-            solved = work[:2]
-            self._work = (
-                solved, solved.reshape((2, 4) + shape), work[3], work[2].reshape((4,) + shape),
-                audit, audit[:4].reshape((2, 2) + shape), audit[4:7].reshape(-1), audit[:7],
-                audit[7:],
-            )
-        return self._work
-
-    def semilinear_sigma(self, columns):
-        """sigma = 1/d for the (d, alpha) species columns of params with both
-        alpha = 0, and the same as (4, 1...) solve columns, kept for the same
-        columns object, as a simulate run passes them."""
-        kept = self._sigma
-        if kept is None or kept[0] is not columns:
-            d, alpha = columns
-            # 1/(d + 2 alpha u) at alpha = 0 is 1/d for every u the step sees
-            sig = _sigma(d, alpha, 0.0)
-            cols = np.broadcast_to(sig, (2, 2) + sig.shape[2:]).reshape((4,) + sig.shape[2:])
-            kept = self._sigma = (columns, sig, cols)
-        return kept[1:]
+    def step_context(self, params):
+        """The _StepContext of params on this grid, kept for the same params
+        object, as a simulate run passes it, and made again for another."""
+        context = self._context
+        if context is None or context.params is not params:
+            context = self._context = _StepContext(params, self.grid)
+        return context
 
     def _block_arrays(self, k):
         """The (sub, super) off-diagonals of k blocks, built once per k, a
@@ -788,18 +758,75 @@ def _paired_reactions(params, u):
     return np.array((f1, f2[::-1]))
 
 
-def _inverse_stack(params, d, h):
-    """Densities of a (species, ...) stack of transformed values. d is the
-    species column of d, needed only when the species share alpha but not
-    d; shared parameters are passed as scalars."""
-    if params.alpha1 == params.alpha2:
-        if params.d1 == params.d2:
-            d = params.d1
-        return _inverse_raw(d, params.alpha1, h)
+def _inverse_stack(params, shared, h):
+    """Densities of a (species, ...) stack of transformed values. shared is
+    the (d, alpha) the whole stack takes when the species share alpha
+    (_StepContext), and None when each species takes its own."""
+    if shared is not None:
+        return _inverse_raw(*shared, h)
     return np.array((
         _inverse_raw(params.d1, params.alpha1, h[0]),
         _inverse_raw(params.d2, params.alpha2, h[1]),
     ))
+
+
+class _StepContext:
+    """What step_monotone works out once per run, for one params on one
+    grid; a _HelmholtzSolver keeps it (step_context).
+
+    columns are the (d, alpha) species columns of params (_param_columns)
+    and quasilinear says whether either alpha is nonzero. A semilinear run's
+    sigma is 1/d at every iterate, kept as sigma, a species column, and
+    sigma_cols, the same as (4, 1...) solve columns. inverse is _inverse_stack's
+    shared (d, alpha): d a scalar when the species also share d and their
+    species column when not, and None when they do not share alpha. phi is
+    the (4, 1...) shift column, one value per solve column, the stack's
+    (species, sequence) rows, written at each shift.
+
+    The work arrays: solved is two (2, 2, *grid) stacks and solved_cols the
+    same two as (4, *grid) columns, the (species, sequence) rows in C order;
+    the solves alternate between them, so the previous iterate's transform
+    stays readable while the next right-hand side is assembled. base is a
+    (2, 2, *grid) stack for the h^n term and term (4, *grid) columns for
+    the shift term. audit is the chain audit's (22, npoints) rows, one grid
+    each. Its first eleven, measured, are new - old on the rows (w1, v1, w2,
+    v2), written through new_minus_old as a (2, 2, *grid) stack; v - w on
+    the same flat stack shifted by one row, through v_minus_w, whose rows
+    are species 1's, w2 - v1 (not read) and species 2's; and the lower
+    iterate's u1, u2, h1 and h2, through lower_u and lower_h, each a (2,
+    *grid) stack. The last eleven, negated, are their negatives, so one
+    reduction gives each row's largest value and its smallest, and with
+    them the extremes of the state a converged iterate makes.
+
+    extremes are the _Extremes of the state the last step returned, its
+    smallest values read +0.0 where they are zero, for simulate's ladder.
+    """
+
+    def __init__(self, params, grid):
+        self.params = params
+        self.columns = d, alpha = _param_columns(params, grid)
+        self.quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
+        shape = grid.shape
+        ones = (1,) * grid.dimension
+        if not self.quasilinear:
+            # 1/(d + 2 alpha u) at alpha = 0 is 1/d for every u the step sees
+            self.sigma = _sigma(d, alpha, 0.0)
+            self.sigma_cols = np.broadcast_to(self.sigma, (2, 2) + ones).reshape((4,) + ones)
+        self.inverse = None
+        if params.alpha1 == params.alpha2:
+            self.inverse = (params.d1 if params.d1 == params.d2 else d, params.alpha1)
+        self.phi = np.empty((4,) + ones)
+        self.phi_values = self.phi.reshape(-1)
+        work, audit = np.empty((4, 2, 2) + shape), np.empty((22, grid.npoints))
+        self.solved = work[:2]
+        self.solved_cols = self.solved.reshape((2, 4) + shape)
+        self.base, self.term = work[3], work[2].reshape((4,) + shape)
+        self.audit, self.measured, self.negated = audit, audit[:11], audit[11:]
+        self.new_minus_old = audit[:4].reshape((2, 2) + shape)
+        self.v_minus_w = audit[4:7].reshape(-1)
+        self.lower_u = audit[7:9].reshape((2,) + shape)
+        self.lower_h = audit[9:11].reshape((2,) + shape)
+        self.extremes = None
 
 
 class _Bracket(NamedTuple):
@@ -963,10 +990,13 @@ def step_monotone(
 
     # exactly degenerate bound solution, every ceiling equal to its floor:
     # the common value is the step solution
+    run = solver.step_context(params)
     if gap0 == 0.0 and worst0 == 0.0:
         stack = (2, 2) + shape
         u0, h0 = np.broadcast_to(u0, stack), np.broadcast_to(bracket.h, stack)
         new_state = SystemState(state.t + dt, grid, u0[:, 1].copy(), h0[:, 1].copy())
+        lo, hi = _Extremes.of(new_state)
+        run.extremes = _Extremes([0.0 + x for x in lo], hi)
         summary = TraceSummary(
             new_state.t, dt, iterations=1, gap=0.0, worst_violation=0.0, phi1=0.0,
             phi2=0.0, retries=0, fallbacks=0, bracket=bracket.kind,
@@ -976,14 +1006,14 @@ def step_monotone(
     # sigma is frozen at the previous iterate, except in a semilinear run
     # (both alpha = 0), where it is 1/d at every iterate: there the h^n term
     # is computed once per step, and the shift needs no lag
-    quasilinear = params.alpha1 != 0.0 or params.alpha2 != 0.0
+    quasilinear = run.quasilinear
     hdot = _hdot_scales(params, grid, state.u, state.h) if quasilinear else (0.0, 0.0)
     phi_base = (
         _phi_automatic(params, 1, v1, w1, v2, w2, hdot[0]),
         _phi_automatic(params, 2, v2, w2, v1, w1, hdot[1]),
     )
 
-    columns = d, alpha = bracket.columns
+    d, alpha = run.columns
     gap_tol = cfg.inner_tol * (1.0 + scale)
     fallbacks = solver.fallbacks
     # the accepted state's compact rows, allocated ahead of the iteration's
@@ -991,20 +1021,19 @@ def step_monotone(
     # temporaries left, where copies made at the end split the heap between
     # them (3 MB more peak RSS for 501 kept states of 513 points)
     kept_u, kept_h = np.empty((2,) + shape), np.empty((2,) + shape)
-    solved, solved_cols, base, term, audit, new_minus_old, v_minus_w, measured, negated = (
-        solver.work_arrays()
-    )
+    solved, solved_cols, base, term = run.solved, run.solved_cols, run.base, run.term
+    audit, new_minus_old, v_minus_w = run.audit, run.new_minus_old, run.v_minus_w
+    lower_u, lower_h, phi, inverse = run.lower_u, run.lower_h, run.phi, run.inverse
     npoints = audit.shape[1]
     if not quasilinear:
-        sig, sig_cols = solver.semilinear_sigma(columns)
-        sig_over_dt = sig_cols / dt
-        np.divide(np.multiply(sig, h_n, out=base), dt, out=base)
+        sig_over_dt = run.sigma_cols / dt
+        np.divide(np.multiply(run.sigma, h_n, out=base), dt, out=base)
+    h_bracket = bracket.h.reshape((4,) + bracket.h.shape[2:])
     for retry in range(_MAX_PHI_RETRIES + 1):
         boost = _PHI_RETRY_FACTOR**retry
         phis = (phi_base[0] * boost, phi_base[1] * boost)
-        # one value per solve column, the stack's (species, sequence) rows
-        phi = np.array((phis[0], phis[0], phis[1], phis[1])).reshape((4,) + (1,) * len(shape))
-        u, f, h = u0, bracket.f, bracket.h.reshape((4,) + bracket.h.shape[2:])
+        run.phi_values[:] = (phis[0], phis[0], phis[1], phis[1])
+        u, f, h = u0, bracket.f, h_bracket
         iterates = [(u0, gap0, worst0)] if trace else None
         worst_all = worst0
         for k in range(1, cfg.max_inner_iters + 1):
@@ -1020,24 +1049,29 @@ def step_monotone(
             # in place: rhs becomes the new transformed stack, whose
             # finiteness the audit below checks
             solver.solve(sig_over_dt, phi, rhs_cols, h)
-            new_u = _inverse_stack(params, d, rhs)
+            new_u = _inverse_stack(params, inverse, rhs)
 
             # the lower must not drop nor the upper rise, then the lower must
-            # stay under the upper, whose excess is the gap. A row's smallest
-            # value is minus its negative's largest, up to a zero's sign, and
-            # 0.0 + x gives a zero +0.0, as 0.0 - (smallest) would
+            # stay under the upper, whose excess is the gap; the lower
+            # iterate's rows give the extremes of the state it would make. A
+            # row's smallest value is minus its negative's largest, up to a
+            # zero's sign, and 0.0 + x or 0.0 - x gives a zero +0.0
             flat = new_u.reshape(-1)
             np.subtract(new_u, u, out=new_minus_old)
             np.subtract(flat[npoints:], flat[:-npoints], out=v_minus_w)
-            np.negative(measured, out=negated)
+            np.copyto(lower_u, new_u[:, 1])
+            np.copyto(lower_h, rhs[:, 1])
+            np.negative(run.measured, out=run.negated)
             top = np.maximum.reduce(audit, axis=1).tolist()
             # a non-finite transform has a non-finite density, which every
             # row's extremes carry: nan into both, an infinity into one
             if not math.isfinite(sum(top)):
                 raise NumericalError("linear solve produced non-finite values")
-            gap, fall = top[13], top[10]
-            gap = 0.0 + (top[11] if top[11] > gap else gap)
-            worst = max(top[0], top[2], 0.0 + (top[8] if top[8] > fall else fall), top[4], top[6])
+            (w1_rise, _, w2_rise, _, v1_over, _, v2_over, u1_max, u2_max, h1_max, h2_max,
+             _, v1_fall, _, v2_fall, gap1, _, gap2, u1_neg, u2_neg, h1_neg, h2_neg) = top
+            gap = 0.0 + (gap1 if gap1 > gap2 else gap2)
+            fall = 0.0 + (v1_fall if v1_fall > v2_fall else v2_fall)
+            worst = max(w1_rise, w2_rise, fall, v1_over, v2_over)
 
             u, h = new_u, rhs_cols
             if iterates is not None:
@@ -1049,8 +1083,12 @@ def step_monotone(
                 # the chain broke: start again at the next shift
                 break
             if gap <= gap_tol:
-                np.copyto(kept_u, u[:, 1])
-                np.copyto(kept_h, rhs[:, 1])
+                np.copyto(kept_u, lower_u)
+                np.copyto(kept_h, lower_h)
+                run.extremes = _Extremes(
+                    [0.0 - u1_neg, 0.0 - u2_neg, 0.0 - h1_neg, 0.0 - h2_neg],
+                    [u1_max, u2_max, h1_max, h2_max],
+                )
                 summary = TraceSummary(
                     state.t + dt, dt, k, gap, worst_all, phis[0], phis[1], retry,
                     solver.fallbacks - fallbacks, bracket.kind,
@@ -1095,21 +1133,21 @@ def _auto_bracket(params, columns, extremes, dt, floors, ceilings, kind):
     # larger of _violations' f - (sigma (h - h^n)/dt - lap h) at the ceiling
     # and its negative at the floor, with lap h = 0, written out on floats
     (_, _, _, d1, a1), (_, _, _, d2, a2) = params.species
-    h = [(d1 + a1 * w1) * w1, (d1 + a1 * v1) * v1, (d2 + a2 * w2) * w2, (d2 + a2 * v2) * v2]
-    top1 = f1_up - 1.0 / (d1 + 2.0 * a1 * w1) * (h[0] - hi[2]) / dt
-    bottom1 = (f1_lo - 1.0 / (d1 + 2.0 * a1 * v1) * (h[1] - lo[2]) / dt) * -1.0
-    top2 = f2_up - 1.0 / (d2 + 2.0 * a2 * w2) * (h[2] - hi[3]) / dt
-    bottom2 = (f2_lo - 1.0 / (d2 + 2.0 * a2 * v2) * (h[3] - lo[3]) / dt) * -1.0
+    h_w1, h_v1 = (d1 + a1 * w1) * w1, (d1 + a1 * v1) * v1
+    h_w2, h_v2 = (d2 + a2 * w2) * w2, (d2 + a2 * v2) * v2
+    top1 = f1_up - 1.0 / (d1 + 2.0 * a1 * w1) * (h_w1 - hi[2]) / dt
+    bottom1 = (f1_lo - 1.0 / (d1 + 2.0 * a1 * v1) * (h_v1 - lo[2]) / dt) * -1.0
+    top2 = f2_up - 1.0 / (d2 + 2.0 * a2 * w2) * (h_w2 - hi[3]) / dt
+    bottom2 = (f2_lo - 1.0 / (d2 + 2.0 * a2 * v2) * (h_v2 - lo[3]) / dt) * -1.0
     violations = [bottom1 if bottom1 > top1 else top1, bottom2 if bottom2 > top2 else top2]
     if not _auto_bracket_feasible(violations, ceilings):
         return None
     # the u, h and f stacks, each in (species, sequence) C order
-    stacks = np.array([w1, v1, w2, v2] + h + [f1_up, f1_lo, f2_up, f2_lo])
-    stacks = stacks.reshape((3, 2, 2) + columns[0].shape[2:])
+    u, h, f = np.array(
+        (w1, v1, w2, v2, h_w1, h_v1, h_w2, h_v2, f1_up, f1_lo, f2_up, f2_lo)
+    ).reshape((3, 2, 2) + columns[0].shape[2:])
     # a constant stack's Laplacian is exactly zero
-    return _Bracket(
-        stacks[0], stacks[1], stacks[2], 0.0, (floors, ceilings), kind, columns, violations
-    )
+    return _Bracket(u, h, f, 0.0, (floors, ceilings), kind, columns, violations)
 
 
 def _auto_bracket_feasible(violations, ceilings):
@@ -1151,9 +1189,10 @@ class _Extremes(NamedTuple):
     """The smallest and largest value of each row of a (k, npoints) array,
     as two lists of floats, from one reduction each way.
 
-    The rows are a state's u1, u2, h1 and h2, from a state alone (of) or
-    _AutomaticLadder's buffer. Each float is what a reduction of its row
-    alone gives.
+    The rows are a state's u1, u2, h1 and h2: from a state alone (of), or
+    from the chain audit of the step that made it (_StepContext.extremes),
+    which reads a zero smallest value as +0.0. Each float is what a
+    reduction of its row alone gives.
     """
 
     lo: list
@@ -1163,17 +1202,6 @@ class _Extremes(NamedTuple):
     def reduce(cls, rows):
         return cls(np.minimum.reduce(rows, axis=1).tolist(),
                    np.maximum.reduce(rows, axis=1).tolist())
-
-    @classmethod
-    def reduce_signed(cls, buffer):
-        """reduce's floats for the first half of a (2k, npoints) buffer from
-        one reduction, as _AutomaticLadder takes them: the second half is
-        overwritten with the first's negatives, whose largest values are
-        minus the smallest; a zero smallest value reads +0.0."""
-        k = len(buffer) // 2
-        np.negative(buffer[:k], out=buffer[k:])
-        top = np.maximum.reduce(buffer, axis=1).tolist()
-        return cls([0.0 - x for x in top[k:]], top[:k])
 
     @classmethod
     def of(cls, state):
@@ -1197,11 +1225,12 @@ class _Ladder:
     state at state.t + dt from the second step on; norms are the state's
     sup norms and growth the last accepted step's relative changes of them.
     An automatic run raises ConvergenceError when no bracket passes, and a
-    window run ends at the window, which the step measures. measure(state)
-    returns a stepped state's sup norms and keeps its miss of the
-    prediction and its node; advance(state) makes the state simulate
-    accepted, the one measured last, the newest node. half_widths(norms)
-    gives each species' e_i around the prediction.
+    window run ends at the window, which the step measures. measure(state,
+    extremes) returns a stepped state's sup norms, from the _Extremes its
+    step handed over, and keeps its miss of the prediction and its node;
+    advance(state) makes the state simulate accepted, the one measured
+    last, the newest node. half_widths(norms) gives each species' e_i
+    around the prediction.
     """
 
     def __init__(self, params, grid, state):
@@ -1258,11 +1287,11 @@ class _WindowLadder(_Ladder):
         # measured by the step, which raises what a caller's pair raises
         return self.window
 
-    def measure(self, state):
+    def measure(self, state, extremes):
         if len(self.times) > 1:
             self.miss = np.abs(state.u - self.prediction).reshape(2, -1).max(axis=1).tolist()
         self.node = state.u
-        return state.sup_norms()
+        return extremes.sup_norms()
 
 
 class _AutomaticLadder(_Ladder):
@@ -1274,10 +1303,6 @@ class _AutomaticLadder(_Ladder):
         super().__init__(params, grid, state)
         self.trigger = trigger
         self.extremes = lo, hi = _Extremes.of(state)
-        # an accepted state's u and h, with their negatives below them, for
-        # one reduction each way (_Extremes.reduce_signed)
-        self.rows = np.empty((8, grid.npoints))
-        self.state_rows = self.rows[:4].reshape((4,) + grid.shape)
         self.values = [lo[:2] + hi[:2]]
 
     def bracket(self, state, dt, norms, growth):
@@ -1323,9 +1348,8 @@ class _AutomaticLadder(_Ladder):
             )
         return bracket
 
-    def measure(self, state):
-        np.concatenate((state.u, state.h), out=self.state_rows)
-        self.measured = lo, hi = _Extremes.reduce_signed(self.rows)
+    def measure(self, state, extremes):
+        self.measured = lo, hi = extremes
         if len(self.times) > 1:
             p = self.prediction
             self.miss = (
@@ -1333,7 +1357,7 @@ class _AutomaticLadder(_Ladder):
                 max(abs(lo[1] - p[1]), abs(hi[1] - p[3])),
             )
         self.node = lo[:2] + hi[:2]
-        return self.measured.sup_norms()
+        return extremes.sup_norms()
 
     def advance(self, state):
         super().advance(state)
@@ -1378,8 +1402,10 @@ def simulate(
     halvings = accepted = 0
     termination = "completed"
     overflow_time = error = None
-    # on the states' own grid, which every step then finds by identity
+    # on the states' own grid, which every step then finds by identity, and
+    # with the step context every step of the run shares
     solver = _HelmholtzSolver(state.grid)
+    run = solver.step_context(params)
     if bracket is None:
         ladder = _AutomaticLadder(params, grid, state, cfg.growth_trigger)
     else:
@@ -1405,14 +1431,11 @@ def simulate(
         except (ConvergenceError, OrderingViolationError, NumericalError) as exc:
             rejection = exc
         else:
-            m1, m2 = ladder.measure(new_state)
-            finite = math.isfinite(m1) and math.isfinite(m2)
-            if not finite or m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
+            # a returned state is finite: its step's chain audit checked it
+            m1, m2 = ladder.measure(new_state, run.extremes)
+            if m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
                 termination = "overflowed"
-                overflow_time = new_state.t
-                final_state = (
-                    new_state if finite else dataclasses.replace(new_state, overflowed=True)
-                )
+                overflow_time, final_state = new_state.t, new_state
                 break
             # each species' relative sup-norm change, and the larger rise
             p1, p2 = norms
