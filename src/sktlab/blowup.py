@@ -21,6 +21,7 @@ import numpy as np
 
 from .grid import EigenPair, Grid, weighted_integral
 from .iteration import SimulationResult, SystemState
+from .model import _check_multipliers
 from .regimes import SCHEMA_VERSION, BlowupCertificate, _t0_or_none, t0_estimate
 
 BOUND_SLACK = 0.98  # tolerated fraction of the bound (quadrature + time error)
@@ -42,9 +43,9 @@ class WeightedAverage:
 def weighted_average(
     grid: Grid, eig: EigenPair, mu1: float, mu2: float, state: SystemState
 ) -> WeightedAverage:
-    """Eigenfunction-weighted means of the state, combined with multipliers."""
-    if not (mu1 > 0.0 and mu2 > 0.0):
-        raise ValueError("multipliers must be positive")
+    """Eigenfunction-weighted means of the state, combined with multipliers,
+    which must be positive and finite (model._check_multipliers)."""
+    _check_multipliers(mu1, mu2)
     p1 = weighted_integral(grid, eig.phi0, state.u1) / grid.measure
     p2 = weighted_integral(grid, eig.phi0, state.u2) / grid.measure
     return WeightedAverage(

@@ -118,7 +118,11 @@ predictor half of a predictor-corrector (Hairer & Wanner, Solving ODEs II,
 IV.8): the next state is extrapolated by the quadratic in t through the
 last three accepted states, or the line through two before there are
 three, with Lagrange weights, so unevenly spaced nodes need nothing
-special; it is made for each attempt's dt. Each species gets the
+special; it is made for each attempt's dt. The nodes keep time by the
+steps themselves: as offsets from the newest node, summed from the
+accepted steps' own dt, with the prediction made at offset dt. Times
+read off t would be rounded to its ulp, and in a fast blow-up the rate
+times ulp(t) outgrows the prediction's true miss. Each species gets the
 half-width e_i = 2 * miss_i, twice the miss of the prediction of the last
 accepted state, plus a round-off floor of 1e-12 * max(1, largest sup norm
 of the state); no floor goes below zero. The bracket takes the form of the
@@ -1228,16 +1232,17 @@ class _Ladder:
     window run ends at the window, which the step measures. measure(state,
     extremes) returns a stepped state's sup norms, from the _Extremes its
     step handed over, and keeps its miss of the prediction and its node;
-    advance(state) makes the state simulate accepted, the one measured
-    last, the newest node. half_widths(norms) gives each species' e_i
-    around the prediction.
+    advance(dt) makes the state measured last, which simulate accepted
+    after a step of dt, the newest node. half_widths(norms) gives each
+    species' e_i around the prediction.
     """
 
     def __init__(self, params, grid, state):
         self.params, self.grid, self.columns = params, grid, _param_columns(params, grid)
-        # the last three accepted states' times, the miss of the last
-        # accepted prediction, and the miss of the state measured last
-        self.times, self.misses, self.miss = [state.t], None, None
+        # the last three accepted states' times as offsets from the newest,
+        # the miss of the last accepted prediction, and the miss of the
+        # state measured last
+        self.times, self.misses, self.miss = [0.0], None, None
 
     def half_widths(self, norms):
         # `b if b > a else a` is max(a, b), float for float, without the call
@@ -1249,9 +1254,12 @@ class _Ladder:
             _PREDICT_FACTOR * self.misses[1] + round_off,
         )
 
-    def advance(self, state):
+    def advance(self, dt):
+        # the nodes keep time by the accepted steps' own dt: t itself is
+        # rounded to its ulp, which the rate of a fast state turns into a
+        # miss far above the step's change
         self.misses = self.miss
-        self.times = self.times[-2:] + [state.t]
+        self.times = [t - dt for t in self.times[-2:]] + [0.0]
         self.values = self.values[-2:] + [self.node]
 
 
@@ -1270,7 +1278,7 @@ class _WindowLadder(_Ladder):
 
     def bracket(self, state, dt, norms, growth):
         if len(self.times) > 1:
-            _extrapolate(self.times, self.values, state.t + dt, self.prediction)
+            _extrapolate(self.times, self.values, dt, self.prediction)
         if self.misses is not None:
             # clipped into the window, so every state stays inside it
             clipped = np.minimum(np.maximum(self.prediction, self.floor), self.top)
@@ -1308,7 +1316,7 @@ class _AutomaticLadder(_Ladder):
     def bracket(self, state, dt, norms, growth):
         if len(self.times) > 1:
             # _extrapolate's sums, on floats
-            w = _lagrange(self.times, state.t + dt)
+            w = _lagrange(self.times, dt)
             if len(w) == 2:
                 self.prediction = [x0 * w[0] + w[1] * x1 for x0, x1 in zip(*self.values)]
             else:
@@ -1359,8 +1367,8 @@ class _AutomaticLadder(_Ladder):
         self.node = lo[:2] + hi[:2]
         return extremes.sup_norms()
 
-    def advance(self, state):
-        super().advance(state)
+    def advance(self, dt):
+        super().advance(dt)
         self.extremes = self.measured
 
 
@@ -1470,7 +1478,7 @@ def simulate(
         grow = 2.0
         growth = r1, r2
         state, norms = new_state, (m1, m2)
-        ladder.advance(state)
+        ladder.advance(dt_step)
         accepted += 1
         _digests.pack(digests, summary)
         if accepted % cfg.snapshot_every == 0:

@@ -193,10 +193,16 @@ class GrowthConstants:
         return dataclasses.asdict(self)
 
 
-def growth_constants(params: ModelParams, mu1: float, mu2: float) -> GrowthConstants:
-    """psi1, psi2, c, psi for multipliers mu1, mu2 > 0."""
+def _check_multipliers(mu1: float, mu2: float) -> None:
+    """The multiplier rule every combination mu1*(...) + mu2*(...) keeps:
+    ValueError unless both are positive and finite."""
     if not (mu1 > 0.0 and np.isfinite(mu1) and mu2 > 0.0 and np.isfinite(mu2)):
         raise ValueError(f"multipliers must be positive and finite, got {mu1}, {mu2}")
+
+
+def growth_constants(params: ModelParams, mu1: float, mu2: float) -> GrowthConstants:
+    """psi1, psi2, c, psi for multipliers mu1, mu2 > 0."""
+    _check_multipliers(mu1, mu2)
     psi1 = min(mu1 * params.b1, mu2 * params.c2)
     psi2 = (mu1 * params.c1 + mu2 * params.b2) / 2.0
     c = max(mu1 * params.a1, mu2 * params.a2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from sktlab.blowup import BlowupReport, analyze, riccati_bound, weighted_average
 from sktlab.grid import Grid, ScalarField, principal_eigenpair
 from sktlab.iteration import SimulationResult, SystemState
-from sktlab.model import ModelParams
+from sktlab.model import ModelParams, growth_constants
 from sktlab.regimes import classify_blowup
 
 
@@ -72,6 +73,22 @@ class TestWeightedAverage:
             weighted_average(grid, eig, 0.0, 1.0, state)
         with pytest.raises(ValueError, match="positive"):
             weighted_average(grid, eig, 1.0, -2.0, state)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("species", [0, 1])
+    def test_one_multiplier_rule(self, env, bad, species):
+        # the weighted average and the growth constants refuse the same
+        # multipliers with the same message: an infinite one would make
+        # p_hat infinite
+        params, grid, eig, _ = env
+        state = const_state(params, grid, 0.0, 1.0, 1.0)
+        mus = [1.0, 1.0]
+        mus[species] = bad
+        message = re.escape(f"multipliers must be positive and finite, got {mus[0]}, {mus[1]}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weighted_average(grid, eig, *mus, state)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            growth_constants(params, *mus)
 
 
 class TestRiccatiBound:

@@ -34,6 +34,7 @@ from sktlab.iteration import (
     _Bracket,
     _Extremes,
     _extrapolate,
+    _field_bracket,
     _paired_reactions,
     _param_columns,
     _phi_automatic,
@@ -1345,6 +1346,110 @@ class TestLeanSteps:
                 assert shared.h.tobytes() == fresh.h.tobytes()
 
 
+def recorded_extremes(mp):
+    """Put a step_monotone on mp that keeps, for every call that returns,
+    the new state and the _Extremes the step handed over on its solver's
+    step context; returns the list it appends them to."""
+    kept = []
+    step = sktlab.iteration.step_monotone
+
+    def recording(state, cfg, params, bracket, solver, dt, trace):
+        new_state, summary = step(state, cfg, params, bracket, solver, dt, trace)
+        kept.append((new_state, solver.step_context(params).extremes))
+        return new_state, summary
+
+    mp.setattr(sktlab.iteration, "step_monotone", recording)
+    return kept
+
+
+def assert_extremes_of(extremes, state):
+    """The extremes a step handed over are _Extremes.of(state), bit for bit:
+    repr tells +0.0 from -0.0."""
+    assert repr(extremes) == repr(_Extremes.of(state))
+
+
+class TestHandedExtremes:
+    """The new state's extremes, which a step takes from its chain audit and
+    simulate's ladders read instead of reducing the state again."""
+
+    @settings(max_examples=30)
+    @given(
+        **STEP_DRAWS,
+        shape=st.sampled_from(["constant", "smooth", "rough"]),
+        window=st.booleans(),
+    )
+    def test_every_accepted_step_hands_over_its_states_extremes(
+        self, alphas, alpha, coeffs, dims, length, kinds, seed, dt, shape, window
+    ):
+        # window and automatic runs in 1D and 2D, on constant, smooth and
+        # rough data, zero species among them
+        params, grid, data, _ = drawn_case(alphas, alpha, coeffs, dims, length, kinds, seed)
+        if shape != "rough":
+            data = smooth_fields(grid, seed, kinds, shape == "constant")
+        eig = principal_eigenpair(grid, "principal")
+        bracket = None
+        if window:
+            regime = classify_global(params, eig.lambda0, eig.mode)
+            assume(regime.certified)
+            data = [0.5 * n * u / max(u.max(), 1.0) for (_, n), u in zip(regime.window, data)]
+            bracket = initial_bracket(params, eig, [ScalarField(grid, u) for u in data], regime)
+        u0 = tuple(ScalarField(grid, u) for u in data)
+        # no halvings: the first failure ends the run
+        cfg = SolverConfig(dt=dt, max_inner_iters=100, max_halvings=0)
+        with pytest.MonkeyPatch.context() as mp:
+            kept = recorded_extremes(mp)
+            result = simulate(params, grid, eig, u0, cfg, 6.0 * dt, bracket=bracket)
+        assert len(kept) >= len(result.summaries)
+        for new_state, extremes in kept:
+            assert_extremes_of(extremes, new_state)
+            for lo, hi, u in zip(extremes.lo, extremes.hi, data):
+                if not u.any():
+                    assert repr((lo, hi)) == "(0.0, 0.0)"
+
+    def test_zero_data_steps_in_degenerate_brackets(self, setup):
+        # zero data's tight bracket is degenerate, every ceiling equal to its
+        # floor: the step returns the bracket's floor, whose extremes read +0.0
+        params, grid, eig, _, _ = setup
+        u0 = (ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 0.0))
+        with pytest.MonkeyPatch.context() as mp:
+            kept = recorded_extremes(mp)
+            result = simulate(params, grid, eig, u0, SolverConfig(dt=1e-3), 2e-3)
+        assert [s.bracket for s in result.summaries] == ["tight"] * 2
+        assert [s.phi1 for s in result.summaries] == [0.0] * 2
+        for new_state, extremes in kept:
+            assert_extremes_of(extremes, new_state)
+            assert repr(extremes) == repr(_Extremes([0.0] * 4, [0.0] * 4))
+
+    def test_degenerate_field_bracket_and_shift_retries(self, setup, monkeypatch):
+        # a degenerate field bracket, both sequences the step solution from
+        # varying data, and a step whose shift holds the chain only at its
+        # second retry, each on a solver whose step context the test reads
+        params, _, _, _, _ = setup
+        grid = Grid.interval(np.pi, 17)
+        solver = _HelmholtzSolver(grid)
+        state = SystemState.from_u_arrays(
+            params, grid, 0.0, 0.2 + 0.1 * np.cos(grid.xs), 0.3 + 0.05 * np.cos(2 * grid.xs)
+        )
+        cfg = SolverConfig(dt=1e-3, inner_tol=1e-13)
+        wide = constant_bracket(params, state, cfg.dt, 1.0)
+        solution, _ = step_monotone(state, cfg, params, wide)
+        same = _field_bracket(
+            params, grid, np.stack((solution.u, solution.u), axis=1), "window",
+            _param_columns(params, grid),
+        )
+        new_state, trace = step_monotone(state, cfg, params, same, solver)
+        assert trace.summary.iterations == 1 and trace.summary.gap == 0.0
+        assert new_state.u.tobytes() == solution.u.tobytes()
+        extremes = solver.step_context(params).extremes
+        assert extremes.lo != extremes.hi
+        assert_extremes_of(extremes, new_state)
+
+        monkeypatch.setattr(sktlab.iteration, "_phi_automatic", lambda *args: 0.1)
+        new_state, trace = step_monotone(state, cfg, params, wide, solver)
+        assert trace.summary.retries == 2
+        assert_extremes_of(solver.step_context(params).extremes, new_state)
+
+
 class TestStepDigests:
     """The packed records simulate keeps, read back as a Sequence."""
 
@@ -2096,6 +2201,24 @@ class TestSimulate:
 class TestControlledSteps:
     """One controller picks every dt: from the last step's rise, past the
     halving budget, back up to cfg.dt, and down to a floor."""
+
+    def test_fast_blowup_steps_stay_predicted(self):
+        # a constant-data blow-up at a growth trigger of 0.012 to a cap of
+        # 2e10. Near the cap the state's rate times ulp(t) outgrows the true
+        # miss of its prediction, so nodes timed by t itself, rounded to its
+        # ulp, missed at random and 9 late steps fell back to tight
+        # brackets. Nodes timed by the accepted steps' own dt keep every
+        # step from the third on predicted
+        params = certified_params(alpha1=0.0, alpha2=0.0)
+        grid = Grid.interval(np.pi, 3)
+        eig = principal_eigenpair(grid, "principal")
+        u0 = (ScalarField.constant(grid, 1.2), ScalarField.constant(grid, 0.8))
+        cfg = SolverConfig(dt=0.01, growth_trigger=0.012, overflow_cap=2e10, snapshot_every=5000)
+        result = simulate(params, grid, eig, u0, cfg, 1.0)
+        assert result.termination == "overflowed" and result.halvings_used == 0
+        kinds = [s.bracket for s in result.summaries]
+        assert len(kinds) > 2000 and min(s.dt for s in result.summaries) < 1e-12
+        assert kinds[2:] == ["predicted"] * (len(kinds) - 2)
 
     def test_spike_then_decay_finishes_at_cfg_dt(self):
         # species 1 peaks above its growth threshold a1/b1 = 1 with its mean
