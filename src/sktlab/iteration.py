@@ -1255,11 +1255,12 @@ class _Ladder:
         )
 
     def advance(self, dt):
-        # the nodes keep time by the accepted steps' own dt: t itself is
-        # rounded to its ulp, which the rate of a fast state turns into a
-        # miss far above the step's change
+        # offsets from the newest node, at 0, summed from the accepted
+        # steps' own dt: t itself is rounded to its ulp, which the rate of a
+        # fast state turns into a miss far above the step's change
         self.misses = self.miss
-        self.times = [t - dt for t in self.times[-2:]] + [0.0]
+        times = self.times
+        self.times = [times[-2] - dt, -dt, 0.0] if len(times) > 1 else [-dt, 0.0]
         self.values = self.values[-2:] + [self.node]
 
 
