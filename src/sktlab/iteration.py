@@ -67,9 +67,10 @@ next h^n extremes, come from the step that made it: the chain audit's
 rows hold the lower iterate's u and h beside the chain's, so its one
 reduction per iterate also measures the state the step accepts, and the
 step hands those floats to simulate (_StepContext.extremes). A window
-run reduces only the miss of its prediction. An admitted bracket's stacks are (2, 2, 1...) arrays that broadcast over
-the grid, and it reaches the step with its violations measured; the step
-takes iterate 0's gap and worst violation from the bracket's floats.
+run reduces only the miss of its prediction. An admitted bracket's
+stacks are (2, 2, 1...) arrays that broadcast over the grid, and it
+reaches the step with its violations measured; the step takes iterate
+0's gap and worst violation from the bracket's floats.
 
 A caller's pair is checked to contain the state where it enters, in
 _window_bracket: on each call of step_monotone with a (lower, upper) pair,
@@ -99,8 +100,8 @@ the semilinear sigma, the inverse transform's branch, the shift column
 and the work arrays the right-hand sides and the chain audit are
 assembled in, is made once per run, in the _StepContext the solver keeps
 for the run's params; each iterate's density stack and reactions, and in
-a quasilinear run its sigma, are fresh arrays. The
-solver's docstring gives its 1D and 2D paths (DCT-I preconditioner:
+a quasilinear run its sigma, are fresh arrays. The solver's docstring
+gives its 1D and 2D paths (DCT-I preconditioner:
 Martucci, IEEE TSP 42, 1994) and its acceptance bound, an error of at
 most 1e-12*max(1, ||h||_inf), a hundredth of the chain tolerance; zero
 right-hand sides give exact zeros on both paths. In 2D each column starts
@@ -388,8 +389,9 @@ class SimulationResult:
 
     termination is "completed", "overflowed", "dt_floor" or "failed"; on
     overflow the offending above-cap state, finite like every state a step
-    returns, is final_state while snapshots retain only sub-cap states, "dt_floor" says dt fell under round-off in
-    t, and on failure the unrecoverable error is kept in `error`.
+    returns, is final_state while snapshots retain only sub-cap states,
+    "dt_floor" says dt fell under round-off in t, and on failure the
+    unrecoverable error is kept in `error`.
     halvings_used counts rejected attempts and final_dt is the
     controller's dt for the next step. `snapshots` is the sink simulate
     was given, a list by default. `summaries` holds each accepted step's
@@ -579,9 +581,8 @@ class _HelmholtzSolver:
 
     The solver also keeps what a step works out once per run, its
     _StepContext (step_context), so a solver reused across a run's steps
-    makes it once. Raises
-    NumericalError when LAPACK reports a 1D solve failed or a sparse LU
-    factor is singular. Solutions are returned unchecked: step_monotone's
+    makes it once. Raises NumericalError when LAPACK reports a 1D solve
+    failed or a sparse LU factor is singular. Solutions are returned unchecked: step_monotone's
     chain audit checks that they are finite.
     """
 
@@ -779,32 +780,33 @@ class _StepContext:
     grid; a _HelmholtzSolver keeps it (step_context).
 
     columns are the (d, alpha) species columns of params (_param_columns)
-    and quasilinear says whether either alpha is nonzero. A semilinear run's
-    sigma is 1/d at every iterate, kept as sigma, a species column, and
-    sigma_cols, the same as (4, 1...) solve columns. inverse is _inverse_stack's
-    shared (d, alpha): d a scalar when the species also share d and their
-    species column when not, and None when they do not share alpha. phi is
-    the (4, 1...) shift column, one value per solve column, the stack's
-    (species, sequence) rows, written at each shift.
+    and quasilinear says whether either alpha is nonzero. A semilinear
+    run's sigma is 1/d at every iterate, kept as sigma, a species column,
+    and sigma_cols, the same as (4, 1...) solve columns. inverse is
+    _inverse_stack's shared (d, alpha): d a scalar when the species also
+    share d and their species column when not, and None when they do not
+    share alpha. phi is the (4, 1...) shift column, one value per solve
+    column, the stack's (species, sequence) rows, written at each shift
+    through its flat view phi_values.
 
     The work arrays: slots holds two (2, 2, *grid) stacks the solves
     alternate between, so the previous iterate's transform stays readable
     while the next right-hand side is assembled, each with its view as
     (4, *grid) columns, the (species, sequence) rows in C order, and its
-    lower sequence's rows. base is a
-    (2, 2, *grid) stack for the h^n term and term (4, *grid) columns for
-    the shift term. audit is the chain audit's 22 rows of one grid each,
-    flat, and audit_starts where each row starts. Its first eleven,
-    measured, are new - old on the rows (w1, v1, w2,
-    v2), written through new_minus_old as a (2, 2, *grid) stack; v - w on
-    the same flat stack shifted by one row, through v_minus_w, whose rows
-    are species 1's, w2 - v1 (not read) and species 2's; and the lower
-    iterate's u1, u2, h1 and h2, through lower_u and lower_h, each a (2,
-    *grid) stack. The last eleven, negated, are their negatives, so one
+    lower sequence's rows. base is a (2, 2, *grid) stack for the h^n term
+    and term (4, *grid) columns for the shift term. audit is the chain
+    audit's 22 rows of npoints each, flat, and audit_starts where each row
+    starts. Its first eleven, measured, are new - old on the rows (w1, v1,
+    w2, v2), written through new_minus_old as a (2, 2, *grid) stack; v - w
+    on the same flat stack shifted by one row, through v_minus_w, whose
+    rows are species 1's, w2 - v1 (not read) and species 2's; and the
+    lower iterate's u1, u2, h1 and h2, through lower_u and lower_h, each a
+    (2, *grid) stack. The last eleven, negated, are their negatives, so one
     reduction gives each row's largest value and its smallest, and with
     them the extremes of the state a converged iterate makes. The rows are
-    reduced segment by segment (np.maximum.reduceat), the same floats as a
-    reduction along the rows' axis in about half its time on short rows.
+    reduced segment by segment (np.maximum.reduceat), which gives the same
+    floats as a reduction along the rows' axis, in about half its time on
+    33-point rows.
 
     extremes are the _Extremes of the state the last step returned, its
     smallest values read +0.0 where they are zero, for simulate's ladder.
