@@ -74,8 +74,6 @@ class SnapshotSpool(_Records):
         self._file.close()
 
     def append(self, state: SystemState) -> None:
-        if state.overflowed:
-            raise ValueError("an overflowed state has no finite record")
         record, n = self._record, 2 * self._grid.npoints
         if state.u.size != n or state.h.size != n:
             raise ValueError("the state does not live on the spool's grid")

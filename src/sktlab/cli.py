@@ -34,7 +34,7 @@ import tempfile
 
 import numpy as np
 
-from .blowup import _json_real, analyze, weighted_average
+from .blowup import analyze, weighted_average
 from .config import RunConfig, build_initial_fields, load_config
 from .errors import (
     BracketConstructionError,
@@ -111,7 +111,10 @@ class _Run:
         self.mode = lambda0_mode_override or cfg.lambda0_mode
         self.eig = principal_eigenpair(cfg.grid, self.mode)
         self.u0 = build_initial_fields(cfg.require_initial(), cfg.grid, self.eig)
-        state0 = SystemState.from_u(cfg.params, 0.0, self.u0[0], self.u0[1])
+        try:
+            state0 = SystemState.from_u(cfg.params, 0.0, self.u0[0], self.u0[1])
+        except ValueError as exc:  # the data's transform overflows
+            raise ConfigError(str(exc), section="initial") from None
         self.wa0 = weighted_average(cfg.grid, self.eig, cfg.mu1, cfg.mu2, state0)
         try:
             self.regime, self.cert, self.p_hat0 = self.certificates(cfg.params, cfg.mu1, cfg.mu2)
@@ -276,7 +279,6 @@ def _run_summary(result, run: _Run, bracket_mode: str) -> dict:
             worst = s.worst_violation
         if most_iters is None or s.iterations > most_iters:
             most_iters = s.iterations
-    m1, m2 = result.final_state.sup_norms()
     return {
         "schema_version": SCHEMA_VERSION,
         "termination": result.termination,
@@ -287,7 +289,7 @@ def _run_summary(result, run: _Run, bracket_mode: str) -> dict:
         "max_inner_iterations": most_iters,
         "halvings_used": result.halvings_used,
         "final_dt": result.final_dt,
-        "final_sup_norms": [_json_real(m1), _json_real(m2)],
+        "final_sup_norms": list(result.final_state.sup_norms()),  # finite, as every state is
         "bracket_mode": bracket_mode,
         "lambda0": run.eig.lambda0,
         "lambda0_mode": run.mode,
@@ -427,13 +429,13 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: str) -> int:
             else:
                 params = params.replace(**{key: value})
             regime, cert, p_hat0 = run.certificates(params, **mu)
+            detected = None
+            if args.simulate:  # ValueError: the row's transform of the data overflows
+                result, _ = run.run_simulation((params, regime, cert))
+                detected = result.overflow_time
         except ValueError as exc:
             raise ConfigError(f"sweep value {value!r} rejected: {exc}") from None
         branch = next(r for r in cert.conditions if r.name.startswith("c1 + b2"))
-        detected = None
-        if args.simulate:
-            result, _ = run.run_simulation((params, regime, cert))
-            detected = result.overflow_time
 
         rows.append(
             (

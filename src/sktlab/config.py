@@ -179,11 +179,10 @@ def _build_model(sections: dict) -> ModelParams:
 
 def _rejected(exc, sections: dict, section: str) -> ConfigError:
     """The config error for a value ModelParams, Grid or SolverConfig
-    rejected, at the key its message starts with, when that key is in the
-    section."""
+    rejected, at the key its message starts with. That key is one the
+    section holds: a key it lacks is required or takes a valid default,
+    and the builders check dim and a 1D grid's ly and ny themselves."""
     key = str(exc).split(" ", 1)[0]
-    if key not in sections[section]:
-        return ConfigError(str(exc), section=section)
     return ConfigError(str(exc), section, key, sections[section][key][1])
 
 

@@ -233,11 +233,10 @@ def _lap_array(grid: Grid, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """One real value per grid point; finite everywhere unless overflowed."""
+    """One real value per grid point, finite everywhere."""
 
     grid: Grid
     values: np.ndarray
-    overflowed: bool = False
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -245,8 +244,8 @@ class ScalarField:
             raise ValueError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        if not self.overflowed and not np.isfinite(vals).all():
-            raise ValueError("field values must be finite unless flagged overflowed")
+        if not np.isfinite(vals).all():
+            raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod

@@ -83,11 +83,11 @@ pair of discrete lower and upper bound solutions brackets the step
 solution whether or not it contains u^n, and a window run's every bracket
 lies inside the window.
 
-A SystemState holds the same species axis without the sequence one. A
-step reads it as state.u[:, None] and state.h[:, None], a sequence axis of
-one, and never takes it apart into species; the states it returns are
-compact copies of the last lower iterate's u and h rows, whose finiteness
-its chain audit has already checked, so a returned state is finite.
+A SystemState holds the same species axis without the sequence one, and
+only finite values. A step reads it as state.u[:, None] and
+state.h[:, None], a sequence axis of one, and never takes it apart into
+species; the states it returns are compact copies of the last lower
+iterate's u and h rows, whose finiteness its chain audit has checked.
 
 Each inner iterate makes one linear solve, through _HelmholtzSolver,
 built once per simulate run: the four (species, sequence) rows of the
@@ -219,7 +219,7 @@ _DT_FLOOR = 1e3 * sys.float_info.epsilon
 
 def _row_field(stack: str, row: int) -> property:
     """A read-only property: one row of a state's stack as a ScalarField copy."""
-    return property(lambda s: ScalarField(s.grid, getattr(s, stack)[row], s.overflowed))
+    return property(lambda s: ScalarField(s.grid, getattr(s, stack)[row]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,22 +227,21 @@ class SystemState:
     """Both species at one time, in density and transformed variables.
 
     u and h are (2, *grid) stacks, species 1 in row 0 and species 2 in row
-    1, each its own compact array. Values are finite unless `overflowed`.
-    Build states from outside with from_u or from_u_arrays, which check
-    them. u1, u2, h1 and h2 are read-only ScalarField copies of the rows,
-    for callers that work with fields.
+    1, each its own compact array, and every value is finite. Build states
+    from outside with from_u or from_u_arrays, which refuse any other; the
+    raw constructor checks nothing. u1, u2, h1 and h2 are read-only
+    ScalarField copies of the rows, for callers that work with fields.
     """
 
     t: float
     grid: Grid
     u: np.ndarray
     h: np.ndarray
-    overflowed: bool = False
 
-    def __init__(self, t, grid, u, h, overflowed=False):
+    def __init__(self, t, grid, u, h):
         # the fields at once, where a frozen dataclass's own __init__ sets
         # each through object.__setattr__: a state is made every step
-        self.__dict__.update(t=t, grid=grid, u=u, h=h, overflowed=overflowed)
+        self.__dict__.update(t=t, grid=grid, u=u, h=h)
 
     u1, u2 = _row_field("u", 0), _row_field("u", 1)
     h1, h2 = _row_field("h", 0), _row_field("h", 1)
@@ -251,24 +250,26 @@ class SystemState:
     def from_u(cls, params: ModelParams, t: float, u1: ScalarField, u2: ScalarField):
         if not u1.grid.compatible(u2.grid):
             raise ValueError("u1 and u2 live on different grids")
-        return cls.from_u_arrays(
-            params, u1.grid, t, u1.values, u2.values, u1.overflowed or u2.overflowed
-        )
+        return cls.from_u_arrays(params, u1.grid, t, u1.values, u2.values)
 
     @classmethod
-    def from_u_arrays(cls, params, grid, t, u1, u2, overflowed=False):
+    def from_u_arrays(cls, params, grid, t, u1, u2):
         u = np.array((u1, u2), dtype=float)
         if u.shape != (2,) + grid.shape:
             raise ValueError(
                 f"field shapes {u.shape[1:]} do not match grid shape {grid.shape}"
             )
-        if not overflowed and not np.isfinite(u).all():
-            raise ValueError("field values must be finite unless flagged overflowed")
         d, alpha = _param_columns(params, grid)
-        # flagged states may hold inf, whose transform degrades to nan quietly
+        # d > 0 and alpha >= 0 are finite, so h is finite only where u is;
+        # a non-finite h is reported below, not warned of by numpy
         with np.errstate(invalid="ignore", over="ignore"):
             h = _transform_raw(d[:, 0], alpha[:, 0], u)
-        return cls(float(t), grid, u, h, overflowed)
+        if not np.isfinite(h).all():
+            raise ValueError(
+                "field values must be finite" if not np.isfinite(u).all() else
+                f"the transform (d + alpha*u)*u overflows at max |u| = {np.abs(u).max():g}"
+            )
+        return cls(float(t), grid, u, h)
 
     def sup_norms(self) -> tuple:
         return tuple(np.abs(self.u).reshape(2, -1).max(axis=1).tolist())
@@ -387,16 +388,15 @@ class IterationTrace:
 class SimulationResult:
     """Everything simulate produced, including how it stopped.
 
-    termination is "completed", "overflowed", "dt_floor" or "failed"; on
-    overflow the offending above-cap state, finite like every state a step
-    returns, is final_state while snapshots retain only sub-cap states,
-    "dt_floor" says dt fell under round-off in t, and on failure the
-    unrecoverable error is kept in `error`.
-    halvings_used counts rejected attempts and final_dt is the
-    controller's dt for the next step. `snapshots` is the sink simulate
-    was given, a list by default. `summaries` holds each accepted step's
-    TraceSummary; from simulate, a read-only sequence over packed records
-    (_digests).
+    termination is "completed", "overflowed", "dt_floor" or "failed". On
+    overflow final_state is the offending above-cap state, finite like
+    every state, and snapshots keep only sub-cap states; "dt_floor" says
+    dt fell under round-off in t; on failure the unrecoverable error is
+    kept in `error`. halvings_used counts rejected attempts and final_dt
+    is the controller's dt for the next step. `snapshots` is the sink
+    simulate was given, a list by default. `summaries` holds each accepted
+    step's TraceSummary; from simulate, a read-only sequence over packed
+    records (_digests).
     """
 
     snapshots: Sequence
@@ -412,8 +412,8 @@ class SimulationResult:
 def _check_initial(u0, grid=None) -> None:
     """Raise ValueError unless the initial fields u0 = (u1, u2) lie on one
     grid, and on `grid` when it is given, and are finite and nonnegative.
-    Fields flagged overflowed may hold NaN or inf, which every comparison
-    would let through, so finiteness is checked first."""
+    A field's values can be written to after it is made, and NaN passes
+    every comparison, so finiteness is checked first."""
     if not u0[0].grid.compatible(u0[1].grid):
         raise ValueError("initial fields live on different grids")
     if grid is not None and not grid.compatible(u0[0].grid):
@@ -432,7 +432,9 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
     floor is rho_i * phi0 with rho_i = min(1e-3, half the pointwise minimum
     of u0_i/phi0), dropped to zero whenever u0_i touches zero or phi0 is not
     strictly positive. Returns (lower, upper) SystemStates at t = 0. Raises
-    ValueError on data that _check_initial refuses.
+    ValueError on data that _check_initial refuses, and
+    BracketConstructionError where no bracket exists or its ceiling's
+    transform overflows.
     """
     if not regime.certified:
         failed = next((r.name for r in regime.inequalities if not r.holds), None)
@@ -468,13 +470,12 @@ def initial_bracket(params: ModelParams, eig, u0, regime: RegimeReport):
     lower = SystemState.from_u_arrays(
         params, grid, 0.0, lowers[0] * phi_vals, lowers[1] * phi_vals
     )
-    upper = SystemState.from_u_arrays(
-        params,
-        grid,
-        0.0,
-        np.full(grid.shape, uppers[0]),
-        np.full(grid.shape, uppers[1]),
-    )
+    try:
+        upper = SystemState.from_u_arrays(
+            params, grid, 0.0, np.full(grid.shape, uppers[0]), np.full(grid.shape, uppers[1])
+        )
+    except ValueError as exc:  # a finite ceiling whose transform overflows
+        raise BracketConstructionError(f"the window's ceiling is out of range: {exc}") from None
     return lower, upper
 
 
@@ -1392,15 +1393,17 @@ def simulate(
     predictor and the step-size controller. With `bracket`, a certified
     (lower, upper) pair, the run stays inside that window, which must
     contain u0, or OrderingViolationError is raised before the first step;
-    without it the run's brackets are constant per species. A failed run
-    ends with termination "failed" and its error kept, and a dt under
-    round-off in t with "dt_floor"; neither raises, so partial output
-    survives. Each accepted step's TraceSummary is packed into `summaries`,
-    which reads it back bit for bit.
+    without it the run's brackets are constant per species. Initial data
+    that _check_initial refuses, or whose transform overflows, raise
+    ValueError before any step. A failed run ends with termination
+    "failed" and its error kept, and a dt under round-off in t with
+    "dt_floor"; neither raises, so partial output survives. Each accepted
+    step's TraceSummary is packed into `summaries`, which reads it back
+    bit for bit.
 
     `snapshots` is the sink of the kept states: any object with `append`,
     which receives the initial state, every snapshot_every-th accepted one
-    and the last, never an overflowed one, and becomes the result's
+    and the last, never one past overflow_cap, and becomes the result's
     `snapshots`. It defaults to a new list; `sktlab simulate` passes a
     spool that keeps them on disk (_spool).
 
@@ -1409,8 +1412,8 @@ def simulate(
     """
     if not (t_end > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end}")
-    state = SystemState.from_u(params, 0.0, *u0)
     _check_initial(u0, grid)
+    state = SystemState.from_u_arrays(params, u0[0].grid, 0.0, u0[0].values, u0[1].values)
     growth = (0.0, 0.0)
     snapshots = [] if snapshots is None else snapshots
     snapshots.append(state)
@@ -1454,7 +1457,7 @@ def simulate(
             m1, m2 = ladder.measure(new_state, run.extremes)
             if m1 > cfg.overflow_cap or m2 > cfg.overflow_cap:
                 termination = "overflowed"
-                overflow_time, final_state = new_state.t, new_state
+                overflow_time = new_state.t
                 break
             # each species' relative sup-norm change, and the larger rise
             p1, p2 = norms
@@ -1498,14 +1501,13 @@ def simulate(
     # the last state, unless it was kept as a snapshot or no step was taken
     if accepted % cfg.snapshot_every:
         snapshots.append(state)
-    if termination != "overflowed":
-        final_state = state
 
     return SimulationResult(
         snapshots=snapshots,
         summaries=_digests.StepDigests(digests, TraceSummary),
         termination=termination,
-        final_state=final_state,
+        # the state past the cap, or the last accepted one
+        final_state=new_state if termination == "overflowed" else state,
         overflow_time=overflow_time,
         error=error,
         halvings_used=halvings,

@@ -95,6 +95,12 @@ class RegimeReport:
         }
 
 
+def _check_lambda0(lambda0: float) -> None:
+    """Raise ValueError unless lambda0, an eigenvalue of -lap, is finite and >= 0."""
+    if not (lambda0 >= 0.0 and np.isfinite(lambda0)):
+        raise ValueError(f"lambda0 must be >= 0, got {lambda0}")
+
+
 def classify_global(
     params: ModelParams, lambda0: float, lambda0_mode: str | None = None
 ) -> RegimeReport:
@@ -103,8 +109,7 @@ def classify_global(
     Division-guarded: when D <= 0 or c2*b1 <= c1*b2 the window endpoints are
     unevaluable and recorded as such rather than raising.
     """
-    if not (lambda0 >= 0.0 and np.isfinite(lambda0)):
-        raise ValueError(f"lambda0 must be >= 0, got {lambda0}")
+    _check_lambda0(lambda0)
     p = params
     e1 = 2.0 * p.alpha1 * lambda0 - p.b1
     e2 = 2.0 * p.alpha2 * lambda0 - p.c2
@@ -199,8 +204,7 @@ def classify_blowup(
     p_hat0 may be any finite value: the average against a sign-changing
     eigenfunction can be negative, and then fails the threshold test.
     """
-    if not (lambda0 >= 0.0 and np.isfinite(lambda0)):
-        raise ValueError(f"lambda0 must be >= 0, got {lambda0}")
+    _check_lambda0(lambda0)
     if not np.isfinite(p_hat0):
         raise ValueError(f"p_hat0 must be finite, got {p_hat0}")
     p = params
@@ -278,19 +282,13 @@ def search_multipliers(
     r = int(grid_resolution)
     ratios = sorted({10.0 ** (-3.0 + 6.0 * k / r) for k in range(r + 1)} | {1.0})
 
-    best = None
-    best_key = None
-    for ratio in ratios:
-        if ratio >= 1.0:
-            mu1, mu2 = ratio, 1.0
-        else:
-            mu1, mu2 = 1.0, 1.0 / ratio
-        p_hat0 = mu1 * p_hat10 + mu2 * p_hat20
-        cert = classify_blowup(params, lambda0, mu1, mu2, p_hat0)
-        key = (cert.certified, cert.margin)
-        if best is None or key > best_key:
-            best, best_key = cert, key
-    return best
+    pairs = [(ratio, 1.0) if ratio >= 1.0 else (1.0, 1.0 / ratio) for ratio in ratios]
+    certs = (
+        classify_blowup(params, lambda0, mu1, mu2, mu1 * p_hat10 + mu2 * p_hat20)
+        for mu1, mu2 in pairs
+    )
+    # max keeps the first of equal keys
+    return max(certs, key=lambda cert: (cert.certified, cert.margin))
 
 
 def t0_estimate(cert: BlowupCertificate, p_hat0: float) -> float:

@@ -32,11 +32,9 @@ def env():
     return params, grid, eig, cert
 
 
-def const_state(params, grid, t, v1, v2, overflowed=False):
+def const_state(params, grid, t, v1, v2):
     return SystemState.from_u_arrays(
-        params, grid, t,
-        np.full(grid.shape, v1), np.full(grid.shape, v2),
-        overflowed=overflowed,
+        params, grid, t, np.full(grid.shape, v1), np.full(grid.shape, v2)
     )
 
 
@@ -181,14 +179,17 @@ class TestAnalyze:
         assert report.within_t0_slack is True
 
     def test_nonfinite_final_state_serializes_as_null(self, env):
+        # a finite final state whose weighted average and u1 + u2 overflow
         params, grid, eig, cert = env
         snaps = [const_state(params, grid, 0.0, 1.2, 0.8)]
-        final = const_state(params, grid, 0.2, float("inf"), 1.0, overflowed=True)
+        final = const_state(params, grid, 0.2, 1.7e308, 1.7e308)
         result = SimulationResult(
             snapshots=snaps, summaries=[], termination="overflowed",
             final_state=final, overflow_time=0.2,
         )
-        report = analyze(result, cert, grid, eig)
+        with np.errstate(over="ignore"):
+            report = analyze(result, cert, grid, eig)
+        assert math.isinf(report.rows[-1].p_hat) and math.isinf(report.rows[-1].max_sum)
         last = report.rows[-1]
         assert last.bound is None
         assert not last.violation

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -442,21 +443,15 @@ class TestSnapshotWriter:
 
     @classmethod
     def states(cls, grid, count):
-        """`count` snapshots with zero, -0.0 and subnormal cells; the last
-        is an overflowed final state, which writes inf and nan cells."""
+        """`count` snapshots with zero, -0.0, subnormal and largest-float
+        cells; species 2 has alpha 0, so h2 = u2 holds them too."""
         rng = np.random.default_rng(2)
         snapshots = []
         for k in range(count):
             u1 = rng.random(grid.shape) * 10.0 ** rng.integers(-12, 9, grid.shape)
             u2 = rng.random(grid.shape)
-            u2.flat[:3] = (0.0, -0.0, 5e-324)
-            last = k == count - 1
-            if last:
-                u1 = np.full(grid.shape, np.inf)
-                u1.flat[1] = np.nan
-            snapshots.append(
-                SystemState.from_u_arrays(cls.PARAMS, grid, k / count, u1, u2, overflowed=last)
-            )
+            u2.flat[:4] = (0.0, -0.0, 5e-324, 1.7976931348623157e308)
+            snapshots.append(SystemState.from_u_arrays(cls.PARAMS, grid, k / count, u1, u2))
         return snapshots
 
     @staticmethod
@@ -492,7 +487,7 @@ class TestSnapshotWriter:
         _write_snapshots_csv(path, grid, snapshots)
         text = path.read_text()
         assert text == self.reference(grid, snapshots)
-        for cell in (",-0.0,", ",5e-324,", ",inf,", ",nan,"):
+        for cell in (",-0.0,", ",5e-324,", ",1.7976931348623157e+308,"):
             assert cell in text
 
     @GRIDS
@@ -982,6 +977,71 @@ class TestLargeMultipliers:
         assert rc == 0, capsys.readouterr().err
         rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [r[1] for r in rows] == ["1.0", "1e+308"]
+
+
+class TestTransformOverflow:
+    """Finite data whose transform (d + alpha*u)*u overflows make no state:
+    an [initial] config error for every command, a rejected sweep row where
+    the swept alpha or d causes it, and a bracket error for a window
+    ceiling that overflows."""
+
+    @staticmethod
+    def config(readme_config, u1):
+        text = readme_config
+        for old, new in (
+            ("nx = 65", "nx = 9"),
+            ("overflow_cap = 1e8", "overflow_cap = 1e300"),
+            ("kind = expression", "kind = constant"),
+            ("u1 = 0.2 + 0.1*cos(x)", f"u1 = {u1}"),
+            ("u2 = 0.3 + 0.05*cos(2*x)", "u2 = 1.0"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        return text
+
+    @pytest.mark.parametrize("sub", ["classify", "simulate", "blowup"])
+    def test_initial_data(self, capsys, tmp_path, conf, readme_config, sub):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(conf(self.config(readme_config, "1e200")), tmp_path, sub=sub)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: [initial]: the transform (d + alpha*u)*u overflows "
+            "at max |u| = 1e+200\n"
+        )
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("sub", ["simulate", "blowup"])
+    def test_window_ceiling(self, capsys, tmp_path, conf, readme_config, sub):
+        # a1 = 1e200: small data, but a certified window whose ceiling's
+        # transform overflows is a bracket that cannot be built
+        text = readme_config.replace("a1 = 1.0", "a1 = 1e200").replace("nx = 65", "nx = 9")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(conf(text), tmp_path, sub=sub)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "bracket construction failed: the window's ceiling is out of range: the "
+            "transform (d + alpha*u)*u overflows at max |u| = 5.33333e+199\n"
+        )
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("key, value", [("alpha1", 1e10), ("d1", 1e300)])
+    def test_swept_row(self, capsys, tmp_path, conf, readme_config, key, value):
+        # at 1e150 the config's own transform is finite; the row's is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(
+                conf(self.config(readme_config, "1e150")), tmp_path, sub="sweep",
+                extra=("--param", key, "--min", str(value), "--max", str(value),
+                       "--count", "1", "--simulate"),
+            )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: sweep value {value!r} rejected: the transform "
+            "(d + alpha*u)*u overflows at max |u| = 1e+150\n"
+        )
+        assert not (out / "sweep.csv").exists()
 
 
 class TestSweep:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from sktlab import config
-from sktlab.config import _rejected, build_initial_fields, load_config, parse_sections
+from sktlab.config import build_initial_fields, load_config, parse_sections
 from sktlab.errors import ConfigError
 from sktlab.grid import principal_eigenpair
 
@@ -297,18 +297,9 @@ class TestErrors:
         )
         assert (err.section, err.key, err.line) == (None, None, None)
 
-    def test_rejected_value_without_a_key(self):
-        # a message that does not start with one of the section's keys is
-        # placed at the section alone
-        sections = parse_sections(BASE)
-        err = _rejected(ValueError("2D grid requires ly and ny"), sections, "grid")
-        assert (str(err), err.section, err.key, err.line) == (
-            "[grid]: 2D grid requires ly and ny", "grid", None, None
-        )
-
     def test_table_reaches_every_config_error(self, tmp_path):
         # every statement of sktlab/config.py that builds a ConfigError runs
-        # in some row of ERRORS, or in the two tests above: a site no test
+        # in some row of ERRORS, or in the test above: a site no test
         # pins fails here, with its line
         path = config.__file__
         tree = ast.parse(Path(path).read_text())
@@ -336,7 +327,6 @@ class TestErrors:
                 with pytest.raises(ConfigError):
                     _raise(row[1], row[2], tmp_path)
             self.test_unreadable_file(tmp_path)
-            self.test_rejected_value_without_a_key()
         finally:
             sys.settrace(previous)
         lines = Path(path).read_text().splitlines()

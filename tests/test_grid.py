@@ -160,13 +160,12 @@ class TestScalarField:
         with pytest.raises(ValueError):
             ScalarField(line, np.zeros(7))
 
-    def test_nonfinite_rejected_unless_flagged(self, line):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, line, value):
         vals = np.zeros(line.shape)
-        vals[3] = np.inf
-        with pytest.raises(ValueError):
+        vals[3] = value
+        with pytest.raises(ValueError, match="field values must be finite"):
             ScalarField(line, vals)
-        flagged = ScalarField(line, vals, overflowed=True)
-        assert flagged.overflowed
 
     def test_values_are_copied(self, line):
         src = np.zeros(line.shape)

@@ -4,6 +4,7 @@ import dataclasses
 import re
 import struct
 import tracemalloc
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -122,6 +123,20 @@ class TestInitialBracket:
         assert exc_info.value.inequality == "max(u0_1) <= N1_upper"
         assert "exceeds the admissible ceiling" in str(exc_info.value)
 
+    def test_ceiling_whose_transform_overflows_rejected(self, setup):
+        # a1 = 1e200 puts the certified point window's ceiling near 5.3e199,
+        # whose transform overflows at alpha = 0.5
+        _, grid, eig, _, u0 = setup
+        params = certified_params(a1=1e200)
+        regime = classify_global(params, eig.lambda0, eig.mode)
+        assert regime.certified
+        with pytest.raises(BracketConstructionError) as exc_info:
+            initial_bracket(params, eig, u0, regime)
+        assert str(exc_info.value) == (
+            "the window's ceiling is out of range: the transform (d + alpha*u)*u "
+            "overflows at max |u| = 5.33333e+199"
+        )
+
     def test_uncertified_regime_rejected(self, setup):
         params = certified_params(alpha1=0.1, alpha2=0.1)
         grid = Grid.interval(np.pi, 33)
@@ -145,13 +160,11 @@ class TestInitialBracket:
     @pytest.mark.parametrize("species", [0, 1])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_data_rejected(self, setup, value, species):
-        # fields flagged overflowed may hold non-finite values, which no
-        # ceiling or floor comparison would catch
+        # a field is finite when made, but its values can be written to
+        # since, and no ceiling or floor comparison would catch NaN
         params, grid, eig, regime, u0 = setup
-        vals = u0[species].values.copy()
-        vals[4] = value
-        bad = list(u0)
-        bad[species] = ScalarField(grid, vals, overflowed=True)
+        bad = [ScalarField(grid, field.values) for field in u0]
+        bad[species].values[4] = value
         with pytest.raises(ValueError, match="initial fields must be finite"):
             initial_bracket(params, eig, bad, regime)
 
@@ -195,7 +208,7 @@ class TestSystemState:
         params, grid, *_ = setup
         u1, u2 = np.linspace(0.0, 1.0, grid.nx), np.full(grid.shape, 0.3)
         state = SystemState.from_u_arrays(params, grid, 0.5, u1, u2)
-        assert state.t == 0.5 and not state.overflowed
+        assert state.t == 0.5
         assert state.u.shape == state.h.shape == (2,) + grid.shape
         assert np.array_equal(state.u, [u1, u2])
         h1 = _transform_raw(params.d1, params.alpha1, u1)
@@ -212,11 +225,22 @@ class TestSystemState:
             SystemState.from_u_arrays(params, grid, 0.0, u1[:-1], u2[:-1])
         bad = u1.copy()
         bad[2] = np.inf
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="field values must be finite"):
             SystemState.from_u_arrays(params, grid, 0.0, bad, u2)
-        flagged = SystemState.from_u_arrays(params, grid, 0.0, bad, u2, overflowed=True)
-        assert flagged.u1.overflowed and flagged.h2.overflowed
-        assert flagged.sup_norms()[0] == np.inf
+
+    @pytest.mark.parametrize("u1", [1e200, -1e200])
+    def test_transform_overflow_refused(self, setup, u1):
+        # finite densities whose transform (d + alpha*u)*u overflows make no
+        # state, and numpy warns of nothing on the way
+        params, grid, *_ = setup
+        field = ScalarField.constant(grid, u1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc_info:
+                SystemState.from_u(params, 0.0, field, ScalarField.constant(grid, 1.0))
+        assert str(exc_info.value) == (
+            "the transform (d + alpha*u)*u overflows at max |u| = 1e+200"
+        )
 
     def test_simulate_builds_no_fields(self, monkeypatch):
         # a 1D auto-bracket run: the step path works on the stacks alone
@@ -1300,7 +1324,10 @@ class TestLeanSteps:
             prediction[1] = -0.0
         elif case != "varying":
             u[0, 5] = float(case)
-        state = SystemState.from_u_arrays(params, grid, 0.0, *u, overflowed=case != "varying")
+        d = np.array([[params.d1], [params.d2]])
+        alpha = np.array([[params.alpha1], [params.alpha2]])
+        # the raw constructor: from_u_arrays refuses a state that is not finite
+        state = SystemState(0.0, grid, u, _transform_raw(d, alpha, u))
         rows = np.zeros((8, grid.npoints))
         u_rows, h_rows, miss_rows, predicted = (
             rows[i:i + 2].reshape((2,) + grid.shape) for i in range(0, 8, 2)
@@ -2176,8 +2203,14 @@ class TestSimulate:
             simulate(params, grid, eig, u0, cfg, 0.0)
         other = Grid.interval(np.pi, 17)
         w0 = (ScalarField.constant(other, 0.2), ScalarField.constant(other, 0.2))
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(ValueError, match="initial fields live on a different grid"):
             simulate(params, grid, eig, w0, cfg, 1.0)
+        # _check_initial's message, not the state builder's
+        with pytest.raises(ValueError, match="initial fields live on different grids"):
+            simulate(params, grid, eig, (u0[0], w0[1]), cfg, 1.0)
+        huge = (ScalarField.constant(grid, 1e200), u0[1])
+        with pytest.raises(ValueError, match=r"transform \(d \+ alpha\*u\)\*u overflows"):
+            simulate(params, grid, eig, huge, cfg, 1.0)
         vals = np.full(grid.shape, 0.2)
         vals[0] = -1e-9
         bad = (ScalarField(grid, vals), ScalarField.constant(grid, 0.2))
@@ -2187,13 +2220,13 @@ class TestSimulate:
     @pytest.mark.parametrize("window", [False, True], ids=["auto", "window"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_initial_fields_rejected(self, setup, value, window):
-        # fields flagged overflowed may hold non-finite values; simulate
-        # refuses them up front rather than halving dt to a failed run
+        # a field's values written to after it was made may be non-finite;
+        # simulate refuses them up front rather than halving dt to a failed
+        # run
         params, grid, eig, regime, u0 = setup
         bracket = initial_bracket(params, eig, u0, regime) if window else None
-        vals = u0[1].values.copy()
-        vals[4] = value
-        bad = (u0[0], ScalarField(grid, vals, overflowed=True))
+        bad = (u0[0], ScalarField(grid, u0[1].values))
+        bad[1].values[4] = value
         with pytest.raises(ValueError, match="initial fields must be finite"):
             simulate(params, grid, eig, bad, SolverConfig(dt=1e-3), 1e-2, bracket=bracket)
 
